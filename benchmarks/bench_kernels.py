@@ -6,7 +6,8 @@ Run twice, once per backend::
     ROUGHMF_NO_NUMBA=1 python benchmarks/bench_kernels.py
 
 or pass --both to have the script re-exec itself with the flag set and
-print a side-by-side table.
+print a side-by-side table.  --both needs numba: without it both columns
+would time the numpy kernels, so the script exits with an error instead.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     if args.both:
+        from roughmf import _accel
+
+        if not _accel.HAVE_NUMBA:
+            sys.exit("bench_kernels.py --both: numba is not available (not installed, "
+                     "or ROUGHMF_NO_NUMBA is set), so there is no numba backend to compare")
         results = {}
         for label, flag in (("numba", "0"), ("numpy", "1")):
             env = dict(os.environ, ROUGHMF_NO_NUMBA=flag)

@@ -15,6 +15,7 @@ from .measures import (
     default_test_family,
     dp_bracket,
     flat_metric_bound,
+    linear_func,
     moment,
     topology_equivalence_probe,
     wasserstein_p,
@@ -32,9 +33,7 @@ from .models import (
     MeanFieldModel,
     build_model,
     covariance,
-    eks_coefficients,
     eks_gaussian_model,
-    landau_coefficients,
     landau_model,
     psd_sqrt,
 )

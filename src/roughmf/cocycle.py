@@ -67,7 +67,11 @@ def frozen_coefficient_field(
     model: MeanFieldModel, curve: MeasureCurve
 ) -> CoefficientField:
     """Time-dependent RDE coefficients from a frozen-law curve: the measure
-    argument is held at the curve state of the enclosing freeze interval."""
+    argument is held at the curve state of the enclosing freeze interval.
+
+    The RDE steppers advance one point at a time, so the drift and the
+    state-free part of sigma are read off the model as one-row views.
+    """
     t0 = float(curve.times[0])
     delta = float(curve.times[1] - curve.times[0])
     n = len(curve.measures) - 1
@@ -76,23 +80,15 @@ def frozen_coefficient_field(
         idx = int(np.clip(np.floor((t - t0) / delta + 1e-9), 0, n - 1))
         return curve.measures[idx]
 
+    zero = np.zeros((1, model.d))
+
     def b(t, y):
-        return model.b(y, measure_at(t))
+        return model.b(y[None], measure_at(t))[0]
 
-    if model.linear_a0 is not None:
-        d = model.d
-        zero = np.zeros(d)
+    def a1(t):
+        return model.sigma(zero, measure_at(t))[0]
 
-        def a1(t):
-            return model.sigma(zero, measure_at(t))
-
-        return linear_coefficients(model.linear_a0, a1, None, b=b, d=d)
-
-    return CoefficientField(
-        sigma=lambda t, y: model.sigma(y, measure_at(t)),
-        sigma_y=lambda t, y: model.sigma_y(y, measure_at(t)),
-        b=b,
-    )
+    return linear_coefficients(model.linear_a0, a1, None, b=b, d=model.d)
 
 
 @dataclass
@@ -196,11 +192,10 @@ def cocycle_defect(
     solB = doss_sussmann_solve(coeffB, rpB, mid.point)
 
     point_defect = float(np.linalg.norm(solB.Y[-1] - end_lhs.point))
-    law_defect = wasserstein_p(lawB.measures[-1], end_lhs.law, p)
-    _, law_upper, _ = dp_bracket(lawB.measures[-1], end_lhs.law, p)
+    _, law_upper, info = dp_bracket(lawB.measures[-1], end_lhs.law, p)
     return {
         "point_defect": point_defect,
-        "law_defect": float(law_defect),
+        "law_defect": info["w_p"],
         "law_upper": float(law_upper),
         "self_defect": details.solution.integral_defect(),
         "s": s,

@@ -99,16 +99,9 @@ def particle_noise(
     return out * np.sqrt(h_fine)
 
 
-def _drift_batch(model: MeanFieldModel, Y: np.ndarray, mu: EmpiricalMeasure):
-    if model.b_batch is not None:
-        return model.b_batch(Y, mu)
-    return np.stack([model.b(y, mu) for y in Y])
-
-
-def _noise_batch(model, Y, mu, dW):
-    if model.sigma_dw_batch is not None:
-        return model.sigma_dw_batch(Y, mu, dW)
-    return np.stack([model.sigma(y, mu) @ w for y, w in zip(Y, dW)])
+def _euler_step(model: MeanFieldModel, Y, mu: EmpiricalMeasure, h: float, dW):
+    """One Euler-Maruyama step of every particle under the frozen law mu."""
+    return Y + h * model.b(Y, mu) + np.einsum("nik,nk->ni", model.sigma(Y, mu), dW)
 
 
 def simulate_frozen_law(
@@ -153,9 +146,7 @@ def simulate_frozen_law(
     for j in range(steps):
         if j % cfg.inner == 0:
             frozen = EmpiricalMeasure(Y.copy(), w)
-        B = _drift_batch(model, Y, frozen)
-        S = _noise_batch(model, Y, frozen, dW[:, j, :])
-        Y = Y + h * B + S
+        Y = _euler_step(model, Y, frozen, h, dW[:, j, :])
         if not np.all(np.isfinite(Y)):
             raise RuntimeError(f"non-finite particle state at step {j}")
         if record_inner or (j + 1) % cfg.inner == 0:
@@ -191,14 +182,13 @@ def weak_solution_residual(
     gen = np.empty(j + 1)
     for k in range(j + 1):
         mu = curve.measures[k]
-        acc = 0.0
-        for wgt, y in zip(mu.weights, mu.atoms):
-            bv = model.b(y, mu)
-            sg = model.sigma(y, mu)
-            acc += wgt * (
-                float(bv @ phi.grad(y)) + 0.5 * float(np.sum((sg @ sg.T) * phi.hess(y)))
-            )
-        gen[k] = acc
+        Y = mu.atoms
+        sg = model.sigma(Y, mu)
+        a = np.einsum("nik,njk->nij", sg, sg)
+        Lphi = np.einsum("ni,ni->n", model.b(Y, mu), phi.grad(Y)) + 0.5 * np.einsum(
+            "nij,nij->n", a, phi.hess(Y)
+        )
+        gen[k] = float(mu.weights @ Lphi)
     ts = curve.times[: j + 1]
     time_integral = float(np.trapezoid(gen, ts))
     lhs = curve.measures[j].integrate(phi.value) - curve.measures[0].integrate(phi.value)
@@ -288,10 +278,7 @@ def simulate_dual_sde(
     dW = inc.reshape(N, steps, per, d).sum(axis=2)
     Y = atoms0.copy()
     for j in range(steps):
-        mu = curve.measures[j // cfg.inner]
-        B = _drift_batch(model, Y, mu)
-        S = _noise_batch(model, Y, mu, dW[:, j, :])
-        Y = Y + h * B + S
+        Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[:, j, :])
     return Y
 
 
@@ -307,10 +294,10 @@ def feynman_kac_duality(
     independent noise.  Reports both sides and a combined standard error."""
     curve = simulate_frozen_law(model, mu0, cfg, T)
     muT = curve.measures[-1]
-    lhs_vals = np.array([phi.value(y) for y in muT.atoms])
+    lhs_vals = phi.value(muT.atoms)
     lhs = float(muT.weights @ lhs_vals)
     xiT = simulate_dual_sde(model, curve, mu0.atoms, cfg, T, member_offset=mu0.n + 1)
-    rhs_vals = np.array([phi.value(y) for y in xiT])
+    rhs_vals = phi.value(xiT)
     rhs = float(mu0.weights @ rhs_vals)
     se = float(
         np.sqrt(np.var(lhs_vals) / muT.n + np.var(rhs_vals) / len(rhs_vals))
@@ -370,13 +357,14 @@ def semigroup_check(
 
 def save_curve(curve: MeasureCurve, path) -> None:
     """Rows of (time, particle id, coordinates)."""
-    rows = []
-    for t, m in zip(curve.times, curve.measures):
-        for i, y in enumerate(m.atoms):
-            rows.append([t, float(i), *y])
+    ids = np.arange(curve.measures[0].n, dtype=float)
+    rows = np.vstack([
+        np.column_stack([np.full_like(ids, t), ids, m.atoms])
+        for t, m in zip(curve.times, curve.measures)
+    ])
     with open(path, "w") as fh:
         fh.write("# roughmf-curve v1 " + json.dumps(curve.meta, sort_keys=True, default=str) + "\n")
-        np.savetxt(fh, np.array(rows), fmt="%.17g")
+        np.savetxt(fh, rows, fmt="%.17g")
 
 
 def save_curve_summary(curve: MeasureCurve, path, p: float = 4.0) -> None:

@@ -56,8 +56,9 @@ class EmpiricalMeasure:
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms
 
-    def integrate(self, phi: Callable[[np.ndarray], float]) -> float:
-        return float(sum(w * phi(y) for w, y in zip(self.weights, self.atoms)))
+    def integrate(self, phi: Callable[[np.ndarray], np.ndarray]) -> float:
+        """int phi dmu for phi mapping the atoms (N, d) to values (N,)."""
+        return float(self.weights @ phi(self.atoms))
 
 
 def moment(mu: EmpiricalMeasure, p: float) -> float:
@@ -178,12 +179,27 @@ def flat_metric_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
 
 @dataclass
 class ScalarFunc:
-    """phi with analytic gradient and Hessian."""
+    """phi with analytic gradient and Hessian.
+
+    Each callable takes points (N, d) and returns (N,), (N, d), (N, d, d).
+    """
 
     name: str
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+
+
+def linear_func(u: np.ndarray, name: str) -> ScalarFunc:
+    """phi(y) = <u, y>: the coordinate and direction witnesses."""
+    u = np.asarray(u, dtype=float)
+    d = len(u)
+    return ScalarFunc(
+        name,
+        lambda Y: Y @ u,
+        lambda Y: np.broadcast_to(u, Y.shape),
+        lambda Y: np.zeros((len(Y), d, d)),
+    )
 
 
 @dataclass
@@ -198,43 +214,46 @@ class TestFunctionFamily:
         Hessian of |y|^2/2 has size 1 in any dimension.
         """
         pts = sampler(n)
-        env = 1.0 + np.linalg.norm(pts, axis=1) ** (self.p - 1.0)
+        env = 1.0 + np.linalg.norm(pts, axis=1) ** (self.p - 1.0) + 1e-12
         for f in self.funcs:
-            for y, e in zip(pts, env):
-                if np.linalg.norm(f.grad(y)) > e + 1e-12:
-                    return False
-                if np.linalg.norm(f.hess(y), 2) > e + 1e-12:
-                    return False
+            if np.any(np.linalg.norm(f.grad(pts), axis=1) > env):
+                return False
+            if np.any(np.linalg.norm(f.hess(pts), 2, axis=(1, 2)) > env):
+                return False
         return True
 
 
 def _bump(center: np.ndarray, radius: float, scale: float) -> ScalarFunc:
+    """scale * exp(-1 / (1 - |y - c|^2 / radius^2)) inside the ball, 0 outside."""
     c = np.asarray(center, dtype=float)
+    d = len(c)
 
-    def val(y):
-        r2 = np.sum((y - c) ** 2) / radius**2
-        return scale * np.exp(-1.0 / (1.0 - r2)) if r2 < 1.0 else 0.0
+    def parts(Y):
+        z = Y - c
+        r2 = np.sum(z**2, axis=1) / radius**2
+        # 1 - r2 inside the ball; outside, any nonzero value keeps the
+        # derivative formulas finite, and the zero value zeroes them
+        gap = np.where(r2 < 1.0, 1.0 - r2, 1.0)
+        return z, gap, np.where(r2 < 1.0, scale * np.exp(-1.0 / gap), 0.0)
 
-    def grad(y):
-        r2 = np.sum((y - c) ** 2) / radius**2
-        if r2 >= 1.0 - 1e-12:
-            return np.zeros_like(c)
-        g = -2.0 * (y - c) / radius**2 / (1.0 - r2) ** 2
-        return val(y) * g
+    def val(Y):
+        return parts(Y)[2]
 
-    def hess(y):
-        d = len(c)
-        r2 = np.sum((y - c) ** 2) / radius**2
-        if r2 >= 1.0 - 1e-12:
-            return np.zeros((d, d))
-        u = (y - c) / radius**2
-        q = 1.0 / (1.0 - r2) ** 2
-        g = -2.0 * u * q
+    def grad(Y):
+        z, gap, v = parts(Y)
+        return (v * -2.0 / radius**2 / gap**2)[:, None] * z
+
+    def hess(Y):
+        z, gap, v = parts(Y)
+        u = z / radius**2
+        q = 1.0 / gap**2
+        g = -2.0 * u * q[:, None]
         # d/dy_j q = 4 u_j (1 - r2)^{-3}
         dg = -2.0 / radius**2 * (
-            np.eye(d) * q + np.outer(y - c, 4.0 * u / (1.0 - r2) ** 3)
+            np.eye(d) * q[:, None, None]
+            + np.einsum("ni,nj->nij", z, 4.0 * u / gap[:, None] ** 3)
         )
-        return val(y) * (np.outer(g, g) + dg)
+        return v[:, None, None] * (np.einsum("ni,nj->nij", g, g) + dg)
 
     return ScalarFunc(f"bump@{np.round(c, 3)}", val, grad, hess)
 
@@ -248,55 +267,36 @@ def default_test_family(
         if not clouds:
             raise ValueError("need a dimension or at least one cloud")
         d = clouds[0].d
-    funcs = []
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        funcs.append(
-            ScalarFunc(
-                f"coord{i}",
-                lambda y, e=e: float(e @ y),
-                lambda y, e=e: e,
-                lambda y, d=d: np.zeros((d, d)),
-            )
-        )
+    funcs = [linear_func(e, f"coord{i}") for i, e in enumerate(np.eye(d))]
 
-    def pow_val(y):
-        return float(np.linalg.norm(y) ** p / p)
+    def radial(Y, power):
+        # |y|^power, and 0 at y = 0 where a negative power has no value
+        r = np.linalg.norm(Y, axis=1)
+        out = np.zeros_like(r)
+        out[r > 0] = r[r > 0] ** power
+        return out
 
-    def pow_grad(y):
-        r = np.linalg.norm(y)
-        return y * r ** (p - 2.0) if r > 0 else np.zeros_like(y)
+    def pow_val(Y):
+        return np.linalg.norm(Y, axis=1) ** p / p
 
-    def pow_hess(y):
-        r = np.linalg.norm(y)
-        if r == 0:
-            return np.zeros((len(y), len(y)))
-        return r ** (p - 2.0) * np.eye(len(y)) + (p - 2.0) * r ** (p - 4.0) * np.outer(
-            y, y
-        )
+    def pow_grad(Y):
+        return Y * radial(Y, p - 2.0)[:, None]
+
+    def pow_hess(Y):
+        return radial(Y, p - 2.0)[:, None, None] * np.eye(d) + (p - 2.0) * radial(
+            Y, p - 4.0
+        )[:, None, None] * np.einsum("ni,nj->nij", Y, Y)
 
     funcs.append(ScalarFunc("power", pow_val, pow_grad, pow_hess))
-    centers = []
-    for c in clouds:
-        centers.append(c.mean())
+    centers = [c.mean() for c in clouds]
     for c in centers:
         funcs.append(_bump(c, radius=1.0, scale=0.25))
-    if len(centers) >= 2:
-        for a in range(len(centers)):
-            for b in range(a + 1, len(centers)):
-                v = centers[b] - centers[a]
-                nv = np.linalg.norm(v)
-                if nv > 1e-12:
-                    u = v / nv
-                    funcs.append(
-                        ScalarFunc(
-                            f"dir{a}-{b}",
-                            lambda y, u=u: float(u @ y),
-                            lambda y, u=u: u,
-                            lambda y, d=d: np.zeros((d, d)),
-                        )
-                    )
+    for a in range(len(centers)):
+        for b in range(a + 1, len(centers)):
+            v = centers[b] - centers[a]
+            nv = np.linalg.norm(v)
+            if nv > 1e-12:
+                funcs.append(linear_func(v / nv, f"dir{a}-{b}"))
     return TestFunctionFamily(funcs, p)
 
 
@@ -312,7 +312,9 @@ def dp_bracket(
     closed under negation, so the absolute value is admissible).
     upper: mean-value bound sum_pi (1 + |x|^{p-1} + |x-y|^{p-1}) |x-y| on
     the coupling returned by wasserstein_p; approximate couplings make the
-    upper bound approximate, and the flag says so.
+    upper bound approximate, and the flag says so.  The info record also
+    carries that wasserstein_p value as "w_p", so callers need not solve the
+    same transport problem again.
     """
     if fam is None:
         fam = default_test_family(p, clouds=[mu, nu])
@@ -320,13 +322,13 @@ def dp_bracket(
     for f in fam.funcs:
         gap = abs(mu.integrate(f.value) - nu.integrate(f.value))
         lower = max(lower, gap)
-    _, info = wasserstein_p(mu, nu, p, return_info=True)
+    w_p, info = wasserstein_p(mu, nu, p, return_info=True)
     xs, ys, mass = info["coupling"]
     sep = np.linalg.norm(xs - ys, axis=1)
     env = 1.0 + np.linalg.norm(xs, axis=1) ** (p - 1.0) + sep ** (p - 1.0)
     upper = float(mass @ (env * sep))
     upper = max(upper, lower)  # the bracket must always close
-    return lower, upper, {"exact_upper": info["exact"], "mode": info["mode"]}
+    return lower, upper, {"exact_upper": info["exact"], "mode": info["mode"], "w_p": w_p}
 
 
 def topology_equivalence_probe(
@@ -339,8 +341,8 @@ def topology_equivalence_probe(
     """Check that d_p and the bracket vanish together along a sequence."""
     ws, lowers, uppers = [], [], []
     for m in sequence:
-        ws.append(wasserstein_p(m, limit, p))
-        lo, up, _ = dp_bracket(m, limit, p)
+        lo, up, info = dp_bracket(m, limit, p)
+        ws.append(info["w_p"])
         lowers.append(lo)
         uppers.append(up)
     ws = np.array(ws)

@@ -41,30 +41,23 @@ def psd_sqrt(A: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeanFieldModel:
-    """Coefficient pair (b, sigma) on state x measure, with derivatives.
+    """Coefficient pair (b, sigma) on state x measure, evaluated on a cloud.
 
-    sigma_y returns the (d, d, d) tensor [i, k, j] = d sigma_{ik} / d y_j at
-    frozen measure; constants carries the declared assumption envelopes
-    (keys: "F" Lipschitz-in-measure envelope, "C" growth/coercivity
-    constant, "kappa" the moment index used by the audit).
+    b(Y, mu) returns the (N, d) drifts and sigma(Y, mu) the (N, d, d)
+    diffusion matrices at the N states Y (N, d) under the frozen law mu.
+    sigma is affine in the state: sigma(y, mu)_{ik} = sum_j linear_a0[i, k, j]
+    y_j + sigma(0, mu)_{ik}, which the RDE layer solves by exact affine flows.
+    constants carries the declared assumption envelopes (keys: "F"
+    Lipschitz-in-measure envelope, "C" growth/coercivity constant, "kappa"
+    the moment index used by the audit).
     """
 
     name: str
     d: int
     b: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
     sigma: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
-    sigma_y: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
-    b_y: Optional[Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]] = None
+    linear_a0: np.ndarray
     constants: dict = field(default_factory=dict)
-    # optional vectorised forms over a whole ensemble (N, d); the particle
-    # simulator falls back to per-particle calls when these are absent
-    b_batch: Optional[Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]] = None
-    sigma_dw_batch: Optional[
-        Callable[[np.ndarray, EmpiricalMeasure, np.ndarray], np.ndarray]
-    ] = None
-    # when sigma(y, mu) = linear_a0 . y + sigma(0, mu), the (d, d, d) tensor
-    # of the state-linear part; unlocks exact affine flows in the RDE layer
-    linear_a0: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +66,12 @@ class MeanFieldModel:
 
 @dataclass
 class Potential:
-    """V with analytic derivatives, for the EKS drift -Cov(mu) grad V."""
+    """V with analytic derivatives, for the EKS drift -Cov(mu) grad V.
 
-    value: Callable[[np.ndarray], float]
+    Each callable takes states (N, d) and returns (N,), (N, d), (N, d, d).
+    """
+
+    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
 
@@ -85,49 +81,28 @@ def quadratic_potential(Sigma: np.ndarray) -> Potential:
     Sigma = np.asarray(Sigma, dtype=float)
     P = np.linalg.inv(Sigma)
     return Potential(
-        value=lambda y: 0.5 * float(y @ P @ y),
-        grad=lambda y: P @ y,
-        hess=lambda y: P,
+        value=lambda Y: 0.5 * np.einsum("ni,ni->n", Y @ P.T, Y),
+        grad=lambda Y: Y @ P.T,
+        hess=lambda Y: np.broadcast_to(P, (len(Y),) + P.shape),
     )
 
 
-def eks_coefficients(pot: Potential, y: np.ndarray, mu: EmpiricalMeasure):
-    """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent)."""
-    C = covariance(mu)
-    return -C @ pot.grad(y), psd_sqrt(2.0 * C)
-
-
 def eks_model(pot: Potential, d: int, name: str = "eks-custom") -> MeanFieldModel:
-    def b(y, mu):
-        return -covariance(mu) @ pot.grad(y)
+    """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent)."""
 
-    def sig(y, mu):
-        return psd_sqrt(2.0 * covariance(mu))
+    def b(Y, mu):
+        return -pot.grad(Y) @ covariance(mu).T
 
-    def sig_y(y, mu):
-        return np.zeros((d, d, d))
-
-    def b_y(y, mu):
-        return -covariance(mu) @ pot.hess(y)
-
-    def b_batch(Y, mu):
-        C = covariance(mu)
-        return -np.stack([pot.grad(y) for y in Y]) @ C.T
-
-    def sigma_dw_batch(Y, mu, dW):
-        return dW @ psd_sqrt(2.0 * covariance(mu)).T
+    def sig(Y, mu):
+        return np.broadcast_to(psd_sqrt(2.0 * covariance(mu)), (len(Y), d, d))
 
     return MeanFieldModel(
         name=name,
         d=d,
         b=b,
         sigma=sig,
-        sigma_y=sig_y,
-        b_y=b_y,
-        constants={"F": 8.0 * d, "C": 8.0 * d, "kappa": 2.0},
-        b_batch=b_batch,
-        sigma_dw_batch=sigma_dw_batch,
         linear_a0=np.zeros((d, d, d)),
+        constants={"F": 8.0 * d, "C": 8.0 * d, "kappa": 2.0},
     )
 
 
@@ -135,12 +110,6 @@ def eks_gaussian_model(Sigma: np.ndarray) -> MeanFieldModel:
     Sigma = np.asarray(Sigma, dtype=float)
     m = eks_model(quadratic_potential(Sigma), Sigma.shape[0], name="eks-gaussian")
     m.constants["Sigma"] = Sigma
-    P = np.linalg.inv(Sigma)
-
-    def b_batch(Y, mu, P=P):
-        return -(Y @ P.T) @ covariance(mu).T
-
-    m.b_batch = b_batch
     return m
 
 
@@ -159,55 +128,35 @@ LANDAU_S0[2, 2, 0] = -1.0
 
 
 def sigma0(y: np.ndarray) -> np.ndarray:
-    """Linear matrix field with sigma0(y) sigma0(y)^T = |y|^2 Id - y (x) y."""
+    """Linear matrix field with sigma0(y) sigma0(y)^T = |y|^2 Id - y (x) y.
+
+    Takes one vector (3,) or a stack (..., 3) and returns (..., 3, 3).
+    """
     y = np.asarray(y, dtype=float)
-    if y.shape != (3,):
+    if y.ndim == 0 or y.shape[-1] != 3:
         raise ValueError("sigma0 is defined on R^3")
-    return np.einsum("ikj,j->ik", LANDAU_S0, y)
+    return np.einsum("ikj,...j->...ik", LANDAU_S0, y)
 
 
-def landau_coefficients(y: np.ndarray, mu: EmpiricalMeasure):
+def landau_model() -> MeanFieldModel:
     """b = -2y + 2 m(mu); sigma = sigma0(y) - sigma0(m(mu)).
 
     sigma0 is linear, so its measure average equals its value at the mean.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (3,) or mu.d != 3:
-        raise ValueError("the Maxwell-molecule system lives in R^3")
-    m = mu.mean()
-    return -2.0 * y + 2.0 * m, sigma0(y - m)
 
-
-def landau_model() -> MeanFieldModel:
-    def b(y, mu):
-        return landau_coefficients(y, mu)[0]
-
-    def sig(y, mu):
-        return landau_coefficients(y, mu)[1]
-
-    def sig_y(y, mu):
-        return LANDAU_S0
-
-    def b_y(y, mu):
-        return -2.0 * np.eye(3)
-
-    def b_batch(Y, mu):
+    def b(Y, mu):
         return -2.0 * Y + 2.0 * mu.mean()
 
-    def sigma_dw_batch(Y, mu, dW):
-        return np.einsum("ikj,nj,nk->ni", LANDAU_S0, Y - mu.mean(), dW)
+    def sig(Y, mu):
+        return sigma0(Y - mu.mean())
 
     return MeanFieldModel(
         name="landau-maxwell",
         d=3,
         b=b,
         sigma=sig,
-        sigma_y=sig_y,
-        b_y=b_y,
-        constants={"F": 16.0, "C": 16.0, "kappa": 2.0},
-        b_batch=b_batch,
-        sigma_dw_batch=sigma_dw_batch,
         linear_a0=LANDAU_S0,
+        constants={"F": 16.0, "C": 16.0, "kappa": 2.0},
     )
 
 
@@ -232,16 +181,18 @@ def assumption_audit(model: MeanFieldModel, corpus) -> dict:
     viol = {"measure_lipschitz": [], "coercivity": [], "growth": []}
     for idx, (y, mu, nu) in enumerate(corpus):
         y = np.asarray(y, dtype=float)
-        lhs = np.linalg.norm(model.b(y, mu) - model.b(y, nu)) + np.linalg.norm(
-            model.sigma(y, mu) - model.sigma(y, nu)
+        Y = y[None]
+        b_mu, sig_mu = model.b(Y, mu)[0], model.sigma(Y, mu)[0]
+        lhs = np.linalg.norm(b_mu - model.b(Y, nu)[0]) + np.linalg.norm(
+            sig_mu - model.sigma(Y, nu)[0]
         )
         _, upper, _ = dp_bracket(mu, nu, kappa)
         if lhs > F * (1.0 + np.linalg.norm(y)) * upper + 1e-9:
             viol["measure_lipschitz"].append(idx)
         env = C * (1.0 + float(y @ y) + moment(mu, 2.0))
-        if float(model.b(y, mu) @ y) > env + 1e-9:
+        if float(b_mu @ y) > env + 1e-9:
             viol["coercivity"].append(idx)
-        if np.linalg.norm(model.sigma(y, mu)) ** 2 > env + 1e-9:
+        if np.linalg.norm(sig_mu) ** 2 > env + 1e-9:
             viol["growth"].append(idx)
     viol["clean"] = not any(viol[k] for k in ("measure_lipschitz", "coercivity", "growth"))
     return viol

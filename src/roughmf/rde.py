@@ -42,7 +42,6 @@ class CoefficientField:
     sigma_t: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     sigma_y: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     sigma_yy: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    b_y: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     linear: Optional[tuple] = None  # (a0, a1(t), a1dot(t) or None)
     meta: dict = field(default_factory=dict)
     guard: float = DEFAULT_GUARD

@@ -1,7 +1,9 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import roughmf._accel as accel
 from roughmf._accel import (
@@ -70,6 +72,18 @@ def test_env_flag_selects_numpy_path():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(accel.HAVE_NUMBA, reason="numba is present, so --both has two backends")
+def test_bench_kernels_both_refuses_without_numba():
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--both", "--cells", "16", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "numba is not available" in proc.stderr
+    assert proc.stdout == ""  # no timing table
 
 
 def test_numba_path_available_by_default():

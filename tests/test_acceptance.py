@@ -58,7 +58,7 @@ from roughmf.roughpath import (
     dyadic_approximation,
     rough_distance,
 )
-from roughmf.measures import ScalarFunc
+from roughmf.measures import ScalarFunc, linear_func
 
 RESULTS = {}
 
@@ -369,15 +369,12 @@ def test_07_moment_oracles():
 # ---------------------------------------------------------------------------
 
 def _phi_coord(d):
-    e = np.zeros(d)
-    e[0] = 1.0
-    return ScalarFunc("coord", lambda y: float(e @ y), lambda y: e,
-                      lambda y: np.zeros((d, d)))
+    return linear_func(np.eye(d)[0], "coord")
 
 
 def _phi_sq(d):
-    return ScalarFunc("sq", lambda y: float(y @ y), lambda y: 2.0 * y,
-                      lambda y: 2.0 * np.eye(d))
+    return ScalarFunc("sq", lambda Y: np.sum(Y * Y, axis=1), lambda Y: 2.0 * Y,
+                      lambda Y: np.broadcast_to(2.0 * np.eye(d), (len(Y), d, d)))
 
 
 def test_08_duality():

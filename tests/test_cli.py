@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import roughmf.cli as cli
 from roughmf.cli import canonical_config, load_config, main, validate_config
+from roughmf.models import build_model
 
 
 def write_config(tmp_path, **overrides):
@@ -44,6 +46,57 @@ def test_validate_config_messages():
     assert "model.name" in joined
     assert "distinct" in joined
     assert "nope" in joined
+    model = {"name": "landau-maxwell"}
+    assert validate_config({"model": model}) == []
+    cases = [
+        ({"seeds": [0, -1]}, "non-negative integers"),
+        ({"seeds": [0.5]}, "non-negative integers"),
+        ({"seeds": []}, "non-empty"),
+        ({"T": 0.0}, "T must be a positive number"),
+        ({"T": "1"}, "T must be a positive number"),
+        ({"particles": 0}, "particles must be an integer >= 1"),
+        ({"particles": 2.5}, "particles must be an integer >= 1"),
+        ({"frozen_law": {"n_freeze": 1}, "checks": ["cocycle"]}, "n_freeze >= 2"),
+        ({"frozen_law": {"n_freeze": "8"}}, "integers n_freeze >= 1"),
+    ]
+    for override, message in cases:
+        errs = validate_config({"model": model} | override)
+        assert any(message in e for e in errs), (override, errs)
+    # one window is fine when no cocycle check asks for a restart time
+    assert validate_config({"model": model, "frozen_law": {"n_freeze": 1}}) == []
+
+
+def test_config_errors_are_clear_not_tracebacks(tmp_path):
+    for override in ({"seeds": [-1]}, {"frozen_law": {"n_freeze": 1}, "checks": ["cocycle"]}):
+        p = write_config(tmp_path, **override)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+        assert str(p) in str(exc.value)
+
+
+def test_cocycle_check_tests_positive_restart_times(tmp_path):
+    # n_freeze < 4 once gave q = 0 and only the trivial s = t = 0 row
+    p = write_config(tmp_path, model={"name": "landau-maxwell"}, particles=40,
+                     frozen_law={"n_freeze": 2, "inner": 1}, checks=["cocycle"])
+    cfg = load_config(str(p))
+    rep = cli.check_cocycle(cfg, build_model("landau-maxwell"))
+    assert rep["defects"]
+    assert all(row["s"] > 0 and row["t"] > 0 for row in rep["defects"])
+
+
+def test_stability_check_fails_on_unequal_decay(tmp_path, monkeypatch):
+    # the t = 0 ratio is 1 for every epsilon and must not mask the decay
+    fake = iter([[1.0, 0.2], [1.0, 0.9]])
+
+    def stability_check(*args, **kwargs):
+        ratios = next(fake)
+        return {"initial": 1.0, "ratios": ratios, "max_ratio": max(ratios)}
+
+    monkeypatch.setattr(cli, "stability_check", stability_check)
+    cfg = load_config(str(write_config(tmp_path, particles=20)))
+    rep = cli.check_stability(cfg, build_model("eks-gaussian", {"Sigma": np.eye(2)}))
+    assert rep["max_ratios"] == [0.2, 0.9]
+    assert not rep["pass"]
 
 
 def test_canonical_config_stable():

@@ -35,9 +35,9 @@ def gauss_init(seed, n, d, cov=None):
 def phi_sq(d):
     return ScalarFunc(
         "sq",
-        lambda y: float(y @ y),
-        lambda y: 2.0 * y,
-        lambda y: 2.0 * np.eye(d),
+        lambda Y: np.sum(Y * Y, axis=1),
+        lambda Y: 2.0 * Y,
+        lambda Y: np.broadcast_to(2.0 * np.eye(d), (len(Y), d, d)),
     )
 
 

@@ -6,6 +6,7 @@ from roughmf.measures import (
     default_test_family,
     dp_bracket,
     flat_metric_bound,
+    linear_func,
     load_measure,
     moment,
     save_measure,
@@ -33,9 +34,20 @@ def test_moment_and_integrate():
     m = EmpiricalMeasure(np.array([[3.0, 4.0], [0.0, 0.0]]))
     assert moment(m, 1) == pytest.approx(2.5)
     assert moment(m, 2) == pytest.approx(12.5)
-    assert m.integrate(lambda y: y[0]) == pytest.approx(1.5)
+    assert m.integrate(lambda Y: Y[:, 0]) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         moment(m, 0.5)
+
+
+def test_integrate_weighted():
+    atoms = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, 1.0]])
+    w = np.array([0.5, 0.25, 0.25])
+    m = EmpiricalMeasure(atoms, w)
+    assert m.integrate(linear_func(np.array([1.0, 0.0]), "x").value) == pytest.approx(0.25)
+    assert m.integrate(linear_func(np.array([0.0, 1.0]), "y").value) == pytest.approx(0.75)
+    # same as the weighted per-atom sum of |y|^2
+    ref = sum(wi * float(y @ y) for wi, y in zip(w, atoms))
+    assert m.integrate(lambda Y: np.sum(Y * Y, axis=1)) == pytest.approx(ref, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +152,13 @@ def test_family_certificate():
 
 
 def test_family_certificate_catches_violation():
-    fam = default_test_family(2.0, d=2)
-    fam.funcs[0].grad = lambda y: np.array([50.0, 0.0])
     rng = np.random.default_rng(1)
+    fam = default_test_family(2.0, d=2)
+    fam.funcs.append(linear_func(np.array([50.0, 0.0]), "steep"))
+    assert not fam.certify(lambda n: rng.normal(size=(n, 2)), n=100)
+    # a Hessian violation alone is caught too
+    fam = default_test_family(2.0, d=2)
+    fam.funcs[0].hess = lambda Y: np.broadcast_to(50.0 * np.eye(2), (len(Y), 2, 2))
     assert not fam.certify(lambda n: rng.normal(size=(n, 2)), n=100)
 
 
@@ -152,16 +168,20 @@ def test_bump_derivatives_by_finite_difference():
     f = _bump(np.array([0.3, -0.1]), radius=1.0, scale=0.25)
     rng = np.random.default_rng(2)
     eps = 1e-6
-    for _ in range(20):
-        y = rng.uniform(-0.5, 0.8, size=2) + np.array([0.3, -0.1]) * 0
-        g = f.grad(y)
-        H = f.hess(y)
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = eps
-            assert abs((f.value(y + e) - f.value(y - e)) / (2 * eps) - g[j]) <= 1e-6
-            col = (f.grad(y + e) - f.grad(y - e)) / (2 * eps)
-            assert np.max(np.abs(col - H[:, j])) <= 1e-5
+    Y = rng.uniform(-0.5, 0.8, size=(20, 2))
+    g = f.grad(Y)
+    H = f.hess(Y)
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = eps
+        fd = (f.value(Y + e) - f.value(Y - e)) / (2 * eps)
+        assert np.max(np.abs(fd - g[:, j])) <= 1e-6
+        col = (f.grad(Y + e) - f.grad(Y - e)) / (2 * eps)
+        assert np.max(np.abs(col - H[:, :, j])) <= 1e-5
+    # zero with zero derivatives outside the unit ball around the centre
+    far = np.array([[2.0, 2.0], [1.3, -0.1]])
+    assert np.array_equal(f.value(far), [0.0, 0.0])
+    assert not np.any(f.grad(far)) and not np.any(f.hess(far))
 
 
 def test_bracket_orders_and_translation():

@@ -7,10 +7,8 @@ from roughmf.models import (
     assumption_audit,
     build_model,
     covariance,
-    eks_coefficients,
     eks_gaussian_model,
     eks_gaussian_moment_ode,
-    landau_coefficients,
     landau_model,
     landau_moment_oracle,
     psd_sqrt,
@@ -54,32 +52,43 @@ def test_psd_sqrt():
 def test_quadratic_potential_derivatives():
     Sigma = np.diag([1.0, 4.0])
     pot = quadratic_potential(Sigma)
-    y = np.array([1.0, 2.0])
-    assert pot.value(y) == pytest.approx(0.5 * (1.0 + 4.0 / 4.0))
-    assert np.allclose(pot.grad(y), np.linalg.inv(Sigma) @ y)
-    assert np.allclose(pot.hess(y), np.linalg.inv(Sigma))
+    Y = np.array([[1.0, 2.0], [0.0, -2.0], [3.0, 0.0]])
+    P = np.linalg.inv(Sigma)
+    assert np.allclose(pot.value(Y), [0.5 * (1.0 + 4.0 / 4.0), 0.5, 4.5])
+    assert np.allclose(pot.grad(Y), Y @ P)
+    assert pot.hess(Y).shape == (3, 2, 2)
+    assert np.allclose(pot.hess(Y), P)
 
 
 def test_eks_coefficients():
+    # closed forms on a whole cloud: b = -Y Sigma^{-1} C, sigma sigma = 2 C
     Sigma = np.diag([1.0, 4.0])
+    model = eks_gaussian_model(Sigma)
     mu = gauss_cloud(2, n=2000, d=2)
-    b, sig = eks_coefficients(quadratic_potential(Sigma), np.array([1.0, 0.0]), mu)
+    Y = gauss_cloud(3, n=7, d=2).atoms
     C = covariance(mu)
-    assert np.allclose(b, -C @ np.linalg.inv(Sigma) @ np.array([1.0, 0.0]))
-    assert np.allclose(sig @ sig, 2.0 * C, atol=1e-10)
+    b = model.b(Y, mu)
+    assert b.shape == (7, 2)
+    assert np.allclose(b, -Y @ np.linalg.inv(Sigma) @ C, atol=1e-12)
+    sig = model.sigma(Y, mu)
+    assert sig.shape == (7, 2, 2)
+    assert np.array_equal(sig, np.broadcast_to(sig[0], sig.shape))  # state-free
+    assert np.allclose(sig[0] @ sig[0], 2.0 * C, atol=1e-10)
+    assert np.allclose(sig[0], sig[0].T)
 
 
 def test_eks_model_batch_matches_pointwise():
+    # each row of the (N, d) evaluation equals the one-row view y[None]
     model = eks_gaussian_model(np.diag([1.0, 4.0]))
     mu = gauss_cloud(3, n=100, d=2)
     Y = mu.atoms[:7]
-    bb = model.b_batch(Y, mu)
+    bb = model.b(Y, mu)
     for k, y in enumerate(Y):
-        assert np.allclose(bb[k], model.b(y, mu), atol=1e-12)
+        assert np.allclose(bb[k], model.b(y[None], mu)[0], atol=1e-12)
     dW = np.random.default_rng(4).normal(size=(7, 2))
-    sd = model.sigma_dw_batch(Y, mu, dW)
+    sd = np.einsum("nik,nk->ni", model.sigma(Y, mu), dW)
     for k, y in enumerate(Y):
-        assert np.allclose(sd[k], model.sigma(y, mu) @ dW[k], atol=1e-12)
+        assert np.allclose(sd[k], model.sigma(y[None], mu)[0] @ dW[k], atol=1e-12)
     # sigma is state-independent: linear part is zero
     assert np.array_equal(model.linear_a0, np.zeros((2, 2, 2)))
 
@@ -98,6 +107,8 @@ def test_sigma0_projection_identity():
         assert np.allclose(S.T @ y, 0.0, atol=1e-12)  # columns orthogonal to y
     with pytest.raises(ValueError):
         sigma0(np.zeros(2))
+    with pytest.raises(ValueError):
+        sigma0(np.zeros((4, 2)))
 
 
 def test_sigma0_linearity_matches_tensor():
@@ -105,37 +116,36 @@ def test_sigma0_linearity_matches_tensor():
     y, z = rng.normal(size=3), rng.normal(size=3)
     assert np.allclose(sigma0(y + 2 * z), sigma0(y) + 2 * sigma0(z))
     assert np.allclose(sigma0(y), np.einsum("ikj,j->ik", LANDAU_S0, y))
+    stack = sigma0(np.stack([y, z]))
+    assert np.array_equal(stack[0], sigma0(y)) and np.array_equal(stack[1], sigma0(z))
 
 
-def test_landau_coefficients_and_batch():
+def test_landau_coefficients():
+    # closed forms on a whole cloud: b = -2y + 2m, sigma = sigma0(y - m)
     model = landau_model()
     mu = gauss_cloud(7, n=64, d=3, shift=0.5)
-    y = np.array([0.2, -0.3, 1.0])
-    b, sig = landau_coefficients(y, mu)
+    Y = np.array([[0.2, -0.3, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, -1.0]])
     m = mu.mean()
-    assert np.allclose(b, -2 * y + 2 * m)
-    assert np.allclose(sig, sigma0(y - m))
-    Y = mu.atoms[:5]
-    dW = np.random.default_rng(8).normal(size=(5, 3))
-    sd = model.sigma_dw_batch(Y, mu, dW)
-    for k in range(5):
-        assert np.allclose(sd[k], model.sigma(Y[k], mu) @ dW[k], atol=1e-12)
-    with pytest.raises(ValueError):
-        landau_coefficients(np.zeros(2), mu)
+    assert np.allclose(model.b(Y, mu), -2 * Y + 2 * m)
+    sig = model.sigma(Y, mu)
+    assert sig.shape == (3, 3, 3)
+    for k, y in enumerate(Y):
+        z = y - m
+        assert np.allclose(sig[k], sigma0(z))
+        assert np.allclose(sig[k] @ sig[k].T, (z @ z) * np.eye(3) - np.outer(z, z))
+    assert np.array_equal(model.linear_a0, LANDAU_S0)
+    with pytest.raises(ValueError):  # the system lives in R^3
+        model.sigma(np.zeros((4, 2)), EmpiricalMeasure(np.zeros((5, 2))))
 
 
 def test_landau_fluctuation_energy_identity():
-    # sum_i |sigma(y_i, mu)|_F^2 = 2 N (trace C) * ... check the exact form:
-    # |sigma0(z)|_F^2 = trace(|z|^2 I - z z^T) = 2 |z|^2
+    # |sigma0(z)|_F^2 = trace(|z|^2 I - z z^T) = 2 |z|^2, atom by atom
     rng = np.random.default_rng(9)
     mu = EmpiricalMeasure(rng.normal(size=(32, 3)))
     model = landau_model()
-    m = mu.mean()
-    for y in mu.atoms[:8]:
-        z = y - m
-        assert np.linalg.norm(model.sigma(y, mu)) ** 2 == pytest.approx(
-            2.0 * float(z @ z)
-        )
+    z = mu.atoms - mu.mean()
+    energy = np.sum(model.sigma(mu.atoms, mu) ** 2, axis=(1, 2))
+    assert np.allclose(energy, 2.0 * np.sum(z * z, axis=1), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
