@@ -90,10 +90,25 @@ def validate_config(cfg: dict) -> list:
         errors.append(f"seeds must be non-negative integers, got {seeds!r}")
     elif len(set(seeds)) != len(seeds):
         errors.append("seeds must be distinct")
-    fl = cfg.get("frozen_law", {})
+    fl, rd = _block(cfg, "frozen_law", errors), _block(cfg, "rde", errors)
     n_freeze, inner = fl.get("n_freeze", 1), fl.get("inner", 1)
     if not (_is_int(n_freeze) and _is_int(inner) and n_freeze >= 1 and inner >= 1):
         errors.append("frozen_law needs integers n_freeze >= 1 and inner >= 1")
+    else:
+        fine = fl.get("fine_cells")
+        steps = n_freeze * inner
+        if fine is not None and not (_is_int(fine) and fine >= 1 and fine % steps == 0):
+            errors.append(
+                f"frozen_law.fine_cells must be null or a positive multiple of "
+                f"n_freeze * inner = {steps}, got {fine!r}"
+            )
+    alpha = rd.get("alpha", DEFAULTS["rde"]["alpha"])
+    if not (_is_number(alpha) and 1 / 3 < alpha < 1 / 2):
+        errors.append(f"rde.alpha must be a number in (1/3, 1/2), got {alpha!r}")
+    for key in ("per_freeze", "driver_fine_per"):
+        val = rd.get(key, DEFAULTS["rde"][key])
+        if not (_is_int(val) and val >= 1):
+            errors.append(f"rde.{key} must be an integer >= 1, got {val!r}")
     checks = cfg.get("checks", [])
     known = {"moments", "duality", "cocycle", "stability"}
     for c in checks:
@@ -102,6 +117,14 @@ def validate_config(cfg: dict) -> list:
     if "cocycle" in checks and _is_int(n_freeze) and n_freeze < 2:
         errors.append("the cocycle check needs frozen_law.n_freeze >= 2")
     return errors
+
+
+def _block(cfg: dict, key: str, errors: list) -> dict:
+    block = cfg.get(key, {})
+    if isinstance(block, dict):
+        return block
+    errors.append(f"{key} must be a JSON object, got {block!r}")
+    return {}
 
 
 def _is_int(x) -> bool:
@@ -230,9 +253,9 @@ def check_cocycle(cfg, model) -> dict:
     rows, ok = [], True
     for i in (1, 2):
         for j in (1, 2):
-            s, t = i * q * delta, j * q * delta
-            if s + t > cfg["T"] + 1e-12:
+            if (i + j) * q > fcfg.n_freeze:
                 continue
+            s, t = i * q * delta, j * q * delta
             rep = cocycle_defect(run, e0, s, t, details=details)
             tol = 3.0 * rep["self_defect"] + 1e-9
             ok = ok and rep["point_defect"] <= tol and rep["law_defect"] <= tol
@@ -250,8 +273,7 @@ def check_stability(cfg, model) -> dict:
         rho0 = EmpiricalMeasure(mu0.atoms + eps * shift_dir, mu0.weights)
         rep = stability_check(model, mu0, rho0, _frozen_cfg(cfg, seed),
                               cfg["T"], p=2.0)
-        # the t = 0 ratio is 1 by construction and would mask any decay
-        ratios.append(max(rep["ratios"][1:]))
+        ratios.append(rep["max_ratio"])
     spread = max(ratios) / max(min(ratios), 1e-12)
     return {"pass": bool(spread <= 2.0), "max_ratios": ratios, "spread": spread}
 

@@ -5,13 +5,16 @@ The flow advances a distinguished point by an RDE whose time-dependent
 coefficients are read off a frozen-law particle curve, while the law itself
 advances by the particle scheme.  The cocycle check compares the one-shot
 flow over s + t with the two-stage flow that restarts at s under the
-time-shifted noise; the shift replays the exact noise tails, so the defect
-measures only floating-point re-anchoring and scheme self-consistency.
+time-shifted noise.  The law leg restarted at window k is fed the run's own
+particle increments from window k on, so the law defect is exactly zero and
+the point defect measures only floating-point re-anchoring and scheme
+self-consistency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,7 +22,7 @@ import numpy as np
 from . import rng
 from .grids import TimeGrid
 from .measures import EmpiricalMeasure, dp_bracket, wasserstein_p
-from .meanfield import FrozenLawConfig, MeasureCurve, simulate_frozen_law
+from .meanfield import FrozenLawConfig, MeasureCurve, euler_increments, simulate_frozen_law
 from .models import MeanFieldModel
 from .rde import CoefficientField, RdeSolution, doss_sussmann_solve, linear_coefficients
 from .roughpath import STRAT, NoisePath, RoughPath, brownian_lift, shift
@@ -45,6 +48,7 @@ class FlowRun:
     rde_per_freeze: Optional[int] = None  # rough cells per freeze interval
     driver_fine_per: int = 8  # fine noise cells per rough cell
     _noise: Optional[NoisePath] = field(default=None, repr=False)
+    _law_noise: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.rde_per_freeze is None:
@@ -62,6 +66,15 @@ class FlowRun:
             )
         return self._noise
 
+    def law_noise(self, n_particles: int) -> np.ndarray:
+        """The particle increments of the whole run, (N, cfg.steps, d); a
+        leg over windows [k, k + m) uses the steps [k, k + m) * cfg.inner."""
+        if self._law_noise is None or len(self._law_noise) != n_particles:
+            self._law_noise = euler_increments(
+                self.cfg, self.T, n_particles, self.model.d
+            )
+        return self._law_noise
+
 
 def frozen_coefficient_field(
     model: MeanFieldModel, curve: MeasureCurve
@@ -74,19 +87,19 @@ def frozen_coefficient_field(
     """
     t0 = float(curve.times[0])
     delta = float(curve.times[1] - curve.times[0])
-    n = len(curve.measures) - 1
-
-    def measure_at(t: float) -> EmpiricalMeasure:
-        idx = int(np.clip(np.floor((t - t0) / delta + 1e-9), 0, n - 1))
-        return curve.measures[idx]
-
+    windows = curve.measures[:-1]
     zero = np.zeros((1, model.d))
+    sigma_at_zero = [model.sigma(zero, mu)[0] for mu in windows]
+
+    def window(t: float) -> int:
+        # the floor's 1e-9 keeps a window's left edge in that window
+        return int(np.clip(np.floor((t - t0) / delta + 1e-9), 0, len(windows) - 1))
 
     def b(t, y):
-        return model.b(y[None], measure_at(t))[0]
+        return model.b(y[None], windows[window(t)])[0]
 
     def a1(t):
-        return model.sigma(zero, measure_at(t))[0]
+        return sigma_at_zero[window(t)]
 
     return linear_coefficients(model.linear_a0, a1, None, b=b, d=model.d)
 
@@ -102,27 +115,19 @@ class FlowDetails:
         i = self.solution.path.base.grid.index_of(t)
         return JointState(self.solution.Y[i], self.curve.at(t))
 
-
-def _sub_cfg(run: FlowRun, k_freeze: int) -> FrozenLawConfig:
-    per = run.cfg.fine_cells // run.cfg.steps
-    return FrozenLawConfig(
-        n_freeze=k_freeze,
-        inner=run.cfg.inner,
-        seed=run.cfg.seed,
-        fine_cells=k_freeze * run.cfg.inner * per,
-    )
+    @cached_property
+    def self_defect(self) -> float:
+        """Integral defect of the one-shot solution: the cocycle's scale."""
+        return self.solution.integral_defect()
 
 
 def flow_details(run: FlowRun, e0: JointState, t: float) -> FlowDetails:
     """Run the joint flow on [0, t] and keep all intermediate structure."""
-    delta = run.T / run.cfg.n_freeze
-    k = int(round(t / delta))
-    if abs(k * delta - t) > 1e-9 or k < 1 or t > run.T + 1e-9:
-        raise ValueError("flow horizon must sit on the law-freeze grid")
-    h_fine_law = run.T / run.cfg.fine_cells
-    curve = simulate_frozen_law(
-        run.model, e0.law, _sub_cfg(run, k), t, h_fine=h_fine_law
-    )
+    k = run.cfg.window_index(t, run.T)
+    if k < 1:
+        raise ValueError("flow horizon must be a positive law-freeze time")
+    dW = run.law_noise(e0.law.n)[:, : k * run.cfg.inner]
+    curve = simulate_frozen_law(run.model, e0.law, run.cfg.leg(k), t, dW=dW)
     coeff = frozen_coefficient_field(run.model, curve)
     grid = TimeGrid.regular(0.0, t, k * run.rde_per_freeze)
     rp = brownian_lift(run.driver_noise(), grid, STRAT, run.alpha)
@@ -147,59 +152,35 @@ def cocycle_defect(
 ) -> dict:
     """Compare phi(s+t, omega, e0) with phi(t, theta_s omega, phi(s, omega, e0)).
 
-    The second stage restarts the law particles from their state at s with
-    the replayed noise tails and solves the point RDE against the shifted
-    rough driver.  Reports point and law defects plus the single-run
-    self-consistency defect used as the tolerance scale.
+    The second stage restarts the law particles from their state at s on the
+    run's increments of windows [s, s + t) and solves the point RDE against
+    the shifted rough driver.  Reports point and law defects plus the
+    single-run self-consistency defect used as the tolerance scale.
     """
-    delta = run.T / run.cfg.n_freeze
-    ks, kt = int(round(s / delta)), int(round(t / delta))
-    if abs(ks * delta - s) > 1e-9 or abs(kt * delta - t) > 1e-9:
-        raise ValueError("s and t must sit on the law-freeze grid")
+    cfg, r = run.cfg, run.rde_per_freeze
+    ks, kt = cfg.window_index(s, run.T), cfg.window_index(t, run.T)
     if details is None:
         details = flow_details(run, e0, s + t)
-    end_lhs = details.state_at(s + t)
-    if s == 0.0 or t == 0.0:
-        return {
-            "point_defect": 0.0,
-            "law_defect": 0.0,
-            "law_upper": 0.0,
-            "self_defect": details.solution.integral_defect(),
-            "s": s,
-            "t": t,
-        }
+    end = details.state_at(s + t)
+    rep = {"point_defect": 0.0, "law_defect": 0.0, "law_upper": 0.0,
+           "self_defect": details.self_defect, "s": s, "t": t}
+    if ks == 0 or kt == 0:
+        return rep
     mid = details.state_at(s)
 
-    # law leg: restart at s with the replayed noise tails, rebased to [0, t]
-    h_fine_law = run.T / run.cfg.fine_cells
-    fine_offset = int(round(s / h_fine_law))
-    lawB = simulate_frozen_law(
-        run.model,
-        mid.law,
-        _sub_cfg(run, kt),
-        t,
-        t0=0.0,
-        fine_offset=fine_offset,
-        h_fine=h_fine_law,
-    )
-    coeffB = frozen_coefficient_field(run.model, lawB)
+    # law leg: restart at s on the run's increments from window ks, on [0, t]
+    dW = run.law_noise(e0.law.n)[:, ks * cfg.inner : (ks + kt) * cfg.inner]
+    lawB = simulate_frozen_law(run.model, mid.law, cfg.leg(kt), t, dW=dW)
 
     # point leg: shift the driver, restrict to [0, t], solve from the mid point
-    full_grid = details.rough.grid
-    i_s = full_grid.index_of(s)
-    i_end = full_grid.index_of(s + t)
-    rpB = shift(details.rough, s).restrict(i_s, i_end)
-    solB = doss_sussmann_solve(coeffB, rpB, mid.point)
+    rpB = shift(details.rough, s).restrict(ks * r, (ks + kt) * r)
+    solB = doss_sussmann_solve(frozen_coefficient_field(run.model, lawB), rpB, mid.point)
 
-    point_defect = float(np.linalg.norm(solB.Y[-1] - end_lhs.point))
-    _, law_upper, info = dp_bracket(lawB.measures[-1], end_lhs.law, p)
-    return {
-        "point_defect": point_defect,
+    _, law_upper, info = dp_bracket(lawB.measures[-1], end.law, p)
+    return rep | {
+        "point_defect": float(np.linalg.norm(solB.Y[-1] - end.point)),
         "law_defect": info["w_p"],
         "law_upper": float(law_upper),
-        "self_defect": details.solution.integral_defect(),
-        "s": s,
-        "t": t,
     }
 
 
@@ -298,12 +279,7 @@ def continuity_probe(
                     noise.lane,
                     noise.member,
                 )
-                run2 = FlowRun(
-                    run.model, run.cfg, run.T, run.alpha,
-                    run.rde_per_freeze, run.driver_fine_per,
-                )
-                run2._noise = bumped
-                pert = joint_flow(run2, e0, t)
+                pert = joint_flow(replace(run, _noise=bumped), e0, t)
             dists.append(max(_joint_distance(pert, base), 1e-300))
         le = np.log(np.asarray(epsilons))
         ld = np.log(np.asarray(dists))

@@ -4,16 +4,16 @@ On each law-freeze sub-interval the measure argument of the coefficients is
 held at the empirical measure of the ensemble at the sub-interval start, so
 the particles solve a classical SDE within the interval, advanced by
 Euler-Maruyama.  Per-particle noise comes from counter-based streams keyed
-by (seed, lane, particle index) and is drawn on a fine grid that nests
-across refinements and restarts: a restart at a freeze boundary replays the
-exact tail of each particle's noise row.
+by (seed, lane, particle index) and is drawn once per run on a fine grid,
+as one block of Euler-step increments; a leg restarted at freeze window k
+takes that block's steps from window k on, so it replays the run's noise.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,19 @@ class FrozenLawConfig:
     @property
     def steps(self) -> int:
         return self.n_freeze * self.inner
+
+    def leg(self, k: int) -> "FrozenLawConfig":
+        """Config of a leg of k windows at this Euler and noise resolution."""
+        per = self.fine_cells // self.steps
+        return FrozenLawConfig(k, self.inner, self.seed, k * self.inner * per)
+
+    def window_index(self, t: float, T: float) -> int:
+        """Index k of the freeze-window edge t = k T / n_freeze on [0, T]."""
+        delta = T / self.n_freeze
+        k = int(round(t / delta))
+        if abs(k * delta - t) > 1e-9 or not 0 <= k <= self.n_freeze:
+            raise ValueError(f"time {t} is not on the law-freeze grid of [0, {T}]")
+        return k
 
 
 @dataclass
@@ -78,25 +91,33 @@ def particle_noise(
     fine_total: int,
     d: int,
     h_fine: float,
-    fine_offset: int = 0,
-    fine_count: Optional[int] = None,
     member_offset: int = 0,
 ) -> np.ndarray:
-    """Per-particle Gaussian increments, shape (N, fine_count, d).
+    """Per-particle Gaussian increments, shape (N, fine_total, d).
 
-    Each particle owns one counter-based stream; a nonzero offset replays
-    the same row and slices its tail, which is what makes restarted runs
-    bitwise-identical to the corresponding segment of a full run.
+    Each particle owns one counter-based stream, so a given (seed, member)
+    row is the same whatever else is drawn.
     """
-    if fine_count is None:
-        fine_count = fine_total - fine_offset
-    out = np.empty((n_particles, fine_count, d))
+    out = np.empty((n_particles, fine_total, d))
     for i in range(n_particles):
-        g = rng.stream(seed, rng.PARTICLE_LANE, member_offset + i).standard_normal(
-            (fine_offset + fine_count, d)
-        )
-        out[i] = g[fine_offset:]
+        g = rng.stream(seed, rng.PARTICLE_LANE, member_offset + i)
+        out[i] = g.standard_normal((fine_total, d))
     return out * np.sqrt(h_fine)
+
+
+def euler_increments(
+    cfg: FrozenLawConfig, T: float, n_particles: int, d: int, member_offset: int = 0
+) -> np.ndarray:
+    """The run's Brownian increments per Euler step, shape (N, steps, d).
+
+    Drawn on the cfg's fine grid of [0, T] and summed per step; a leg that
+    restarts at window k takes the steps from k * cfg.inner on.
+    """
+    per = cfg.fine_cells // cfg.steps
+    inc = particle_noise(
+        cfg.seed, n_particles, cfg.fine_cells, d, T / cfg.fine_cells, member_offset
+    )
+    return inc.reshape(n_particles, cfg.steps, per, d).sum(axis=2)
 
 
 def _euler_step(model: MeanFieldModel, Y, mu: EmpiricalMeasure, h: float, dW):
@@ -110,33 +131,23 @@ def simulate_frozen_law(
     cfg: FrozenLawConfig,
     T: float,
     t0: float = 0.0,
-    fine_offset: int = 0,
-    h_fine: Optional[float] = None,
     record_inner: bool = False,
-    member_offset: int = 0,
+    dW: Optional[np.ndarray] = None,
 ) -> MeasureCurve:
     """Run the frozen-law scheme on [t0, t0 + T].
 
-    h_fine fixes the underlying noise resolution (defaults to the run's own
-    fine grid); restarted legs pass the parent run's h_fine and the fine
-    index of the restart time so the noise nests.
+    dW holds the Euler-step increments, shape (N, cfg.steps, d); by default
+    they are the cfg's own (euler_increments).  A restarted leg passes its
+    slice of the parent run's block, so it replays the parent's noise.
     """
     if model.d != mu0.d:
         raise ValueError("model and initial measure dimension mismatch")
     N, d = mu0.n, mu0.d
     steps = cfg.steps
-    if h_fine is None:
-        h_fine = T / cfg.fine_cells
-    fine_count = int(round(T / h_fine))
-    if abs(fine_count * h_fine - T) > 1e-9 * max(T, 1.0) or fine_count % steps != 0:
-        raise ValueError("fine grid must tile the horizon and the Euler steps")
-    per = fine_count // steps
-    inc = particle_noise(
-        cfg.seed, N, fine_offset + fine_count, d, h_fine,
-        fine_offset=fine_offset, fine_count=fine_count,
-        member_offset=member_offset,
-    )
-    dW = inc.reshape(N, steps, per, d).sum(axis=2)
+    if dW is None:
+        dW = euler_increments(cfg, T, N, d)
+    elif dW.shape != (N, steps, d):
+        raise ValueError(f"dW has shape {dW.shape}, expected {(N, steps, d)}")
     h = T / steps
     Y = mu0.atoms.copy()
     w = mu0.weights
@@ -160,10 +171,9 @@ def simulate_frozen_law(
             "seed": cfg.seed,
             "n_freeze": cfg.n_freeze,
             "inner": cfg.inner,
-            "h_fine": h_fine,
+            "h_fine": T / cfg.fine_cells,
             "t0": t0,
             "T": T,
-            "fine_offset": fine_offset,
         },
     )
 
@@ -238,7 +248,8 @@ def stability_check(
     p: float,
 ) -> dict:
     """Common-noise two-initial-condition run; distance ratios against the
-    initial distance at every freeze boundary."""
+    initial distance at every freeze boundary.  max_ratio is taken over the
+    times t > 0: the t = 0 ratio is 1 by construction."""
     c1 = simulate_frozen_law(model, mu0, cfg, T)
     c2 = simulate_frozen_law(model, rho0, cfg, T)
     d0 = wasserstein_p(mu0, rho0, p)
@@ -247,7 +258,7 @@ def stability_check(
     ratios = [
         wasserstein_p(a, b, p) / d0 for a, b in zip(c1.measures, c2.measures)
     ]
-    return {"initial": d0, "ratios": ratios, "max_ratio": float(max(ratios))}
+    return {"initial": d0, "ratios": ratios, "max_ratio": float(max(ratios[1:]))}
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +278,10 @@ def simulate_dual_sde(
     Monte-Carlo the dual value function; the noise lane is offset so it is
     independent of the curve's own particles."""
     N, d = atoms0.shape
-    steps = cfg.steps
-    h = T / steps
-    h_fine = curve.meta.get("h_fine", h)
-    fine_count = int(round(T / h_fine))
-    per = fine_count // steps
-    inc = particle_noise(
-        cfg.seed, N, fine_count, d, h_fine, member_offset=member_offset
-    )
-    dW = inc.reshape(N, steps, per, d).sum(axis=2)
+    h = T / cfg.steps
+    dW = euler_increments(cfg, T, N, d, member_offset)
     Y = atoms0.copy()
-    for j in range(steps):
+    for j in range(cfg.steps):
         Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[:, j, :])
     return Y
 
@@ -320,32 +324,18 @@ def semigroup_check(
     With common noise the restart leg replays the exact noise tail and the
     defect is zero to the bit; with fresh noise it measures the splitting +
     Monte Carlo spread."""
-    full = simulate_frozen_law(model, mu0, cfg, T)
-    delta = T / cfg.n_freeze
-    k = int(round(s / delta))
-    if abs(k * delta - s) > 1e-9:
-        raise ValueError("restart time must sit on the law-freeze grid")
-    mus = full.at(s)
+    k = cfg.window_index(s, T)
+    dW = euler_increments(cfg, T, mu0.n, mu0.d)
+    full = simulate_frozen_law(model, mu0, cfg, T, dW=dW)
     n2 = cfg.n_freeze - k
     if n2 == 0:
         return {"defect": 0.0, "s": s}
-    h_fine = full.meta["h_fine"]
-    fine_offset = int(round(s / h_fine))
-    cfg2 = FrozenLawConfig(
-        n_freeze=n2,
-        inner=cfg.inner,
-        seed=cfg.seed,
-        fine_cells=n2 * cfg.inner * (cfg.fine_cells // cfg.steps),
-    )
+    if common_noise:
+        dW2 = dW[:, k * cfg.inner:]
+    else:
+        dW2 = euler_increments(cfg, T, mu0.n, mu0.d, 7919)[:, : n2 * cfg.inner]
     leg2 = simulate_frozen_law(
-        model,
-        mus,
-        cfg2,
-        T - s,
-        t0=s,
-        fine_offset=fine_offset if common_noise else 0,
-        h_fine=h_fine,
-        member_offset=0 if common_noise else 7919,
+        model, full.measures[k], cfg.leg(n2), T - s, t0=s, dW=dW2
     )
     defect = wasserstein_p(full.measures[-1], leg2.measures[-1], p)
     return {"defect": float(defect), "s": s, "common_noise": common_noise}

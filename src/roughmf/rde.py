@@ -350,12 +350,11 @@ def _linear_with_drift(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolutio
 
         hs = rp.grid.widths
         for k in range(M):
-            f0 = rhs(k, z[k], ts[k])
+            # both Heun stages read the drift at the cell's midpoint time
+            tm = ts[k] + 0.5 * hs[k]
+            f0 = rhs(k, z[k], tm)
             pred = z[k] + hs[k] * f0
-            # evaluate the corrector just inside the cell so that fields
-            # which are piecewise constant on the grid (frozen-law
-            # coefficients) use this cell's value at its right endpoint
-            f1 = rhs(k + 1, pred, ts[k + 1] - 1e-6 * hs[k])
+            f1 = rhs(k + 1, pred, tm)
             z[k + 1] = z[k] + 0.5 * hs[k] * (f0 + f1)
             _guard(z[k + 1], coeff, k)
         Y = np.einsum("kij,kj->ki", Mf, z) + vf
@@ -388,11 +387,12 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
     Y[0] = xi
 
     def drift_half(t, y, h):
-        # one Heun step of the drift over h/2; the corrector time is pulled
-        # just inside the cell for piecewise-constant-on-the-grid fields
-        f0 = b(t, y)
+        # one Heun step of the drift over [t, t + h/2], both stages at its
+        # midpoint time
+        tm = t + 0.25 * h
+        f0 = b(tm, y)
         pred = y + 0.5 * h * f0
-        f1 = b(t + 0.5 * h - 1e-6 * h, pred)
+        f1 = b(tm, pred)
         return y + 0.25 * h * (f0 + f1)
 
     for k in range(M):

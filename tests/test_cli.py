@@ -58,19 +58,39 @@ def test_validate_config_messages():
         ({"particles": 2.5}, "particles must be an integer >= 1"),
         ({"frozen_law": {"n_freeze": 1}, "checks": ["cocycle"]}, "n_freeze >= 2"),
         ({"frozen_law": {"n_freeze": "8"}}, "integers n_freeze >= 1"),
+        ({"frozen_law": {"n_freeze": 4, "fine_cells": 6}}, "fine_cells must be null"),
+        ({"frozen_law": {"n_freeze": 4, "inner": 2, "fine_cells": 4}}, "multiple of"),
+        ({"frozen_law": {"n_freeze": 4, "fine_cells": 0}}, "fine_cells must be null"),
+        ({"frozen_law": {"n_freeze": 4, "fine_cells": 8.0}}, "fine_cells must be null"),
+        ({"rde": {"alpha": 0.7}}, "rde.alpha must be a number in (1/3, 1/2)"),
+        ({"rde": {"alpha": 1 / 3}}, "rde.alpha must be a number in (1/3, 1/2)"),
+        ({"rde": {"alpha": "0.4"}}, "rde.alpha must be a number in (1/3, 1/2)"),
+        ({"rde": {"per_freeze": 0}}, "rde.per_freeze must be an integer >= 1"),
+        ({"rde": {"per_freeze": 1.5}}, "rde.per_freeze must be an integer >= 1"),
+        ({"rde": {"driver_fine_per": 0}}, "rde.driver_fine_per must be an integer >= 1"),
+        ({"rde": 5}, "rde must be a JSON object"),
+        ({"frozen_law": [4]}, "frozen_law must be a JSON object"),
     ]
     for override, message in cases:
         errs = validate_config({"model": model} | override)
         assert any(message in e for e in errs), (override, errs)
     # one window is fine when no cocycle check asks for a restart time
     assert validate_config({"model": model, "frozen_law": {"n_freeze": 1}}) == []
+    fine = {"n_freeze": 4, "inner": 2, "fine_cells": 24}
+    assert validate_config({"model": model, "frozen_law": fine}) == []
 
 
 def test_config_errors_are_clear_not_tracebacks(tmp_path):
-    for override in ({"seeds": [-1]}, {"frozen_law": {"n_freeze": 1}, "checks": ["cocycle"]}):
+    cases = [
+        ("verify", {"seeds": [-1]}),
+        ("verify", {"frozen_law": {"n_freeze": 1}, "checks": ["cocycle"]}),
+        ("simulate", {"frozen_law": {"n_freeze": 4, "fine_cells": 6}}),
+        ("verify", {"rde": {"alpha": 0.7}, "checks": ["cocycle"]}),
+    ]
+    for verb, override in cases:
         p = write_config(tmp_path, **override)
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+            main([verb, "--config", str(p), "--output-dir", str(tmp_path / "out")])
         assert str(p) in str(exc.value)
 
 
@@ -90,7 +110,7 @@ def test_stability_check_fails_on_unequal_decay(tmp_path, monkeypatch):
 
     def stability_check(*args, **kwargs):
         ratios = next(fake)
-        return {"initial": 1.0, "ratios": ratios, "max_ratio": max(ratios)}
+        return {"initial": 1.0, "ratios": ratios, "max_ratio": max(ratios[1:])}
 
     monkeypatch.setattr(cli, "stability_check", stability_check)
     cfg = load_config(str(write_config(tmp_path, particles=20)))

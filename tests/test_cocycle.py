@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughmf import rng
 from roughmf.cocycle import (
     FlowRun,
     JointState,
@@ -15,7 +16,7 @@ from roughmf.grids import TimeGrid
 from roughmf.meanfield import FrozenLawConfig, simulate_frozen_law
 from roughmf.measures import EmpiricalMeasure
 from roughmf.models import build_model
-from roughmf.rde import linear_coefficients
+from roughmf.rde import RdeSolution, linear_coefficients
 from roughmf.roughpath import NoisePath
 
 
@@ -80,6 +81,49 @@ def test_flow_details_state_lookup():
 def test_driver_noise_cached():
     run, _ = make_run()
     assert run.driver_noise() is run.driver_noise()
+
+
+def test_law_noise_cached_per_ensemble_size():
+    run, _ = make_run()
+    block = run.law_noise(30)
+    assert block.shape == (30, run.cfg.steps, 2)
+    assert run.law_noise(30) is block
+    other = run.law_noise(20)
+    assert other.shape == (20, run.cfg.steps, 2)
+    assert np.array_equal(other, block[:20])
+
+
+def test_particle_streams_drawn_once_per_run(monkeypatch):
+    run, e0 = make_run(seed=4, n=30)
+    lanes = []
+    stream = rng.stream
+
+    def counting(seed, lane, member=0):
+        lanes.append(lane)
+        return stream(seed, lane, member)
+
+    monkeypatch.setattr(rng, "stream", counting)
+    det = flow_details(run, e0, 1.0)
+    for s, t in [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25), (0.0, 1.0)]:
+        cocycle_defect(run, e0, s, t, details=det)
+    assert lanes.count(rng.PARTICLE_LANE) == e0.law.n
+
+
+def test_self_defect_computed_once(monkeypatch):
+    run, e0 = make_run(seed=5, n=30, n_freeze=4)
+    det = flow_details(run, e0, 1.0)
+    calls = []
+    defect = RdeSolution.integral_defect
+
+    def counting(self):
+        calls.append(self)
+        return defect(self)
+
+    monkeypatch.setattr(RdeSolution, "integral_defect", counting)
+    reps = [cocycle_defect(run, e0, s, t, details=det)
+            for s, t in [(0.25, 0.5), (0.5, 0.5), (0.0, 1.0)]]
+    assert len(calls) == 1
+    assert {r["self_defect"] for r in reps} == {defect(det.solution)}
 
 
 # ---------------------------------------------------------------------------

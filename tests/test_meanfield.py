@@ -4,6 +4,7 @@ import pytest
 from roughmf.meanfield import (
     FrozenLawConfig,
     MeasureCurve,
+    euler_increments,
     feynman_kac_duality,
     moment_bound_check,
     particle_noise,
@@ -50,6 +51,15 @@ def test_config_validation():
     assert cfg.steps == 8 and cfg.fine_cells == 8
 
 
+def test_config_leg_and_window_index():
+    cfg = FrozenLawConfig(8, inner=2, seed=3, fine_cells=64)
+    assert cfg.leg(3) == FrozenLawConfig(3, inner=2, seed=3, fine_cells=24)
+    assert [cfg.window_index(t, 2.0) for t in (0.0, 0.25, 1.5, 2.0)] == [0, 1, 6, 8]
+    for t in (0.3, -0.25, 2.25):
+        with pytest.raises(ValueError):
+            cfg.window_index(t, 2.0)
+
+
 def test_measure_curve_validation():
     m = EmpiricalMeasure(np.zeros((3, 1)))
     with pytest.raises(ValueError):
@@ -69,9 +79,40 @@ def test_measure_curve_validation():
 # ---------------------------------------------------------------------------
 
 def test_particle_noise_tail_replay_bitwise():
-    full = particle_noise(0, 5, 16, 2, h_fine=0.1)
-    tail = particle_noise(0, 5, 16, 2, h_fine=0.1, fine_offset=10)
-    assert np.array_equal(full[:, 10:, :], tail)
+    # a leg restarted at window k on the slice of the run's increment block
+    # ends on the full run's atoms, to the bit
+    model = build_model("landau-maxwell")
+    mu0 = gauss_init(13, 40, 3)
+    cfg = FrozenLawConfig(8, inner=2, seed=6, fine_cells=48)
+    T, k = 1.0, 3
+    s = k * T / cfg.n_freeze
+    dW = euler_increments(cfg, T, mu0.n, mu0.d)
+    full = simulate_frozen_law(model, mu0, cfg, T, dW=dW)
+    assert np.array_equal(simulate_frozen_law(model, mu0, cfg, T).measures[-1].atoms,
+                          full.measures[-1].atoms)
+    leg = simulate_frozen_law(
+        model, full.measures[k], cfg.leg(cfg.n_freeze - k), T - s, t0=s,
+        dW=dW[:, k * cfg.inner:],
+    )
+    assert np.array_equal(leg.measures[-1].atoms, full.measures[-1].atoms)
+
+
+def test_euler_increments_sum_the_fine_grid():
+    cfg = FrozenLawConfig(4, inner=2, seed=1, fine_cells=24)
+    dW = euler_increments(cfg, 2.0, 5, 2)
+    fine = particle_noise(1, 5, 24, 2, h_fine=2.0 / 24)
+    assert dW.shape == (5, 8, 2)
+    assert np.array_equal(dW, fine.reshape(5, 8, 3, 2).sum(axis=2))
+
+
+def test_simulate_rejects_wrong_increment_shape():
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    mu0 = gauss_init(14, 10, 2)
+    cfg = FrozenLawConfig(4, inner=2, seed=0)
+    dW = euler_increments(cfg, 1.0, 10, 2)
+    for bad in (dW[:, :-1], dW[:-1], dW[..., :1]):
+        with pytest.raises(ValueError, match="dW has shape"):
+            simulate_frozen_law(model, mu0, cfg, 1.0, dW=bad)
 
 
 def test_particle_noise_member_offset_independent():
@@ -115,7 +156,7 @@ def test_refinement_consistency_common_noise():
     curves = {}
     for nf in (8, 16, 32):
         cfg = FrozenLawConfig(nf, inner=fine // nf, seed=0, fine_cells=fine)
-        curves[nf] = simulate_frozen_law(model, mu0, cfg, T=1.0, h_fine=1.0 / fine)
+        curves[nf] = simulate_frozen_law(model, mu0, cfg, T=1.0)
     from roughmf.measures import wasserstein_p
 
     d8 = wasserstein_p(curves[8].measures[-1], curves[32].measures[-1], 2.0)
@@ -201,8 +242,19 @@ def test_stability_check_common_noise():
     out = stability_check(model, mu0, rho0, FrozenLawConfig(16, seed=2), 1.0, 2.0)
     assert out["ratios"][0] == pytest.approx(1.0)
     assert out["max_ratio"] <= 10.0
+    assert out["max_ratio"] == max(out["ratios"][1:])
     same = stability_check(model, mu0, mu0, FrozenLawConfig(16, seed=2), 1.0, 2.0)
     assert same["max_ratio"] == 0.0
+
+
+def test_stability_max_ratio_sees_contraction():
+    # a rigid shift of the EKS cloud decays under common noise; the t = 0
+    # ratio of exactly 1 must not stand in for the maximum
+    model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
+    mu0 = gauss_init(15, 300, 2)
+    rho0 = EmpiricalMeasure(mu0.atoms + 0.1 * np.ones(2) / np.sqrt(2.0))
+    out = stability_check(model, mu0, rho0, FrozenLawConfig(16, seed=0), 1.0, 2.0)
+    assert out["max_ratio"] < 1.0, out["ratios"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from roughmf.rde import (
     solve_linear_sigma,
     stability_probe,
 )
-from roughmf.roughpath import STRAT, NoisePath, brownian_lift
+from roughmf.roughpath import STRAT, NoisePath, RoughPath, brownian_lift
 
 from conftest import random_rough_path
 
@@ -219,6 +219,30 @@ def test_pure_drift_heun():
         lambda t, y: -y, np.zeros((1, 1, 1)), None, rp_zero, 2.0
     )
     assert abs(sol.Y[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("declare_linear", [True, False])
+def test_time_dependent_drift_second_order(declare_linear):
+    # no noise, dY = cos(t) dt from Y0 = 1: Y = 1 + sin(t), on the affine
+    # path and on the splitting path, with second-order convergence
+    errs = []
+    for cells in (1 << 6, 1 << 7):
+        grid = TimeGrid.regular(0.0, 2.0, cells)
+        rp = RoughPath(grid, np.zeros((cells + 1, 1)), np.zeros((cells, 1, 1)), 0.4)
+        b = lambda t, y: np.cos(t) * np.ones_like(y)
+        if declare_linear:
+            coeff = linear_coefficients(np.zeros((1, 1, 1)), b=b)
+        else:
+            coeff = CoefficientField(
+                sigma=lambda t, y: (y**2)[:, None],
+                sigma_y=lambda t, y: (2 * y)[:, None, None],
+                b=b,
+            )
+        sol = doss_sussmann_solve(coeff, rp, 1.0)
+        assert sol.diagnostics["mode"] == ("affine-flow" if declare_linear else "splitting")
+        errs.append(np.max(np.abs(sol.Y[:, 0] - (1.0 + np.sin(grid.points)))))
+    assert errs[0] <= 1e-4
+    assert errs[1] <= errs[0] / 3.5
 
 
 def test_blowup_guard_trips():
