@@ -39,7 +39,6 @@ def run_benchmarks(cells: int, d: int, repeats: int) -> dict:
     a0 = np.random.default_rng(1).normal(size=(d, d, d)) / d
     a1 = np.random.default_rng(2).normal(size=(cells, d, d))
     dX = np.diff(X, axis=0)
-    hs = np.diff(t)
 
     cases = {
         "pair_sup_first": lambda: _accel.pair_sup_first(X, t, ii, jj, rp.alpha),
@@ -49,9 +48,7 @@ def run_benchmarks(cells: int, d: int, repeats: int) -> dict:
         "pair_sup_second_diff": lambda: _accel.pair_sup_second_diff(
             X, A, 1.1 * X, 1.1 * A, t, ii, jj, rp.alpha
         ),
-        "linear_flow_maps": lambda: _accel.linear_flow_maps(
-            dX, rp.cells, hs, a0, a1, a1, False
-        ),
+        "linear_flow_maps": lambda: _accel.linear_flow_maps(dX, rp.cells, a0, a1),
     }
     out = {}
     for name, fn in cases.items():

@@ -53,7 +53,6 @@ from .rde import (
     linear_coefficients,
     solve_backward,
     solve_driftless,
-    solve_linear_sigma,
     stability_probe,
 )
 from .roughpath import (

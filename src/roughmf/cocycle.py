@@ -101,7 +101,7 @@ def frozen_coefficient_field(
     def a1(t):
         return sigma_at_zero[window(t)]
 
-    return linear_coefficients(model.linear_a0, a1, None, b=b, d=model.d)
+    return linear_coefficients(model.linear_a0, a1, b=b, d=model.d)
 
 
 @dataclass
@@ -211,6 +211,8 @@ def wong_zakai_run(
         a, b_ = nodes[c], nodes[c + 1]
         vel[a:b_] = (W[b_] - W[a]) / (ts[b_] - ts[a])
     xi = np.atleast_1d(np.asarray(xi, float))
+    if corrected and coeff.sigma_y is None:
+        raise ValueError("the Ito-corrected Wong-Zakai run needs sigma_y")
 
     def rhs(t, y, v):
         dy = coeff.sigma(t, y) @ v

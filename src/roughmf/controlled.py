@@ -31,15 +31,13 @@ class Func2:
     """A time-dependent map f(t, y) with analytic derivatives.
 
     ``grad`` is the state derivative with one extra trailing axis over the
-    state components; ``hess`` adds a second one; ``tderiv`` is the partial
-    time derivative.  Derivatives are supplied in closed form — finite
-    differences are reserved for test oracles.
+    state components; ``hess`` adds a second one.  Derivatives are supplied
+    in closed form — finite differences are reserved for test oracles.
     """
 
     value: Callable[[float, np.ndarray], np.ndarray]
     grad: Callable[[float, np.ndarray], np.ndarray]
     hess: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    tderiv: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
 class ControlledPath:

@@ -88,13 +88,28 @@ def quadratic_potential(Sigma: np.ndarray) -> Potential:
 
 
 def eks_model(pot: Potential, d: int, name: str = "eks-custom") -> MeanFieldModel:
-    """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent)."""
+    """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent).
+
+    Cov(mu), and its root once sigma asks for it, are computed once per
+    measure object: a law is frozen over a whole window, in which b and
+    sigma are called many times.
+    """
+    memo = {"mu": None}
+
+    def cov(mu):
+        if memo["mu"] is not mu:
+            memo.clear()
+            memo.update(mu=mu, C=covariance(mu))
+        return memo["C"]
 
     def b(Y, mu):
-        return -pot.grad(Y) @ covariance(mu).T
+        return -pot.grad(Y) @ cov(mu).T
 
     def sig(Y, mu):
-        return np.broadcast_to(psd_sqrt(2.0 * covariance(mu)), (len(Y), d, d))
+        C = cov(mu)
+        if "root" not in memo:
+            memo["root"] = psd_sqrt(2.0 * C)
+        return np.broadcast_to(memo["root"], (len(Y), d, d))
 
     return MeanFieldModel(
         name=name,

@@ -3,14 +3,18 @@
 Solves dY = b(t, Y) dt + sigma(t, Y) dX for a rough driver (X, XX) by a
 one-step Milstein-type scheme using both levels of the driver per cell:
 
-    Y+ = Y + sigma X + (grad_sigma sigma) : XX + (h/2) dsigma/dt X.
+    Y+ = Y + sigma X + (grad_sigma sigma) : XX.
 
-Backward solves invert this expansion, flow Jacobians solve the linearised
-equation along a stored trajectory, and drifts enter through the
-Doss-Sussmann conjugation: for linear diffusions the driftless flow is an
-affine map tabulated exactly, and the drift becomes a classical ODE in
-transformed coordinates; for nonlinear diffusions an equivalent
-per-cell Strang splitting realises the same local expansion.
+One cell map serves every solve.  Backward solves and backward Jacobians
+apply it at the cell's right edge to the inverted cell, whose signature is
+(1, X, XX)^-1 = (1, -X, X (x) X - XX); flow Jacobians step the linearised
+cell map along a stored trajectory.  sigma's time dependence is read at the
+cell's starting edge, with no dsigma/dt term: the frozen-law coefficients
+are piecewise constant in time.  Drifts enter through the Doss-Sussmann
+conjugation: for linear diffusions the driftless flow is an affine map
+tabulated exactly, and the drift becomes a classical ODE in transformed
+coordinates; for nonlinear diffusions an equivalent per-cell Strang
+splitting realises the same local expansion.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _accel
-from .controlled import ControlledPath, Func2
+from .controlled import ControlledPath
 from .roughpath import RoughPath
 
 DEFAULT_GUARD = 1e8
@@ -33,38 +37,29 @@ class CoefficientField:
 
     sigma_y has index layout [i, k, j] = d sigma_{ik} / d y_j; sigma_yy adds
     a second state axis.  ``linear`` declares the affine structure
-    sigma(t, y)_{ik} = sum_j a0[i, k, j] y_j + a1(t)[i, k] when it holds,
-    which unlocks the exact affine-flow path in the solvers.
+    sigma(t, y)_{ik} = sum_j a0[i, k, j] y_j + a1(t)[i, k] as the pair
+    (a0, a1) when it holds, which unlocks the exact affine-flow path in the
+    solvers.
     """
 
     sigma: Callable[[float, np.ndarray], np.ndarray]
     b: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    sigma_t: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     sigma_y: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     sigma_yy: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    linear: Optional[tuple] = None  # (a0, a1(t), a1dot(t) or None)
-    meta: dict = field(default_factory=dict)
-    guard: float = DEFAULT_GUARD
-
-    def sigma_func(self) -> Func2:
-        if self.sigma_y is None:
-            raise ValueError("state derivative of sigma is required here")
-        return Func2(value=self.sigma, grad=self.sigma_y, tderiv=self.sigma_t)
+    linear: Optional[tuple] = None  # (a0, a1)
 
 
 def linear_coefficients(
     a0: np.ndarray,
     a1: Optional[Callable[[float], np.ndarray]] = None,
-    a1dot: Optional[Callable[[float], np.ndarray]] = None,
     b: Optional[Callable] = None,
     d: Optional[int] = None,
 ) -> CoefficientField:
-    """CoefficientField for sigma(t, y) = a0 . y + a1(t).
+    """CoefficientField for sigma(t, y) = a0 . y + a1(t), a1 = 0 by default.
 
-    a0 may be a (d, d, d) tensor or a (d, d) matrix, the latter meaning the
-    scalar-style action sigma_{ik} = a0_{ik} * y_k is NOT intended — a
-    (d, d) input is promoted to a0[i, k, j] acting on y through its last
-    axis only when d == 1; otherwise pass the full tensor explicitly.
+    a0 is the (d, d, d) tensor with sigma_{ik} = sum_j a0[i, k, j] y_j.  A
+    (1, 1) matrix is accepted for d = 1; any other (d, d) matrix is
+    rejected, because it does not say which axis acts on y.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.ndim == 2:
@@ -74,14 +69,14 @@ def linear_coefficients(
     dd = a0.shape[0] if d is None else d
     if a0.shape != (dd, dd, dd):
         raise ValueError("a0 must have shape (d, d, d)")
-    zero = np.zeros((dd, dd))
+    if a1 is None:
+        zero = np.zeros((dd, dd))
+
+        def a1(t):
+            return zero
 
     def sig(t, y, a0=a0):
-        base = np.einsum("ikj,j->ik", a0, y)
-        return base + (a1(t) if a1 is not None else zero)
-
-    def sig_t(t, y):
-        return a1dot(t) if a1dot is not None else zero
+        return np.einsum("ikj,j->ik", a0, y) + a1(t)
 
     def sig_y(t, y, a0=a0):
         return a0
@@ -90,12 +85,7 @@ def linear_coefficients(
         return np.zeros((dd, dd, dd, dd))
 
     return CoefficientField(
-        sigma=sig,
-        b=b,
-        sigma_t=sig_t if a1dot is not None else None,
-        sigma_y=sig_y,
-        sigma_yy=sig_yy,
-        linear=(a0, a1, a1dot),
+        sigma=sig, b=b, sigma_y=sig_y, sigma_yy=sig_yy, linear=(a0, a1)
     )
 
 
@@ -136,6 +126,11 @@ class RdeSolution:
         return float(np.max(np.linalg.norm(sol.Y - rhs, axis=1)))
 
 
+def _controlled(coeff: CoefficientField, rp: RoughPath, Y: np.ndarray) -> ControlledPath:
+    """The solution path Y with its Gubinelli derivative sigma(t, Y_t)."""
+    return ControlledPath(rp, Y, np.stack([coeff.sigma(t, y) for t, y in zip(rp.times, Y)]))
+
+
 def _compose_sigma(coeff: CoefficientField, sol: ControlledPath) -> ControlledPath:
     """The controlled path t -> sigma(t, Y_t) with its Gubinelli derivative."""
     if coeff.sigma_y is None:
@@ -147,85 +142,101 @@ def _compose_sigma(coeff: CoefficientField, sol: ControlledPath) -> ControlledPa
     return ControlledPath(sol.base, vals, primes)
 
 
-def _guard(y: np.ndarray, coeff: CoefficientField, k: int):
+def _guard(y: np.ndarray, k: int):
     m = float(np.max(np.abs(y)))
-    if not np.isfinite(m) or m > coeff.guard:
+    if not np.isfinite(m) or m > DEFAULT_GUARD:
         raise RuntimeError(f"solution blow-up guard tripped at step {k}: |Y| = {m:g}")
+
+
+# ---------------------------------------------------------------------------
+# the cell maps
+# ---------------------------------------------------------------------------
+
+def _cells(rp: RoughPath, i: int, j: int, backward: bool):
+    """The cells of [t_i, t_j] in solve order, as (from, to, t, x, xx).
+
+    A forward cell starts at its left edge with its own signature; a
+    backward cell starts at its right edge with the inverse signature
+    (1, x, xx)^-1 = (1, -x, x (x) x - xx).
+    """
+    dX = np.diff(rp.values, axis=0)
+    for k in range(j - 1, i - 1, -1) if backward else range(i, j):
+        x, xx = dX[k], rp.cells[k]
+        if backward:
+            yield k + 1, k, rp.times[k + 1], -x, np.outer(x, x) - xx
+        else:
+            yield k, k + 1, rp.times[k], x, xx
+
+
+def _milstein_increment(coeff, t, y, x, xx):
+    """One cell's increment sigma x + (grad_sigma sigma) : xx from (t, y)."""
+    sig = coeff.sigma(t, y)
+    dy = sig @ x
+    if coeff.sigma_y is not None:
+        gs = coeff.sigma_y(t, y)
+        dy = dy + np.einsum("ikj,jl,lk->i", gs, sig, xx)
+    return dy
+
+
+def _jacobian_cell(coeff, t, y, x, xx):
+    """Derivative in y of one cell map: Id + grad_sigma x + the level-two
+    terms grad_sigma grad_sigma : xx and (hess_sigma sigma) : xx."""
+    gs = coeff.sigma_y(t, y)
+    P = np.eye(len(y)) + np.einsum("ikj,k->ij", gs, x) + np.einsum(
+        "ikj,jlm,lk->im", gs, gs, xx
+    )
+    if coeff.sigma_yy is not None:
+        sig = coeff.sigma(t, y)
+        P = P + np.einsum("ikmj,jl,lk->im", coeff.sigma_yy(t, y), sig, xx)
+    return P
+
+
+def _march(coeff, rp: RoughPath, y0, i: int, j: int, backward: bool) -> np.ndarray:
+    """Step the cell map over [t_i, t_j] from y0 at t_i (t_j if backward)."""
+    Y = np.empty((j - i + 1, len(y0)))
+    Y[j - i if backward else 0] = y0
+    for a, b, t, x, xx in _cells(rp, i, j, backward):
+        Y[b - i] = Y[a - i] + _milstein_increment(coeff, t, Y[a - i], x, xx)
+        _guard(Y[b - i], min(a, b))
+    return Y
 
 
 # ---------------------------------------------------------------------------
 # forward / backward driftless solves
 # ---------------------------------------------------------------------------
 
-def _milstein_increment(coeff, t, h, y, x, xx):
-    sig = coeff.sigma(t, y)
-    dy = sig @ x
-    if coeff.sigma_y is not None:
-        gs = coeff.sigma_y(t, y)
-        dy = dy + np.einsum("ikj,jl,lk->i", gs, sig, xx)
-    if coeff.sigma_t is not None:
-        dy = dy + 0.5 * h * (coeff.sigma_t(t, y) @ x)
-    return dy
-
-
 def solve_driftless(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
     """Forward solve of dY = sigma(t, Y) dX from the start of the grid."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    ts = rp.times
-    hs = rp.grid.widths
-    dX = np.diff(rp.values, axis=0)
     M = rp.grid.n_cells
-    Y = np.empty((M + 1, len(xi)))
-    Y[0] = xi
-    for k in range(M):
-        Y[k + 1] = Y[k] + _milstein_increment(
-            coeff, ts[k], hs[k], Y[k], dX[k], rp.cells[k]
-        )
-        _guard(Y[k + 1], coeff, k)
-    Yp = np.stack([coeff.sigma(t, y) for t, y in zip(ts, Y)])
-    cp = ControlledPath(rp, Y, Yp)
-    sol = RdeSolution(cp, coeff, {"steps": M, "max_abs": float(np.max(np.abs(Y)))})
-    return sol
+    Y = _march(coeff, rp, xi, 0, M, backward=False)
+    diagnostics = {"steps": M, "max_abs": float(np.max(np.abs(Y)))}
+    return RdeSolution(_controlled(coeff, rp, Y), coeff, diagnostics)
 
 
 def solve_backward(
     coeff: CoefficientField, rp: RoughPath, delta, s: float, t: float
 ) -> RdeSolution:
-    """Backward solve with terminal value delta at time t, down to time s.
+    """Backward solve with terminal value delta at time t, down to time s < t.
 
-    Each cell inverts the forward one-step expansion to second order:
-        Y_u = Y_v - sigma(v, Y_v) X + (grad_sigma sigma) : (X (x) X - XX)
-              + (h/2) dsigma/dt X.
+    Each cell is the forward cell map applied at the cell's right edge to
+    the inverted cell, which inverts the forward step to second order:
+        Y_u = Y_v - sigma(v, Y_v) X + (grad_sigma sigma) : (X (x) X - XX).
     The returned path covers [s, t] on the grid, indexed forward in time.
     """
     i = rp.grid.index_of(s)
     j = rp.grid.index_of(t)
-    if i > j:
-        raise ValueError("solve_backward requires s <= t")
+    if i >= j:
+        raise ValueError(
+            f"solve_backward requires s < t (got s={s}, t={t}): "
+            "a rough path needs at least one cell"
+        )
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    ts = rp.times
-    hs = rp.grid.widths
-    dX = np.diff(rp.values, axis=0)
-    Y = np.empty((j - i + 1, len(delta)))
-    Y[-1] = delta
-    for m in range(j - 1, i - 1, -1):
-        y = Y[m - i + 1]
-        x = dX[m]
-        xx = rp.cells[m]
-        tv = ts[m + 1]
-        sig = coeff.sigma(tv, y)
-        dy = -sig @ x
-        if coeff.sigma_y is not None:
-            gs = coeff.sigma_y(tv, y)
-            dy = dy + np.einsum("ikj,jl,lk->i", gs, sig, np.outer(x, x) - xx)
-        if coeff.sigma_t is not None:
-            dy = dy + 0.5 * hs[m] * (coeff.sigma_t(tv, y) @ x)
-        Y[m - i] = y + dy
-        _guard(Y[m - i], coeff, m)
+    Y = _march(coeff, rp, delta, i, j, backward=True)
     sub = rp.restrict(i, j) if (i, j) != (0, rp.grid.n_cells) else rp
-    Yp = np.stack([coeff.sigma(tt, y) for tt, y in zip(sub.times, Y)])
-    cp = ControlledPath(sub, Y, Yp)
-    return RdeSolution(cp, coeff, {"steps": j - i, "direction": "backward"})
+    return RdeSolution(
+        _controlled(coeff, sub, Y), coeff, {"steps": j - i, "direction": "backward"}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,54 +248,25 @@ def flow_jacobian(
 ) -> np.ndarray:
     """Jacobian of the driftless flow map along the trajectory from xi.
 
-    Forward: zeta_0 = Id and d zeta = grad_sigma(t, Phi_t) zeta dX, stepped
-    with the same second-order expansion.  Backward: the Jacobian of the
-    inverse map with terminal Identity, accumulated along the backward
-    recursion.  Returns zeta at every grid point, shape (M+1, d, d).
+    Forward: zeta_0 = Id and zeta+ = J zeta, with J the derivative of the
+    cell map along the forward trajectory.  Backward: the Jacobian of the
+    inverse map with terminal identity, stepping the derivative of the
+    inverted cell map along the backward trajectory from xi at the end.
+    Returns zeta at every grid point, shape (M+1, d, d).
     """
     if coeff.sigma_y is None:
         raise ValueError("flow_jacobian needs sigma_y")
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
+    backward = direction == "backward"
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    d = len(xi)
-    ts = rp.times
-    dX = np.diff(rp.values, axis=0)
     M = rp.grid.n_cells
-    eye = np.eye(d)
-    zeta = np.empty((M + 1, d, d))
-    if direction == "forward":
-        sol = solve_driftless(coeff, rp, xi)
-        Y = sol.Y
-        zeta[0] = eye
-        for k in range(M):
-            x, xx, y, t = dX[k], rp.cells[k], Y[k], ts[k]
-            A = np.einsum("ikj,k->ij", coeff.sigma_y(t, y), x)
-            # second-order term: vary zeta (A.A) and, when available, the
-            # base point (second derivative of sigma against sigma)
-            gs = coeff.sigma_y(t, y)
-            P = eye + A + np.einsum("ikj,jlm,lk->im", gs, gs, xx)
-            if coeff.sigma_yy is not None:
-                sig = coeff.sigma(t, y)
-                P = P + np.einsum("ikmj,jl,lk->im", coeff.sigma_yy(t, y), sig, xx)
-            zeta[k + 1] = P @ zeta[k]
-        return zeta
-    if direction == "backward":
-        sol = solve_backward(coeff, rp, xi, float(ts[0]), float(ts[-1]))
-        Y = sol.Y
-        zeta[M] = eye
-        for m in range(M - 1, -1, -1):
-            x, xx = dX[m], rp.cells[m]
-            y, tv = Y[m + 1], ts[m + 1]
-            gs = coeff.sigma_y(tv, y)
-            Mx = np.outer(x, x) - xx
-            P = eye - np.einsum("ikj,k->ij", gs, x) + np.einsum(
-                "ikj,jlm,lk->im", gs, gs, Mx
-            )
-            if coeff.sigma_yy is not None:
-                sig = coeff.sigma(tv, y)
-                P = P + np.einsum("ikmj,jl,lk->im", coeff.sigma_yy(tv, y), sig, Mx)
-            zeta[m] = P @ zeta[m + 1]
-        return zeta
-    raise ValueError("direction must be 'forward' or 'backward'")
+    Y = _march(coeff, rp, xi, 0, M, backward)
+    zeta = np.empty((M + 1, len(xi), len(xi)))
+    zeta[M if backward else 0] = np.eye(len(xi))
+    for a, b, t, x, xx in _cells(rp, 0, M, backward):
+        zeta[b] = _jacobian_cell(coeff, t, Y[a], x, xx) @ zeta[a]
+    return zeta
 
 
 # ---------------------------------------------------------------------------
@@ -300,39 +282,18 @@ def linear_flow(coeff: CoefficientField, rp: RoughPath):
     """
     if coeff.linear is None:
         raise ValueError("linear_flow needs a declared linear structure")
-    a0, a1_fn, a1dot_fn = coeff.linear
-    ts = rp.times[:-1]
-    d = a0.shape[0]
-    zero = np.zeros((d, d))
-    a1 = np.stack([(a1_fn(t) if a1_fn is not None else zero) for t in ts])
-    use_tdot = a1dot_fn is not None
-    a1dot = np.stack([(a1dot_fn(t) if use_tdot else zero) for t in ts])
+    a0, a1 = coeff.linear
     dX = np.diff(rp.values, axis=0)
     return _accel.linear_flow_maps(
-        dX, rp.cells, rp.grid.widths, a0, a1, a1dot, use_tdot
+        dX, rp.cells, a0, np.stack([a1(t) for t in rp.times[:-1]])
     )
 
 
-def solve_linear_sigma(
-    b: Optional[Callable],
-    a0,
-    a1: Optional[Callable],
-    rp: RoughPath,
-    xi,
-    a1dot: Optional[Callable] = None,
-) -> RdeSolution:
-    """Solve dY = b(t, Y) dt + (a0 . Y + a1(t)) dX via exact affine flows.
-
-    Without drift, Y_k = M_k xi + v_k directly.  With drift, the state is
+def _linear_with_drift(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
+    """Y_k = M_k xi + v_k without drift.  With drift, the state is
     conjugated through the driftless flow: z solves
         dz/dt = M_t^{-1} b(t, M_t z + v_t),   z_0 = xi,
-    by Heun's method on the grid, and Y_t = M_t z_t + v_t.
-    """
-    coeff = linear_coefficients(a0, a1, a1dot, b=b)
-    return doss_sussmann_solve(coeff, rp, xi)
-
-
-def _linear_with_drift(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
+    by Heun's method on the grid, and Y_t = M_t z_t + v_t."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     Mf, vf = linear_flow(coeff, rp)
     ts = rp.times
@@ -356,22 +317,19 @@ def _linear_with_drift(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolutio
             pred = z[k] + hs[k] * f0
             f1 = rhs(k + 1, pred, tm)
             z[k + 1] = z[k] + 0.5 * hs[k] * (f0 + f1)
-            _guard(z[k + 1], coeff, k)
+            _guard(z[k + 1], k)
         Y = np.einsum("kij,kj->ki", Mf, z) + vf
-    Yp = np.stack([coeff.sigma(t, y) for t, y in zip(ts, Y)])
-    cp = ControlledPath(rp, Y, Yp)
-    return RdeSolution(cp, coeff, {"steps": M, "mode": "affine-flow"})
+    return RdeSolution(_controlled(coeff, rp, Y), coeff, {"steps": M, "mode": "affine-flow"})
 
 
 def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
     """Solve dY = b dt + sigma dX by conjugating out the diffusion.
 
-    Linear diffusions use the exact affine-flow transform (see
-    solve_linear_sigma).  For general sigma, the transformed drift ODE is
-    realised cell-by-cell as a Strang splitting — drift half-step, rough
-    Milstein step, drift half-step — which matches the conjugated dynamics
-    to the same local order without re-solving the driftless flow per
-    evaluation.
+    Linear diffusions use the exact affine-flow transform.  For general
+    sigma, the transformed drift ODE is realised cell-by-cell as a Strang
+    splitting — drift half-step, rough Milstein step, drift half-step —
+    which matches the conjugated dynamics to the same local order without
+    re-solving the driftless flow per evaluation.
     """
     if coeff.b is None:
         return solve_driftless(coeff, rp, xi)
@@ -397,12 +355,10 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
 
     for k in range(M):
         y = drift_half(ts[k], Y[k], hs[k])
-        y = y + _milstein_increment(coeff, ts[k], hs[k], y, dX[k], rp.cells[k])
+        y = y + _milstein_increment(coeff, ts[k], y, dX[k], rp.cells[k])
         Y[k + 1] = drift_half(ts[k] + 0.5 * hs[k], y, hs[k])
-        _guard(Y[k + 1], coeff, k)
-    Yp = np.stack([coeff.sigma(t, y) for t, y in zip(ts, Y)])
-    cp = ControlledPath(rp, Y, Yp)
-    return RdeSolution(cp, coeff, {"steps": M, "mode": "splitting"})
+        _guard(Y[k + 1], k)
+    return RdeSolution(_controlled(coeff, rp, Y), coeff, {"steps": M, "mode": "splitting"})
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +376,9 @@ def picard_validate(
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
-    Y = np.tile(xi, (M + 1, 1))
-    Yp = np.stack([coeff.sigma(t, y) for t, y in zip(rp.times, Y)])
-    cp = ControlledPath(rp, Y, Yp)
+    cp = _controlled(coeff, rp, np.tile(xi, (M + 1, 1)))
     for _ in range(iters):
-        integrand = _compose_sigma(coeff, cp)
-        cum = integrand._cumulative_integral()
-        Y = xi + cum
-        Yp = np.stack([coeff.sigma(t, y) for t, y in zip(rp.times, Y)])
-        cp = ControlledPath(rp, Y, Yp)
+        cp = _controlled(coeff, rp, xi + _compose_sigma(coeff, cp)._cumulative_integral())
     return cp
 
 

@@ -42,11 +42,11 @@ from roughmf.models import (
     sigma0,
 )
 from roughmf.rde import (
+    doss_sussmann_solve,
     flow_jacobian,
     linear_coefficients,
     solve_backward,
     solve_driftless,
-    solve_linear_sigma,
     stability_probe,
 )
 from roughmf.roughpath import (
@@ -183,7 +183,8 @@ def test_04_rde_closed_forms():
     rel_geom = float(np.max(np.abs(sol.Y[:, 0] - ref) / ref))
 
     _, rp2 = scalar_brownian(6, 1 << 12, fine_per=8)
-    ds = solve_linear_sigma(lambda t, y: -y, np.ones((1, 1, 1)), None, rp2, 1.0)
+    damped = linear_coefficients(np.ones((1, 1, 1)), b=lambda t, y: -y)
+    ds = doss_sussmann_solve(damped, rp2, 1.0)
     ds_ref = np.exp(rp2.values[:, 0] - rp2.times)
     rel_ds = float(np.max(np.abs(ds.Y[:, 0] - ds_ref) / ds_ref))
 

@@ -16,7 +16,7 @@ from roughmf.grids import TimeGrid
 from roughmf.meanfield import FrozenLawConfig, simulate_frozen_law
 from roughmf.measures import EmpiricalMeasure
 from roughmf.models import build_model
-from roughmf.rde import RdeSolution, linear_coefficients
+from roughmf.rde import CoefficientField, RdeSolution, linear_coefficients
 from roughmf.roughpath import NoisePath
 
 
@@ -175,6 +175,15 @@ def test_wz_level_alignment():
     noise, coeff = wz_setup(0, fine=100)
     with pytest.raises(ValueError):
         wong_zakai_run(coeff, noise, 3, False, 1.0)
+
+
+def test_wz_corrected_run_needs_sigma_y():
+    noise, _ = wz_setup(0)
+    coeff = CoefficientField(sigma=lambda t, y: y[:, None])
+    with pytest.raises(ValueError, match="sigma_y"):
+        wong_zakai_run(coeff, noise, 3, True, 1.0)
+    _, Y = wong_zakai_run(coeff, noise, 3, False, 1.0)  # uncorrected needs no derivative
+    assert np.all(np.isfinite(Y))
 
 
 def test_wz_uncorrected_targets_stratonovich():

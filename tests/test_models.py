@@ -93,6 +93,31 @@ def test_eks_model_batch_matches_pointwise():
     assert np.array_equal(model.linear_a0, np.zeros((2, 2, 2)))
 
 
+def test_eks_covariance_once_per_measure(monkeypatch):
+    # the law is frozen over a window: Cov(mu) and its root are computed once
+    # per measure object, and the values equal a fresh computation bitwise
+    from roughmf import models
+
+    calls = {"covariance": 0, "psd_sqrt": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(models, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    model = eks_gaussian_model(np.diag([1.0, 4.0]))
+    mu, nu = gauss_cloud(5, n=50), gauss_cloud(6, n=50)
+    Y = mu.atoms[:5]
+    for _ in range(3):
+        b, sig = model.b(Y, mu), model.sigma(Y, mu)
+    assert calls == {"covariance": 1, "psd_sqrt": 1}
+    model.b(Y, nu)  # the drift alone needs no root
+    assert calls == {"covariance": 2, "psd_sqrt": 1}
+    C = covariance(mu)
+    assert np.array_equal(model.b(Y, mu), -Y @ np.diag([1.0, 0.25]) @ C.T)
+    assert np.array_equal(sig[0], psd_sqrt(2.0 * C))
+
+
 # ---------------------------------------------------------------------------
 # Landau (Maxwell molecules)
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from roughmf.rde import (
     save_solution,
     solve_backward,
     solve_driftless,
-    solve_linear_sigma,
     stability_probe,
 )
 from roughmf.roughpath import STRAT, NoisePath, RoughPath, brownian_lift
@@ -115,6 +114,15 @@ def test_backward_partial_window():
     assert np.max(np.abs(back.Y[0] - fwd.Y[16])) <= 5e-3
 
 
+def test_backward_needs_one_cell():
+    rp = random_rough_path(6, cells=8)
+    s = float(rp.times[3])
+    with pytest.raises(ValueError, match="requires s < t"):
+        solve_backward(GEOM, rp, 1.0, s, s)
+    with pytest.raises(ValueError, match="requires s < t"):
+        solve_backward(GEOM, rp, 1.0, float(rp.times[5]), s)
+
+
 def test_jacobian_matches_closed_form_geometric():
     _, rp = scalar_lift(7, cells=1 << 10)
     zeta = flow_jacobian(GEOM, rp, 2.0)
@@ -179,9 +187,8 @@ def test_doss_sussmann_linear_closed_form():
     # dY = -lam Y dt + Y dX  =>  Y = xi exp(X_t - lam t)
     _, rp = scalar_lift(13, cells=1 << 11)
     lam = 0.8
-    sol = solve_linear_sigma(
-        lambda t, y: -lam * y, np.ones((1, 1, 1)), None, rp, 1.0
-    )
+    coeff = linear_coefficients(np.ones((1, 1, 1)), b=lambda t, y: -lam * y)
+    sol = doss_sussmann_solve(coeff, rp, 1.0)
     ref = np.exp(rp.values[:, 0] - lam * rp.times)
     assert np.max(np.abs(sol.Y[:, 0] - ref) / ref) <= 5e-3
     assert sol.diagnostics["mode"] == "affine-flow"
@@ -193,7 +200,7 @@ def test_strang_splitting_matches_affine_path():
     _, rp = scalar_lift(14, cells=1 << 10)
     lam = 0.5
     b = lambda t, y: -lam * y
-    exact = solve_linear_sigma(b, np.ones((1, 1, 1)), None, rp, 1.0)
+    exact = doss_sussmann_solve(linear_coefficients(np.ones((1, 1, 1)), b=b), rp, 1.0)
     generic = CoefficientField(
         sigma=lambda t, y: y[:, None],
         sigma_y=lambda t, y: np.ones((1, 1, 1)),
@@ -215,9 +222,8 @@ def test_pure_drift_heun():
     rp_zero = type(rp_zero)(
         grid, np.zeros_like(rp_zero.values), np.zeros_like(rp_zero.cells), 0.4
     )
-    sol = solve_linear_sigma(
-        lambda t, y: -y, np.zeros((1, 1, 1)), None, rp_zero, 2.0
-    )
+    coeff = linear_coefficients(np.zeros((1, 1, 1)), b=lambda t, y: -y)
+    sol = doss_sussmann_solve(coeff, rp_zero, 2.0)
     assert abs(sol.Y[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-6
 
 
@@ -250,9 +256,8 @@ def test_blowup_guard_trips():
     coeff = CoefficientField(
         sigma=lambda t, y: (y**2)[:, None],
         sigma_y=lambda t, y: (2 * y)[:, None, None],
-        guard=1e3,
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="guard tripped"):
         solve_driftless(coeff, rp, 50.0)
 
 
