@@ -25,28 +25,31 @@ import numpy as np
 def _setup(cells: int, d: int, seed: int):
     from roughmf import _accel
     from roughmf.grids import TimeGrid
-    from roughmf.roughpath import STRAT, NoisePath, _pair_indices, brownian_lift
+    from roughmf.roughpath import STRAT, NoisePath, _pair_blocks, brownian_lift
 
     noise = NoisePath.generate(seed, TimeGrid.regular(0.0, 1.0, cells * 8), d)
     rp = brownian_lift(noise, TimeGrid.regular(0.0, 1.0, cells), STRAT)
-    ii, jj = _pair_indices(cells)
-    return _accel, rp, ii, jj
+    return _accel, rp, list(_pair_blocks(cells))
 
 
 def run_benchmarks(cells: int, d: int, repeats: int) -> dict:
-    _accel, rp, ii, jj = _setup(cells, d, seed=0)
-    X, A, t = rp.values, rp._cum, rp.times
+    _accel, rp, blocks = _setup(cells, d, seed=0)
+    X, A, t, a = rp.values, rp._cum, rp.times, rp.alpha
     a0 = np.random.default_rng(1).normal(size=(d, d, d)) / d
     a1 = np.random.default_rng(2).normal(size=(cells, d, d))
     dX = np.diff(X, axis=0)
 
+    # each pair supremum is timed over the pair blocks, as roughmf streams it
     cases = {
-        "pair_sup_first": lambda: _accel.pair_sup_first(X, t, ii, jj, rp.alpha),
-        "pair_sup_second": lambda: _accel.pair_sup_second(
-            X, A, t, ii, jj, rp.alpha
+        "pair_sup_first": lambda: max(
+            _accel.pair_sup_first(X, t, ii, jj, a) for ii, jj in blocks
         ),
-        "pair_sup_second_diff": lambda: _accel.pair_sup_second_diff(
-            X, A, 1.1 * X, 1.1 * A, t, ii, jj, rp.alpha
+        "pair_sup_second": lambda: max(
+            _accel.pair_sup_second(X, A, t, ii, jj, a) for ii, jj in blocks
+        ),
+        "pair_sup_second_diff": lambda: max(
+            _accel.pair_sup_second_diff(X, A, 1.1 * X, 1.1 * A, t, ii, jj, a)
+            for ii, jj in blocks
         ),
         "linear_flow_maps": lambda: _accel.linear_flow_maps(dX, rp.cells, a0, a1),
     }

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .roughpath import RoughPath, _pair_indices
+from .roughpath import RoughPath, _pair_sup
 
 
 def sewing_constant(alpha: float) -> float:
@@ -72,33 +72,22 @@ class ControlledPath:
         dX = self.base.increment(i, j)
         return self.Y[j] - self.Y[i] - self.Yprime[i] @ dX
 
-    def _pair_data(self):
-        ii, jj = _pair_indices(self.base.grid.n_cells)
-        dt = self.base.times[jj] - self.base.times[ii]
-        return ii, jj, dt
-
     def prime_norm(self) -> float:
         """Discrete alpha-Hölder norm of the Gubinelli derivative."""
         if self._prime_norm is None:
-            ii, jj, dt = self._pair_data()
-            diff = (self.Yprime[jj] - self.Yprime[ii]).reshape(len(ii), -1)
-            self._prime_norm = float(
-                np.max(np.linalg.norm(diff, axis=1) / dt**self.base.alpha)
+            V = self.Yprime
+            self._prime_norm = _holder_sup(
+                lambda ii, jj: V[jj] - V[ii], self.base, self.base.alpha
             )
         return self._prime_norm
 
     def remainder_norm(self) -> float:
         """Discrete 2*alpha-Hölder norm of the remainder."""
         if self._remainder_norm is None:
-            ii, jj, dt = self._pair_data()
-            dX = self.base.values[jj] - self.base.values[ii]
-            R = (
-                self.Y[jj]
-                - self.Y[ii]
-                - np.einsum("p...d,pd->p...", self.Yprime[ii], dX)
-            ).reshape(len(ii), -1)
-            self._remainder_norm = float(
-                np.max(np.linalg.norm(R, axis=1) / dt ** (2.0 * self.base.alpha))
+            self._remainder_norm = _holder_sup(
+                lambda ii, jj: _remainders(self, ii, jj),
+                self.base,
+                2.0 * self.base.alpha,
             )
         return self._remainder_norm
 
@@ -184,25 +173,35 @@ class ControlledPath:
         return value, bound, value <= bound
 
 
+def _remainders(cp: ControlledPath, ii, jj):
+    """R_{t_i,t_j} = Y_{t_i,t_j} - Y'_{t_i} X_{t_i,t_j} over one pair block."""
+    dX = cp.base.values[jj] - cp.base.values[ii]
+    return cp.Y[jj] - cp.Y[ii] - np.einsum("p...d,pd->p...", cp.Yprime[ii], dX)
+
+
+def _holder_sup(pair_diff, base: RoughPath, exponent: float) -> float:
+    """Discrete sup of |pair_diff(ii, jj)| / |t_j - t_i|^exponent over the
+    pairs of the base grid, taken block by block."""
+    t = base.times
+
+    def ratio(ii, jj):
+        diff = pair_diff(ii, jj).reshape(len(ii), -1)
+        return np.max(np.linalg.norm(diff, axis=1) / (t[jj] - t[ii]) ** exponent)
+
+    return _pair_sup(ratio, base.grid.n_cells)
+
+
 def controlled_distance(cp: ControlledPath, cq: ControlledPath) -> float:
     """||Y' - Z'||_a + ||R^Y - R^Z||_{2a} over the common grid."""
     if cp.Y.shape != cq.Y.shape or not np.allclose(cp.base.times, cq.base.times):
         raise ValueError("controlled paths must share grid and value shape")
-    ii, jj, dt = cp._pair_data()
     a = cp.base.alpha
-    dYp = (cp.Yprime - cq.Yprime)[jj] - (cp.Yprime - cq.Yprime)[ii]
-    d1 = float(
-        np.max(np.linalg.norm(dYp.reshape(len(ii), -1), axis=1) / dt**a)
-    )
-    dXp = cp.base.values[jj] - cp.base.values[ii]
-    dXq = cq.base.values[jj] - cq.base.values[ii]
-    Rp = cp.Y[jj] - cp.Y[ii] - np.einsum("p...d,pd->p...", cp.Yprime[ii], dXp)
-    Rq = cq.Y[jj] - cq.Y[ii] - np.einsum("p...d,pd->p...", cq.Yprime[ii], dXq)
-    d2 = float(
-        np.max(
-            np.linalg.norm((Rp - Rq).reshape(len(ii), -1), axis=1)
-            / dt ** (2.0 * a)
-        )
+    dV = cp.Yprime - cq.Yprime
+    d1 = _holder_sup(lambda ii, jj: dV[jj] - dV[ii], cp.base, a)
+    d2 = _holder_sup(
+        lambda ii, jj: _remainders(cp, ii, jj) - _remainders(cq, ii, jj),
+        cp.base,
+        2.0 * a,
     )
     return d1 + d2
 

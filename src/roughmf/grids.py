@@ -46,11 +46,15 @@ class TimeGrid:
         raise ValueError(f"time {t} is not a grid point")
 
     def subgrid_indices(self, coarse: "TimeGrid", tol: float = 1e-9) -> np.ndarray:
-        """Indices embedding a coarser grid into this one; raises if not nested."""
-        idx = np.empty(len(coarse.points), dtype=np.int64)
-        for k, t in enumerate(coarse.points):
-            try:
-                idx[k] = self.index_of(float(t), tol)
-            except ValueError:
-                raise ValueError("coarse grid is not nested in the fine grid") from None
-        return idx
+        """Indices embedding a coarser grid into this one; raises if not nested.
+
+        Each coarse point takes, like ``index_of``, the first of its
+        neighbours i-1, i, i+1 within ``tol``, where i is its search index.
+        """
+        pts, t = self.points, coarse.points
+        # a neighbour clipped at either end repeats one already tried
+        idx = (np.searchsorted(pts, t)[:, None] + np.arange(-1, 2)).clip(0, len(pts) - 1)
+        hit = np.abs(pts[idx] - t[:, None]) <= tol
+        if not hit.any(axis=1).all():
+            raise ValueError("coarse grid is not nested in the fine grid")
+        return idx[np.arange(len(t)), hit.argmax(axis=1)].astype(np.int64)

@@ -137,17 +137,22 @@ def wasserstein_p(
 ):
     """Wasserstein-p distance between atomic measures.
 
-    Exact in d = 1 (quantile coupling) and for uniform equal-size supports
-    up to the assignment cap (optimal bipartite matching); small non-uniform
-    problems go through the transport LP; anything bigger falls back to a
-    subsampled matching, flagged as approximate in the info record.
+    Exactly 0 on bitwise-identical atoms and weights (mode "identical", the
+    identity coupling), at any size.  Otherwise exact in d = 1 (quantile
+    coupling) and for uniform equal-size supports up to the assignment cap
+    (optimal bipartite matching); small non-uniform problems go through the
+    transport LP; anything bigger falls back to a subsampled matching,
+    flagged as approximate in the info record.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
     if mu.d != nu.d:
         raise ValueError("dimension mismatch")
     info = {"mode": None, "exact": True}
-    if mu.d == 1:
+    if np.array_equal(mu.atoms, nu.atoms) and np.array_equal(mu.weights, nu.weights):
+        xs, ys, mass = mu.atoms, nu.atoms, mu.weights
+        info["mode"] = "identical"
+    elif mu.d == 1:
         xs, ys, mass = _coupling_1d(mu, nu)
         info["mode"] = "quantile-1d"
     elif mu.uniform and nu.uniform and mu.n == nu.n and mu.n <= ASSIGNMENT_CAP:
@@ -312,7 +317,8 @@ def dp_bracket(
     closed under negation, so the absolute value is admissible).
     upper: mean-value bound sum_pi (1 + |x|^{p-1} + |x-y|^{p-1}) |x-y| on
     the coupling returned by wasserstein_p; approximate couplings make the
-    upper bound approximate, and the flag says so.  The info record also
+    upper bound approximate, and the flag says so, while identical inputs
+    get the identity coupling and an exact 0.  The info record also
     carries that wasserstein_p value as "w_p", so callers need not solve the
     same transport problem again.
     """

@@ -30,6 +30,11 @@ STRAT = "strat"
 #: dyadically spaced pairs (i, i + 2^k) instead of all pairs
 PAIR_CAP = 2048
 
+#: most index pairs a Hölder supremum evaluates at once; it bounds the
+#: memory of the per-pair intermediates, and a max over blocks is exact.
+#: Above PAIR_CAP, so that one row of all pairs always fits in a block.
+PAIR_BLOCK = 1 << 16
+
 
 def check_alpha(alpha: float) -> float:
     if not (1.0 / 3.0 < alpha < 0.5):
@@ -37,20 +42,34 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def _pair_indices(n_cells: int, cap: int = PAIR_CAP):
-    """Index pairs (i, j), i < j, used for discrete Hölder suprema."""
+def _pair_blocks(n_cells: int):
+    """Index pairs (i, j), i < j, used for discrete Hölder suprema, yielded
+    as (ii, jj) blocks of at most PAIR_BLOCK pairs.
+
+    Up to PAIR_CAP cells every pair, in runs of whole rows i; above it the
+    pairs (i, i + 2^k), one lag at a time, cut into blocks.
+    """
     m = n_cells + 1
-    if n_cells <= cap:
-        ii, jj = np.triu_indices(m, k=1)
-        return ii.astype(np.int64), jj.astype(np.int64)
-    iis, jjs = [], []
+    if n_cells <= PAIR_CAP:
+        # row i holds the pairs (i, j > i), at most n_cells of them
+        rows = PAIR_BLOCK // n_cells
+        for r0 in range(0, n_cells, rows):
+            r = np.arange(r0, min(r0 + rows, n_cells))
+            ii, jj = np.nonzero(np.arange(m) > r[:, None])
+            yield ii + r0, jj
+        return
     k = 1
     while k <= n_cells:
-        i = np.arange(0, m - k, dtype=np.int64)
-        iis.append(i)
-        jjs.append(i + k)
+        for i0 in range(0, m - k, PAIR_BLOCK):
+            i = np.arange(i0, min(i0 + PAIR_BLOCK, m - k), dtype=np.int64)
+            yield i, i + k
         k *= 2
-    return np.concatenate(iis), np.concatenate(jjs)
+
+
+def _pair_sup(ratio, n_cells: int) -> float:
+    """Max of ``ratio(ii, jj)``, a block's largest Hölder ratio, over every
+    pair block of a grid with n_cells cells."""
+    return float(np.max([ratio(ii, jj) for ii, jj in _pair_blocks(n_cells)]))
 
 
 @dataclass(frozen=True)
@@ -154,10 +173,11 @@ class RoughPath:
         """Discrete sup of |X_{s,t}| / |t-s|^a and |XX_{s,t}| / |t-s|^{2a}."""
         cached = getattr(self, "_norms", None)
         if cached is None:
-            ii, jj = _pair_indices(self.grid.n_cells)
-            nx = _accel.pair_sup_first(self.values, self.times, ii, jj, self.alpha)
-            nxx = _accel.pair_sup_second(
-                self.values, self._cum, self.times, ii, jj, self.alpha
+            X, A, t, a = self.values, self._cum, self.times, self.alpha
+            n = self.grid.n_cells
+            nx = _pair_sup(lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), n)
+            nxx = _pair_sup(
+                lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a), n
             )
             cached = (nx, nxx)
             object.__setattr__(self, "_norms", cached)
@@ -186,12 +206,11 @@ def rough_distance(rp1: RoughPath, rp2: RoughPath) -> float:
         raise ValueError("rough paths must share the Hölder exponent")
     if rp1.times.shape != rp2.times.shape or not np.allclose(rp1.times, rp2.times):
         raise ValueError("rough paths must share the time grid")
-    ii, jj = _pair_indices(rp1.grid.n_cells)
-    d1 = _accel.pair_sup_first(
-        rp1.values - rp2.values, rp1.times, ii, jj, rp1.alpha
-    )
-    d2 = _accel.pair_sup_second_diff(
-        rp1.values, rp1._cum, rp2.values, rp2._cum, rp1.times, ii, jj, rp1.alpha
+    X1, A1, X2, A2 = rp1.values, rp1._cum, rp2.values, rp2._cum
+    dX, t, a, n = X1 - X2, rp1.times, rp1.alpha, rp1.grid.n_cells
+    d1 = _pair_sup(lambda ii, jj: _accel.pair_sup_first(dX, t, ii, jj, a), n)
+    d2 = _pair_sup(
+        lambda ii, jj: _accel.pair_sup_second_diff(X1, A1, X2, A2, t, ii, jj, a), n
     )
     return d1 + d2
 

@@ -16,6 +16,7 @@ from roughmf._accel import (
     _pair_sup_second_nb,
     _pair_sup_second_np,
 )
+from roughmf.roughpath import _pair_blocks
 
 BENCH_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
 
@@ -26,8 +27,8 @@ def pair_case(seed, M=64, d=2):
     times[0], times[-1] = 0.0, 1.0
     X = np.cumsum(rng.normal(size=(M + 1, d)) * 0.1, axis=0)
     A = np.cumsum(rng.normal(size=(M + 1, d, d)) * 0.01, axis=0)
-    ii, jj = np.triu_indices(M + 1, k=1)
-    return X, A, times, ii.astype(np.int64), jj.astype(np.int64)
+    ii, jj = (np.concatenate(b) for b in zip(*_pair_blocks(M)))
+    return X, A, times, ii, jj
 
 
 def test_active_kernels_match_numpy_reference():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from roughmf.controlled import (
     sewing_constant,
 )
 from roughmf.grids import TimeGrid
-from roughmf.roughpath import STRAT, NoisePath, RoughPath, brownian_lift
+from roughmf.roughpath import PAIR_CAP, STRAT, NoisePath, RoughPath, brownian_lift
 
 from conftest import random_rough_path
 
@@ -109,6 +111,62 @@ def test_controlled_distance_properties():
     expected = np.linalg.norm(B @ dX) / (rp.times[jj] - rp.times[ii]) ** 0.8
     d = controlled_distance(cp, cq)
     assert d >= expected - 1e-12
+
+
+def _one_shot_norms(cp, cq):
+    # prime norm, remainder norm and distance, evaluated on every pair at once
+    ii, jj = np.triu_indices(cp.base.grid.n_cells + 1, k=1)
+    dt = cp.base.times[jj] - cp.base.times[ii]
+    a = cp.base.alpha
+
+    def sup(diff, exponent):
+        return float(np.max(np.linalg.norm(diff.reshape(len(ii), -1), axis=1)
+                            / dt**exponent))
+
+    def remainder(c):
+        dX = c.base.values[jj] - c.base.values[ii]
+        return c.Y[jj] - c.Y[ii] - np.einsum("p...d,pd->p...", c.Yprime[ii], dX)
+
+    dV = cp.Yprime - cq.Yprime
+    return (sup(cp.Yprime[jj] - cp.Yprime[ii], a), sup(remainder(cp), 2.0 * a),
+            sup(dV[jj] - dV[ii], a) + sup(remainder(cp) - remainder(cq), 2.0 * a))
+
+
+def _random_controlled(rp, rng, shape):
+    n = len(rp.times)
+    Y = np.cumsum(rng.normal(size=(n,) + shape) * 0.03, axis=0)
+    return ControlledPath(rp, Y, rng.normal(size=(n,) + shape + (rp.d,)))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+def test_streamed_controlled_norms_equal_one_shot_bitwise(shape):
+    rng = np.random.default_rng(len(shape))
+    cells = 400
+    skewed = TimeGrid(np.concatenate(
+        [[0.0], np.sort(rng.uniform(0.0, 1.0, cells - 1)), [1.0]]
+    ))
+    X = np.cumsum(rng.normal(size=(cells + 1, 2)) * 0.05, axis=0)
+    for rp in (random_rough_path(5, cells=cells),
+               RoughPath(skewed, X, rng.normal(size=(cells, 2, 2)) * 0.01, 0.4)):
+        cp, cq = _random_controlled(rp, rng, shape), _random_controlled(rp, rng, shape)
+        got = (cp.prime_norm(), cp.remainder_norm(), controlled_distance(cp, cq))
+        assert got == _one_shot_norms(cp, cq)
+
+
+def test_controlled_norms_memory_bounded_at_the_cap():
+    # every pair at 2048 cells is 2.1 M pairs; evaluated at once the
+    # intermediates of the two norms would take 208 MB
+    rp = random_rough_path(7, cells=PAIR_CAP)
+    rng = np.random.default_rng(7)
+    cp, cq = _random_controlled(rp, rng, (2,)), _random_controlled(rp, rng, (2,))
+    tracemalloc.start()
+    try:
+        cp.seminorm()
+        controlled_distance(cp, cq)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 32.0
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,23 @@ def test_w_subsample_fallback_flagged():
     assert abs(got - np.sqrt(2.0)) < 0.5  # ballpark: shift (1,1) plus noise
 
 
+def test_w_identical_clouds_exact_zero():
+    # a copy, not the same object: identity is by content
+    mu = cloud(6, 2000, 2)
+    nu = EmpiricalMeasure(mu.atoms.copy(), mu.weights.copy())
+    got, info = wasserstein_p(mu, nu, 2.0, return_info=True)
+    assert (got, info["exact"], info["mode"]) == (0.0, True, "identical")
+    xs, ys, mass = info["coupling"]
+    assert np.array_equal(xs, ys) and np.array_equal(mass, mu.weights)
+    lo, up, binfo = dp_bracket(mu, nu, 2.0)
+    assert (lo, up, binfo["w_p"], binfo["exact_upper"]) == (0.0, 0.0, 0.0, True)
+    # one atom moved is no longer identical
+    moved = mu.atoms.copy()
+    moved[0, 0] += 1e-15
+    _, info = wasserstein_p(mu, EmpiricalMeasure(moved), 2.0, return_info=True)
+    assert info["mode"] != "identical"
+
+
 def test_w_input_validation():
     mu, nu = cloud(0, 8, 2), cloud(0, 8, 3)
     with pytest.raises(ValueError):

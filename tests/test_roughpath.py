@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughmf import _accel, roughpath
 from roughmf.grids import TimeGrid
 from roughmf.roughpath import (
     ITO,
+    PAIR_BLOCK,
+    PAIR_CAP,
     STRAT,
     NoisePath,
     RoughPath,
+    _pair_blocks,
     brownian_lift,
     dyadic_approximation,
     load_rough_path,
@@ -39,6 +45,127 @@ def test_grid_invariants():
     assert g.uniform and g.n_cells == 8
     with pytest.raises(ValueError):
         g.index_of(0.3)
+
+
+def _subgrid_by_index_of(fine, coarse):
+    # the point-by-point definition the vectorised embedding must match
+    try:
+        return np.array([fine.index_of(float(t)) for t in coarse.points], dtype=np.int64)
+    except ValueError:
+        return None
+
+
+def test_subgrid_indices_match_index_of():
+    rng = np.random.default_rng(0)
+    fine = TimeGrid.regular(0.0, 1.0, 1 << 10)
+    nested = TimeGrid.regular(0.0, 1.0, 1 << 6)
+    fuzzed = TimeGrid(
+        TimeGrid.regular(0.0, 1.0, 1 << 8).points + rng.uniform(-1e-12, 1e-12, 257)
+    )
+    # two fine points within the tolerance of the coarse one: the first wins
+    close = TimeGrid(np.array([0.0, 1e-10, 2e-10, 1.0]))
+    for f, c in ((fine, nested), (fine, fine), (fine, fuzzed),
+                 (close, TimeGrid(np.array([1e-10, 1.0])))):
+        want = _subgrid_by_index_of(f, c)
+        got = f.subgrid_indices(c)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    for c in (TimeGrid.regular(0.0, 1.0, 3), TimeGrid(np.array([-1e-3, 0.5])),
+              TimeGrid(np.array([0.5, 1.0 + 1e-3]))):
+        assert _subgrid_by_index_of(fine, c) is None
+        with pytest.raises(ValueError, match="coarse grid is not nested"):
+            fine.subgrid_indices(c)
+
+
+# ---------------------------------------------------------------------------
+# pair blocks and the streamed Hölder suprema
+# ---------------------------------------------------------------------------
+
+def _reference_pairs(n_cells, cap):
+    # every pair (i < j) up to the cap, the dyadic lags (i, i + 2^k) above it
+    m = n_cells + 1
+    if n_cells <= cap:
+        return np.triu_indices(m, k=1)
+    lags = [1 << k for k in range(n_cells.bit_length()) if 1 << k <= n_cells]
+    ii = np.concatenate([np.arange(m - k) for k in lags])
+    jj = np.concatenate([np.arange(k, m) for k in lags])
+    return ii, jj
+
+
+def _joined(n_cells):
+    blocks = list(_pair_blocks(n_cells))
+    ii, jj = (np.concatenate(b) for b in zip(*blocks))
+    return blocks, ii, jj
+
+
+# 1000 rows in blocks of 65 rows: the last block is short
+@pytest.mark.parametrize("n_cells", [1, 7, 1000, PAIR_CAP, PAIR_CAP + 1])
+def test_pair_blocks_cover_the_pair_set_once(n_cells):
+    blocks, ii, jj = _joined(n_cells)
+    want_ii, want_jj = _reference_pairs(n_cells, PAIR_CAP)
+    # same pairs in the same order, so each pair exactly once
+    assert np.array_equal(ii, want_ii) and np.array_equal(jj, want_jj)
+    assert all(0 < len(b) <= PAIR_BLOCK and b.dtype == np.int64
+               for block in blocks for b in block)
+
+
+def test_pair_blocks_cut_rows_and_lags_that_do_not_divide(monkeypatch):
+    monkeypatch.setattr(roughpath, "PAIR_BLOCK", 30)
+    monkeypatch.setattr(roughpath, "PAIR_CAP", 16)
+    # 13 rows two at a time, 16 rows one at a time; then dyadic lags of
+    # 40, 39, 37, ... pairs cut at 30
+    for n_cells in (13, 16, 40):
+        blocks, ii, jj = _joined(n_cells)
+        want_ii, want_jj = _reference_pairs(n_cells, 16)
+        assert np.array_equal(ii, want_ii) and np.array_equal(jj, want_jj)
+        sizes = [len(b[0]) for b in blocks]
+        assert max(sizes) <= 30 and len(set(sizes)) > 1
+
+
+def _one_shot(rp1, rp2=None):
+    # the suprema evaluated on every pair at once
+    ii, jj = _reference_pairs(rp1.grid.n_cells, PAIR_CAP)
+    t, a = rp1.times, rp1.alpha
+    if rp2 is None:
+        return (_accel.pair_sup_first(rp1.values, t, ii, jj, a),
+                _accel.pair_sup_second(rp1.values, rp1._cum, t, ii, jj, a))
+    return _accel.pair_sup_first(rp1.values - rp2.values, t, ii, jj, a) + (
+        _accel.pair_sup_second_diff(
+            rp1.values, rp1._cum, rp2.values, rp2._cum, t, ii, jj, a
+        )
+    )
+
+
+@pytest.mark.parametrize("cells", [600, PAIR_CAP + 1])
+def test_streamed_suprema_equal_one_shot_bitwise(cells):
+    rng = np.random.default_rng(cells)
+    uniform = TimeGrid.regular(0.0, 1.0, cells)
+    skewed = TimeGrid(np.concatenate(
+        [[0.0], np.sort(rng.uniform(0.0, 1.0, cells - 1)), [1.0]]
+    ))
+    for grid in (uniform, skewed):
+        X = np.cumsum(rng.normal(size=(cells + 1, 3)) * 0.05, axis=0)
+        C = rng.normal(size=(cells, 3, 3)) * 0.01
+        rp = RoughPath(grid, X, C, 0.4)
+        rq = RoughPath(grid, 1.1 * X, 0.9 * C, 0.4)
+        assert rp.holder_norms() == _one_shot(rp)
+        assert rough_distance(rp, rq) == _one_shot(rp, rq)
+
+
+def _peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_suprema_memory_bounded_at_the_cap():
+    # every pair at 2048 cells is 2.1 M pairs; evaluated at once the
+    # intermediates would take 336 MB (distance) and 240 MB (norms)
+    rp, rq = random_rough_path(11, cells=PAIR_CAP), random_rough_path(12, cells=PAIR_CAP)
+    assert _peak_mb(lambda: rough_distance(rp, rq)) < 32.0
+    assert _peak_mb(rp.holder_norms) < 32.0
 
 
 # ---------------------------------------------------------------------------
