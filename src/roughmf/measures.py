@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 ASSIGNMENT_CAP = 512  # exact bipartite matching up to this many atoms
@@ -107,17 +108,17 @@ def _coupling_lp(mu, nu, p):
     cost = (
         np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2) ** p
     ).ravel()
-    A_eq = []
-    for i in range(N):
-        row = np.zeros(N * M)
-        row[i * M : (i + 1) * M] = 1.0
-        A_eq.append(row)
-    for j in range(M):
-        row = np.zeros(N * M)
-        row[j::M] = 1.0
-        A_eq.append(row)
+    # marginal constraints on the row-major plan pi (N, M): row sums, then
+    # column sums, as one sparse (N + M, N M) matrix
+    A_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.eye(N), np.ones((1, M))),
+            sparse.kron(np.ones((1, N)), sparse.eye(M)),
+        ],
+        format="csr",
+    )
     b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost, A_eq=np.array(A_eq), b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     pi = res.x.reshape(N, M)

@@ -6,11 +6,12 @@ one-step Milstein-type scheme using both levels of the driver per cell:
     Y+ = Y + sigma X + (grad_sigma sigma) : XX.
 
 One cell map serves every solve.  Backward solves and backward Jacobians
-apply it at the cell's right edge to the inverted cell, whose signature is
-(1, X, XX)^-1 = (1, -X, X (x) X - XX); flow Jacobians step the linearised
-cell map along a stored trajectory.  sigma's time dependence is read at the
-cell's starting edge, with no dsigma/dt term: the frozen-law coefficients
-are piecewise constant in time.  Drifts enter through the Doss-Sussmann
+apply it from the state at the cell's right edge to the inverted cell, whose
+signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX); flow Jacobians step the
+linearised cell map along a stored trajectory.  In both directions sigma's
+time dependence is read at the cell's left edge, with no dsigma/dt term: the
+frozen-law coefficients are piecewise constant in time, and a cell's left
+edge lies in its own freeze window.  Drifts enter through the Doss-Sussmann
 conjugation: for linear diffusions the driftless flow is an affine map
 tabulated exactly, and the drift becomes a classical ODE in transformed
 coordinates; for nonlinear diffusions an equivalent per-cell Strang
@@ -157,13 +158,14 @@ def _cells(rp: RoughPath, i: int, j: int, backward: bool):
 
     A forward cell starts at its left edge with its own signature; a
     backward cell starts at its right edge with the inverse signature
-    (1, x, xx)^-1 = (1, -x, x (x) x - xx).
+    (1, x, xx)^-1 = (1, -x, x (x) x - xx).  Either way t is the cell's left
+    edge, so both directions read sigma from the same freeze window.
     """
     dX = np.diff(rp.values, axis=0)
     for k in range(j - 1, i - 1, -1) if backward else range(i, j):
         x, xx = dX[k], rp.cells[k]
         if backward:
-            yield k + 1, k, rp.times[k + 1], -x, np.outer(x, x) - xx
+            yield k + 1, k, rp.times[k], -x, np.outer(x, x) - xx
         else:
             yield k, k + 1, rp.times[k], x, xx
 
@@ -219,9 +221,10 @@ def solve_backward(
 ) -> RdeSolution:
     """Backward solve with terminal value delta at time t, down to time s < t.
 
-    Each cell is the forward cell map applied at the cell's right edge to
-    the inverted cell, which inverts the forward step to second order:
-        Y_u = Y_v - sigma(v, Y_v) X + (grad_sigma sigma) : (X (x) X - XX).
+    Each cell [u, v] is the forward cell map applied from Y_v to the
+    inverted cell, with sigma read at u as in the forward step, which it
+    inverts to second order:
+        Y_u = Y_v - sigma(u, Y_v) X + (grad_sigma sigma) : (X (x) X - XX).
     The returned path covers [s, t] on the grid, indexed forward in time.
     """
     i = rp.grid.index_of(s)

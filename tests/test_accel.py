@@ -1,134 +1,103 @@
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import roughmf._accel as accel
-from roughmf._accel import (
-    _linear_flow_maps_nb,
-    _linear_flow_maps_np,
-    _pair_sup_first_nb,
-    _pair_sup_first_np,
-    _pair_sup_second_diff_nb,
-    _pair_sup_second_diff_np,
-    _pair_sup_second_nb,
-    _pair_sup_second_np,
-)
-from roughmf.roughpath import _pair_blocks
-
-BENCH_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+from roughmf import _accel, roughpath
+from roughmf.grids import TimeGrid
+from roughmf.rde import _march, linear_coefficients
+from roughmf.roughpath import RoughPath, _pair_blocks, _pair_sup
 
 
-def pair_case(seed, M=64, d=2):
+def rough_pair(seed, cells, d, uniform):
+    """Two random rough paths on one grid, regular or not."""
     rng = np.random.default_rng(seed)
-    times = np.sort(rng.uniform(0, 1, M + 1))
-    times[0], times[-1] = 0.0, 1.0
-    X = np.cumsum(rng.normal(size=(M + 1, d)) * 0.1, axis=0)
-    A = np.cumsum(rng.normal(size=(M + 1, d, d)) * 0.01, axis=0)
-    ii, jj = (np.concatenate(b) for b in zip(*_pair_blocks(M)))
-    return X, A, times, ii, jj
-
-
-def test_active_kernels_match_numpy_reference():
-    # when numba is importable the module exports the jitted loops; either
-    # way the active kernels must agree with the numpy reference bitwise-ish
-    for seed in range(3):
-        X, A, times, ii, jj = pair_case(seed)
-        assert np.isclose(
-            accel.pair_sup_first(X, times, ii, jj, 0.4),
-            _pair_sup_first_np(X, times, ii, jj, 0.4),
-            rtol=1e-13,
+    if uniform:
+        grid = TimeGrid.regular(0.0, 1.0, cells)
+    else:
+        grid = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0, 1, cells - 1)), [1.0]]))
+    return tuple(
+        RoughPath(
+            grid,
+            np.cumsum(rng.normal(size=(cells + 1, d)) * 0.1, axis=0),
+            rng.normal(size=(cells, d, d)) * 0.01,
+            0.4,
         )
-        assert np.isclose(
-            accel.pair_sup_second(X, A, times, ii, jj, 0.4),
-            _pair_sup_second_np(X, A, times, ii, jj, 0.4),
-            rtol=1e-13,
-        )
-        X2, A2, *_ = pair_case(seed + 100)
-        assert np.isclose(
-            accel.pair_sup_second_diff(X, A, X2, A2, times, ii, jj, 0.4),
-            _pair_sup_second_diff_np(X, A, X2, A2, times, ii, jj, 0.4),
-            rtol=1e-13,
-        )
+        for _ in range(2)
+    )
 
 
-def flow_case(seed=5, n=32, d=3):
-    rng = np.random.default_rng(seed)
-    dX = rng.normal(size=(n, d)) * 0.1
-    XX = rng.normal(size=(n, d, d)) * 0.01
+def chen_table(rp):
+    """XX_{t_i, t_j} for every i <= j, composed cell by cell with Chen's
+    relation XX_{i, k+1} = XX_{i, k} + XX_{k, k+1} + X_{i, k} (x) X_{k, k+1}."""
+    m, d = rp.values.shape
+    table = np.zeros((m, m, d, d))
+    for i in range(m):
+        for k in range(i, m - 1):
+            table[i, k + 1] = table[i, k] + rp.cells[k] + np.outer(
+                rp.increment(i, k), rp.increment(k, k + 1)
+            )
+    return table
+
+
+def brute_suprema(rp, rq):
+    """Every Hölder ratio pair by pair, from increments and Chen-composed
+    second levels."""
+    first = second = diff = 0.0
+    t, a = rp.times, rp.alpha
+    XX, YY = chen_table(rp), chen_table(rq)
+    for ii, jj in _pair_blocks(rp.grid.n_cells):
+        for i, j in zip(ii, jj):
+            dt = t[j] - t[i]
+            assert np.allclose(rp.second_level(i, j), XX[i, j], rtol=1e-12, atol=1e-15)
+            first = max(first, np.linalg.norm(rp.increment(i, j)) / dt**a)
+            second = max(second, np.linalg.norm(XX[i, j]) / dt ** (2 * a))
+            diff = max(diff, np.linalg.norm(XX[i, j] - YY[i, j]) / dt ** (2 * a))
+    return first, second, diff
+
+
+def kernel_suprema(rp, rq):
+    X, A, X2, A2 = rp.values, rp._cum, rq.values, rq._cum
+    t, a, n = rp.times, rp.alpha, rp.grid.n_cells
+    return (
+        _pair_sup(lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), n),
+        _pair_sup(lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a), n),
+        _pair_sup(
+            lambda ii, jj: _accel.pair_sup_second_diff(X, A, X2, A2, t, ii, jj, a), n
+        ),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_pair_suprema_match_brute_force(d, uniform):
+    rp, rq = rough_pair(d, 40, d, uniform)
+    got = kernel_suprema(rp, rq)
+    want = brute_suprema(rp, rq)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0), (got, want)
+
+
+def test_pair_suprema_match_brute_force_on_dyadic_lags(monkeypatch):
+    # above PAIR_CAP the pair set is the dyadic lags; the kernels see the
+    # same pairs as the brute force, so the values agree there too
+    monkeypatch.setattr(roughpath, "PAIR_CAP", 16)
+    rp, rq = rough_pair(7, 40, 2, uniform=False)
+    got = kernel_suprema(rp, rq)
+    assert np.allclose(got, brute_suprema(rp, rq), rtol=1e-13, atol=0.0)
+
+
+def test_linear_flow_maps_match_cell_by_cell_march():
+    # Y_k = M_k y0 + v_k must be the stepper's own trajectory for the linear
+    # field sigma(t, y) = a0 . y + a1_k on cell k
+    d, n = 3, 24
+    rng = np.random.default_rng(5)
+    rp, _ = rough_pair(5, n, d, uniform=False)
     a0 = rng.normal(size=(d, d, d)) * 0.3
-    a1 = rng.normal(size=(n, d, d))
-    return dX, XX, a0, a1
-
-
-def test_linear_flow_maps_match():
-    dX, XX, a0, a1 = flow_case()
-    M1, v1 = accel.linear_flow_maps(dX, XX, a0, a1)
-    M2, v2 = _linear_flow_maps_np(dX, XX, a0, a1)
-    assert np.max(np.abs(M1 - M2)) <= 1e-12
-    assert np.max(np.abs(v1 - v2)) <= 1e-12
-
-
-def test_loop_kernels_match_numpy_twins():
-    # the scalar loops are what numba compiles; without numba they run as
-    # plain Python, so they are checked here whichever backend is active
-    for seed in range(2):
-        X, A, times, ii, jj = pair_case(seed, M=32)
-        X2, A2, *_ = pair_case(seed + 100, M=32)
-        for loop, ref, args in (
-            (_pair_sup_first_nb, _pair_sup_first_np, (X, times, ii, jj, 0.4)),
-            (_pair_sup_second_nb, _pair_sup_second_np, (X, A, times, ii, jj, 0.4)),
-            (_pair_sup_second_diff_nb, _pair_sup_second_diff_np,
-             (X, A, X2, A2, times, ii, jj, 0.4)),
-        ):
-            assert np.isclose(loop(*args), ref(*args), rtol=1e-13), loop.__name__
-    # a0 with zero entries exercises the loop's skip of zero coefficients
-    dX, XX, a0, a1 = flow_case(n=8)
     a0[0, 1] = 0.0
-    M1, v1 = _linear_flow_maps_nb(dX, XX, a0, a1)
-    M2, v2 = _linear_flow_maps_np(dX, XX, a0, a1)
-    assert np.max(np.abs(M1 - M2)) <= 1e-12
-    assert np.max(np.abs(v1 - v2)) <= 1e-12
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "import os; os.environ['ROUGHMF_NO_NUMBA'] = '1'; "
-        "import roughmf._accel as a; "
-        "assert not a.HAVE_NUMBA; "
-        "assert a.pair_sup_first is a._pair_sup_first_np"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_bench_kernels_runs_on_active_backend():
-    # guards the script's kernel calls against signature changes
-    proc = subprocess.run(
-        [sys.executable, str(BENCH_KERNELS), "--cells", "16", "--repeats", "1"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "linear_flow_maps:" in proc.stdout
-
-
-@pytest.mark.skipif(accel.HAVE_NUMBA, reason="numba is present, so --both has two backends")
-def test_bench_kernels_both_refuses_without_numba():
-    proc = subprocess.run(
-        [sys.executable, str(BENCH_KERNELS), "--both", "--cells", "16", "--repeats", "1"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode != 0
-    assert "numba is not available" in proc.stderr
-    assert proc.stdout == ""  # no timing table
-
-
-def test_numba_path_available_by_default():
-    code = (
-        "import roughmf._accel as a; "
-        "import sys; sys.exit(0 if a.HAVE_NUMBA else 1)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, "numba path should be active by default here"
+    a0[2, :, 2] = 0.0
+    table = rng.normal(size=(n, d, d))
+    coeff = linear_coefficients(a0, lambda t: table[rp.grid.index_of(t)])
+    M, v = _accel.linear_flow_maps(np.diff(rp.values, axis=0), rp.cells, a0, table)
+    assert M.shape == (n + 1, d, d) and v.shape == (n + 1, d)
+    for y0 in (np.zeros(d), np.array([1.0, -0.5, 2.0])):
+        Y = _march(coeff, rp, y0, 0, n, backward=False)
+        affine = np.einsum("kij,j->ki", M, y0) + v
+        assert np.allclose(affine, Y, rtol=1e-12, atol=1e-12)

@@ -16,8 +16,14 @@ from roughmf.grids import TimeGrid
 from roughmf.meanfield import FrozenLawConfig, simulate_frozen_law
 from roughmf.measures import EmpiricalMeasure
 from roughmf.models import build_model
-from roughmf.rde import CoefficientField, RdeSolution, linear_coefficients
-from roughmf.roughpath import NoisePath
+from roughmf.rde import (
+    CoefficientField,
+    RdeSolution,
+    linear_coefficients,
+    solve_backward,
+    solve_driftless,
+)
+from roughmf.roughpath import STRAT, NoisePath, brownian_lift
 
 
 def make_run(seed=0, n=100, n_freeze=8, T=1.0, model_name="eks-gaussian"):
@@ -53,6 +59,38 @@ def test_frozen_field_piecewise_constant():
     assert np.array_equal(
         coeff.sigma(0.1, y),
         np.einsum("ikj,j->ik", a0, y) + coeff.sigma(0.1, np.zeros(3)),
+    )
+
+
+def backward_return_error(model_name, cells_per_window):
+    """|Y_0 - xi| after solving forward from xi and backward from Y_T on the
+    frozen-law field of a 16-window curve."""
+    params = {"Sigma": np.diag([1.0, 4.0])} if model_name == "eks-gaussian" else None
+    model = build_model(model_name, params)
+    mu0 = EmpiricalMeasure(np.random.default_rng(0).normal(size=(500, model.d)))
+    curve = simulate_frozen_law(model, mu0, FrozenLawConfig(16, seed=0), T=1.0)
+    coeff = frozen_coefficient_field(model, curve)
+    cells = 16 * cells_per_window
+    noise = NoisePath.generate(3, TimeGrid.regular(0.0, 1.0, 8 * cells), model.d)
+    rp = brownian_lift(noise, TimeGrid.regular(0.0, 1.0, cells), STRAT)
+    xi = np.linspace(0.5, -0.5, model.d)
+    fwd = solve_driftless(coeff, rp, xi)
+    back = solve_backward(coeff, rp, fwd.Y[-1], 0.0, 1.0)
+    return float(np.max(np.abs(back.Y[0] - xi)))
+
+
+@pytest.mark.parametrize("cells_per_window", [1, 8])
+def test_backward_cells_read_their_own_window_eks(cells_per_window):
+    # EKS sigma is state-free, so a backward cell that reads the forward
+    # cell's sigma undoes it exactly; the next window's sigma would not
+    assert backward_return_error("eks-gaussian", cells_per_window) <= 1e-13
+
+
+def test_backward_return_error_shrinks_with_cells_landau():
+    # state-linear sigma: the inverted cell undoes the forward one to
+    # Milstein order, so refining each window's cells shrinks the error
+    assert backward_return_error("landau-maxwell", 8) < 0.5 * backward_return_error(
+        "landau-maxwell", 1
     )
 
 

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from roughmf.measures import (
+    LP_CELL_CAP,
     EmpiricalMeasure,
+    _coupling_lp,
     default_test_family,
     dp_bracket,
     flat_metric_bound,
@@ -101,6 +106,45 @@ def test_w_lp_nonuniform():
     assert info["mode"] == "transport-lp"
     # split each half across 0.25 to the matching endpoint and 0.25 to the mid
     assert got == pytest.approx(0.25, abs=1e-9)
+
+
+def weighted_cloud(seed, n, d, shift=0.0):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, n)
+    return EmpiricalMeasure(rng.normal(size=(n, d)) + shift, w / w.sum())
+
+
+def test_lp_coupling_equals_dense_constraint_build():
+    mu, nu = weighted_cloud(0, 12, 2), weighted_cloud(1, 9, 2, shift=0.3)
+    N, M = mu.n, nu.n
+    cost = np.linalg.norm(mu.atoms[:, None] - nu.atoms[None], axis=2).ravel() ** 2
+    A = np.zeros((N + M, N * M))
+    for i in range(N):
+        A[i, i * M : (i + 1) * M] = 1.0
+    for j in range(M):
+        A[N + j, j::M] = 1.0
+    res = linprog(cost, A_eq=A, b_eq=np.concatenate([mu.weights, nu.weights]),
+                  bounds=(0, None), method="highs")
+    pi = res.x.reshape(N, M)
+    ii, jj = np.nonzero(pi > 1e-14)
+    xs, ys, mass = _coupling_lp(mu, nu, 2.0)
+    assert np.array_equal(xs, mu.atoms[ii]) and np.array_equal(ys, nu.atoms[jj])
+    assert np.array_equal(mass, pi[ii, jj])
+
+
+def test_lp_at_cell_cap_builds_no_dense_constraints():
+    # a dense (N + M, N M) constraint matrix at the cap is 400 x 40,000
+    # doubles, 128 MB on its own
+    n = int(np.sqrt(LP_CELL_CAP))
+    mu, nu = weighted_cloud(2, n, 2), weighted_cloud(3, n, 2, shift=0.3)
+    tracemalloc.start()
+    try:
+        _, info = wasserstein_p(mu, nu, 2.0, return_info=True)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert info["mode"] == "transport-lp" and info["exact"]
+    assert peak_mb <= 32.0, f"transport LP peaked at {peak_mb:.0f} MB"
 
 
 def test_w_metric_axioms():
