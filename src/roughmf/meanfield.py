@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .measures import EmpiricalMeasure, dp_bracket, moment, wasserstein_p
+from .measures import EmpiricalMeasure, dp_bracket, moment, wasserstein_p, write_rows
 from .models import MeanFieldModel, covariance
 
 
@@ -248,15 +248,16 @@ def stability_check(
     p: float,
 ) -> dict:
     """Common-noise two-initial-condition run; distance ratios against the
-    initial distance at every freeze boundary.  max_ratio is taken over the
-    times t > 0: the t = 0 ratio is 1 by construction."""
+    initial distance at every freeze boundary.  Each curve starts on its
+    initial measure's atoms and weights, so the t = 0 ratio is 1 by
+    construction and is not solved again; max_ratio is taken over t > 0."""
     c1 = simulate_frozen_law(model, mu0, cfg, T)
     c2 = simulate_frozen_law(model, rho0, cfg, T)
     d0 = wasserstein_p(mu0, rho0, p)
     if d0 == 0.0:
         return {"initial": 0.0, "ratios": [0.0] * len(c1.times), "max_ratio": 0.0}
-    ratios = [
-        wasserstein_p(a, b, p) / d0 for a, b in zip(c1.measures, c2.measures)
+    ratios = [1.0] + [
+        wasserstein_p(a, b, p) / d0 for a, b in zip(c1.measures[1:], c2.measures[1:])
     ]
     return {"initial": d0, "ratios": ratios, "max_ratio": float(max(ratios[1:]))}
 
@@ -354,7 +355,7 @@ def save_curve(curve: MeasureCurve, path) -> None:
     ])
     with open(path, "w") as fh:
         fh.write("# roughmf-curve v1 " + json.dumps(curve.meta, sort_keys=True, default=str) + "\n")
-        np.savetxt(fh, rows, fmt="%.17g")
+        write_rows(fh, rows)
 
 
 def save_curve_summary(curve: MeasureCurve, path, p: float = 4.0) -> None:
@@ -365,4 +366,4 @@ def save_curve_summary(curve: MeasureCurve, path, p: float = 4.0) -> None:
         rows.append([t, moment(m, 2.0), moment(m, p), *m.mean(), *C.ravel()])
     with open(path, "w") as fh:
         fh.write("# roughmf-curve-summary v1\n")
-        np.savetxt(fh, np.array(rows), fmt="%.17g")
+        write_rows(fh, np.array(rows))

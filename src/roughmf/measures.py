@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 ASSIGNMENT_CAP = 512  # exact bipartite matching up to this many atoms
 LP_CELL_CAP = 40000  # exact transport LP up to this many coupling cells
@@ -26,6 +27,7 @@ LP_CELL_CAP = 40000  # exact transport LP up to this many coupling cells
 class EmpiricalMeasure:
     atoms: np.ndarray  # (N, d)
     weights: Optional[np.ndarray] = None  # (N,), defaults to uniform
+    uniform: bool = field(init=False)  # every weight within 1e-14 of 1/N
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.atoms, dtype=float))
@@ -33,14 +35,19 @@ class EmpiricalMeasure:
             raise ValueError("need at least one atom")
         if self.weights is None:
             w = np.full(a.shape[0], 1.0 / a.shape[0])
+            uniform = True
         else:
             w = np.asarray(self.weights, dtype=float)
-            if w.shape != (a.shape[0],) or np.any(w < 0):
+            if w.shape != (a.shape[0],) or not w.min() >= 0:
                 raise ValueError("weights must be nonnegative, one per atom")
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12")
+            # |w_i - 1/N| <= 1e-14 for every i: the extreme weights decide it
+            c = 1.0 / len(w)
+            uniform = bool(w.max() - c <= 1e-14 and c - w.min() <= 1e-14)
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "uniform", uniform)
 
     @property
     def n(self) -> int:
@@ -49,10 +56,6 @@ class EmpiricalMeasure:
     @property
     def d(self) -> int:
         return self.atoms.shape[1]
-
-    @property
-    def uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-14))
 
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms
@@ -96,8 +99,14 @@ def _coupling_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
     )
 
 
+def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.ndarray:
+    """Transport cost |x_i - y_j|^p, shape (mu.n, nu.n), Euclidean: the one
+    dense cost kernel of every exact coupling."""
+    return cdist(mu.atoms, nu.atoms) ** p
+
+
 def _coupling_assignment(mu, nu, p):
-    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2) ** p
+    cost = _cost_matrix(mu, nu, p)
     rows, cols = linear_sum_assignment(cost)
     mass = np.full(len(rows), 1.0 / len(rows))
     return mu.atoms[rows], nu.atoms[cols], mass
@@ -105,9 +114,7 @@ def _coupling_assignment(mu, nu, p):
 
 def _coupling_lp(mu, nu, p):
     N, M = mu.n, nu.n
-    cost = (
-        np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2) ** p
-    ).ravel()
+    cost = _cost_matrix(mu, nu, p).ravel()
     # marginal constraints on the row-major plan pi (N, M): row sums, then
     # column sums, as one sparse (N + M, N M) matrix
     A_eq = sparse.vstack(
@@ -143,7 +150,10 @@ def wasserstein_p(
     coupling) and for uniform equal-size supports up to the assignment cap
     (optimal bipartite matching); small non-uniform problems go through the
     transport LP; anything bigger falls back to a subsampled matching,
-    flagged as approximate in the info record.
+    flagged as approximate in the info record ("exact" False): an estimate,
+    not a bound.  The matching, the LP and the subsampled matching all build
+    their dense cost with one kernel, _cost_matrix (Euclidean cdist ** p),
+    once per coupling.
     """
     if p < 1:
         raise ValueError("p >= 1 required")
@@ -175,7 +185,11 @@ def wasserstein_p(
 
 
 def flat_metric_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Certified upper bound for the bounded-Lipschitz-type metric: d_1."""
+    """Upper bound for the bounded-Lipschitz-type metric: d_1 = W_1.
+
+    Certified only when wasserstein_p is exact; above ASSIGNMENT_CAP and
+    LP_CELL_CAP it returns the subsample estimate, which bounds nothing.
+    """
     return wasserstein_p(mu, nu, 1.0)
 
 
@@ -371,11 +385,18 @@ def topology_equivalence_probe(
 _MAGIC = "# roughmf-measure v1 "
 
 
+def write_rows(fh, rows: np.ndarray) -> None:
+    """Write a 2-d table with one "%.17g" pass, bytes as np.savetxt(fmt="%.17g")."""
+    n, k = rows.shape
+    line = " ".join(["%.17g"] * k) + "\n"
+    fh.write((line * n) % tuple(rows.ravel().tolist()))
+
+
 def save_measure(mu: EmpiricalMeasure, path) -> None:
     """Rows of (weight, coordinates)."""
     with open(path, "w") as fh:
         fh.write(_MAGIC + json.dumps({"d": mu.d, "n": mu.n}) + "\n")
-        np.savetxt(fh, np.hstack([mu.weights[:, None], mu.atoms]), fmt="%.17g")
+        write_rows(fh, np.hstack([mu.weights[:, None], mu.atoms]))
 
 
 def load_measure(path) -> EmpiricalMeasure:

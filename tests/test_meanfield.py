@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from roughmf import meanfield
 from roughmf.meanfield import (
     FrozenLawConfig,
     MeasureCurve,
@@ -16,7 +19,13 @@ from roughmf.meanfield import (
     time_regularity_check,
     weak_solution_residual,
 )
-from roughmf.measures import EmpiricalMeasure, ScalarFunc, load_measure, moment
+from roughmf.measures import (
+    EmpiricalMeasure,
+    ScalarFunc,
+    load_measure,
+    moment,
+    wasserstein_p,
+)
 from roughmf.models import (
     build_model,
     covariance,
@@ -157,8 +166,6 @@ def test_refinement_consistency_common_noise():
     for nf in (8, 16, 32):
         cfg = FrozenLawConfig(nf, inner=fine // nf, seed=0, fine_cells=fine)
         curves[nf] = simulate_frozen_law(model, mu0, cfg, T=1.0)
-    from roughmf.measures import wasserstein_p
-
     d8 = wasserstein_p(curves[8].measures[-1], curves[32].measures[-1], 2.0)
     d16 = wasserstein_p(curves[16].measures[-1], curves[32].measures[-1], 2.0)
     assert d16 < d8
@@ -247,6 +254,30 @@ def test_stability_check_common_noise():
     assert same["max_ratio"] == 0.0
 
 
+def test_stability_check_solves_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(mu, nu, p, return_info=False):
+        calls.append((mu, nu))
+        return wasserstein_p(mu, nu, p, return_info)
+
+    monkeypatch.setattr(meanfield, "wasserstein_p", counted)
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    mu0 = gauss_init(7, 100, 2)
+    rho0 = EmpiricalMeasure(mu0.atoms + np.array([0.5, 0.0]))
+    out = stability_check(model, mu0, rho0, FrozenLawConfig(16, seed=2), 1.0, 2.0)
+    assert len(calls) == 1 + 16  # d0, then one solve per freeze boundary t > 0
+    assert out["ratios"][0] == 1.0
+    # the skipped t = 0 solve is the d0 problem: curves start on mu0 and rho0
+    c1 = simulate_frozen_law(model, mu0, FrozenLawConfig(16, seed=2), 1.0)
+    c2 = simulate_frozen_law(model, rho0, FrozenLawConfig(16, seed=2), 1.0)
+    assert wasserstein_p(c1.measures[0], c2.measures[0], 2.0) == out["initial"]
+    assert out["ratios"][1:] == [
+        wasserstein_p(a, b, 2.0) / out["initial"]
+        for a, b in zip(c1.measures[1:], c2.measures[1:])
+    ]
+
+
 def test_stability_max_ratio_sees_contraction():
     # a rigid shift of the EKS cloud decays under common noise; the t = 0
     # ratio of exactly 1 must not stand in for the maximum
@@ -307,6 +338,12 @@ def test_save_curve_and_summary(tmp_path):
     assert text[0].startswith("# roughmf-curve v1 ")
     data = np.loadtxt(p1)
     assert data.shape == (5 * 20, 4)  # (time, id, y1, y2)
+    ids = np.arange(20, dtype=float)
+    rows = np.vstack([np.column_stack([np.full(20, t), ids, m.atoms])
+                      for t, m in zip(curve.times, curve.measures)])
+    ref = io.StringIO()
+    np.savetxt(ref, rows, fmt="%.17g")
+    assert p1.read_text().split("\n", 1)[1] == ref.getvalue()
     p2 = tmp_path / "summary.txt"
     save_curve_summary(curve, p2)
     summ = np.loadtxt(p2)

@@ -1,13 +1,14 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from roughmf.measures import (
     LP_CELL_CAP,
     EmpiricalMeasure,
-    _coupling_lp,
+    _cost_matrix,
     default_test_family,
     dp_bracket,
     flat_metric_bound,
@@ -17,6 +18,7 @@ from roughmf.measures import (
     save_measure,
     topology_equivalence_probe,
     wasserstein_p,
+    write_rows,
 )
 
 
@@ -30,9 +32,22 @@ def test_measure_validation():
         EmpiricalMeasure(np.zeros((2, 1)), np.array([0.5, 0.6]))  # sum != 1
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.zeros((2, 1)), np.array([-0.5, 1.5]))
+    with pytest.raises(ValueError):
+        EmpiricalMeasure(np.zeros((2, 1)), np.array([np.nan, 1.0]))
     m = EmpiricalMeasure(np.array([1.0, 2.0, 3.0])[:, None])
     assert m.uniform and m.n == 3 and m.d == 1
     assert np.allclose(m.mean(), 2.0)
+
+
+def test_uniform_set_once_at_construction():
+    atoms = np.zeros((5, 2))
+    w = np.full(5, 0.2)
+    assert EmpiricalMeasure(atoms, w).uniform
+    assert EmpiricalMeasure(atoms, w + np.array([1e-15, -1e-15, 0, 0, 0])).uniform
+    assert not EmpiricalMeasure(atoms, w + np.array([1e-13, -1e-13, 0, 0, 0])).uniform
+    assert not EmpiricalMeasure(atoms, np.array([0.1, 0.3, 0.2, 0.2, 0.2])).uniform
+    # a field set by __post_init__, as TimeGrid.uniform, not a recomputed property
+    assert "uniform" in vars(EmpiricalMeasure(atoms))
 
 
 def test_moment_and_integrate():
@@ -108,6 +123,11 @@ def test_w_lp_nonuniform():
     assert got == pytest.approx(0.25, abs=1e-9)
 
 
+def broadcast_cost(x, y, p):
+    """The dense cost as built before the one cdist kernel."""
+    return np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2) ** p
+
+
 def weighted_cloud(seed, n, d, shift=0.0):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 1.5, n)
@@ -115,21 +135,26 @@ def weighted_cloud(seed, n, d, shift=0.0):
 
 
 def test_lp_coupling_equals_dense_constraint_build():
-    mu, nu = weighted_cloud(0, 12, 2), weighted_cloud(1, 9, 2, shift=0.3)
-    N, M = mu.n, nu.n
-    cost = np.linalg.norm(mu.atoms[:, None] - nu.atoms[None], axis=2).ravel() ** 2
-    A = np.zeros((N + M, N * M))
-    for i in range(N):
-        A[i, i * M : (i + 1) * M] = 1.0
-    for j in range(M):
-        A[N + j, j::M] = 1.0
-    res = linprog(cost, A_eq=A, b_eq=np.concatenate([mu.weights, nu.weights]),
-                  bounds=(0, None), method="highs")
-    pi = res.x.reshape(N, M)
-    ii, jj = np.nonzero(pi > 1e-14)
-    xs, ys, mass = _coupling_lp(mu, nu, 2.0)
-    assert np.array_equal(xs, mu.atoms[ii]) and np.array_equal(ys, nu.atoms[jj])
-    assert np.array_equal(mass, pi[ii, jj])
+    # the transport LP on the broadcast cost with dense marginal rows, solved
+    # in the test: value and coupling must match bitwise
+    for (sm, n), (sn, m), p in (((0, 12), (1, 9), 2.0), ((22, 70), (23, 45), 1.5)):
+        mu, nu = weighted_cloud(sm, n, 2), weighted_cloud(sn, m, 2, shift=0.3)
+        A = np.zeros((n + m, n * m))
+        for i in range(n):
+            A[i, i * m : (i + 1) * m] = 1.0
+        for j in range(m):
+            A[n + j, j::m] = 1.0
+        res = linprog(broadcast_cost(mu.atoms, nu.atoms, p).ravel(), A_eq=A,
+                      b_eq=np.concatenate([mu.weights, nu.weights]),
+                      bounds=(0, None), method="highs")
+        pi = res.x.reshape(n, m)
+        ii, jj = np.nonzero(pi > 1e-14)
+        xs, ys, mass = mu.atoms[ii], nu.atoms[jj], pi[ii, jj]
+        got, info = wasserstein_p(mu, nu, p, return_info=True)
+        assert info["mode"] == "transport-lp" and info["exact"]
+        gx, gy, gm = info["coupling"]
+        assert np.array_equal(gx, xs) and np.array_equal(gy, ys) and np.array_equal(gm, mass)
+        assert got == float((mass @ np.linalg.norm(xs - ys, axis=1) ** p) ** (1.0 / p))
 
 
 def test_lp_at_cell_cap_builds_no_dense_constraints():
@@ -145,6 +170,31 @@ def test_lp_at_cell_cap_builds_no_dense_constraints():
         tracemalloc.stop()
     assert info["mode"] == "transport-lp" and info["exact"]
     assert peak_mb <= 32.0, f"transport LP peaked at {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("sizes", [(60, 60), (60, 41)])
+def test_cost_kernel_equals_broadcast_norm_bitwise(p, d, sizes):
+    rng = np.random.default_rng(100 * d + sizes[1])
+    x = rng.normal(size=(sizes[0], d))
+    y = 3.0 * rng.normal(size=(sizes[1], d)) + 0.5
+    cost = _cost_matrix(EmpiricalMeasure(x), EmpiricalMeasure(y), p)
+    assert cost.shape == sizes
+    assert np.array_equal(cost, broadcast_cost(x, y, p))
+
+
+def test_assignment_bitwise_equals_reference_solve():
+    mu, nu = cloud(20, 500, 2), cloud(21, 500, 2, shift=0.4)
+    got, info = wasserstein_p(mu, nu, 2.0, return_info=True)
+    assert info["mode"] == "assignment" and info["exact"]
+    rows, cols = linear_sum_assignment(broadcast_cost(mu.atoms, nu.atoms, 2.0))
+    xs, ys = mu.atoms[rows], nu.atoms[cols]
+    mass = np.full(len(rows), 1.0 / len(rows))
+    want = float((mass @ np.linalg.norm(xs - ys, axis=1) ** 2.0) ** 0.5)
+    gx, gy, gm = info["coupling"]
+    assert got == want
+    assert np.array_equal(gx, xs) and np.array_equal(gy, ys) and np.array_equal(gm, mass)
 
 
 def test_w_metric_axioms():
@@ -289,6 +339,19 @@ def test_topology_probe_separated_sequence():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_write_rows_bytes_equal_savetxt():
+    table = np.array([
+        [0.0, -0.0, 1e-300, 1e300],
+        [1.0, 2.0, -1e-300, -1e300],
+        [3.0, 0.1, 1.0 / 3.0, np.pi],
+    ])
+    ours, theirs = io.StringIO(), io.StringIO()
+    write_rows(ours, table)
+    np.savetxt(theirs, table, fmt="%.17g")
+    assert ours.getvalue() == theirs.getvalue()
+    assert ours.getvalue().splitlines()[0] == "0 -0 1e-300 1.0000000000000001e+300"
+
 
 def test_save_load_roundtrip(tmp_path):
     mu = EmpiricalMeasure(
