@@ -1,5 +1,5 @@
-"""Hot numeric kernels: the discrete Hölder pair suprema and the affine
-Milstein flow map, one numpy implementation each."""
+"""Hot numeric kernels: the discrete Hölder pair suprema and the
+composition of affine cell maps, one numpy implementation each."""
 
 from __future__ import annotations
 
@@ -32,22 +32,15 @@ def pair_sup_second_diff(X1, A1, X2, A2, times, ii, jj, alpha):
     return float(np.max(diff / dt ** (2.0 * alpha)))
 
 
-def linear_flow_maps(dX, XX, a0, a1):
-    # One Milstein step of dY = (a0 Y + a1(t)) dX is affine, Y+ = P Y + q.
-    # Accumulate M_k = P_{k-1} ... P_0 and v_k so that Y_k = M_k y0 + v_k.
-    n, d = dX.shape
+def linear_flow_maps(P, q):
+    # Compose the affine cell maps y -> P_k y + q_k: M_k = P_{k-1} ... P_0
+    # and v_k, so that Y_k = M_k y0 + v_k.
+    n, d = q.shape
     M = np.empty((n + 1, d, d))
     v = np.empty((n + 1, d))
     M[0] = np.eye(d)
     v[0] = 0.0
-    eye = np.eye(d)
     for k in range(n):
-        x = dX[k]
-        xx = XX[k]
-        P = eye + np.einsum("ikj,k->ij", a0, x) + np.einsum(
-            "ikj,jlm,lk->im", a0, a0, xx
-        )
-        q = a1[k] @ x + np.einsum("ikj,jl,lk->i", a0, a1[k], xx)
-        M[k + 1] = P @ M[k]
-        v[k + 1] = P @ v[k] + q
+        M[k + 1] = P[k] @ M[k]
+        v[k + 1] = P[k] @ v[k] + q[k]
     return M, v

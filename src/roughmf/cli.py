@@ -36,6 +36,7 @@ from .models import (
     covariance,
     eks_gaussian_moment_ode,
     landau_moment_oracle,
+    psd_sqrt,
 )
 
 DEFAULTS = {
@@ -69,14 +70,15 @@ def load_config(path: str) -> dict:
 
 def validate_config(cfg: dict) -> list:
     errors = []
-    model = cfg.get("model")
+    model, d = cfg.get("model"), None
     if not isinstance(model, dict) or "name" not in model:
         errors.append("config needs model.name")
     else:
         try:
-            build_model(model["name"], _model_params(model))
+            d = build_model(model["name"], _model_params(model)).d
         except (ValueError, KeyError) as exc:
             errors.append(f"model: {exc}")
+    _check_initial(_block(cfg, "initial", errors), d, errors)
     T = cfg.get("T", DEFAULTS["T"])
     if not _is_number(T) or not T > 0:
         errors.append(f"T must be a positive number, got {T!r}")
@@ -117,6 +119,47 @@ def validate_config(cfg: dict) -> list:
     if "cocycle" in checks and _is_int(n_freeze) and n_freeze < 2:
         errors.append("the cocycle check needs frozen_law.n_freeze >= 2")
     return errors
+
+
+def _check_initial(init: dict, d, errors: list) -> None:
+    """The initial law's kind, and its parameters' shapes against the
+    model's dimension d (skipped when the model itself is invalid)."""
+    kind = init.get("kind", "gaussian")
+    if kind not in ("gaussian", "uniform"):
+        errors.append(f"initial.kind must be 'gaussian' or 'uniform', got {kind!r}")
+        return
+    if d is None:
+        return
+    if kind == "gaussian":
+        _initial_array(init, "mean", np.zeros(d), errors)
+        cov = _initial_array(init, "cov", np.eye(d), errors)
+        if cov is not None:
+            try:
+                psd_sqrt(cov)
+            except ValueError as exc:
+                errors.append(f"initial.cov must be symmetric positive semidefinite: {exc}")
+    else:
+        lo = _initial_array(init, "low", -np.ones(d), errors)
+        hi = _initial_array(init, "high", np.ones(d), errors)
+        if lo is not None and hi is not None and not np.all(lo < hi):
+            errors.append(f"initial.low must be below initial.high in every coordinate, "
+                          f"got {lo.tolist()} and {hi.tolist()}")
+
+
+def _initial_array(init: dict, key: str, default: np.ndarray, errors: list):
+    """initial[key] as a float array shaped like default (default if absent),
+    or None after recording an error."""
+    if key not in init:
+        return default
+    try:
+        a = np.asarray(init[key], dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != default.shape or not np.all(np.isfinite(a)):
+        errors.append(f"initial.{key} must be finite numbers of shape {default.shape} "
+                      f"for the model's d = {len(default)}, got {init[key]!r}")
+        return None
+    return a
 
 
 def _block(cfg: dict, key: str, errors: list) -> dict:

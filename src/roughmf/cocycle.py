@@ -82,8 +82,8 @@ def frozen_coefficient_field(
     """Time-dependent RDE coefficients from a frozen-law curve: the measure
     argument is held at the curve state of the enclosing freeze interval.
 
-    The RDE steppers advance one point at a time, so the drift and the
-    state-free part of sigma are read off the model as one-row views.
+    a1(t) is the model's state-free part of sigma, sigma(0, mu_k), and the
+    drift reads the model as a one-row view.
     """
     t0 = float(curve.times[0])
     delta = float(curve.times[1] - curve.times[0])
@@ -195,8 +195,8 @@ def wong_zakai_run(
     corrected: bool,
     xi,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Heun integration of dY = b dt + sigma Wdot^n dt - (corrected ?
-    (1/2)(grad sigma) sigma dt : 0) against the level-n piecewise-linear
+    """RK4 integration of dY = b dt + sigma Wdot^n dt - (corrected ?
+    (1/2)(a0 sigma) dt : 0) against the level-n piecewise-linear
     noise; corrected runs target the Ito solution, uncorrected the
     Stratonovich/rough one.  Returns (times, trajectory on the fine grid)."""
     M = noise.fine_grid.n_cells
@@ -211,17 +211,15 @@ def wong_zakai_run(
         a, b_ = nodes[c], nodes[c + 1]
         vel[a:b_] = (W[b_] - W[a]) / (ts[b_] - ts[a])
     xi = np.atleast_1d(np.asarray(xi, float))
-    if corrected and coeff.sigma_y is None:
-        raise ValueError("the Ito-corrected Wong-Zakai run needs sigma_y")
+    a0 = coeff.a0
 
     def rhs(t, y, v):
-        dy = coeff.sigma(t, y) @ v
+        sig = np.einsum("ikj,j->ik", a0, y) + coeff.a1(t)
+        dy = sig @ v
         if coeff.b is not None:
             dy = dy + coeff.b(t, y)
         if corrected:
-            sig = coeff.sigma(t, y)
-            gs = coeff.sigma_y(t, y)
-            dy = dy - 0.5 * np.einsum("ikj,jk->i", gs, sig)
+            dy = dy - 0.5 * np.einsum("ikj,jk->i", a0, sig)
         return dy
 
     Y = np.empty((M + 1, len(xi)))

@@ -156,7 +156,7 @@ def simulate_frozen_law(
     frozen = None
     for j in range(steps):
         if j % cfg.inner == 0:
-            frozen = EmpiricalMeasure(Y.copy(), w)
+            frozen = measures[-1]  # the law just recorded, at step j
         Y = _euler_step(model, Y, frozen, h, dW[:, j, :])
         if not np.all(np.isfinite(Y)):
             raise RuntimeError(f"non-finite particle state at step {j}")

@@ -28,6 +28,8 @@ class EmpiricalMeasure:
     atoms: np.ndarray  # (N, d)
     weights: Optional[np.ndarray] = None  # (N,), defaults to uniform
     uniform: bool = field(init=False)  # every weight within 1e-14 of 1/N
+    # quantities computed once per measure by its users (e.g. Cov(mu))
+    derived: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.atoms, dtype=float))

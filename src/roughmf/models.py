@@ -91,25 +91,22 @@ def eks_model(pot: Potential, d: int, name: str = "eks-custom") -> MeanFieldMode
     """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent).
 
     Cov(mu), and its root once sigma asks for it, are computed once per
-    measure object: a law is frozen over a whole window, in which b and
-    sigma are called many times.
+    measure and kept in mu.derived: a law is frozen over a whole window, in
+    which b and sigma are called many times.
     """
-    memo = {"mu": None}
 
     def cov(mu):
-        if memo["mu"] is not mu:
-            memo.clear()
-            memo.update(mu=mu, C=covariance(mu))
-        return memo["C"]
+        if "cov" not in mu.derived:
+            mu.derived["cov"] = covariance(mu)
+        return mu.derived["cov"]
 
     def b(Y, mu):
         return -pot.grad(Y) @ cov(mu).T
 
     def sig(Y, mu):
-        C = cov(mu)
-        if "root" not in memo:
-            memo["root"] = psd_sqrt(2.0 * C)
-        return np.broadcast_to(memo["root"], (len(Y), d, d))
+        if "sqrt_2cov" not in mu.derived:
+            mu.derived["sqrt_2cov"] = psd_sqrt(2.0 * cov(mu))
+        return np.broadcast_to(mu.derived["sqrt_2cov"], (len(Y), d, d))
 
     return MeanFieldModel(
         name=name,
@@ -123,6 +120,9 @@ def eks_model(pot: Potential, d: int, name: str = "eks-custom") -> MeanFieldMode
 
 def eks_gaussian_model(Sigma: np.ndarray) -> MeanFieldModel:
     Sigma = np.asarray(Sigma, dtype=float)
+    square = Sigma.ndim == 2 and Sigma.shape[0] == Sigma.shape[1] >= 1
+    if not (square and np.allclose(Sigma, Sigma.T) and np.linalg.eigvalsh(Sigma).min() > 0):
+        raise ValueError(f"Sigma must be symmetric positive definite, got {Sigma.tolist()}")
     m = eks_model(quadratic_potential(Sigma), Sigma.shape[0], name="eks-gaussian")
     m.constants["Sigma"] = Sigma
     return m

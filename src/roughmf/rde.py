@@ -1,21 +1,22 @@
 """Rough differential equation solvers.
 
-Solves dY = b(t, Y) dt + sigma(t, Y) dX for a rough driver (X, XX) by a
-one-step Milstein-type scheme using both levels of the driver per cell:
+Solves dY = b(t, Y) dt + sigma(t, Y) dX for a rough driver (X, XX) and a
+diffusion affine in the state, sigma(t, y) = a0 . y + a1(t), by a one-step
+Milstein-type scheme using both levels of the driver per cell:
 
-    Y+ = Y + sigma X + (grad_sigma sigma) : XX.
+    Y+ = Y + sigma X + (a0 sigma) : XX  =  P Y + q.
 
-One cell map serves every solve.  Backward solves and backward Jacobians
-apply it from the state at the cell's right edge to the inverted cell, whose
-signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX); flow Jacobians step the
-linearised cell map along a stored trajectory.  In both directions sigma's
-time dependence is read at the cell's left edge, with no dsigma/dt term: the
-frozen-law coefficients are piecewise constant in time, and a cell's left
-edge lies in its own freeze window.  Drifts enter through the Doss-Sussmann
-conjugation: for linear diffusions the driftless flow is an affine map
-tabulated exactly, and the drift becomes a classical ODE in transformed
-coordinates; for nonlinear diffusions an equivalent per-cell Strang
-splitting realises the same local expansion.
+One affine cell map serves every solve: ``_cell_maps`` builds every cell's
+(P, q) in one vectorised pass, solves step Y <- P Y + q, flow Jacobians are
+running products of the P, and the affine flow maps compose both.  Backward
+solves and backward Jacobians enter each cell at its right edge and use the
+inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  In
+both directions a1 is read at the cell's left edge, with no da1/dt term:
+the frozen-law coefficients are piecewise constant in time, and a cell's
+left edge lies in its own freeze window.  Drifts enter through the
+Doss-Sussmann conjugation: the driftless flow is tabulated exactly as an
+affine map, and the drift becomes a classical ODE in transformed
+coordinates.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import _accel
 from .controlled import ControlledPath
+from .measures import write_rows
 from .roughpath import RoughPath
 
 DEFAULT_GUARD = 1e8
@@ -34,20 +36,12 @@ DEFAULT_GUARD = 1e8
 
 @dataclass
 class CoefficientField:
-    """Drift/diffusion pair with closed-form derivatives.
+    """Drift b(t, y) and the affine diffusion
+    sigma(t, y)_{ik} = sum_j a0[i, k, j] y_j + a1(t)[i, k]."""
 
-    sigma_y has index layout [i, k, j] = d sigma_{ik} / d y_j; sigma_yy adds
-    a second state axis.  ``linear`` declares the affine structure
-    sigma(t, y)_{ik} = sum_j a0[i, k, j] y_j + a1(t)[i, k] as the pair
-    (a0, a1) when it holds, which unlocks the exact affine-flow path in the
-    solvers.
-    """
-
-    sigma: Callable[[float, np.ndarray], np.ndarray]
+    a0: np.ndarray  # (d, d, d)
+    a1: Callable[[float], np.ndarray]  # t -> (d, d)
     b: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    sigma_y: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    sigma_yy: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    linear: Optional[tuple] = None  # (a0, a1)
 
 
 def linear_coefficients(
@@ -76,18 +70,7 @@ def linear_coefficients(
         def a1(t):
             return zero
 
-    def sig(t, y, a0=a0):
-        return np.einsum("ikj,j->ik", a0, y) + a1(t)
-
-    def sig_y(t, y, a0=a0):
-        return a0
-
-    def sig_yy(t, y, a0=a0):
-        return np.zeros((dd, dd, dd, dd))
-
-    return CoefficientField(
-        sigma=sig, b=b, sigma_y=sig_y, sigma_yy=sig_yy, linear=(a0, a1)
-    )
+    return CoefficientField(a0, a1, b)
 
 
 # ---------------------------------------------------------------------------
@@ -127,25 +110,26 @@ class RdeSolution:
         return float(np.max(np.linalg.norm(sol.Y - rhs, axis=1)))
 
 
+def _sigma(coeff: CoefficientField, times: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sigma(t_m, Y_m) at every node, shape (len(Y), d, d)."""
+    return np.einsum("ikj,mj->mik", coeff.a0, Y) + np.stack([coeff.a1(t) for t in times])
+
+
 def _controlled(coeff: CoefficientField, rp: RoughPath, Y: np.ndarray) -> ControlledPath:
     """The solution path Y with its Gubinelli derivative sigma(t, Y_t)."""
-    return ControlledPath(rp, Y, np.stack([coeff.sigma(t, y) for t, y in zip(rp.times, Y)]))
+    return ControlledPath(rp, Y, _sigma(coeff, rp.times, Y))
 
 
 def _compose_sigma(coeff: CoefficientField, sol: ControlledPath) -> ControlledPath:
-    """The controlled path t -> sigma(t, Y_t) with its Gubinelli derivative."""
-    if coeff.sigma_y is None:
-        raise ValueError("sigma_y is required to build the controlled integrand")
-    ts = sol.base.times
-    vals = np.stack([coeff.sigma(t, y) for t, y in zip(ts, sol.Y)])
-    grads = np.stack([coeff.sigma_y(t, y) for t, y in zip(ts, sol.Y)])
-    primes = np.einsum("mikj,mjl->mikl", grads, sol.Yprime)
-    return ControlledPath(sol.base, vals, primes)
+    """The controlled path t -> sigma(t, Y_t) with its Gubinelli derivative
+    a0 . Y'_t."""
+    primes = np.einsum("ikj,mjl->mikl", coeff.a0, sol.Yprime)
+    return ControlledPath(sol.base, _sigma(coeff, sol.base.times, sol.Y), primes)
 
 
 def _guard(y: np.ndarray, k: int):
-    m = float(np.max(np.abs(y)))
-    if not np.isfinite(m) or m > DEFAULT_GUARD:
+    m = np.abs(y).max()
+    if not m <= DEFAULT_GUARD:  # also trips on NaN
         raise RuntimeError(f"solution blow-up guard tripped at step {k}: |Y| = {m:g}")
 
 
@@ -153,54 +137,41 @@ def _guard(y: np.ndarray, k: int):
 # the cell maps
 # ---------------------------------------------------------------------------
 
-def _cells(rp: RoughPath, i: int, j: int, backward: bool):
-    """The cells of [t_i, t_j] in solve order, as (from, to, t, x, xx).
+def _cell_maps(coeff: CoefficientField, rp: RoughPath, i: int, j: int, backward: bool):
+    """The affine maps y -> P_c y + q_c of the cells of [t_i, t_j], in solve
+    order, shapes (j - i, d, d) and (j - i, d).
 
-    A forward cell starts at its left edge with its own signature; a
+    A forward cell starts at its left edge with its own signature (x, xx); a
     backward cell starts at its right edge with the inverse signature
-    (1, x, xx)^-1 = (1, -x, x (x) x - xx).  Either way t is the cell's left
-    edge, so both directions read sigma from the same freeze window.
+    (1, x, xx)^-1 = (1, -x, x (x) x - xx).  Either way a1 is read at the
+    cell's left edge, so both directions use the same freeze window.
     """
-    dX = np.diff(rp.values, axis=0)
-    for k in range(j - 1, i - 1, -1) if backward else range(i, j):
-        x, xx = dX[k], rp.cells[k]
-        if backward:
-            yield k + 1, k, rp.times[k], -x, np.outer(x, x) - xx
-        else:
-            yield k, k + 1, rp.times[k], x, xx
-
-
-def _milstein_increment(coeff, t, y, x, xx):
-    """One cell's increment sigma x + (grad_sigma sigma) : xx from (t, y)."""
-    sig = coeff.sigma(t, y)
-    dy = sig @ x
-    if coeff.sigma_y is not None:
-        gs = coeff.sigma_y(t, y)
-        dy = dy + np.einsum("ikj,jl,lk->i", gs, sig, xx)
-    return dy
-
-
-def _jacobian_cell(coeff, t, y, x, xx):
-    """Derivative in y of one cell map: Id + grad_sigma x + the level-two
-    terms grad_sigma grad_sigma : xx and (hess_sigma sigma) : xx."""
-    gs = coeff.sigma_y(t, y)
-    P = np.eye(len(y)) + np.einsum("ikj,k->ij", gs, x) + np.einsum(
-        "ikj,jlm,lk->im", gs, gs, xx
+    x = np.diff(rp.values[i : j + 1], axis=0)
+    xx = rp.cells[i:j]
+    A1 = np.stack([coeff.a1(t) for t in rp.times[i:j]])
+    if backward:
+        xx = (np.einsum("cl,ck->clk", x, x) - xx)[::-1]
+        x, A1 = -x[::-1], A1[::-1]
+    a0 = coeff.a0
+    P = np.eye(len(a0)) + np.einsum("ikj,ck->cij", a0, x) + np.einsum(
+        "ikj,jlm,clk->cim", a0, a0, xx, optimize=True
     )
-    if coeff.sigma_yy is not None:
-        sig = coeff.sigma(t, y)
-        P = P + np.einsum("ikmj,jl,lk->im", coeff.sigma_yy(t, y), sig, xx)
-    return P
+    q = np.einsum("cik,ck->ci", A1, x) + np.einsum(
+        "ikj,cjl,clk->ci", a0, A1, xx, optimize=True
+    )
+    return P, q
 
 
 def _march(coeff, rp: RoughPath, y0, i: int, j: int, backward: bool) -> np.ndarray:
-    """Step the cell map over [t_i, t_j] from y0 at t_i (t_j if backward)."""
+    """Step Y <- P Y + q over [t_i, t_j] from y0 at t_i (t_j if backward);
+    returns the trajectory forward in time, shape (j - i + 1, d)."""
+    P, q = _cell_maps(coeff, rp, i, j, backward)
     Y = np.empty((j - i + 1, len(y0)))
-    Y[j - i if backward else 0] = y0
-    for a, b, t, x, xx in _cells(rp, i, j, backward):
-        Y[b - i] = Y[a - i] + _milstein_increment(coeff, t, Y[a - i], x, xx)
-        _guard(Y[b - i], min(a, b))
-    return Y
+    Y[0] = y0
+    for c in range(j - i):
+        Y[c + 1] = P[c] @ Y[c] + q[c]
+        _guard(Y[c + 1], j - 1 - c if backward else i + c)
+    return Y[::-1].copy() if backward else Y
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +195,7 @@ def solve_backward(
     Each cell [u, v] is the forward cell map applied from Y_v to the
     inverted cell, with sigma read at u as in the forward step, which it
     inverts to second order:
-        Y_u = Y_v - sigma(u, Y_v) X + (grad_sigma sigma) : (X (x) X - XX).
+        Y_u = Y_v - sigma(u, Y_v) X + (a0 sigma) : (X (x) X - XX).
     The returned path covers [s, t] on the grid, indexed forward in time.
     """
     i = rp.grid.index_of(s)
@@ -243,125 +214,76 @@ def solve_backward(
 
 
 # ---------------------------------------------------------------------------
-# flow Jacobians (linearised equation)
+# flow Jacobians and affine flow maps
 # ---------------------------------------------------------------------------
 
 def flow_jacobian(
     coeff: CoefficientField, rp: RoughPath, xi, direction: str = "forward"
 ) -> np.ndarray:
-    """Jacobian of the driftless flow map along the trajectory from xi.
+    """Jacobian of the driftless flow map, zeta at every grid point, shape
+    (M+1, d, d).
 
-    Forward: zeta_0 = Id and zeta+ = J zeta, with J the derivative of the
-    cell map along the forward trajectory.  Backward: the Jacobian of the
-    inverse map with terminal identity, stepping the derivative of the
-    inverted cell map along the backward trajectory from xi at the end.
-    Returns zeta at every grid point, shape (M+1, d, d).
+    The cell maps are affine, so the Jacobian is the running product of
+    their P and does not depend on the trajectory; xi fixes the dimension.
+    Forward: zeta_0 = Id and zeta+ = P zeta.  Backward: the Jacobian of the
+    inverse map with terminal identity, a running product of the inverted
+    cells' P.
     """
-    if coeff.sigma_y is None:
-        raise ValueError("flow_jacobian needs sigma_y")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     backward = direction == "backward"
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
-    Y = _march(coeff, rp, xi, 0, M, backward)
-    zeta = np.empty((M + 1, len(xi), len(xi)))
-    zeta[M if backward else 0] = np.eye(len(xi))
-    for a, b, t, x, xx in _cells(rp, 0, M, backward):
-        zeta[b] = _jacobian_cell(coeff, t, Y[a], x, xx) @ zeta[a]
-    return zeta
+    P, _ = _cell_maps(coeff, rp, 0, M, backward)
+    zeta = np.empty((M + 1,) + P.shape[1:])
+    zeta[0] = np.eye(np.atleast_1d(xi).shape[0])
+    for c in range(M):
+        zeta[c + 1] = P[c] @ zeta[c]
+    return zeta[::-1].copy() if backward else zeta
 
-
-# ---------------------------------------------------------------------------
-# linear diffusion: exact affine flows
-# ---------------------------------------------------------------------------
 
 def linear_flow(coeff: CoefficientField, rp: RoughPath):
     """Affine flow maps (M_k, v_k) with Phi(t_0, t_k, z) = M_k z + v_k.
 
-    Each Milstein cell update of a linear diffusion is affine in the state,
-    so composing the per-cell maps tabulates the driftless flow exactly
+    Composing the affine cell maps tabulates the driftless flow exactly
     (relative to the stepper).
     """
-    if coeff.linear is None:
-        raise ValueError("linear_flow needs a declared linear structure")
-    a0, a1 = coeff.linear
-    dX = np.diff(rp.values, axis=0)
-    return _accel.linear_flow_maps(
-        dX, rp.cells, a0, np.stack([a1(t) for t in rp.times[:-1]])
-    )
-
-
-def _linear_with_drift(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
-    """Y_k = M_k xi + v_k without drift.  With drift, the state is
-    conjugated through the driftless flow: z solves
-        dz/dt = M_t^{-1} b(t, M_t z + v_t),   z_0 = xi,
-    by Heun's method on the grid, and Y_t = M_t z_t + v_t."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    Mf, vf = linear_flow(coeff, rp)
-    ts = rp.times
-    M = rp.grid.n_cells
-    b = coeff.b
-    if b is None:
-        Y = np.einsum("kij,j->ki", Mf, xi) + vf
-    else:
-        z = np.empty((M + 1, len(xi)))
-        z[0] = xi
-
-        def rhs(k, zk, tk):
-            y = Mf[k] @ zk + vf[k]
-            return np.linalg.solve(Mf[k], b(tk, y))
-
-        hs = rp.grid.widths
-        for k in range(M):
-            # both Heun stages read the drift at the cell's midpoint time
-            tm = ts[k] + 0.5 * hs[k]
-            f0 = rhs(k, z[k], tm)
-            pred = z[k] + hs[k] * f0
-            f1 = rhs(k + 1, pred, tm)
-            z[k + 1] = z[k] + 0.5 * hs[k] * (f0 + f1)
-            _guard(z[k + 1], k)
-        Y = np.einsum("kij,kj->ki", Mf, z) + vf
-    return RdeSolution(_controlled(coeff, rp, Y), coeff, {"steps": M, "mode": "affine-flow"})
+    return _accel.linear_flow_maps(*_cell_maps(coeff, rp, 0, rp.grid.n_cells, False))
 
 
 def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
     """Solve dY = b dt + sigma dX by conjugating out the diffusion.
 
-    Linear diffusions use the exact affine-flow transform.  For general
-    sigma, the transformed drift ODE is realised cell-by-cell as a Strang
-    splitting — drift half-step, rough Milstein step, drift half-step —
-    which matches the conjugated dynamics to the same local order without
-    re-solving the driftless flow per evaluation.
+    Without drift this is the driftless solve.  With drift, the state is
+    conjugated through the affine driftless flow Y_t = M_t z_t + v_t: z
+    solves
+        dz/dt = M_t^{-1} b(t, M_t z + v_t),   z_0 = xi,
+    by Heun's method on the grid.
     """
     if coeff.b is None:
         return solve_driftless(coeff, rp, xi)
-    if coeff.linear is not None:
-        return _linear_with_drift(coeff, rp, xi)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    Mf, vf = linear_flow(coeff, rp)
     ts = rp.times
-    hs = rp.grid.widths
-    dX = np.diff(rp.values, axis=0)
     M = rp.grid.n_cells
     b = coeff.b
-    Y = np.empty((M + 1, len(xi)))
-    Y[0] = xi
+    z = np.empty((M + 1, len(xi)))
+    z[0] = xi
 
-    def drift_half(t, y, h):
-        # one Heun step of the drift over [t, t + h/2], both stages at its
-        # midpoint time
-        tm = t + 0.25 * h
-        f0 = b(tm, y)
-        pred = y + 0.5 * h * f0
-        f1 = b(tm, pred)
-        return y + 0.25 * h * (f0 + f1)
+    def rhs(k, zk, tk):
+        y = Mf[k] @ zk + vf[k]
+        return np.linalg.solve(Mf[k], b(tk, y))
 
+    hs = rp.grid.widths
     for k in range(M):
-        y = drift_half(ts[k], Y[k], hs[k])
-        y = y + _milstein_increment(coeff, ts[k], y, dX[k], rp.cells[k])
-        Y[k + 1] = drift_half(ts[k] + 0.5 * hs[k], y, hs[k])
-        _guard(Y[k + 1], k)
-    return RdeSolution(_controlled(coeff, rp, Y), coeff, {"steps": M, "mode": "splitting"})
+        # both Heun stages read the drift at the cell's midpoint time
+        tm = ts[k] + 0.5 * hs[k]
+        f0 = rhs(k, z[k], tm)
+        pred = z[k] + hs[k] * f0
+        f1 = rhs(k + 1, pred, tm)
+        z[k + 1] = z[k] + 0.5 * hs[k] * (f0 + f1)
+        _guard(z[k + 1], k)
+    Y = np.einsum("kij,kj->ki", Mf, z) + vf
+    return RdeSolution(_controlled(coeff, rp, Y), coeff, {"steps": M, "mode": "affine-flow"})
 
 
 # ---------------------------------------------------------------------------
@@ -424,4 +346,4 @@ def save_solution(sol: RdeSolution, path) -> None:
     header = {"d": d, "alpha": sol.path.base.alpha, "diagnostics": sol.diagnostics}
     with open(path, "w") as fh:
         fh.write("# roughmf-solution v1 " + json.dumps(header, sort_keys=True) + "\n")
-        np.savetxt(fh, table, fmt="%.17g")
+        write_rows(fh, table)

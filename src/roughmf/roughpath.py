@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _accel, rng
 from .grids import TimeGrid
+from .measures import write_rows
 
 ITO = "ito"
 STRAT = "strat"
@@ -313,7 +314,7 @@ def save_rough_path(rp: RoughPath, path) -> None:
     table[:M, 1 + d :] = rp.cells.reshape(M, d * d)
     with open(path, "w") as fh:
         fh.write(_MAGIC + json.dumps(header, sort_keys=True) + "\n")
-        np.savetxt(fh, table, fmt="%.17g")
+        write_rows(fh, table)
 
 
 def load_rough_path(path) -> RoughPath:

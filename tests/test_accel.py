@@ -3,8 +3,10 @@ import pytest
 
 from roughmf import _accel, roughpath
 from roughmf.grids import TimeGrid
-from roughmf.rde import _march, linear_coefficients
+from roughmf.rde import linear_coefficients, linear_flow
 from roughmf.roughpath import RoughPath, _pair_blocks, _pair_sup
+
+from conftest import milstein_oracle
 
 
 def rough_pair(seed, cells, d, uniform):
@@ -85,19 +87,18 @@ def test_pair_suprema_match_brute_force_on_dyadic_lags(monkeypatch):
 
 
 def test_linear_flow_maps_match_cell_by_cell_march():
-    # Y_k = M_k y0 + v_k must be the stepper's own trajectory for the linear
-    # field sigma(t, y) = a0 . y + a1_k on cell k
-    d, n = 3, 24
-    rng = np.random.default_rng(5)
-    rp, _ = rough_pair(5, n, d, uniform=False)
-    a0 = rng.normal(size=(d, d, d)) * 0.3
-    a0[0, 1] = 0.0
-    a0[2, :, 2] = 0.0
-    table = rng.normal(size=(n, d, d))
-    coeff = linear_coefficients(a0, lambda t: table[rp.grid.index_of(t)])
-    M, v = _accel.linear_flow_maps(np.diff(rp.values, axis=0), rp.cells, a0, table)
-    assert M.shape == (n + 1, d, d) and v.shape == (n + 1, d)
-    for y0 in (np.zeros(d), np.array([1.0, -0.5, 2.0])):
-        Y = _march(coeff, rp, y0, 0, n, backward=False)
-        affine = np.einsum("kij,j->ki", M, y0) + v
-        assert np.allclose(affine, Y, rtol=1e-12, atol=1e-12)
+    # Y_k = M_k y0 + v_k must be the per-cell Milstein march of the affine
+    # field sigma(t, y) = a0 . y + a1_k on cell k, in every dimension
+    n = 24
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(5 + d)
+        rp, _ = rough_pair(5, n, d, uniform=False)
+        a0 = rng.normal(size=(d, d, d)) * 0.3
+        table = rng.normal(size=(n + 1, d, d))
+        coeff = linear_coefficients(a0, lambda t: table[rp.grid.index_of(t)])
+        M, v = linear_flow(coeff, rp)
+        assert M.shape == (n + 1, d, d) and v.shape == (n + 1, d)
+        for y0 in (np.zeros(d), rng.normal(size=d)):
+            affine = np.einsum("kij,j->ki", M, y0) + v
+            want = milstein_oracle(a0, table, rp, y0, 0, n)
+            assert np.allclose(affine, want, rtol=1e-12, atol=1e-12), d

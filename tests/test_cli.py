@@ -70,6 +70,21 @@ def test_validate_config_messages():
         ({"rde": {"driver_fine_per": 0}}, "rde.driver_fine_per must be an integer >= 1"),
         ({"rde": 5}, "rde must be a JSON object"),
         ({"frozen_law": [4]}, "frozen_law must be a JSON object"),
+        ({"initial": [1]}, "initial must be a JSON object"),
+        ({"initial": {"kind": "cauchy"}}, "initial.kind must be 'gaussian' or 'uniform'"),
+        ({"initial": {"mean": [0.0, 0.0]}}, "initial.mean must be finite numbers of shape (3,)"),
+        ({"initial": {"mean": "origin"}}, "initial.mean must be finite numbers"),
+        ({"initial": {"cov": np.eye(2).tolist()}}, "initial.cov must be finite numbers"),
+        ({"initial": {"cov": np.diag([1.0, -1.0, 1.0]).tolist()}}, "positive semidefinite"),
+        ({"initial": {"cov": [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}}, "positive semidefinite"),
+        ({"initial": {"kind": "uniform", "low": [0.0]}}, "initial.low must be finite numbers"),
+        ({"initial": {"kind": "uniform", "high": [1, 1, -1]}}, "below initial.high"),
+        ({"initial": {"kind": "uniform", "low": [0, 0, 0], "high": [1, 0, 1]}},
+         "below initial.high"),
+        ({"model": {"name": "eks-gaussian", "params": {"Sigma": [[1, 0], [0, -1]]}}},
+         "Sigma must be symmetric positive definite"),
+        ({"model": {"name": "eks-gaussian", "params": {"Sigma": [[1, 0.5], [0, 1]]}}},
+         "Sigma must be symmetric positive definite"),
     ]
     for override, message in cases:
         errs = validate_config({"model": model} | override)
@@ -78,6 +93,10 @@ def test_validate_config_messages():
     assert validate_config({"model": model, "frozen_law": {"n_freeze": 1}}) == []
     fine = {"n_freeze": 4, "inner": 2, "fine_cells": 24}
     assert validate_config({"model": model, "frozen_law": fine}) == []
+    box = {"kind": "uniform", "low": [-1, -1, -1], "high": [1, 2, 3]}
+    assert validate_config({"model": model, "initial": box}) == []
+    gauss = {"mean": [0, 1, 2], "cov": np.diag([1.0, 0.0, 2.0]).tolist()}
+    assert validate_config({"model": model, "initial": gauss}) == []
 
 
 def test_config_errors_are_clear_not_tracebacks(tmp_path):
@@ -86,12 +105,19 @@ def test_config_errors_are_clear_not_tracebacks(tmp_path):
         ("verify", {"frozen_law": {"n_freeze": 1}, "checks": ["cocycle"]}),
         ("simulate", {"frozen_law": {"n_freeze": 4, "fine_cells": 6}}),
         ("verify", {"rde": {"alpha": 0.7}, "checks": ["cocycle"]}),
+        ("simulate", {"initial": [1]}),
+        ("simulate", {"initial": {"kind": "cauchy"}}),
+        ("simulate", {"initial": {"mean": [0.0, 0.0, 0.0]}}),
+        ("simulate", {"initial": {"cov": [[1.0, 0.0], [0.0, -1.0]]}}),
+        ("simulate", {"initial": {"kind": "uniform", "low": [1.0, 0.0], "high": [0.0, 1.0]}}),
+        ("simulate", {"model": {"name": "eks-gaussian", "params": {"Sigma": [[1, 0], [0, -4]]}}}),
     ]
     for verb, override in cases:
         p = write_config(tmp_path, **override)
         with pytest.raises(SystemExit) as exc:
             main([verb, "--config", str(p), "--output-dir", str(tmp_path / "out")])
         assert str(p) in str(exc.value)
+        assert len(str(exc.value).splitlines()) == 1, str(exc.value)
 
 
 def test_cocycle_check_tests_positive_restart_times(tmp_path):

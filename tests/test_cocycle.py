@@ -17,7 +17,6 @@ from roughmf.meanfield import FrozenLawConfig, simulate_frozen_law
 from roughmf.measures import EmpiricalMeasure
 from roughmf.models import build_model
 from roughmf.rde import (
-    CoefficientField,
     RdeSolution,
     linear_coefficients,
     solve_backward,
@@ -50,15 +49,16 @@ def test_frozen_field_piecewise_constant():
     curve = simulate_frozen_law(model, mu0, FrozenLawConfig(4, seed=0), T=1.0)
     coeff = frozen_coefficient_field(model, curve)
     y = np.array([0.1, -0.2, 0.3])
-    # constant inside a freeze window, jumps across the boundary
-    assert np.array_equal(coeff.sigma(0.30, y), coeff.sigma(0.49, y))
-    assert not np.array_equal(coeff.sigma(0.49, y), coeff.sigma(0.51, y))
-    # linear structure is declared for the state-linear Landau field
-    assert coeff.linear is not None
-    a0 = coeff.linear[0]
-    assert np.array_equal(
-        coeff.sigma(0.1, y),
-        np.einsum("ikj,j->ik", a0, y) + coeff.sigma(0.1, np.zeros(3)),
+    # a1 is constant inside a freeze window and jumps across the boundary
+    assert np.array_equal(coeff.a1(0.30), coeff.a1(0.49))
+    assert not np.array_equal(coeff.a1(0.49), coeff.a1(0.51))
+    # a1 is the window's state-free sigma, a0 the model's state-linear part
+    zero = np.zeros((1, 3))
+    assert np.array_equal(coeff.a1(0.1), model.sigma(zero, curve.measures[0])[0])
+    assert np.array_equal(coeff.a0, model.linear_a0)
+    assert np.allclose(
+        np.einsum("ikj,j->ik", coeff.a0, y) + coeff.a1(0.1),
+        model.sigma(y[None], curve.measures[0])[0],
     )
 
 
@@ -213,15 +213,6 @@ def test_wz_level_alignment():
     noise, coeff = wz_setup(0, fine=100)
     with pytest.raises(ValueError):
         wong_zakai_run(coeff, noise, 3, False, 1.0)
-
-
-def test_wz_corrected_run_needs_sigma_y():
-    noise, _ = wz_setup(0)
-    coeff = CoefficientField(sigma=lambda t, y: y[:, None])
-    with pytest.raises(ValueError, match="sigma_y"):
-        wong_zakai_run(coeff, noise, 3, True, 1.0)
-    _, Y = wong_zakai_run(coeff, noise, 3, False, 1.0)  # uncorrected needs no derivative
-    assert np.all(np.isfinite(Y))
 
 
 def test_wz_uncorrected_targets_stratonovich():

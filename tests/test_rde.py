@@ -1,9 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from roughmf.grids import TimeGrid
 from roughmf.rde import (
-    CoefficientField,
     doss_sussmann_solve,
     flow_jacobian,
     linear_coefficients,
@@ -16,7 +17,7 @@ from roughmf.rde import (
 )
 from roughmf.roughpath import STRAT, NoisePath, RoughPath, brownian_lift
 
-from conftest import random_rough_path
+from conftest import milstein_oracle, random_rough_path
 
 
 def scalar_lift(seed=0, cells=1 << 12, fine_per=8, T=1.0):
@@ -31,7 +32,7 @@ def test_linear_coefficients_validation():
     with pytest.raises(ValueError):
         linear_coefficients(np.ones((2, 2)))  # ambiguous for d > 1
     c = linear_coefficients(np.ones((1, 1)))
-    assert c.linear[0].shape == (1, 1, 1)
+    assert c.a0.shape == (1, 1, 1)
     with pytest.raises(ValueError):
         linear_coefficients(np.ones((2, 2, 3)))
 
@@ -155,11 +156,36 @@ def test_forward_backward_jacobians_compose_to_identity():
     assert np.max(np.abs(prod - np.eye(1))) <= 1e-2
 
 
-def test_jacobian_rejects_missing_derivative():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_solves_match_per_cell_milstein_oracle(d):
+    # forward and partial-window backward solves, and both Jacobians, of
+    # the affine field sigma(t, y) = a0 . y + a1_k on cell k, against the
+    # per-point Milstein march
+    n, i, j = 32, 8, 24
+    rng = np.random.default_rng(20 + d)
+    rp = random_rough_path(20 + d, cells=n, d=d)
+    a0 = rng.normal(size=(d, d, d)) * 0.3
+    table = rng.normal(size=(n + 1, d, d))
+    coeff = linear_coefficients(a0, lambda t: table[rp.grid.index_of(t)])
+    y0 = rng.normal(size=d)
+    fwd = solve_driftless(coeff, rp, y0)
+    assert np.allclose(fwd.Y, milstein_oracle(a0, table, rp, y0, 0, n), rtol=1e-12, atol=0)
+    back = solve_backward(coeff, rp, fwd.Y[j], float(rp.times[i]), float(rp.times[j]))
+    want = milstein_oracle(a0, table, rp, fwd.Y[j], i, j, backward=True)
+    assert np.allclose(back.Y, want, rtol=1e-12, atol=0)
+    # the oracle's maps are affine: Jacobian column m is the march from e_m
+    # less the march from 0
+    eye = np.eye(d)
+    for direction, backward, start in (("forward", False, 0), ("backward", True, n)):
+        base = milstein_oracle(a0, table, rp, np.zeros(d), 0, n, backward)
+        cols = [milstein_oracle(a0, table, rp, eye[m], 0, n, backward) - base for m in range(d)]
+        zeta = flow_jacobian(coeff, rp, y0, direction)
+        assert np.allclose(zeta, np.stack(cols, axis=-1), rtol=1e-12, atol=1e-12), direction
+        assert np.array_equal(zeta[start], eye)
+
+
+def test_jacobian_rejects_unknown_direction():
     rp = random_rough_path(10, cells=8)
-    coeff = CoefficientField(sigma=lambda t, y: np.eye(2))
-    with pytest.raises(ValueError):
-        flow_jacobian(coeff, rp, np.zeros(2))
     with pytest.raises(ValueError):
         flow_jacobian(GEOM, rp, np.zeros(2), "sideways")
 
@@ -176,13 +202,6 @@ def test_linear_flow_reproduces_stepper():
     assert np.max(np.abs(Mf[:, 0, 0] * xi + vf[:, 0] - sol.Y[:, 0])) <= 1e-12
 
 
-def test_linear_flow_needs_declared_structure():
-    rp = random_rough_path(12, cells=8)
-    coeff = CoefficientField(sigma=lambda t, y: np.eye(2))
-    with pytest.raises(ValueError):
-        linear_flow(coeff, rp)
-
-
 def test_doss_sussmann_linear_closed_form():
     # dY = -lam Y dt + Y dX  =>  Y = xi exp(X_t - lam t)
     _, rp = scalar_lift(13, cells=1 << 11)
@@ -192,24 +211,6 @@ def test_doss_sussmann_linear_closed_form():
     ref = np.exp(rp.values[:, 0] - lam * rp.times)
     assert np.max(np.abs(sol.Y[:, 0] - ref) / ref) <= 5e-3
     assert sol.diagnostics["mode"] == "affine-flow"
-
-
-def test_strang_splitting_matches_affine_path():
-    # same linear equation run through the generic splitting branch (by not
-    # declaring linear structure) should agree with the exact-flow branch
-    _, rp = scalar_lift(14, cells=1 << 10)
-    lam = 0.5
-    b = lambda t, y: -lam * y
-    exact = doss_sussmann_solve(linear_coefficients(np.ones((1, 1, 1)), b=b), rp, 1.0)
-    generic = CoefficientField(
-        sigma=lambda t, y: y[:, None],
-        sigma_y=lambda t, y: np.ones((1, 1, 1)),
-        sigma_yy=lambda t, y: np.zeros((1, 1, 1, 1)),
-        b=b,
-    )
-    split = doss_sussmann_solve(generic, rp, 1.0)
-    assert split.diagnostics["mode"] == "splitting"
-    assert np.max(np.abs(split.Y - exact.Y)) <= 5e-3
 
 
 def test_pure_drift_heun():
@@ -227,38 +228,34 @@ def test_pure_drift_heun():
     assert abs(sol.Y[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-6
 
 
-@pytest.mark.parametrize("declare_linear", [True, False])
-def test_time_dependent_drift_second_order(declare_linear):
-    # no noise, dY = cos(t) dt from Y0 = 1: Y = 1 + sin(t), on the affine
-    # path and on the splitting path, with second-order convergence
+def test_time_dependent_drift_second_order():
+    # no noise, dY = cos(t) dt from Y0 = 1: Y = 1 + sin(t), with
+    # second-order convergence
     errs = []
     for cells in (1 << 6, 1 << 7):
         grid = TimeGrid.regular(0.0, 2.0, cells)
         rp = RoughPath(grid, np.zeros((cells + 1, 1)), np.zeros((cells, 1, 1)), 0.4)
-        b = lambda t, y: np.cos(t) * np.ones_like(y)
-        if declare_linear:
-            coeff = linear_coefficients(np.zeros((1, 1, 1)), b=b)
-        else:
-            coeff = CoefficientField(
-                sigma=lambda t, y: (y**2)[:, None],
-                sigma_y=lambda t, y: (2 * y)[:, None, None],
-                b=b,
-            )
+        coeff = linear_coefficients(
+            np.zeros((1, 1, 1)), b=lambda t, y: np.cos(t) * np.ones_like(y)
+        )
         sol = doss_sussmann_solve(coeff, rp, 1.0)
-        assert sol.diagnostics["mode"] == ("affine-flow" if declare_linear else "splitting")
+        assert sol.diagnostics["mode"] == "affine-flow"
         errs.append(np.max(np.abs(sol.Y[:, 0] - (1.0 + np.sin(grid.points)))))
     assert errs[0] <= 1e-4
     assert errs[1] <= errs[0] / 3.5
 
 
 def test_blowup_guard_trips():
-    _, rp = scalar_lift(15, cells=64)
-    coeff = CoefficientField(
-        sigma=lambda t, y: (y**2)[:, None],
-        sigma_y=lambda t, y: (2 * y)[:, None, None],
-    )
-    with pytest.raises(RuntimeError, match="guard tripped"):
-        solve_driftless(coeff, rp, 50.0)
+    # sigma(y) = 40 y on a driver that rises by 1 per cell: each cell map
+    # multiplies Y by 1 + 40 + 40^2 / 2 = 841, so |Y| passes 1e8 at step 2
+    cells = 64
+    grid = TimeGrid.regular(0.0, 1.0, cells)
+    rp = RoughPath(grid, np.arange(cells + 1.0)[:, None], np.full((cells, 1, 1), 0.5), 0.4)
+    coeff = linear_coefficients(np.full((1, 1, 1), 40.0))
+    with pytest.raises(RuntimeError, match="guard tripped at step 2:"):
+        solve_driftless(coeff, rp, 1.0)
+    with pytest.raises(RuntimeError, match=f"guard tripped at step {cells - 3}:"):
+        solve_backward(coeff, rp, 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +292,6 @@ def test_save_solution(tmp_path):
     data = np.loadtxt(p)
     assert data.shape == (33, 3)  # t, Y, Yprime
     assert np.allclose(data[:, 1], sol.Y[:, 0])
+    theirs = io.StringIO()
+    np.savetxt(theirs, data, fmt="%.17g")
+    assert p.read_text().split("\n", 1)[1] == theirs.getvalue()

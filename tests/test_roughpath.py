@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -388,6 +389,11 @@ def test_save_load_roundtrip(tmp_path, strat_lift):
     assert np.array_equal(back.times, strat_lift.times)
     assert back.alpha == strat_lift.alpha
     assert back.meta["mode"] == STRAT
+    # the table's bytes are np.savetxt's, NaN padding row included
+    table, theirs = np.loadtxt(p), io.StringIO()
+    np.savetxt(theirs, table, fmt="%.17g")
+    assert p.read_text().split("\n", 1)[1] == theirs.getvalue()
+    assert np.isnan(table[-1, 1 + strat_lift.d :]).all()
 
 
 def test_noise_determinism():
