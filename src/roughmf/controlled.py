@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import _accel
 from .roughpath import RoughPath, _pair_sup
 
 
@@ -174,9 +175,12 @@ class ControlledPath:
 
 
 def _remainders(cp: ControlledPath, ii, jj):
-    """R_{t_i,t_j} = Y_{t_i,t_j} - Y'_{t_i} X_{t_i,t_j} over one pair block."""
+    """R_{t_i,t_j} = Y_{t_i,t_j} - Y'_{t_i} X_{t_i,t_j} over one pair block,
+    of the block's shape followed by the value shape."""
     dX = cp.base.values[jj] - cp.base.values[ii]
-    return cp.Y[jj] - cp.Y[ii] - np.einsum("p...d,pd->p...", cp.Yprime[ii], dX)
+    # one axis per value axis, so that dX broadcasts against Y'_{t_i}
+    dX = dX.reshape(dX.shape[:-1] + (1,) * len(cp.val_shape) + dX.shape[-1:])
+    return cp.Y[jj] - cp.Y[ii] - np.einsum("...d,...d->...", cp.Yprime[ii], dX)
 
 
 def _holder_sup(pair_diff, base: RoughPath, exponent: float) -> float:
@@ -185,8 +189,7 @@ def _holder_sup(pair_diff, base: RoughPath, exponent: float) -> float:
     t = base.times
 
     def ratio(ii, jj):
-        diff = pair_diff(ii, jj).reshape(len(ii), -1)
-        return np.max(np.linalg.norm(diff, axis=1) / (t[jj] - t[ii]) ** exponent)
+        return _accel.block_sup(pair_diff(ii, jj), _accel._gap(t, ii, jj), exponent)
 
     return _pair_sup(ratio, base.grid.n_cells)
 

@@ -257,12 +257,13 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
     conjugated through the affine driftless flow Y_t = M_t z_t + v_t: z
     solves
         dz/dt = M_t^{-1} b(t, M_t z + v_t),   z_0 = xi,
-    by Heun's method on the grid.
+    by Heun's method on the grid, with every M_t inverted once up front.
     """
     if coeff.b is None:
         return solve_driftless(coeff, rp, xi)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     Mf, vf = linear_flow(coeff, rp)
+    Minv = np.linalg.inv(Mf)
     ts = rp.times
     M = rp.grid.n_cells
     b = coeff.b
@@ -271,7 +272,7 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
 
     def rhs(k, zk, tk):
         y = Mf[k] @ zk + vf[k]
-        return np.linalg.solve(Mf[k], b(tk, y))
+        return Minv[k] @ b(tk, y)
 
     hs = rp.grid.widths
     for k in range(M):

@@ -31,9 +31,10 @@ STRAT = "strat"
 #: dyadically spaced pairs (i, i + 2^k) instead of all pairs
 PAIR_CAP = 2048
 
-#: most index pairs a Hölder supremum evaluates at once; it bounds the
-#: memory of the per-pair intermediates, and a max over blocks is exact.
-#: Above PAIR_CAP, so that one row of all pairs always fits in a block.
+#: most block entries a Hölder supremum evaluates at once, the corner
+#: entries j <= i of a row block included; it bounds the memory of the
+#: per-pair intermediates, and a max over blocks is exact.  Above PAIR_CAP,
+#: so that one row of all pairs always fits in a block.
 PAIR_BLOCK = 1 << 16
 
 
@@ -45,19 +46,24 @@ def check_alpha(alpha: float) -> float:
 
 def _pair_blocks(n_cells: int):
     """Index pairs (i, j), i < j, used for discrete Hölder suprema, yielded
-    as (ii, jj) blocks of at most PAIR_BLOCK pairs.
+    as blocks (ii, jj) of int64 index arrays that broadcast against each
+    other, at most PAIR_BLOCK broadcast entries per block.
 
-    Up to PAIR_CAP cells every pair, in runs of whole rows i; above it the
-    pairs (i, i + 2^k), one lag at a time, cut into blocks.
+    Up to PAIR_CAP cells every pair: a block is a run of rows r0 <= i < r1
+    against the columns r0 < j <= n_cells, ``ii`` of shape (R, 1) and ``jj``
+    of shape (1, C).  Its corner, the entries with j <= i, holds no pair;
+    the kernels give those entries an infinite time gap (``_accel._gap``),
+    so their ratio is exactly 0.  Above PAIR_CAP the pairs (i, i + 2^k),
+    one lag at a time, cut into flat blocks.  Either way each pair appears
+    once, in row-major order of its block.
     """
     m = n_cells + 1
     if n_cells <= PAIR_CAP:
-        # row i holds the pairs (i, j > i), at most n_cells of them
+        # R rows against at most n_cells columns
         rows = PAIR_BLOCK // n_cells
         for r0 in range(0, n_cells, rows):
-            r = np.arange(r0, min(r0 + rows, n_cells))
-            ii, jj = np.nonzero(np.arange(m) > r[:, None])
-            yield ii + r0, jj
+            ii = np.arange(r0, min(r0 + rows, n_cells), dtype=np.int64)
+            yield ii[:, None], np.arange(r0 + 1, m, dtype=np.int64)[None, :]
         return
     k = 1
     while k <= n_cells:

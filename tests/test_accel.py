@@ -46,8 +46,10 @@ def brute_suprema(rp, rq):
     first = second = diff = 0.0
     t, a = rp.times, rp.alpha
     XX, YY = chen_table(rp), chen_table(rq)
-    for ii, jj in _pair_blocks(rp.grid.n_cells):
-        for i, j in zip(ii, jj):
+    for block in _pair_blocks(rp.grid.n_cells):
+        # a block's pairs are its broadcast entries with j > i
+        ii, jj = np.broadcast_arrays(*block)
+        for i, j in zip(ii[jj > ii], jj[jj > ii]):
             dt = t[j] - t[i]
             assert np.allclose(rp.second_level(i, j), XX[i, j], rtol=1e-12, atol=1e-15)
             first = max(first, np.linalg.norm(rp.increment(i, j)) / dt**a)

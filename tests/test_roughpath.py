@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,10 +93,21 @@ def _reference_pairs(n_cells, cap):
     return ii, jj
 
 
+def _expanded(block):
+    # a block's pairs: its broadcast entries with j > i, in row-major order
+    ii, jj = np.broadcast_arrays(*block)
+    keep = jj > ii
+    return ii[keep], jj[keep]
+
+
 def _joined(n_cells):
     blocks = list(_pair_blocks(n_cells))
-    ii, jj = (np.concatenate(b) for b in zip(*blocks))
+    ii, jj = (np.concatenate(b) for b in zip(*map(_expanded, blocks)))
     return blocks, ii, jj
+
+
+def _entries(block):
+    return np.broadcast(*block).size
 
 
 # 1000 rows in blocks of 65 rows: the last block is short
@@ -105,8 +117,8 @@ def test_pair_blocks_cover_the_pair_set_once(n_cells):
     want_ii, want_jj = _reference_pairs(n_cells, PAIR_CAP)
     # same pairs in the same order, so each pair exactly once
     assert np.array_equal(ii, want_ii) and np.array_equal(jj, want_jj)
-    assert all(0 < len(b) <= PAIR_BLOCK and b.dtype == np.int64
-               for block in blocks for b in block)
+    assert all(0 < _entries(block) <= PAIR_BLOCK for block in blocks)
+    assert all(b.dtype == np.int64 for block in blocks for b in block)
 
 
 def test_pair_blocks_cut_rows_and_lags_that_do_not_divide(monkeypatch):
@@ -118,8 +130,37 @@ def test_pair_blocks_cut_rows_and_lags_that_do_not_divide(monkeypatch):
         blocks, ii, jj = _joined(n_cells)
         want_ii, want_jj = _reference_pairs(n_cells, 16)
         assert np.array_equal(ii, want_ii) and np.array_equal(jj, want_jj)
-        sizes = [len(b[0]) for b in blocks]
+        sizes = [_entries(block) for block in blocks]
         assert max(sizes) <= 30 and len(set(sizes)) > 1
+
+
+def test_block_corner_pairs_give_ratio_zero():
+    # the corner of a row block (j <= i) has an infinite gap, so each of its
+    # ratios is exactly 0, without a warning on a non-uniform grid; a block
+    # of corner entries alone gives 0
+    rng = np.random.default_rng(3)
+    grid = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 9)), [1.0]]))
+    X = np.cumsum(rng.normal(size=(11, 3)), axis=0)
+    rp = RoughPath(grid, X, rng.normal(size=(10, 3, 3)), 0.4)
+    rq = RoughPath(grid, 2.0 * X, rng.normal(size=(10, 3, 3)), 0.4)
+    t, a, A, B = rp.times, rp.alpha, rp._cum, rq._cum
+    ii, jj = np.arange(2, 8)[:, None], np.arange(3, 11)[None, :]
+    ci, cj = np.arange(4, 8)[:, None], np.arange(1, 5)[None, :]  # all j <= i
+    pi, pj = _expanded((ii, jj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = _accel._gap(t, ii, jj)
+        assert np.all(np.isinf(gap[jj <= ii])) and np.all(gap[jj > ii] > 0)
+        assert _accel.pair_sup_first(X, t, ci, cj, a) == 0.0
+        assert _accel.pair_sup_second(X, A, t, ci, cj, a) == 0.0
+        assert _accel.pair_sup_second_diff(X, A, 2.0 * X, B, t, ci, cj, a) == 0.0
+        # a block gives the max over its own pairs, the corner ignored
+        assert (_accel.pair_sup_first(X, t, ii, jj, a)
+                == _accel.pair_sup_first(X, t, pi, pj, a))
+        assert (_accel.pair_sup_second_diff(X, A, 2.0 * X, B, t, ii, jj, a)
+                == _accel.pair_sup_second_diff(X, A, 2.0 * X, B, t, pi, pj, a))
+        norms, dist = rp.holder_norms(), rough_distance(rp, rq)
+    assert all(np.isfinite(norms)) and np.isfinite(dist) and dist > 0
 
 
 def _one_shot(rp1, rp2=None):
