@@ -51,11 +51,15 @@ DEFAULTS = {
 
 
 def load_config(path: str) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read config: {exc.strerror}")
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise SystemExit(f"{path}: config must be a JSON object, got {type(cfg).__name__}")
     merged = json.loads(json.dumps(DEFAULTS))
     for k, v in cfg.items():
         if isinstance(v, dict) and isinstance(merged.get(k), dict):
@@ -73,10 +77,12 @@ def validate_config(cfg: dict) -> list:
     model, d = cfg.get("model"), None
     if not isinstance(model, dict) or "name" not in model:
         errors.append("config needs model.name")
+    elif not isinstance(model.get("params", {}), dict):
+        errors.append(f"model.params must be a JSON object, got {model['params']!r}")
     else:
         try:
             d = build_model(model["name"], _model_params(model)).d
-        except (ValueError, KeyError) as exc:
+        except (ValueError, TypeError) as exc:
             errors.append(f"model: {exc}")
     _check_initial(_block(cfg, "initial", errors), d, errors)
     T = cfg.get("T", DEFAULTS["T"])

@@ -77,31 +77,27 @@ class FlowRun:
 
 
 def frozen_coefficient_field(
-    model: MeanFieldModel, curve: MeasureCurve
+    model: MeanFieldModel, curve: MeasureCurve, cells: int
 ) -> CoefficientField:
-    """Time-dependent RDE coefficients from a frozen-law curve: the measure
-    argument is held at the curve state of the enclosing freeze interval.
+    """RDE coefficients on a rough grid of ``cells`` cells from a frozen-law
+    curve: cell c lies in freeze window k = c // (cells // n_windows), where
+    the measure argument is held at the curve state mu_k.
 
-    a1(t) is the model's state-free part of sigma, sigma(0, mu_k), and the
-    drift reads the model as a one-row view.
+    a1 reads the table of the windows' state-free sigma, sigma(0, mu_k), and
+    the drift evaluates the model at one state under mu_k.  The rough grid
+    must nest in the windows: ``cells`` is a positive multiple of their count.
     """
-    t0 = float(curve.times[0])
-    delta = float(curve.times[1] - curve.times[0])
     windows = curve.measures[:-1]
+    per, rest = divmod(cells, len(windows))
+    if per < 1 or rest:
+        raise ValueError(f"{cells} rough cells do not nest in {len(windows)} freeze windows")
     zero = np.zeros((1, model.d))
-    sigma_at_zero = [model.sigma(zero, mu)[0] for mu in windows]
+    table = np.stack([model.sigma(zero, mu)[0] for mu in windows])
 
-    def window(t: float) -> int:
-        # the floor's 1e-9 keeps a window's left edge in that window
-        return int(np.clip(np.floor((t - t0) / delta + 1e-9), 0, len(windows) - 1))
+    def b(c, y):
+        return model.b(y[None], windows[c // per])[0]
 
-    def b(t, y):
-        return model.b(y[None], windows[window(t)])[0]
-
-    def a1(t):
-        return sigma_at_zero[window(t)]
-
-    return linear_coefficients(model.linear_a0, a1, b=b, d=model.d)
+    return linear_coefficients(model.linear_a0, lambda c: table[c // per], b=b, d=model.d)
 
 
 @dataclass
@@ -109,11 +105,12 @@ class FlowDetails:
     curve: MeasureCurve
     solution: RdeSolution
     rough: RoughPath
-    coeff: CoefficientField
 
-    def state_at(self, t: float) -> JointState:
-        i = self.solution.path.base.grid.index_of(t)
-        return JointState(self.solution.Y[i], self.curve.at(t))
+    def state_at(self, k: int) -> JointState:
+        """The joint state at freeze-window edge k: solution node k r for r
+        rough cells per window, and the curve's k-th measure."""
+        r = self.rough.grid.n_cells // (len(self.curve.measures) - 1)
+        return JointState(self.solution.Y[k * r], self.curve.measures[k])
 
     @cached_property
     def self_defect(self) -> float:
@@ -128,11 +125,10 @@ def flow_details(run: FlowRun, e0: JointState, t: float) -> FlowDetails:
         raise ValueError("flow horizon must be a positive law-freeze time")
     dW = run.law_noise(e0.law.n)[:, : k * run.cfg.inner]
     curve = simulate_frozen_law(run.model, e0.law, run.cfg.leg(k), t, dW=dW)
-    coeff = frozen_coefficient_field(run.model, curve)
-    grid = TimeGrid.regular(0.0, t, k * run.rde_per_freeze)
-    rp = brownian_lift(run.driver_noise(), grid, STRAT, run.alpha)
-    sol = doss_sussmann_solve(coeff, rp, e0.point)
-    return FlowDetails(curve, sol, rp, coeff)
+    cells = k * run.rde_per_freeze
+    rp = brownian_lift(run.driver_noise(), TimeGrid.regular(0.0, t, cells), STRAT, run.alpha)
+    sol = doss_sussmann_solve(frozen_coefficient_field(run.model, curve, cells), rp, e0.point)
+    return FlowDetails(curve, sol, rp)
 
 
 def joint_flow(run: FlowRun, e0: JointState, t: float) -> JointState:
@@ -161,12 +157,12 @@ def cocycle_defect(
     ks, kt = cfg.window_index(s, run.T), cfg.window_index(t, run.T)
     if details is None:
         details = flow_details(run, e0, s + t)
-    end = details.state_at(s + t)
+    end = details.state_at(ks + kt)
     rep = {"point_defect": 0.0, "law_defect": 0.0, "law_upper": 0.0,
            "self_defect": details.self_defect, "s": s, "t": t}
     if ks == 0 or kt == 0:
         return rep
-    mid = details.state_at(s)
+    mid = details.state_at(ks)
 
     # law leg: restart at s on the run's increments from window ks, on [0, t]
     dW = run.law_noise(e0.law.n)[:, ks * cfg.inner : (ks + kt) * cfg.inner]
@@ -174,7 +170,7 @@ def cocycle_defect(
 
     # point leg: shift the driver, restrict to [0, t], solve from the mid point
     rpB = shift(details.rough, s).restrict(ks * r, (ks + kt) * r)
-    solB = doss_sussmann_solve(frozen_coefficient_field(run.model, lawB), rpB, mid.point)
+    solB = doss_sussmann_solve(frozen_coefficient_field(run.model, lawB, kt * r), rpB, mid.point)
 
     _, law_upper, info = dp_bracket(lawB.measures[-1], end.law, p)
     return rep | {
@@ -198,7 +194,8 @@ def wong_zakai_run(
     """RK4 integration of dY = b dt + sigma Wdot^n dt - (corrected ?
     (1/2)(a0 sigma) dt : 0) against the level-n piecewise-linear
     noise; corrected runs target the Ito solution, uncorrected the
-    Stratonovich/rough one.  Returns (times, trajectory on the fine grid)."""
+    Stratonovich/rough one.  Every stage on fine cell k reads the
+    coefficients of cell k.  Returns (times, trajectory on the fine grid)."""
     M = noise.fine_grid.n_cells
     cells_per = M // (1 << level)
     if cells_per * (1 << level) != M:
@@ -212,12 +209,13 @@ def wong_zakai_run(
         vel[a:b_] = (W[b_] - W[a]) / (ts[b_] - ts[a])
     xi = np.atleast_1d(np.asarray(xi, float))
     a0 = coeff.a0
+    A1 = np.broadcast_to(coeff.a1(np.arange(M)), (M,) + a0.shape[:2])
 
-    def rhs(t, y, v):
-        sig = np.einsum("ikj,j->ik", a0, y) + coeff.a1(t)
+    def rhs(k, y, v):
+        sig = np.einsum("ikj,j->ik", a0, y) + A1[k]
         dy = sig @ v
         if coeff.b is not None:
-            dy = dy + coeff.b(t, y)
+            dy = dy + coeff.b(k, y)
         if corrected:
             dy = dy - 0.5 * np.einsum("ikj,jk->i", a0, sig)
         return dy
@@ -227,10 +225,10 @@ def wong_zakai_run(
     for k in range(M):
         h = ts[k + 1] - ts[k]
         v = vel[k]
-        k1 = rhs(ts[k], Y[k], v)
-        k2 = rhs(ts[k] + 0.5 * h, Y[k] + 0.5 * h * k1, v)
-        k3 = rhs(ts[k] + 0.5 * h, Y[k] + 0.5 * h * k2, v)
-        k4 = rhs(ts[k + 1], Y[k] + h * k3, v)
+        k1 = rhs(k, Y[k], v)
+        k2 = rhs(k, Y[k] + 0.5 * h * k1, v)
+        k3 = rhs(k, Y[k] + 0.5 * h * k2, v)
+        k4 = rhs(k, Y[k] + h * k3, v)
         Y[k + 1] = Y[k] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return ts, Y
 

@@ -12,7 +12,7 @@ valid since 3a > 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -29,16 +29,15 @@ def sewing_constant(alpha: float) -> float:
 
 @dataclass
 class Func2:
-    """A time-dependent map f(t, y) with analytic derivatives.
+    """A time-dependent map f(t, y) with an analytic state derivative.
 
-    ``grad`` is the state derivative with one extra trailing axis over the
-    state components; ``hess`` adds a second one.  Derivatives are supplied
-    in closed form — finite differences are reserved for test oracles.
+    ``grad`` carries one extra trailing axis over the state components.  It
+    is supplied in closed form — finite differences are reserved for test
+    oracles.
     """
 
     value: Callable[[float, np.ndarray], np.ndarray]
     grad: Callable[[float, np.ndarray], np.ndarray]
-    hess: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
 class ControlledPath:

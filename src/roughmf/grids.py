@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +12,6 @@ class TimeGrid:
     """A strictly increasing sequence of times t_0 < ... < t_M."""
 
     points: np.ndarray
-    uniform: bool = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -21,8 +20,6 @@ class TimeGrid:
         if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-        dts = np.diff(pts)
-        object.__setattr__(self, "uniform", bool(np.allclose(dts, dts[0], rtol=1e-12, atol=0.0)))
 
     @classmethod
     def regular(cls, t0: float, t1: float, cells: int) -> "TimeGrid":

@@ -64,31 +64,9 @@ class MeanFieldModel:
 # ensemble Kalman sampler
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Potential:
-    """V with analytic derivatives, for the EKS drift -Cov(mu) grad V.
-
-    Each callable takes states (N, d) and returns (N,), (N, d), (N, d, d).
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-
-
-def quadratic_potential(Sigma: np.ndarray) -> Potential:
-    """V(y) = 1/2 y^T Sigma^{-1} y, the Gaussian-target potential."""
-    Sigma = np.asarray(Sigma, dtype=float)
-    P = np.linalg.inv(Sigma)
-    return Potential(
-        value=lambda Y: 0.5 * np.einsum("ni,ni->n", Y @ P.T, Y),
-        grad=lambda Y: Y @ P.T,
-        hess=lambda Y: np.broadcast_to(P, (len(Y),) + P.shape),
-    )
-
-
-def eks_model(pot: Potential, d: int, name: str = "eks-custom") -> MeanFieldModel:
-    """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent).
+def eks_model(grad: Callable[[np.ndarray], np.ndarray], d: int, name: str) -> MeanFieldModel:
+    """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent),
+    for the gradient grad V that maps states (N, d) to (N, d).
 
     Cov(mu), and its root once sigma asks for it, are computed once per
     measure and kept in mu.derived: a law is frozen over a whole window, in
@@ -101,7 +79,7 @@ def eks_model(pot: Potential, d: int, name: str = "eks-custom") -> MeanFieldMode
         return mu.derived["cov"]
 
     def b(Y, mu):
-        return -pot.grad(Y) @ cov(mu).T
+        return -grad(Y) @ cov(mu).T
 
     def sig(Y, mu):
         if "sqrt_2cov" not in mu.derived:
@@ -123,7 +101,9 @@ def eks_gaussian_model(Sigma: np.ndarray) -> MeanFieldModel:
     square = Sigma.ndim == 2 and Sigma.shape[0] == Sigma.shape[1] >= 1
     if not (square and np.allclose(Sigma, Sigma.T) and np.linalg.eigvalsh(Sigma).min() > 0):
         raise ValueError(f"Sigma must be symmetric positive definite, got {Sigma.tolist()}")
-    m = eks_model(quadratic_potential(Sigma), Sigma.shape[0], name="eks-gaussian")
+    # V(y) = 1/2 y^T Sigma^{-1} y, the Gaussian-target potential
+    P = np.linalg.inv(Sigma)
+    m = eks_model(lambda Y: Y @ P.T, Sigma.shape[0], name="eks-gaussian")
     m.constants["Sigma"] = Sigma
     return m
 
@@ -272,9 +252,6 @@ def build_model(name: str, params: Optional[dict] = None) -> MeanFieldModel:
     if name == "eks-gaussian":
         Sigma = np.asarray(params.get("Sigma", np.eye(int(params.get("d", 2)))))
         return eks_gaussian_model(Sigma)
-    if name == "eks-custom":
-        pot = params["potential"]
-        return eks_model(pot, int(params["d"]))
     if name == "landau-maxwell":
         return landau_model()
     raise ValueError(f"unknown model {name!r}")

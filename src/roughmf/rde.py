@@ -1,7 +1,7 @@
 """Rough differential equation solvers.
 
-Solves dY = b(t, Y) dt + sigma(t, Y) dX for a rough driver (X, XX) and a
-diffusion affine in the state, sigma(t, y) = a0 . y + a1(t), by a one-step
+Solves dY = b dt + sigma dX for a rough driver (X, XX) and a diffusion
+affine in the state, sigma = a0 . y + a1(c) on grid cell c, by a one-step
 Milstein-type scheme using both levels of the driver per cell:
 
     Y+ = Y + sigma X + (a0 sigma) : XX  =  P Y + q.
@@ -10,10 +10,10 @@ One affine cell map serves every solve: ``_cell_maps`` builds every cell's
 (P, q) in one vectorised pass, solves step Y <- P Y + q, flow Jacobians are
 running products of the P, and the affine flow maps compose both.  Backward
 solves and backward Jacobians enter each cell at its right edge and use the
-inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  In
-both directions a1 is read at the cell's left edge, with no da1/dt term:
-the frozen-law coefficients are piecewise constant in time, and a cell's
-left edge lies in its own freeze window.  Drifts enter through the
+inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
+coefficients are addressed by cell index, not time: the frozen-law
+coefficients are constant on each cell, so a cell reads its own a1 in both
+directions, and grid node m reads cell min(m, M - 1).  Drifts enter through the
 Doss-Sussmann conjugation: the driftless flow is tabulated exactly as an
 affine map, and the drift becomes a classical ODE in transformed
 coordinates.
@@ -36,21 +36,26 @@ DEFAULT_GUARD = 1e8
 
 @dataclass
 class CoefficientField:
-    """Drift b(t, y) and the affine diffusion
-    sigma(t, y)_{ik} = sum_j a0[i, k, j] y_j + a1(t)[i, k]."""
+    """Drift b(c, y) and the affine diffusion
+    sigma(c, y)_{ik} = sum_j a0[i, k, j] y_j + a1(c)[i, k] on grid cell c.
+
+    a1 maps an int array of cell indices to (len(c), d, d), or to one (d, d)
+    that holds on every cell; b takes one cell index and one state (d,).
+    """
 
     a0: np.ndarray  # (d, d, d)
-    a1: Callable[[float], np.ndarray]  # t -> (d, d)
-    b: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    a1: Callable[[np.ndarray], np.ndarray]  # cells -> (len(cells), d, d) or (d, d)
+    b: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
 
 def linear_coefficients(
     a0: np.ndarray,
-    a1: Optional[Callable[[float], np.ndarray]] = None,
+    a1: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     b: Optional[Callable] = None,
     d: Optional[int] = None,
 ) -> CoefficientField:
-    """CoefficientField for sigma(t, y) = a0 . y + a1(t), a1 = 0 by default.
+    """CoefficientField for sigma(c, y) = a0 . y + a1(c) on cell c, a1 = 0 by
+    default.
 
     a0 is the (d, d, d) tensor with sigma_{ik} = sum_j a0[i, k, j] y_j.  A
     (1, 1) matrix is accepted for d = 1; any other (d, d) matrix is
@@ -67,7 +72,7 @@ def linear_coefficients(
     if a1 is None:
         zero = np.zeros((dd, dd))
 
-        def a1(t):
+        def a1(cells):
             return zero
 
     return CoefficientField(a0, a1, b)
@@ -79,8 +84,9 @@ def linear_coefficients(
 
 @dataclass
 class RdeSolution:
-    path: ControlledPath  # Y (M+1, d), Yprime = sigma(t, Y)
+    path: ControlledPath  # Y (M+1, d), Yprime = sigma(c, Y) at each node's cell
     coeff: CoefficientField
+    cells: np.ndarray  # the cell each node reads its coefficients from
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -102,29 +108,31 @@ class RdeSolution:
         cum = integrand._cumulative_integral()  # (M+1, d)
         rhs = sol.Y[0] + cum
         if self.coeff.b is not None:
-            ts = self.times
-            bvals = np.stack([self.coeff.b(t, y) for t, y in zip(ts, sol.Y)])
-            mid = 0.5 * (bvals[1:] + bvals[:-1]) * np.diff(ts)[:, None]
+            bvals = np.stack([self.coeff.b(c, y) for c, y in zip(self.cells, sol.Y)])
+            mid = 0.5 * (bvals[1:] + bvals[:-1]) * np.diff(self.times)[:, None]
             drift = np.concatenate([np.zeros((1, sol.Y.shape[1])), np.cumsum(mid, axis=0)])
             rhs = rhs + drift
         return float(np.max(np.linalg.norm(sol.Y - rhs, axis=1)))
 
 
-def _sigma(coeff: CoefficientField, times: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """sigma(t_m, Y_m) at every node, shape (len(Y), d, d)."""
-    return np.einsum("ikj,mj->mik", coeff.a0, Y) + np.stack([coeff.a1(t) for t in times])
-
-
-def _controlled(coeff: CoefficientField, rp: RoughPath, Y: np.ndarray) -> ControlledPath:
-    """The solution path Y with its Gubinelli derivative sigma(t, Y_t)."""
-    return ControlledPath(rp, Y, _sigma(coeff, rp.times, Y))
+def _solution(
+    coeff: CoefficientField, rp: RoughPath, Y: np.ndarray, diagnostics: dict, i: int = 0
+) -> RdeSolution:
+    """The trajectory Y on the nodes i, i + 1, ... of rp, with its Gubinelli
+    derivative sigma(c_m, Y_m).  Node m reads cell c_m = min(m, M - 1): the
+    last node has no cell of its own."""
+    j = i + len(Y) - 1
+    cells = np.minimum(np.arange(i, j + 1), rp.grid.n_cells - 1)
+    sub = rp if (i, j) == (0, rp.grid.n_cells) else rp.restrict(i, j)
+    sigma = np.einsum("ikj,mj->mik", coeff.a0, Y) + coeff.a1(cells)
+    return RdeSolution(ControlledPath(sub, Y, sigma), coeff, cells, diagnostics)
 
 
 def _compose_sigma(coeff: CoefficientField, sol: ControlledPath) -> ControlledPath:
-    """The controlled path t -> sigma(t, Y_t) with its Gubinelli derivative
-    a0 . Y'_t."""
+    """The controlled path sigma(c_m, Y_m), the stored Y', with its Gubinelli
+    derivative a0 . Y'."""
     primes = np.einsum("ikj,mjl->mikl", coeff.a0, sol.Yprime)
-    return ControlledPath(sol.base, _sigma(coeff, sol.base.times, sol.Y), primes)
+    return ControlledPath(sol.base, sol.Yprime, primes)
 
 
 def _guard(y: np.ndarray, k: int):
@@ -143,12 +151,12 @@ def _cell_maps(coeff: CoefficientField, rp: RoughPath, i: int, j: int, backward:
 
     A forward cell starts at its left edge with its own signature (x, xx); a
     backward cell starts at its right edge with the inverse signature
-    (1, x, xx)^-1 = (1, -x, x (x) x - xx).  Either way a1 is read at the
-    cell's left edge, so both directions use the same freeze window.
+    (1, x, xx)^-1 = (1, -x, x (x) x - xx).  Either way the cell reads its own
+    a1, so both directions use the same coefficients.
     """
     x = np.diff(rp.values[i : j + 1], axis=0)
     xx = rp.cells[i:j]
-    A1 = np.stack([coeff.a1(t) for t in rp.times[i:j]])
+    A1 = np.broadcast_to(coeff.a1(np.arange(i, j)), (j - i,) + coeff.a0.shape[:2])
     if backward:
         xx = (np.einsum("cl,ck->clk", x, x) - xx)[::-1]
         x, A1 = -x[::-1], A1[::-1]
@@ -179,12 +187,11 @@ def _march(coeff, rp: RoughPath, y0, i: int, j: int, backward: bool) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def solve_driftless(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
-    """Forward solve of dY = sigma(t, Y) dX from the start of the grid."""
+    """Forward solve of dY = sigma(c, Y) dX from the start of the grid."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
     Y = _march(coeff, rp, xi, 0, M, backward=False)
-    diagnostics = {"steps": M, "max_abs": float(np.max(np.abs(Y)))}
-    return RdeSolution(_controlled(coeff, rp, Y), coeff, diagnostics)
+    return _solution(coeff, rp, Y, {"steps": M, "max_abs": float(np.max(np.abs(Y)))})
 
 
 def solve_backward(
@@ -193,9 +200,9 @@ def solve_backward(
     """Backward solve with terminal value delta at time t, down to time s < t.
 
     Each cell [u, v] is the forward cell map applied from Y_v to the
-    inverted cell, with sigma read at u as in the forward step, which it
+    inverted cell, with the cell's own a1 as in the forward step, which it
     inverts to second order:
-        Y_u = Y_v - sigma(u, Y_v) X + (a0 sigma) : (X (x) X - XX).
+        Y_u = Y_v - sigma(c, Y_v) X + (a0 sigma) : (X (x) X - XX).
     The returned path covers [s, t] on the grid, indexed forward in time.
     """
     i = rp.grid.index_of(s)
@@ -207,10 +214,7 @@ def solve_backward(
         )
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     Y = _march(coeff, rp, delta, i, j, backward=True)
-    sub = rp.restrict(i, j) if (i, j) != (0, rp.grid.n_cells) else rp
-    return RdeSolution(
-        _controlled(coeff, sub, Y), coeff, {"steps": j - i, "direction": "backward"}
-    )
+    return _solution(coeff, rp, Y, {"steps": j - i, "direction": "backward"}, i)
 
 
 # ---------------------------------------------------------------------------
@@ -256,35 +260,32 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
     Without drift this is the driftless solve.  With drift, the state is
     conjugated through the affine driftless flow Y_t = M_t z_t + v_t: z
     solves
-        dz/dt = M_t^{-1} b(t, M_t z + v_t),   z_0 = xi,
-    by Heun's method on the grid, with every M_t inverted once up front.
+        dz/dt = M_t^{-1} b(c, M_t z + v_t),   z_0 = xi,
+    by Heun's method on the grid, with every M_t inverted once up front;
+    both stages on cell c read the drift of cell c.
     """
     if coeff.b is None:
         return solve_driftless(coeff, rp, xi)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     Mf, vf = linear_flow(coeff, rp)
     Minv = np.linalg.inv(Mf)
-    ts = rp.times
     M = rp.grid.n_cells
     b = coeff.b
     z = np.empty((M + 1, len(xi)))
     z[0] = xi
 
-    def rhs(k, zk, tk):
-        y = Mf[k] @ zk + vf[k]
-        return Minv[k] @ b(tk, y)
+    def rhs(m, zm, c):
+        return Minv[m] @ b(c, Mf[m] @ zm + vf[m])
 
     hs = rp.grid.widths
     for k in range(M):
-        # both Heun stages read the drift at the cell's midpoint time
-        tm = ts[k] + 0.5 * hs[k]
-        f0 = rhs(k, z[k], tm)
+        f0 = rhs(k, z[k], k)
         pred = z[k] + hs[k] * f0
-        f1 = rhs(k + 1, pred, tm)
+        f1 = rhs(k + 1, pred, k)
         z[k + 1] = z[k] + 0.5 * hs[k] * (f0 + f1)
         _guard(z[k + 1], k)
     Y = np.einsum("kij,kj->ki", Mf, z) + vf
-    return RdeSolution(_controlled(coeff, rp, Y), coeff, {"steps": M, "mode": "affine-flow"})
+    return _solution(coeff, rp, Y, {"steps": M, "mode": "affine-flow"})
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
 def picard_validate(
     coeff: CoefficientField, rp: RoughPath, xi, iters: int = 8
 ) -> ControlledPath:
-    """Coarse fixed-point iteration (Y, Y') -> xi + int sigma(s, Y) dX.
+    """Coarse fixed-point iteration (Y, Y') -> xi + int sigma(c, Y) dX.
 
     A validation device only: iterates the defining integral map on the full
     window and returns the final controlled path for comparison against the
@@ -302,9 +303,9 @@ def picard_validate(
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
-    cp = _controlled(coeff, rp, np.tile(xi, (M + 1, 1)))
+    cp = _solution(coeff, rp, np.tile(xi, (M + 1, 1)), {}).path
     for _ in range(iters):
-        cp = _controlled(coeff, rp, xi + _compose_sigma(coeff, cp)._cumulative_integral())
+        cp = _solution(coeff, rp, xi + _compose_sigma(coeff, cp)._cumulative_integral(), {}).path
     return cp
 
 

@@ -85,6 +85,7 @@ def test_validate_config_messages():
          "Sigma must be symmetric positive definite"),
         ({"model": {"name": "eks-gaussian", "params": {"Sigma": [[1, 0.5], [0, 1]]}}},
          "Sigma must be symmetric positive definite"),
+        ({"model": {"name": "eks-gaussian", "params": {"d": None}}}, "model: int() argument"),
     ]
     for override, message in cases:
         errs = validate_config({"model": model} | override)
@@ -118,6 +119,36 @@ def test_config_errors_are_clear_not_tracebacks(tmp_path):
             main([verb, "--config", str(p), "--output-dir", str(tmp_path / "out")])
         assert str(p) in str(exc.value)
         assert len(str(exc.value).splitlines()) == 1, str(exc.value)
+
+
+def test_only_named_models_load(tmp_path):
+    # a model that cannot be built from a config is rejected by name, in one line
+    p = write_config(tmp_path, model={"name": "eks-custom", "params": {"d": 2, "potential": "x"}})
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+    assert str(exc.value) == f"{p}: model: unknown model 'eks-custom'"
+
+
+def test_missing_config_file_is_one_line_error(tmp_path):
+    p = tmp_path / "absent.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+    assert str(exc.value) == f"{p}: cannot read config: No such file or directory"
+
+
+def test_non_object_config_is_one_line_error(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+    assert str(exc.value) == f"{p}: config must be a JSON object, got list"
+
+
+def test_non_object_model_params_is_one_line_error(tmp_path):
+    p = write_config(tmp_path, model={"name": "eks-gaussian", "params": 3})
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+    assert str(exc.value) == f"{p}: model.params must be a JSON object, got 3"
 
 
 def test_cocycle_check_tests_positive_restart_times(tmp_path):

@@ -47,19 +47,33 @@ def test_frozen_field_piecewise_constant():
     model = build_model("landau-maxwell")
     mu0 = EmpiricalMeasure(np.random.default_rng(0).normal(size=(50, 3)))
     curve = simulate_frozen_law(model, mu0, FrozenLawConfig(4, seed=0), T=1.0)
-    coeff = frozen_coefficient_field(model, curve)
+    coeff = frozen_coefficient_field(model, curve, 40)  # 10 rough cells per window
     y = np.array([0.1, -0.2, 0.3])
     # a1 is constant inside a freeze window and jumps across the boundary
-    assert np.array_equal(coeff.a1(0.30), coeff.a1(0.49))
-    assert not np.array_equal(coeff.a1(0.49), coeff.a1(0.51))
+    assert np.array_equal(coeff.a1(12), coeff.a1(19))
+    assert not np.array_equal(coeff.a1(19), coeff.a1(20))
+    # an array of cells reads one row per cell
+    assert np.array_equal(coeff.a1(np.array([12, 19, 20])), np.stack(
+        [coeff.a1(12), coeff.a1(19), coeff.a1(20)]))
     # a1 is the window's state-free sigma, a0 the model's state-linear part
     zero = np.zeros((1, 3))
-    assert np.array_equal(coeff.a1(0.1), model.sigma(zero, curve.measures[0])[0])
+    assert np.array_equal(coeff.a1(4), model.sigma(zero, curve.measures[0])[0])
     assert np.array_equal(coeff.a0, model.linear_a0)
     assert np.allclose(
-        np.einsum("ikj,j->ik", coeff.a0, y) + coeff.a1(0.1),
+        np.einsum("ikj,j->ik", coeff.a0, y) + coeff.a1(4),
         model.sigma(y[None], curve.measures[0])[0],
     )
+    # the drift reads the same window as a1
+    assert np.array_equal(coeff.b(39, y), model.b(y[None], curve.measures[3])[0])
+
+
+def test_frozen_field_rejects_cells_that_do_not_nest():
+    model = build_model("landau-maxwell")
+    mu0 = EmpiricalMeasure(np.random.default_rng(0).normal(size=(20, 3)))
+    curve = simulate_frozen_law(model, mu0, FrozenLawConfig(4, seed=0), T=1.0)
+    for cells in (0, 2, 6, 10):
+        with pytest.raises(ValueError, match="do not nest in 4 freeze windows"):
+            frozen_coefficient_field(model, curve, cells)
 
 
 def backward_return_error(model_name, cells_per_window):
@@ -69,8 +83,8 @@ def backward_return_error(model_name, cells_per_window):
     model = build_model(model_name, params)
     mu0 = EmpiricalMeasure(np.random.default_rng(0).normal(size=(500, model.d)))
     curve = simulate_frozen_law(model, mu0, FrozenLawConfig(16, seed=0), T=1.0)
-    coeff = frozen_coefficient_field(model, curve)
     cells = 16 * cells_per_window
+    coeff = frozen_coefficient_field(model, curve, cells)
     noise = NoisePath.generate(3, TimeGrid.regular(0.0, 1.0, 8 * cells), model.d)
     rp = brownian_lift(noise, TimeGrid.regular(0.0, 1.0, cells), STRAT)
     xi = np.linspace(0.5, -0.5, model.d)
@@ -111,9 +125,13 @@ def test_joint_flow_identity_at_zero():
 def test_flow_details_state_lookup():
     run, e0 = make_run(n=60, n_freeze=4)
     det = flow_details(run, e0, 1.0)
-    end = det.state_at(1.0)
+    end = det.state_at(4)
     assert np.array_equal(end.point, det.solution.Y[-1])
     assert end.law is det.curve.measures[-1]
+    # window edge k is solution node k * rde_per_freeze
+    mid = det.state_at(2)
+    assert np.array_equal(mid.point, det.solution.Y[2 * run.rde_per_freeze])
+    assert mid.law is det.curve.measures[2]
 
 
 def test_driver_noise_cached():

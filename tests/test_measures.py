@@ -46,7 +46,7 @@ def test_uniform_set_once_at_construction():
     assert EmpiricalMeasure(atoms, w + np.array([1e-15, -1e-15, 0, 0, 0])).uniform
     assert not EmpiricalMeasure(atoms, w + np.array([1e-13, -1e-13, 0, 0, 0])).uniform
     assert not EmpiricalMeasure(atoms, np.array([0.1, 0.3, 0.2, 0.2, 0.2])).uniform
-    # a field set by __post_init__, as TimeGrid.uniform, not a recomputed property
+    # a field set by __post_init__, not a recomputed property
     assert "uniform" in vars(EmpiricalMeasure(atoms))
 
 

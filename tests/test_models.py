@@ -12,7 +12,6 @@ from roughmf.models import (
     landau_model,
     landau_moment_oracle,
     psd_sqrt,
-    quadratic_potential,
     sigma0,
 )
 
@@ -48,17 +47,6 @@ def test_psd_sqrt():
 # ---------------------------------------------------------------------------
 # EKS
 # ---------------------------------------------------------------------------
-
-def test_quadratic_potential_derivatives():
-    Sigma = np.diag([1.0, 4.0])
-    pot = quadratic_potential(Sigma)
-    Y = np.array([[1.0, 2.0], [0.0, -2.0], [3.0, 0.0]])
-    P = np.linalg.inv(Sigma)
-    assert np.allclose(pot.value(Y), [0.5 * (1.0 + 4.0 / 4.0), 0.5, 4.5])
-    assert np.allclose(pot.grad(Y), Y @ P)
-    assert pot.hess(Y).shape == (3, 2, 2)
-    assert np.allclose(pot.hess(Y), P)
-
 
 def test_eks_coefficients():
     # closed forms on a whole cloud: b = -Y Sigma^{-1} C, sigma sigma = 2 C

@@ -166,7 +166,7 @@ def test_solves_match_per_cell_milstein_oracle(d):
     rp = random_rough_path(20 + d, cells=n, d=d)
     a0 = rng.normal(size=(d, d, d)) * 0.3
     table = rng.normal(size=(n + 1, d, d))
-    coeff = linear_coefficients(a0, lambda t: table[rp.grid.index_of(t)])
+    coeff = linear_coefficients(a0, lambda c: table[c])
     y0 = rng.normal(size=d)
     fwd = solve_driftless(coeff, rp, y0)
     assert np.allclose(fwd.Y, milstein_oracle(a0, table, rp, y0, 0, n), rtol=1e-12, atol=0)
@@ -182,6 +182,23 @@ def test_solves_match_per_cell_milstein_oracle(d):
         zeta = flow_jacobian(coeff, rp, y0, direction)
         assert np.allclose(zeta, np.stack(cols, axis=-1), rtol=1e-12, atol=1e-12), direction
         assert np.array_equal(zeta[start], eye)
+
+
+def test_node_m_reads_cell_min_m_and_last_cell():
+    # Y' at node m is sigma on cell min(m, M - 1); a partial-window backward
+    # solve keeps its nodes' cells on the parent grid
+    n, i, j, d = 16, 4, 12, 2
+    rng = np.random.default_rng(30)
+    rp = random_rough_path(30, cells=n, d=d)
+    a0 = rng.normal(size=(d, d, d)) * 0.3
+    table = rng.normal(size=(n, d, d))
+    coeff = linear_coefficients(a0, lambda c: table[c])
+    fwd = solve_driftless(coeff, rp, rng.normal(size=d))
+    back = solve_backward(coeff, rp, fwd.Y[j], float(rp.times[i]), float(rp.times[j]))
+    for sol, cells in ((fwd, np.r_[np.arange(n), n - 1]), (back, np.arange(i, j + 1))):
+        assert np.array_equal(sol.cells, cells)
+        want = np.einsum("ikj,mj->mik", a0, sol.Y) + table[cells]
+        assert np.array_equal(sol.path.Yprime, want)
 
 
 def test_jacobian_rejects_unknown_direction():
@@ -230,13 +247,14 @@ def test_pure_drift_heun():
 
 def test_time_dependent_drift_second_order():
     # no noise, dY = cos(t) dt from Y0 = 1: Y = 1 + sin(t), with
-    # second-order convergence
+    # second-order convergence; cell k's drift is cos at its midpoint
     errs = []
     for cells in (1 << 6, 1 << 7):
         grid = TimeGrid.regular(0.0, 2.0, cells)
         rp = RoughPath(grid, np.zeros((cells + 1, 1)), np.zeros((cells, 1, 1)), 0.4)
+        table = np.cos(grid.points[:-1] + 0.5 * grid.widths)
         coeff = linear_coefficients(
-            np.zeros((1, 1, 1)), b=lambda t, y: np.cos(t) * np.ones_like(y)
+            np.zeros((1, 1, 1)), b=lambda c, y: table[c] * np.ones_like(y)
         )
         sol = doss_sussmann_solve(coeff, rp, 1.0)
         assert sol.diagnostics["mode"] == "affine-flow"

@@ -44,7 +44,7 @@ def test_grid_invariants():
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 1.0, 1.0]))
     g = TimeGrid.regular(0, 1, 8)
-    assert g.uniform and g.n_cells == 8
+    assert g.n_cells == 8
     with pytest.raises(ValueError):
         g.index_of(0.3)
 
