@@ -3,13 +3,17 @@ composition of affine cell maps, one numpy implementation each.
 
 A pair kernel takes index arrays ``ii`` and ``jj`` that broadcast against
 each other, and returns the largest Hölder ratio over the pairs ``(i, j)``
-of their broadcast.  ``roughpath._pair_blocks`` hands out a row range
-against the columns to its right (shapes ``(R, 1)`` and ``(1, C)``), or one
-dyadic lag as two flat arrays; flat arrays of any pairs ``i < j`` work too.
-A point is gathered once per block, and every per-pair quantity is formed
-by broadcasting.  Pairs with ``j <= i`` (the corner of a row block) have an
-infinite gap, so their ratio is exactly 0 and no real ratio, all of which
-are >= 0, is masked by them.
+of their broadcast.  ``roughpath._pair_sup`` hands it one dyadic lag as two
+flat arrays, or a batch of ``T`` tiles of the all-pairs search, row tiles
+against column tiles of ``S`` nodes each (shapes ``(T, S, 1)`` and
+``(T, 1, S)``); ``roughpath._pair_blocks`` hands out a row range against the
+columns to its right (``(R, 1)`` and ``(1, C)``).  Flat arrays of any pairs
+``i < j`` work too.  A point is gathered once per block, and every per-pair
+quantity is formed by broadcasting.  Entries with ``j <= i`` (the lower half
+of a diagonal tile, the corner of a row block) have an infinite gap, so
+their ratio is exactly 0 and no real ratio, all of which are >= 0, is
+masked by them.  ``pair_norms`` is the per-pair norm the kernels take; the
+search bounds its tiles with it.
 """
 
 from __future__ import annotations
@@ -25,13 +29,17 @@ def _gap(times, ii, jj):
     return np.where(jj > ii, times[jj] - times[ii], np.inf)
 
 
+def pair_norms(values, shape):
+    """|Z| of each pair of a block of the given shape.  ``values`` has the
+    block's shape followed by each pair's value axes, flattened here into one
+    so that ``linalg.norm`` sums them as a one-shot evaluation over flat
+    pairs would, pairwise from 8 terms on."""
+    return np.linalg.norm(values.reshape(shape + (-1,)), axis=-1)
+
+
 def block_sup(values, gap, exponent) -> float:
-    """Largest |values| / gap^exponent over a pair block.  ``values`` has
-    the block's shape followed by each pair's value axes, flattened here
-    into one so that ``linalg.norm`` sums them as a one-shot evaluation
-    over flat pairs would, pairwise from 8 terms on."""
-    diff = np.linalg.norm(values.reshape(gap.shape + (-1,)), axis=-1)
-    return float(np.max(diff / gap**exponent))
+    """Largest |values| / gap^exponent over a pair block."""
+    return float(np.max(pair_norms(values, gap.shape) / gap**exponent))
 
 
 def _second(X, A, ii, jj):
@@ -56,10 +64,14 @@ def pair_sup_second(X, A, times, ii, jj, alpha):
     return block_sup(_second(X, A, ii, jj), _gap(times, ii, jj), 2.0 * alpha)
 
 
-def pair_sup_second_diff(X1, A1, X2, A2, times, ii, jj, alpha):
+def _second_diff(X1, A1, X2, A2, ii, jj):
     XX = _second(X1, A1, ii, jj)
     XX -= _second(X2, A2, ii, jj)
-    return block_sup(XX, _gap(times, ii, jj), 2.0 * alpha)
+    return XX
+
+
+def pair_sup_second_diff(X1, A1, X2, A2, times, ii, jj, alpha):
+    return block_sup(_second_diff(X1, A1, X2, A2, ii, jj), _gap(times, ii, jj), 2.0 * alpha)
 
 
 def linear_flow_maps(P, q):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import _accel
-from .roughpath import RoughPath, _pair_sup
+from .roughpath import _EPS, RoughPath, _diff, _max_norm, _pair_sup
 
 
 def sewing_constant(alpha: float) -> float:
@@ -75,19 +75,19 @@ class ControlledPath:
     def prime_norm(self) -> float:
         """Discrete alpha-Hölder norm of the Gubinelli derivative."""
         if self._prime_norm is None:
-            V = self.Yprime
-            self._prime_norm = _holder_sup(
-                lambda ii, jj: V[jj] - V[ii], self.base, self.base.alpha
-            )
+            self._prime_norm = _holder_sup(_diff(self.Yprime), self.base, self.base.alpha)
         return self._prime_norm
 
     def remainder_norm(self) -> float:
         """Discrete 2*alpha-Hölder norm of the remainder."""
         if self._remainder_norm is None:
+            # R_{i,j} = R_{i,p} + R_{p,j} + (Y'_p - Y'_i) X_{p,j}
             self._remainder_norm = _holder_sup(
                 lambda ii, jj: _remainders(self, ii, jj),
                 self.base,
                 2.0 * self.base.alpha,
+                ((_diff(self.Yprime), _diff(self.base.values)),),
+                3.0 * _remainder_slack(self),
             )
         return self._remainder_norm
 
@@ -182,15 +182,30 @@ def _remainders(cp: ControlledPath, ii, jj):
     return cp.Y[jj] - cp.Y[ii] - np.einsum("...d,...d->...", cp.Yprime[ii], dX)
 
 
-def _holder_sup(pair_diff, base: RoughPath, exponent: float) -> float:
+def _remainder_slack(cp: ControlledPath) -> float:
+    """Absolute round-off of one remainder value from ``_remainders``.
+
+    Y_j - Y_i rounds by u |Y_j - Y_i| <= 2 u max|Y|, and the contraction
+    Y'_i X_{i,j} over d terms by (d + 1) u |Y'_i| |X_{i,j}| <=
+    2 (d + 1) u max|Y'| max|X - X_0| (u = eps / 2); the rest is relative to
+    the value.
+    """
+    X = cp.base.values
+    return _EPS * (
+        _max_norm(cp.Y) + (cp.base.d + 2) * _max_norm(cp.Yprime) * _max_norm(X - X[0])
+    )
+
+
+def _holder_sup(pair_diff, base: RoughPath, exponent: float, terms=(), slack=0.0):
     """Discrete sup of |pair_diff(ii, jj)| / |t_j - t_i|^exponent over the
-    pairs of the base grid, taken block by block."""
+    pairs of the base grid, by the search of ``roughpath._pair_sup`` with
+    the Chen factors ``terms`` and the absolute round-off ``slack``."""
     t = base.times
 
     def ratio(ii, jj):
         return _accel.block_sup(pair_diff(ii, jj), _accel._gap(t, ii, jj), exponent)
 
-    return _pair_sup(ratio, base.grid.n_cells)
+    return _pair_sup(ratio, t, exponent, pair_diff, terms, slack)
 
 
 def controlled_distance(cp: ControlledPath, cq: ControlledPath) -> float:
@@ -198,12 +213,23 @@ def controlled_distance(cp: ControlledPath, cq: ControlledPath) -> float:
     if cp.Y.shape != cq.Y.shape or not np.allclose(cp.base.times, cq.base.times):
         raise ValueError("controlled paths must share grid and value shape")
     a = cp.base.alpha
-    dV = cp.Yprime - cq.Yprime
-    d1 = _holder_sup(lambda ii, jj: dV[jj] - dV[ii], cp.base, a)
+    X, dV = cp.base.values, cp.Yprime - cq.Yprime
+    dX = X - cq.base.values
+    d1 = _holder_sup(_diff(dV), cp.base, a)
+    # (Y'_p - Y'_i) X_{p,j} - (Z'_p - Z'_i) X~_{p,j}
+    #   = (dV_p - dV_i) X_{p,j} + (Z'_p - Z'_i) dX_{p,j};
+    # dV and dX are rounded, so their pair values are off by up to
+    # 2 u max|dV| and 2 u max|dX|
     d2 = _holder_sup(
         lambda ii, jj: _remainders(cp, ii, jj) - _remainders(cq, ii, jj),
         cp.base,
         2.0 * a,
+        ((_diff(dV), _diff(X)), (_diff(cq.Yprime), _diff(dX))),
+        3.0 * (_remainder_slack(cp) + _remainder_slack(cq))
+        + 2.0 * _EPS * (
+            _max_norm(dV) * _max_norm(X - X[0])
+            + _max_norm(dX) * _max_norm(cq.Yprime)
+        ),
     )
     return d1 + d2
 

@@ -21,7 +21,7 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -187,11 +187,15 @@ def _march(coeff, rp: RoughPath, y0, i: int, j: int, backward: bool) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def solve_driftless(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
-    """Forward solve of dY = sigma(c, Y) dX from the start of the grid."""
+    """Forward solve of dY = sigma(c, Y) dX from the start of the grid.  A
+    drift in ``coeff`` is not applied, and the solution records the field
+    without it (``doss_sussmann_solve`` applies it)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
     Y = _march(coeff, rp, xi, 0, M, backward=False)
-    return _solution(coeff, rp, Y, {"steps": M, "max_abs": float(np.max(np.abs(Y)))})
+    return _solution(
+        replace(coeff, b=None), rp, Y, {"steps": M, "max_abs": float(np.max(np.abs(Y)))}
+    )
 
 
 def solve_backward(
@@ -204,6 +208,8 @@ def solve_backward(
     inverts to second order:
         Y_u = Y_v - sigma(c, Y_v) X + (a0 sigma) : (X (x) X - XX).
     The returned path covers [s, t] on the grid, indexed forward in time.
+    Like ``solve_driftless`` it applies no drift and records the field
+    without one.
     """
     i = rp.grid.index_of(s)
     j = rp.grid.index_of(t)
@@ -214,7 +220,9 @@ def solve_backward(
         )
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     Y = _march(coeff, rp, delta, i, j, backward=True)
-    return _solution(coeff, rp, Y, {"steps": j - i, "direction": "backward"}, i)
+    return _solution(
+        replace(coeff, b=None), rp, Y, {"steps": j - i, "direction": "backward"}, i
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,25 @@ from .measures import write_rows
 ITO = "ito"
 STRAT = "strat"
 
-#: beyond this many grid cells the discrete Hölder suprema are taken over
-#: dyadically spaced pairs (i, i + 2^k) instead of all pairs
+#: beyond this many grid cells the discrete Hölder suprema are taken over the
+#: dyadically spaced pairs (i, i + 2^k) only, a lower bound of the supremum
+#: over all pairs
 PAIR_CAP = 2048
 
-#: most block entries a Hölder supremum evaluates at once, the corner
-#: entries j <= i of a row block included; it bounds the memory of the
-#: per-pair intermediates, and a max over blocks is exact.  Above PAIR_CAP,
-#: so that one row of all pairs always fits in a block.
-PAIR_BLOCK = 1 << 16
+#: most block entries a Hölder supremum evaluates at once, the entries
+#: j <= i of a block included; it bounds the memory of the per-pair
+#: intermediates, and a max over blocks is exact.  Above PAIR_CAP, so that
+#: one row of all pairs always fits in a block.  2^15 rather than 2^16: the
+#: same time, and a `rough-paths` benchmark round peaks 2-3 MB lower.
+PAIR_BLOCK = 1 << 15
+
+#: nodes per side of the square tiles of the all-pairs search.  On
+#: 2^11-cell Brownian lifts, tiles of 16 to 32 nodes took the same time to
+#: within the run-to-run spread, and 48 and 64 took up to 20% and 30%
+#: longer; 32 is the largest of the flat range, so the fewest tiles to bound.
+PAIR_TILE = 32
+
+_EPS = float(np.finfo(float).eps)
 
 
 def check_alpha(alpha: float) -> float:
@@ -44,27 +54,10 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def _pair_blocks(n_cells: int):
-    """Index pairs (i, j), i < j, used for discrete Hölder suprema, yielded
-    as blocks (ii, jj) of int64 index arrays that broadcast against each
-    other, at most PAIR_BLOCK broadcast entries per block.
-
-    Up to PAIR_CAP cells every pair: a block is a run of rows r0 <= i < r1
-    against the columns r0 < j <= n_cells, ``ii`` of shape (R, 1) and ``jj``
-    of shape (1, C).  Its corner, the entries with j <= i, holds no pair;
-    the kernels give those entries an infinite time gap (``_accel._gap``),
-    so their ratio is exactly 0.  Above PAIR_CAP the pairs (i, i + 2^k),
-    one lag at a time, cut into flat blocks.  Either way each pair appears
-    once, in row-major order of its block.
-    """
+def _lag_blocks(n_cells: int):
+    """The pairs (i, i + 2^k), one lag at a time, cut into flat blocks of at
+    most PAIR_BLOCK pairs."""
     m = n_cells + 1
-    if n_cells <= PAIR_CAP:
-        # R rows against at most n_cells columns
-        rows = PAIR_BLOCK // n_cells
-        for r0 in range(0, n_cells, rows):
-            ii = np.arange(r0, min(r0 + rows, n_cells), dtype=np.int64)
-            yield ii[:, None], np.arange(r0 + 1, m, dtype=np.int64)[None, :]
-        return
     k = 1
     while k <= n_cells:
         for i0 in range(0, m - k, PAIR_BLOCK):
@@ -73,10 +66,171 @@ def _pair_blocks(n_cells: int):
         k *= 2
 
 
-def _pair_sup(ratio, n_cells: int) -> float:
-    """Max of ``ratio(ii, jj)``, a block's largest Hölder ratio, over every
-    pair block of a grid with n_cells cells."""
-    return float(np.max([ratio(ii, jj) for ii, jj in _pair_blocks(n_cells)]))
+def _pair_blocks(n_cells: int):
+    """The pair set of the discrete Hölder suprema, (i, j) with i < j, as
+    blocks (ii, jj) of int64 index arrays that broadcast against each other,
+    at most PAIR_BLOCK broadcast entries per block.
+
+    Up to PAIR_CAP cells every pair: a block is a run of rows r0 <= i < r1
+    against the columns r0 < j <= n_cells, ``ii`` of shape (R, 1) and ``jj``
+    of shape (1, C).  Its corner, the entries with j <= i, holds no pair;
+    the kernels give those entries an infinite time gap (``_accel._gap``),
+    so their ratio is exactly 0.  Above PAIR_CAP the dyadic lags of
+    ``_lag_blocks``.  Either way each pair appears once, in row-major order
+    of its block.  ``_pair_sup`` finds the max over this set while it
+    evaluates only a fraction of it; it sweeps these blocks whole only when
+    a ratio is not finite.
+    """
+    if n_cells > PAIR_CAP:
+        yield from _lag_blocks(n_cells)
+        return
+    m = n_cells + 1
+    # R rows against at most n_cells columns
+    rows = PAIR_BLOCK // n_cells
+    for r0 in range(0, n_cells, rows):
+        ii = np.arange(r0, min(r0 + rows, n_cells), dtype=np.int64)
+        yield ii[:, None], np.arange(r0 + 1, m, dtype=np.int64)[None, :]
+
+
+def _block_max(ratio, blocks) -> float:
+    best = -np.inf
+    for ii, jj in blocks:
+        best = np.maximum(best, ratio(ii, jj))  # a NaN stays NaN
+    return float(best)
+
+
+def _max_norm(F) -> float:
+    """max_k |F_k| over the nodes k of a node array, each F_k flattened."""
+    return float(np.max(np.linalg.norm(F.reshape(len(F), -1), axis=1)))
+
+
+def _second_slack(X, A) -> float:
+    """Absolute round-off of one second-level value from ``_accel._second``.
+
+    Per entry, A_j - A_i rounds by u |A_j - A_i| <= 2 u max|A| and the
+    product (X_i - X_0)(X_j - X_i) by 3 u |X_i - X_0| |X_j - X_i| <=
+    6 u max|X - X_0|^2 (u = eps / 2; the Frobenius norm of the products is
+    the product of the norms); the rest is relative to the value.
+    """
+    return _EPS * (_max_norm(A) + 4.0 * _max_norm(X - X[0]) ** 2)
+
+
+def _row_maxima(f, tiles):
+    """rows[a, b] = max over i in tile a of |f(i, p_b)|, for b > a, with p_b
+    the first node of tile b, and the values per pair of f.  At most
+    PAIR_BLOCK entries are evaluated at once."""
+    nt, S = tiles.shape
+    rows = np.zeros((nt, nt))
+    step = max(1, PAIR_BLOCK // (S * nt))  # row tiles per block
+    for a0 in range(0, nt - 1, step):
+        a1 = min(a0 + step, nt - 1)
+        ii, jj = tiles[a0:a1].reshape(-1, 1), tiles[None, a0 + 1 :, 0]
+        v = f(ii, jj)
+        rows[a0:a1, a0 + 1 :] = (
+            _accel.pair_norms(v, (ii.size, jj.size)).reshape(a1 - a0, S, -1).max(axis=1)
+        )
+    return rows, v.size // (ii.size * jj.size)
+
+
+def _col_maxima(f, tiles):
+    """cols[b] = max over j in tile b of |f(p_b, j)|, p_b the first node of
+    tile b, and the values per pair of f."""
+    v = f(tiles[:, :1], tiles)
+    return _accel.pair_norms(v, tiles.shape).max(axis=1), v.size // tiles.size
+
+
+def _pair_sup(ratio, times, exponent, values, terms=(), slack=0.0) -> float:
+    """Discrete Hölder supremum over the pair set of ``_pair_blocks``, equal
+    bitwise to the max of ``ratio`` over every block of that set.
+
+    ``ratio(ii, jj)`` is one pair kernel call, a block's largest
+    |Z_{i,j}| / (t_j - t_i)^exponent, and ``values(ii, jj)`` the block's
+    values Z_{i,j}, of the block's shape followed by the value axes.
+    ``terms`` holds pairs (U, V) of callables like ``values`` for which
+    Chen's relation
+
+        Z_{i,j} = Z_{i,p} + Z_{p,j} + sum_(U, V) U_{i,p} (x) V_{p,j}
+
+    holds exactly on the stored arrays for i <= p <= j, and ``slack`` bounds
+    the absolute round-off that the computed Z_{i,j}, Z_{i,p}, Z_{p,j} and
+    the products of computed factors add to it, beyond a few u relative to
+    each value.  No other quantity takes part: the relation bounds
+    |Z_{i,j}| by the anchor values.
+
+    The dyadic lags (i, i + 2^k) seed the running best; above PAIR_CAP they
+    are the pair set, so the seed is the value.  Up to PAIR_CAP the nodes
+    are cut into tiles of PAIR_TILE, the diagonal tiles are evaluated, and
+    each tile pair a < b is bounded from its anchor p, the first node of
+    tile b, and its smallest gap g = t_p - t_l, l the last node of tile a:
+
+        B = (max_i |Z_{i,p}| + max_j |Z_{p,j}|
+             + sum max_i |U_{i,p}| max_j |V_{p,j}|) / g^exponent.
+
+    The tile pairs are evaluated in descending order of
+    (B + slack / g^exponent) (1 + r), at most PAIR_BLOCK entries a batch,
+    until none left reaches the best.  Why that is sound under round-off,
+    with u = eps / 2 and K values per pair:
+    - rounding is monotone, so each pair's computed gap is >= the computed
+      g;
+    - r = (4 K + 64) eps covers the relative error of both sides: a value's
+      subtractions and products (3 u), its norm (about (K + 2) u), the sum of
+      the bound's pieces and their products, a power on each side (4 ulp
+      each allowed) and a division on each side, about (2 K + 30) u in all,
+      which r exceeds fourfold;
+    - ``slack`` covers the cancellation, for instance A_j - A_i, whose
+      round-off scales with |A| and not with |Z|, which no relative slack
+      covers.
+    A NaN bound counts as infinite.  A ratio that is not finite (a
+    non-finite input) gives nothing to prune by, so then every block of
+    ``_pair_blocks`` is evaluated and the value is the max over them.
+    """
+    n = len(times) - 1
+    best = _block_max(ratio, _lag_blocks(n))
+    if n > PAIR_CAP:
+        return best
+    if np.isfinite(best):
+        best = _tile_search(ratio, times, exponent, values, terms, slack, best)
+    return best if np.isfinite(best) else _block_max(ratio, _pair_blocks(n))
+
+
+def _tile_search(ratio, times, exponent, values, terms, slack, best) -> float:
+    """The tile part of ``_pair_sup``, from a finite seed ``best``."""
+    m = len(times)
+    S = min(PAIR_TILE, m)
+    nt = -(-m // S)
+    # the last tile repeats the last node where it runs past it; a pair
+    # evaluated twice leaves the max unchanged
+    tiles = np.minimum(np.arange(nt * S, dtype=np.int64).reshape(nt, S), m - 1)
+    per = max(1, PAIR_BLOCK // (S * S))  # tile pairs per batch
+
+    def evaluate(a, b):
+        return ratio(tiles[a][:, :, None], tiles[b][:, None, :])
+
+    for k in range(0, nt, per):
+        diag = np.arange(k, min(k + per, nt))
+        best = np.maximum(best, evaluate(diag, diag))
+    if nt == 1:
+        return float(best)
+    a, b = np.triu_indices(nt, 1)
+    rows, k_rows = _row_maxima(values, tiles)
+    cols, k_cols = _col_maxima(values, tiles)
+    num, K = rows[a, b] + cols[b], max(k_rows, k_cols)
+    for U, V in terms:
+        (rows, k_rows), (cols, k_cols) = _row_maxima(U, tiles), _col_maxima(V, tiles)
+        num += rows[a, b] * cols[b]
+        K = max(K, k_rows, k_cols)
+    g = (times[tiles[b, 0]] - times[tiles[a, -1]]) ** exponent
+    bound = (num + slack) * (1.0 + (4 * K + 64) * _EPS) / g
+    bound[np.isnan(bound)] = np.inf
+    order = np.argsort(-bound, kind="stable")
+    a, b, bound = a[order], b[order], bound[order]
+    k = 0
+    while k < len(bound) and bound[k] >= best:
+        # the next batch: the tiles whose bound still reaches the best
+        stop = min(k + per, int(np.searchsorted(-bound, -best, side="right")))
+        best = np.maximum(best, evaluate(a[k:stop], b[k:stop]))
+        k = stop
+    return float(best)
 
 
 @dataclass(frozen=True)
@@ -177,16 +331,13 @@ class RoughPath:
     # -- norms and distances ------------------------------------------------
 
     def holder_norms(self) -> tuple[float, float]:
-        """Discrete sup of |X_{s,t}| / |t-s|^a and |XX_{s,t}| / |t-s|^{2a}."""
+        """Discrete sup of |X_{s,t}| / |t-s|^a and |XX_{s,t}| / |t-s|^{2a}
+        over all pairs of grid points up to PAIR_CAP cells; above it over the
+        dyadic lags (i, i + 2^k), a lower bound of the sup over all pairs."""
         cached = getattr(self, "_norms", None)
         if cached is None:
             X, A, t, a = self.values, self._cum, self.times, self.alpha
-            n = self.grid.n_cells
-            nx = _pair_sup(lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), n)
-            nxx = _pair_sup(
-                lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a), n
-            )
-            cached = (nx, nxx)
+            cached = (_first_sup(X, t, a), _second_sup(X, A, t, a))
             object.__setattr__(self, "_norms", cached)
         return cached
 
@@ -208,18 +359,64 @@ class RoughPath:
 
 
 def rough_distance(rp1: RoughPath, rp2: RoughPath) -> float:
-    """alpha-Hölder rough path metric between paths on the same grid."""
+    """alpha-Hölder rough path metric between paths on the same grid, over
+    all pairs of grid points up to PAIR_CAP cells; above it over the dyadic
+    lags (i, i + 2^k), a lower bound of the metric over all pairs."""
     if rp1.alpha != rp2.alpha:
         raise ValueError("rough paths must share the Hölder exponent")
     if rp1.times.shape != rp2.times.shape or not np.allclose(rp1.times, rp2.times):
         raise ValueError("rough paths must share the time grid")
     X1, A1, X2, A2 = rp1.values, rp1._cum, rp2.values, rp2._cum
-    dX, t, a, n = X1 - X2, rp1.times, rp1.alpha, rp1.grid.n_cells
-    d1 = _pair_sup(lambda ii, jj: _accel.pair_sup_first(dX, t, ii, jj, a), n)
-    d2 = _pair_sup(
-        lambda ii, jj: _accel.pair_sup_second_diff(X1, A1, X2, A2, t, ii, jj, a), n
+    t, a = rp1.times, rp1.alpha
+    return _first_sup(X1 - X2, t, a) + _second_diff_sup(X1, A1, X2, A2, t, a)
+
+
+# ---------------------------------------------------------------------------
+# the Hölder suprema of rough paths: each kernel with its Chen factors
+# ---------------------------------------------------------------------------
+
+def _diff(F):
+    """Pair values F_j - F_i of a node array F."""
+    return lambda ii, jj: F[jj] - F[ii]
+
+
+def _first_sup(X, t, a) -> float:
+    """sup |X_j - X_i| / (t_j - t_i)^a; X_{i,j} = X_{i,p} + X_{p,j}."""
+    return _pair_sup(
+        lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), t, a, _diff(X)
     )
-    return d1 + d2
+
+
+def _second_sup(X, A, t, a) -> float:
+    """sup |XX_{i,j}| / (t_j - t_i)^{2a};
+    XX_{i,j} = XX_{i,p} + XX_{p,j} + X_{i,p} (x) X_{p,j}."""
+    return _pair_sup(
+        lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a),
+        t,
+        2.0 * a,
+        lambda ii, jj: _accel._second(X, A, ii, jj),
+        ((_diff(X), _diff(X)),),
+        3.0 * _second_slack(X, A),
+    )
+
+
+def _second_diff_sup(X1, A1, X2, A2, t, a) -> float:
+    """sup |XX1_{i,j} - XX2_{i,j}| / (t_j - t_i)^{2a}.  With dX = X1 - X2
+    the Chen cross terms X1_{i,p} (x) X1_{p,j} - X2_{i,p} (x) X2_{p,j} are
+    dX_{i,p} (x) X1_{p,j} + X2_{i,p} (x) dX_{p,j}; the pair values of the
+    rounded dX are off by up to 2 u max|dX|, times the other factor's
+    2 max|X - X_0|."""
+    dX = X1 - X2
+    sx1, sx2 = _max_norm(X1 - X1[0]), _max_norm(X2 - X2[0])
+    return _pair_sup(
+        lambda ii, jj: _accel.pair_sup_second_diff(X1, A1, X2, A2, t, ii, jj, a),
+        t,
+        2.0 * a,
+        lambda ii, jj: _accel._second_diff(X1, A1, X2, A2, ii, jj),
+        ((_diff(dX), _diff(X1)), (_diff(X2), _diff(dX))),
+        3.0 * (_second_slack(X1, A1) + _second_slack(X2, A2))
+        + 2.0 * _EPS * _max_norm(dX) * (sx1 + sx2),
+    )
 
 
 # ---------------------------------------------------------------------------

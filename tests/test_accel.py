@@ -4,7 +4,20 @@ import pytest
 from roughmf import _accel, roughpath
 from roughmf.grids import TimeGrid
 from roughmf.rde import linear_coefficients, linear_flow
-from roughmf.roughpath import RoughPath, _pair_blocks, _pair_sup
+from roughmf.roughpath import (
+    STRAT,
+    NoisePath,
+    RoughPath,
+    _block_max,
+    _first_sup,
+    _pair_blocks,
+    _second_diff_sup,
+    _second_sup,
+    brownian_lift,
+    dyadic_approximation,
+    rough_distance,
+    shift,
+)
 
 from conftest import milstein_oracle
 
@@ -60,13 +73,11 @@ def brute_suprema(rp, rq):
 
 def kernel_suprema(rp, rq):
     X, A, X2, A2 = rp.values, rp._cum, rq.values, rq._cum
-    t, a, n = rp.times, rp.alpha, rp.grid.n_cells
+    t, a = rp.times, rp.alpha
     return (
-        _pair_sup(lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), n),
-        _pair_sup(lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a), n),
-        _pair_sup(
-            lambda ii, jj: _accel.pair_sup_second_diff(X, A, X2, A2, t, ii, jj, a), n
-        ),
+        _first_sup(X, t, a),
+        _second_sup(X, A, t, a),
+        _second_diff_sup(X, A, X2, A2, t, a),
     )
 
 
@@ -86,6 +97,131 @@ def test_pair_suprema_match_brute_force_on_dyadic_lags(monkeypatch):
     rp, rq = rough_pair(7, 40, 2, uniform=False)
     got = kernel_suprema(rp, rq)
     assert np.allclose(got, brute_suprema(rp, rq), rtol=1e-13, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the pruned all-pairs search against brute force, bitwise
+# ---------------------------------------------------------------------------
+
+def one_shot_suprema(rp, rq):
+    """The three suprema of ``kernel_suprema`` and the first level of the
+    distance, one kernel call each over every pair (i < j) as flat index
+    arrays: nothing pruned."""
+    ii, jj = np.triu_indices(len(rp.times), k=1)
+    X, A, X2, A2 = rp.values, rp._cum, rq.values, rq._cum
+    t, a = rp.times, rp.alpha
+    return (
+        _accel.pair_sup_first(X, t, ii, jj, a),
+        _accel.pair_sup_second(X, A, t, ii, jj, a),
+        _accel.pair_sup_second_diff(X, A, X2, A2, t, ii, jj, a),
+        _accel.pair_sup_first(X - X2, t, ii, jj, a),
+    )
+
+
+def bitwise_equal(got, want):
+    return all(g == w or (np.isnan(g) and np.isnan(w)) for g, w in zip(got, want))
+
+
+def linear_path(grid, d):
+    # X_t = t v with its exact second level; every ratio grows with the
+    # lag, so the suprema sit at the pair (0, n), in the farthest tile
+    X = grid.points[:, None] * np.linspace(1.0, 0.5, d)
+    dX = np.diff(X, axis=0)
+    return RoughPath(grid, X, 0.5 * np.einsum("ml,mk->mlk", dX, dX), 0.4)
+
+
+def search_cases(rp, rq):
+    """(label, first path, second path) on one grid: the adversarial
+    inputs of the tile search."""
+    grid, n, d = rp.grid, rp.grid.n_cells, rp.d
+    yield "random", rp, rq
+    yield "linear", linear_path(grid, d), rp
+    const = RoughPath(grid, np.full((n + 1, d), 3.7), np.zeros((n, d, d)), 0.4)
+    yield "constant", const, const
+    X = rp.values.copy()
+    X[-1] += 50.0  # one large jump in the last cell
+    yield "jump", RoughPath(grid, X, rp.cells, 0.4), rq
+    if n > 4:
+        yield "restrict", rp.restrict(2, n - 1), rq.restrict(2, n - 1)
+        k = n // 3
+        yield "shift", shift(rp, rp.times[k]), shift(rq, rq.times[k])
+    X = rp.values.copy()
+    X[n // 2, 0] = np.nan
+    yield "nan", RoughPath(grid, X, rp.cells, 0.4), rq
+
+
+# cell counts below, at (32 nodes) and past one tile, and not divisible by it
+@pytest.mark.parametrize("cells", [20, 31, 32, 100, 333])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_tile_search_equals_brute_force_bitwise(cells, d, uniform):
+    rp, rq = rough_pair(10 * d + cells, cells, d, uniform)
+    for label, p, q in search_cases(rp, rq):
+        got, want = kernel_suprema(p, q), one_shot_suprema(p, q)
+        assert bitwise_equal(got, want[:3]), (label, got, want)
+        if label == "nan":
+            assert np.isnan(want[0]) and np.isnan(want[2])
+        # the public entry points run the same searches
+        norms = p.holder_norms()
+        assert bitwise_equal(norms, want[:2]), (label, norms, want)
+        assert bitwise_equal([rough_distance(p, q)], [want[3] + want[2]]), label
+
+
+def test_infinite_inputs_give_the_sweep_value():
+    # +inf at nodes 3 and 6 of 100: no dyadic lag joins them, so the lags
+    # give inf, while the pair (3, 6) gives inf - inf = NaN; the search
+    # must return the NaN of the sweep, not a max over what it evaluated
+    rng = np.random.default_rng(0)
+    t = TimeGrid.regular(0.0, 1.0, 100).points
+    X = np.cumsum(rng.normal(size=(101, 2)), axis=0)
+    X[[3, 6]] = np.inf
+    ii, jj = np.triu_indices(101, k=1)
+    with np.errstate(invalid="ignore"):
+        assert np.isinf(_accel.pair_sup_first(X, t, np.arange(98), np.arange(98) + 2, 0.4))
+        want = _accel.pair_sup_first(X, t, ii, jj, 0.4)
+        got = _first_sup(X, t, 0.4)
+    assert np.isnan(want) and np.isnan(got)
+
+
+def test_tile_search_evaluates_under_a_quarter_of_the_pairs(monkeypatch):
+    # 2048 cells: 2,098,176 pairs per supremum.  Count the pairs (j > i of
+    # each block's broadcast) that reach the kernels; a search that fell
+    # back to the sweep would count them all
+    noise = NoisePath.generate(1, TimeGrid.regular(0.0, 1.0, 2048), 2)
+    ref = brownian_lift(noise, noise.fine_grid, STRAT)
+    approx = dyadic_approximation(noise, 5)
+    X, A, Y, B, t, a = ref.values, ref._cum, approx.values, approx._cum, ref.times, 0.4
+    n = ref.grid.n_cells
+    sweep = [
+        _block_max(lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), _pair_blocks(n)),
+        _block_max(lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a),
+                   _pair_blocks(n)),
+        _block_max(lambda ii, jj: _accel.pair_sup_first(Y - X, t, ii, jj, a),
+                   _pair_blocks(n)),
+        _block_max(lambda ii, jj: _accel.pair_sup_second_diff(Y, B, X, A, t, ii, jj, a),
+                   _pair_blocks(n)),
+    ]
+    counts = []
+
+    def counted(kernel):
+        def run(*args):
+            ii, jj = args[-3], args[-2]
+            counts.append(int(np.count_nonzero(jj > ii)))
+            return kernel(*args)
+        return run
+
+    for name in ("pair_sup_first", "pair_sup_second", "pair_sup_second_diff"):
+        monkeypatch.setattr(_accel, name, counted(getattr(_accel, name)))
+    got, evaluated = [], []
+    for sup in (lambda: _first_sup(X, t, a), lambda: _second_sup(X, A, t, a),
+                lambda: _first_sup(Y - X, t, a),
+                lambda: _second_diff_sup(Y, B, X, A, t, a)):
+        counts.clear()
+        got.append(sup())
+        evaluated.append(sum(counts))
+    assert got == sweep
+    pairs = (n + 1) * n // 2
+    assert max(evaluated) < 0.25 * pairs, evaluated
 
 
 def test_linear_flow_maps_match_cell_by_cell_march():

@@ -11,6 +11,7 @@ from roughmf.controlled import (
     sewing_constant,
 )
 from roughmf.grids import TimeGrid
+from roughmf.rde import linear_coefficients, solve_backward, solve_driftless
 from roughmf.roughpath import PAIR_CAP, STRAT, NoisePath, RoughPath, brownian_lift
 
 from conftest import random_rough_path
@@ -149,6 +150,29 @@ def test_streamed_controlled_norms_equal_one_shot_bitwise(shape):
     for rp in (random_rough_path(5, cells=cells),
                RoughPath(skewed, X, rng.normal(size=(cells, 2, 2)) * 0.01, 0.4)):
         cp, cq = _random_controlled(rp, rng, shape), _random_controlled(rp, rng, shape)
+        got = (cp.prime_norm(), cp.remainder_norm(), controlled_distance(cp, cq))
+        assert got == _one_shot_norms(cp, cq)
+
+
+# cell counts at one tile (32 nodes), past it, and not divisible by it
+@pytest.mark.parametrize("cells", [31, 100, 333])
+def test_search_controlled_norms_equal_brute_force_on_rde_solutions(cells):
+    # the solution paths of solve_driftless and solve_backward, on one
+    # driver (the Chen factor dX_{p,j} of the distance is then exactly 0)
+    # and on two drivers of one grid
+    rp, rq = random_rough_path(cells, cells=cells), random_rough_path(cells + 1, cells=cells)
+    rng = np.random.default_rng(cells)
+    coeff = linear_coefficients(rng.normal(size=(2, 2, 2)) * 0.5,
+                                lambda c: np.array([[0.3, -0.1], [0.2, 0.4]]))
+    y0 = np.array([0.7, -0.4])
+    sol = solve_driftless(coeff, rp, y0)
+    near = solve_driftless(coeff, rp, y0 + 1e-3)
+    other = solve_driftless(coeff, rq, y0)
+    t = rp.times
+    back = solve_backward(coeff, rp, sol.Y[-1], t[3], t[cells - 2])
+    back_other = solve_backward(coeff, rq, sol.Y[-1], t[3], t[cells - 2])
+    for cp, cq in ((sol.path, near.path), (sol.path, other.path),
+                   (back.path, back_other.path)):
         got = (cp.prime_norm(), cp.remainder_norm(), controlled_distance(cp, cq))
         assert got == _one_shot_norms(cp, cq)
 

@@ -230,6 +230,28 @@ def test_doss_sussmann_linear_closed_form():
     assert sol.diagnostics["mode"] == "affine-flow"
 
 
+def test_driftless_solves_record_no_drift():
+    # sigma = y, b = -5y on 64 cells: the driftless solves do not take the
+    # drift, so their solutions must not carry it; recorded, integral_defect
+    # added it (1.74 forward, 1.75 backward) to a solve that never took it
+    _, rp = scalar_lift(0, cells=64)
+    drifted = linear_coefficients(np.ones((1, 1, 1)), b=lambda c, y: -5.0 * y)
+    defects = {}
+    for name, coeff in (("drifted", drifted), ("plain", GEOM)):
+        fwd = solve_driftless(coeff, rp, 1.0)
+        back = solve_backward(coeff, rp, fwd.Y[-1], 0.0, 1.0)
+        assert fwd.coeff.b is None and back.coeff.b is None
+        defects[name] = (fwd.integral_defect(), back.integral_defect())
+    assert defects["drifted"] == defects["plain"]
+    assert defects["plain"][0] <= 1e-15 and 1e-3 < defects["plain"][1] < 2e-3
+    # the drift recorded on the same path is the 1.74 mislabel
+    fwd = solve_driftless(GEOM, rp, 1.0)
+    relabelled = type(fwd)(fwd.path, drifted, fwd.cells)
+    assert 1.7 < relabelled.integral_defect() < 1.8
+    # the drifted solve keeps its drift
+    assert doss_sussmann_solve(drifted, rp, 1.0).coeff.b is not None
+
+
 def test_pure_drift_heun():
     # no noise at all: dY = -Y dt
     grid = TimeGrid.regular(0.0, 1.0, 1 << 10)

@@ -110,7 +110,7 @@ def _entries(block):
     return np.broadcast(*block).size
 
 
-# 1000 rows in blocks of 65 rows: the last block is short
+# 1000 rows in blocks of 32 rows: the last block is short
 @pytest.mark.parametrize("n_cells", [1, 7, 1000, PAIR_CAP, PAIR_CAP + 1])
 def test_pair_blocks_cover_the_pair_set_once(n_cells):
     blocks, ii, jj = _joined(n_cells)
