@@ -6,14 +6,22 @@ each other, and returns the largest Hölder ratio over the pairs ``(i, j)``
 of their broadcast.  ``roughpath._pair_sup`` hands it one dyadic lag as two
 flat arrays, or a batch of ``T`` tiles of the all-pairs search, row tiles
 against column tiles of ``S`` nodes each (shapes ``(T, S, 1)`` and
-``(T, 1, S)``); ``roughpath._pair_blocks`` hands out a row range against the
-columns to its right (``(R, 1)`` and ``(1, C)``).  Flat arrays of any pairs
-``i < j`` work too.  A point is gathered once per block, and every per-pair
-quantity is formed by broadcasting.  Entries with ``j <= i`` (the lower half
-of a diagonal tile, the corner of a row block) have an infinite gap, so
-their ratio is exactly 0 and no real ratio, all of which are >= 0, is
-masked by them.  ``pair_norms`` is the per-pair norm the kernels take; the
-search bounds its tiles with it.
+``(T, 1, S)``); the blocks of ``roughpath._pair_blocks``, the reference
+pair set, are a row range against the columns to its right (``(R, 1)`` and
+``(1, C)``).  Flat arrays of any pairs ``i < j`` work too.  A point is
+gathered once per block, and every per-pair quantity is formed by
+broadcasting.  Entries with ``j <= i`` (the lower half of a diagonal tile,
+the corner of a row block) have an infinite gap, so their ratio is exactly
+0 and no real ratio, all of which are >= 0, is masked by them.
+``pair_norms`` is the per-pair norm the kernels take; the search bounds its
+tiles with it.
+
+Each pair value function comes with its slack, a bound of how far each
+computed value may lie, in norm, from the value its formula takes in exact
+arithmetic on the stored arrays; the search widens its tile bounds by it.
+The bounds count u = eps / 2 per rounded operation, relative to that
+operation's exact result, to first order in u, and each slack is at least
+1.2 times the bound it covers.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ import numpy as np
 
 # no compiled backend; kept as a constant for run records that name the backend
 HAVE_NUMBA = False
+
+EPS = float(np.finfo(float).eps)
 
 
 def _gap(times, ii, jj):
@@ -42,6 +52,22 @@ def block_sup(values, gap, exponent) -> float:
     return float(np.max(pair_norms(values, gap.shape) / gap**exponent))
 
 
+def max_norm(F) -> float:
+    """max_k |F_k| over the nodes k of a node array, each F_k flattened."""
+    return float(np.max(np.linalg.norm(F.reshape(len(F), -1), axis=1)))
+
+
+def differences(F):
+    """The pair values F_j - F_i of a node array F, and their slack.
+
+    The subtraction rounds by u |F_j - F_i| <= eps max|F|.  F may itself be
+    a rounded difference G - H of stored arrays, its exact pair values
+    G_j - G_i - (H_j - H_i); each of F_j and F_i is then off by u |F_k|,
+    another eps max|F| in all.
+    """
+    return (lambda ii, jj: F[jj] - F[ii]), 3.0 * EPS * max_norm(F)
+
+
 def _second(X, A, ii, jj):
     # second level over (i, j) reconstructed from the running level-two sum:
     #   XX_{i,j} = A_j - A_i - (X_i - X_0) (x) (X_j - X_i)
@@ -56,6 +82,17 @@ def _second(X, A, ii, jj):
     return XX
 
 
+def second_slack(X, A) -> float:
+    """Slack of ``_second``.  Per entry, with D = A_j - A_i, a = X_i - X_0
+    and b = X_j - X_i: D rounds by u |D|, a_l b_k by 3 u |a_l| |b_k| (its
+    two differences and the product), and the last subtraction by u times
+    its result, at most |D| + |a_l| |b_k|.  In norm that is
+    2 u |D| + 4 u |a| |b| <= 4 u s_A + 8 u s_X^2, with s_F = max_k |F_k - F_0|,
+    so that |D| <= 2 s_A and |a| |b| <= 2 s_X^2.
+    """
+    return 6.0 * EPS * (max_norm(A - A[0]) + max_norm(X - X[0]) ** 2)
+
+
 def pair_sup_first(X, times, ii, jj, alpha):
     return block_sup(X[jj] - X[ii], _gap(times, ii, jj), alpha)
 
@@ -68,6 +105,17 @@ def _second_diff(X1, A1, X2, A2, ii, jj):
     XX = _second(X1, A1, ii, jj)
     XX -= _second(X2, A2, ii, jj)
     return XX
+
+
+def second_diff_slack(X1, A1, X2, A2) -> float:
+    """Slack of ``_second_diff``, the sum of the two paths' slacks.  Each
+    path's value is off by up to 4 u s_A + 8 u s_X^2 (``second_slack``), and
+    the last subtraction by u |XX1 - XX2| <= u (|XX1| + |XX2|), where each
+    |XX| <= 2 s_A + 2 s_X^2.  That last term is relative to each path's
+    value, not to their difference, which may be far smaller; with it each
+    path adds 6 u s_A + 10 u s_X^2, within its ``second_slack``.
+    """
+    return second_slack(X1, A1) + second_slack(X2, A2)
 
 
 def pair_sup_second_diff(X1, A1, X2, A2, times, ii, jj, alpha):

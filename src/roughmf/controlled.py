@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import _accel
-from .roughpath import _EPS, RoughPath, _diff, _max_norm, _pair_sup
+from .roughpath import RoughPath, _pair_sup
 
 
 def sewing_constant(alpha: float) -> float:
@@ -75,7 +75,9 @@ class ControlledPath:
     def prime_norm(self) -> float:
         """Discrete alpha-Hölder norm of the Gubinelli derivative."""
         if self._prime_norm is None:
-            self._prime_norm = _holder_sup(_diff(self.Yprime), self.base, self.base.alpha)
+            self._prime_norm = _holder_sup(
+                _accel.differences(self.Yprime), self.base, self.base.alpha
+            )
         return self._prime_norm
 
     def remainder_norm(self) -> float:
@@ -83,11 +85,10 @@ class ControlledPath:
         if self._remainder_norm is None:
             # R_{i,j} = R_{i,p} + R_{p,j} + (Y'_p - Y'_i) X_{p,j}
             self._remainder_norm = _holder_sup(
-                lambda ii, jj: _remainders(self, ii, jj),
+                (lambda ii, jj: _remainders(self, ii, jj), _remainder_slack(self)),
                 self.base,
                 2.0 * self.base.alpha,
-                ((_diff(self.Yprime), _diff(self.base.values)),),
-                3.0 * _remainder_slack(self),
+                ((_accel.differences(self.Yprime), _accel.differences(self.base.values)),),
             )
         return self._remainder_norm
 
@@ -183,29 +184,33 @@ def _remainders(cp: ControlledPath, ii, jj):
 
 
 def _remainder_slack(cp: ControlledPath) -> float:
-    """Absolute round-off of one remainder value from ``_remainders``.
-
-    Y_j - Y_i rounds by u |Y_j - Y_i| <= 2 u max|Y|, and the contraction
-    Y'_i X_{i,j} over d terms by (d + 1) u |Y'_i| |X_{i,j}| <=
-    2 (d + 1) u max|Y'| max|X - X_0| (u = eps / 2); the rest is relative to
-    the value.
+    """Slack of ``_remainders`` (see ``_accel``), also of the difference of
+    two of them.  Per value entry, with D = Y_j - Y_i and c = Y'_i X_{i,j}:
+    D rounds by u |D|, the contraction over d terms of the rounded X_{i,j}
+    by (d + 1) u |Y'_i| |X_{i,j}|, and the last subtraction by u times its
+    result, at most |D| + |c|.  In norm, with s_F = max_k |F_k - F_0| and
+    P = max_k |Y'_k|, so that |D| <= 2 s_Y and |c| <= 2 P s_X, that is
+    4 u s_Y + (2 d + 4) u P s_X.  A difference of two remainders rounds by
+    u (|R| + |R~|) more, each |R| <= 2 s_Y + 2 P s_X: per path
+    6 u s_Y + (2 d + 6) u P s_X in all, within this slack.
     """
-    X = cp.base.values
-    return _EPS * (
-        _max_norm(cp.Y) + (cp.base.d + 2) * _max_norm(cp.Yprime) * _max_norm(X - X[0])
+    X, Y = cp.base.values, cp.Y
+    return 2.0 * (cp.base.d + 3) * _accel.EPS * (
+        _accel.max_norm(Y - Y[0]) + _accel.max_norm(cp.Yprime) * _accel.max_norm(X - X[0])
     )
 
 
-def _holder_sup(pair_diff, base: RoughPath, exponent: float, terms=(), slack=0.0):
-    """Discrete sup of |pair_diff(ii, jj)| / |t_j - t_i|^exponent over the
-    pairs of the base grid, by the search of ``roughpath._pair_sup`` with
-    the Chen factors ``terms`` and the absolute round-off ``slack``."""
-    t = base.times
+def _holder_sup(values, base: RoughPath, exponent: float, terms=()):
+    """Discrete sup of |Z_{i,j}| / |t_j - t_i|^exponent over the pairs of
+    the base grid, by the search of ``roughpath._pair_sup``; ``values`` is
+    the pair (f, s) of the value function Z and its slack, and ``terms``
+    the Chen factors."""
+    t, (f, _) = base.times, values
 
     def ratio(ii, jj):
-        return _accel.block_sup(pair_diff(ii, jj), _accel._gap(t, ii, jj), exponent)
+        return _accel.block_sup(f(ii, jj), _accel._gap(t, ii, jj), exponent)
 
-    return _pair_sup(ratio, t, exponent, pair_diff, terms, slack)
+    return _pair_sup(ratio, t, exponent, values, terms)
 
 
 def controlled_distance(cp: ControlledPath, cq: ControlledPath) -> float:
@@ -213,22 +218,20 @@ def controlled_distance(cp: ControlledPath, cq: ControlledPath) -> float:
     if cp.Y.shape != cq.Y.shape or not np.allclose(cp.base.times, cq.base.times):
         raise ValueError("controlled paths must share grid and value shape")
     a = cp.base.alpha
-    X, dV = cp.base.values, cp.Yprime - cq.Yprime
-    dX = X - cq.base.values
-    d1 = _holder_sup(_diff(dV), cp.base, a)
+    dV = _accel.differences(cp.Yprime - cq.Yprime)
+    d1 = _holder_sup(dV, cp.base, a)
     # (Y'_p - Y'_i) X_{p,j} - (Z'_p - Z'_i) X~_{p,j}
-    #   = (dV_p - dV_i) X_{p,j} + (Z'_p - Z'_i) dX_{p,j};
-    # dV and dX are rounded, so their pair values are off by up to
-    # 2 u max|dV| and 2 u max|dX|
+    #   = (dV_p - dV_i) X_{p,j} + (Z'_p - Z'_i) dX_{p,j}
     d2 = _holder_sup(
-        lambda ii, jj: _remainders(cp, ii, jj) - _remainders(cq, ii, jj),
+        (
+            lambda ii, jj: _remainders(cp, ii, jj) - _remainders(cq, ii, jj),
+            _remainder_slack(cp) + _remainder_slack(cq),
+        ),
         cp.base,
         2.0 * a,
-        ((_diff(dV), _diff(X)), (_diff(cq.Yprime), _diff(dX))),
-        3.0 * (_remainder_slack(cp) + _remainder_slack(cq))
-        + 2.0 * _EPS * (
-            _max_norm(dV) * _max_norm(X - X[0])
-            + _max_norm(dX) * _max_norm(cq.Yprime)
+        (
+            (dV, _accel.differences(cp.base.values)),
+            (_accel.differences(cq.Yprime), _accel.differences(cp.base.values - cq.base.values)),
         ),
     )
     return d1 + d2

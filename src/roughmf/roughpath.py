@@ -45,8 +45,6 @@ PAIR_BLOCK = 1 << 15
 #: longer; 32 is the largest of the flat range, so the fewest tiles to bound.
 PAIR_TILE = 32
 
-_EPS = float(np.finfo(float).eps)
-
 
 def check_alpha(alpha: float) -> float:
     if not (1.0 / 3.0 < alpha < 0.5):
@@ -77,9 +75,9 @@ def _pair_blocks(n_cells: int):
     the kernels give those entries an infinite time gap (``_accel._gap``),
     so their ratio is exactly 0.  Above PAIR_CAP the dyadic lags of
     ``_lag_blocks``.  Either way each pair appears once, in row-major order
-    of its block.  ``_pair_sup`` finds the max over this set while it
-    evaluates only a fraction of it; it sweeps these blocks whole only when
-    a ratio is not finite.
+    of its block.  ``_pair_sup`` returns the max over this set while it
+    evaluates only a fraction of it; the set itself is swept only by tests,
+    as the reference of that max.
     """
     if n_cells > PAIR_CAP:
         yield from _lag_blocks(n_cells)
@@ -97,22 +95,6 @@ def _block_max(ratio, blocks) -> float:
     for ii, jj in blocks:
         best = np.maximum(best, ratio(ii, jj))  # a NaN stays NaN
     return float(best)
-
-
-def _max_norm(F) -> float:
-    """max_k |F_k| over the nodes k of a node array, each F_k flattened."""
-    return float(np.max(np.linalg.norm(F.reshape(len(F), -1), axis=1)))
-
-
-def _second_slack(X, A) -> float:
-    """Absolute round-off of one second-level value from ``_accel._second``.
-
-    Per entry, A_j - A_i rounds by u |A_j - A_i| <= 2 u max|A| and the
-    product (X_i - X_0)(X_j - X_i) by 3 u |X_i - X_0| |X_j - X_i| <=
-    6 u max|X - X_0|^2 (u = eps / 2; the Frobenius norm of the products is
-    the product of the norms); the rest is relative to the value.
-    """
-    return _EPS * (_max_norm(A) + 4.0 * _max_norm(X - X[0]) ** 2)
 
 
 def _row_maxima(f, tiles):
@@ -139,23 +121,20 @@ def _col_maxima(f, tiles):
     return _accel.pair_norms(v, tiles.shape).max(axis=1), v.size // tiles.size
 
 
-def _pair_sup(ratio, times, exponent, values, terms=(), slack=0.0) -> float:
+def _pair_sup(ratio, times, exponent, values, terms=()) -> float:
     """Discrete Hölder supremum over the pair set of ``_pair_blocks``, equal
     bitwise to the max of ``ratio`` over every block of that set.
 
     ``ratio(ii, jj)`` is one pair kernel call, a block's largest
-    |Z_{i,j}| / (t_j - t_i)^exponent, and ``values(ii, jj)`` the block's
-    values Z_{i,j}, of the block's shape followed by the value axes.
-    ``terms`` holds pairs (U, V) of callables like ``values`` for which
-    Chen's relation
+    |Z_{i,j}| / (t_j - t_i)^exponent.  ``values`` is the pair (f, s) of the
+    kernel's value function, f(ii, jj) the block's computed values Z_{i,j}
+    (of the block's shape followed by the value axes), and its slack s (see
+    ``_accel``).  ``terms`` holds pairs (U, V) of such (f, s) pairs for
+    which Chen's relation
 
         Z_{i,j} = Z_{i,p} + Z_{p,j} + sum_(U, V) U_{i,p} (x) V_{p,j}
 
-    holds exactly on the stored arrays for i <= p <= j, and ``slack`` bounds
-    the absolute round-off that the computed Z_{i,j}, Z_{i,p}, Z_{p,j} and
-    the products of computed factors add to it, beyond a few u relative to
-    each value.  No other quantity takes part: the relation bounds
-    |Z_{i,j}| by the anchor values.
+    holds in exact arithmetic on the stored arrays for i <= p <= j.
 
     The dyadic lags (i, i + 2^k) seed the running best; above PAIR_CAP they
     are the pair set, so the seed is the value.  Up to PAIR_CAP the nodes
@@ -163,38 +142,38 @@ def _pair_sup(ratio, times, exponent, values, terms=(), slack=0.0) -> float:
     each tile pair a < b is bounded from its anchor p, the first node of
     tile b, and its smallest gap g = t_p - t_l, l the last node of tile a:
 
-        B = (max_i |Z_{i,p}| + max_j |Z_{p,j}|
-             + sum max_i |U_{i,p}| max_j |V_{p,j}|) / g^exponent.
+        B = (max_i |Z_{i,p}| + max_j |Z_{p,j}| + 3 s
+             + sum (max_i |U_{i,p}| + s_U) (max_j |V_{p,j}| + s_V))
+            (1 + r) / g^exponent.
 
-    The tile pairs are evaluated in descending order of
-    (B + slack / g^exponent) (1 + r), at most PAIR_BLOCK entries a batch,
-    until none left reaches the best.  Why that is sound under round-off,
-    with u = eps / 2 and K values per pair:
+    The tile pairs are evaluated in descending order of B, at most
+    PAIR_BLOCK entries a batch, until none left reaches the best.  B bounds
+    every computed ratio of its tile:
+    - each computed value is within its slack of the exact one, so
+      |Z_{i,j}| + s, with the exact values of Chen's relation, bounds the
+      computed |Z_{i,j}|, and the anchor values and factors plus their
+      slacks bound the exact ones;
     - rounding is monotone, so each pair's computed gap is >= the computed
       g;
-    - r = (4 K + 64) eps covers the relative error of both sides: a value's
-      subtractions and products (3 u), its norm (about (K + 2) u), the sum of
-      the bound's pieces and their products, a power on each side (4 ulp
-      each allowed) and a division on each side, about (2 K + 30) u in all,
-      which r exceeds fourfold;
-    - ``slack`` covers the cancellation, for instance A_j - A_i, whose
-      round-off scales with |A| and not with |Z|, which no relative slack
-      covers.
-    A NaN bound counts as infinite.  A ratio that is not finite (a
-    non-finite input) gives nothing to prune by, so then every block of
-    ``_pair_blocks`` is evaluated and the value is the max over them.
+    - r = (4 K + 64) eps, with K values per pair, covers what is rounded
+      after the values: the norms (about (K + 2) u each, u = eps / 2), the
+      sums and products of B, a power on each side (4 ulp allowed) and a
+      division on each side, about (2 K + 30) u in all, which r exceeds
+      fourfold.
+    A non-finite input value at a node k makes the value NaN: the entry
+    (k, k) of its diagonal tile, evaluated whatever the bounds, is inf - inf
+    or NaN, and ``np.maximum`` keeps a NaN.  A NaN bound, which finite
+    inputs give only through overflow, counts as infinite.
     """
     n = len(times) - 1
     best = _block_max(ratio, _lag_blocks(n))
     if n > PAIR_CAP:
         return best
-    if np.isfinite(best):
-        best = _tile_search(ratio, times, exponent, values, terms, slack, best)
-    return best if np.isfinite(best) else _block_max(ratio, _pair_blocks(n))
+    return _tile_search(ratio, times, exponent, values, terms, best)
 
 
-def _tile_search(ratio, times, exponent, values, terms, slack, best) -> float:
-    """The tile part of ``_pair_sup``, from a finite seed ``best``."""
+def _tile_search(ratio, times, exponent, values, terms, best) -> float:
+    """The tile part of ``_pair_sup``, from the seed ``best``."""
     m = len(times)
     S = min(PAIR_TILE, m)
     nt = -(-m // S)
@@ -212,15 +191,16 @@ def _tile_search(ratio, times, exponent, values, terms, slack, best) -> float:
     if nt == 1:
         return float(best)
     a, b = np.triu_indices(nt, 1)
-    rows, k_rows = _row_maxima(values, tiles)
-    cols, k_cols = _col_maxima(values, tiles)
-    num, K = rows[a, b] + cols[b], max(k_rows, k_cols)
-    for U, V in terms:
+    f, s = values
+    rows, k_rows = _row_maxima(f, tiles)
+    cols, k_cols = _col_maxima(f, tiles)
+    num, K = rows[a, b] + cols[b] + 3.0 * s, max(k_rows, k_cols)
+    for (U, s_u), (V, s_v) in terms:
         (rows, k_rows), (cols, k_cols) = _row_maxima(U, tiles), _col_maxima(V, tiles)
-        num += rows[a, b] * cols[b]
+        num += (rows[a, b] + s_u) * (cols[b] + s_v)
         K = max(K, k_rows, k_cols)
     g = (times[tiles[b, 0]] - times[tiles[a, -1]]) ** exponent
-    bound = (num + slack) * (1.0 + (4 * K + 64) * _EPS) / g
+    bound = num * (1.0 + (4 * K + 64) * _accel.EPS) / g
     bound[np.isnan(bound)] = np.inf
     order = np.argsort(-bound, kind="stable")
     a, b, bound = a[order], b[order], bound[order]
@@ -375,47 +355,40 @@ def rough_distance(rp1: RoughPath, rp2: RoughPath) -> float:
 # the Hölder suprema of rough paths: each kernel with its Chen factors
 # ---------------------------------------------------------------------------
 
-def _diff(F):
-    """Pair values F_j - F_i of a node array F."""
-    return lambda ii, jj: F[jj] - F[ii]
-
-
 def _first_sup(X, t, a) -> float:
     """sup |X_j - X_i| / (t_j - t_i)^a; X_{i,j} = X_{i,p} + X_{p,j}."""
     return _pair_sup(
-        lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), t, a, _diff(X)
+        lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), t, a, _accel.differences(X)
     )
 
 
 def _second_sup(X, A, t, a) -> float:
     """sup |XX_{i,j}| / (t_j - t_i)^{2a};
     XX_{i,j} = XX_{i,p} + XX_{p,j} + X_{i,p} (x) X_{p,j}."""
+    dX = _accel.differences(X)
     return _pair_sup(
         lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a),
         t,
         2.0 * a,
-        lambda ii, jj: _accel._second(X, A, ii, jj),
-        ((_diff(X), _diff(X)),),
-        3.0 * _second_slack(X, A),
+        (lambda ii, jj: _accel._second(X, A, ii, jj), _accel.second_slack(X, A)),
+        ((dX, dX),),
     )
 
 
 def _second_diff_sup(X1, A1, X2, A2, t, a) -> float:
     """sup |XX1_{i,j} - XX2_{i,j}| / (t_j - t_i)^{2a}.  With dX = X1 - X2
     the Chen cross terms X1_{i,p} (x) X1_{p,j} - X2_{i,p} (x) X2_{p,j} are
-    dX_{i,p} (x) X1_{p,j} + X2_{i,p} (x) dX_{p,j}; the pair values of the
-    rounded dX are off by up to 2 u max|dX|, times the other factor's
-    2 max|X - X_0|."""
-    dX = X1 - X2
-    sx1, sx2 = _max_norm(X1 - X1[0]), _max_norm(X2 - X2[0])
+    dX_{i,p} (x) X1_{p,j} + X2_{i,p} (x) dX_{p,j}."""
+    dX = _accel.differences(X1 - X2)
     return _pair_sup(
         lambda ii, jj: _accel.pair_sup_second_diff(X1, A1, X2, A2, t, ii, jj, a),
         t,
         2.0 * a,
-        lambda ii, jj: _accel._second_diff(X1, A1, X2, A2, ii, jj),
-        ((_diff(dX), _diff(X1)), (_diff(X2), _diff(dX))),
-        3.0 * (_second_slack(X1, A1) + _second_slack(X2, A2))
-        + 2.0 * _EPS * _max_norm(dX) * (sx1 + sx2),
+        (
+            lambda ii, jj: _accel._second_diff(X1, A1, X2, A2, ii, jj),
+            _accel.second_diff_slack(X1, A1, X2, A2),
+        ),
+        ((dX, _accel.differences(X1)), (_accel.differences(X2), dX)),
     )
 
 

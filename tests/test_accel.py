@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -167,20 +169,25 @@ def test_tile_search_equals_brute_force_bitwise(cells, d, uniform):
         assert bitwise_equal([rough_distance(p, q)], [want[3] + want[2]]), label
 
 
-def test_infinite_inputs_give_the_sweep_value():
+@pytest.mark.parametrize("nodes", [(3, 6), (0,), (57,), (100,)])
+def test_infinite_inputs_give_nan(nodes):
     # +inf at nodes 3 and 6 of 100: no dyadic lag joins them, so the lags
     # give inf, while the pair (3, 6) gives inf - inf = NaN; the search
-    # must return the NaN of the sweep, not a max over what it evaluated
+    # must return that NaN, not a max over what it evaluated.  One inf
+    # gives inf on every pair i < j, but inf - inf at its own entry (k, k)
+    # of a diagonal tile, which the search always evaluates: every
+    # non-finite input gives NaN, the first and last node included
     rng = np.random.default_rng(0)
     t = TimeGrid.regular(0.0, 1.0, 100).points
     X = np.cumsum(rng.normal(size=(101, 2)), axis=0)
-    X[[3, 6]] = np.inf
+    X[list(nodes)] = np.inf
     ii, jj = np.triu_indices(101, k=1)
     with np.errstate(invalid="ignore"):
-        assert np.isinf(_accel.pair_sup_first(X, t, np.arange(98), np.arange(98) + 2, 0.4))
+        assert np.isinf(_accel.pair_sup_first(X, t, np.arange(100), np.arange(1, 101), 0.4))
         want = _accel.pair_sup_first(X, t, ii, jj, 0.4)
-        got = _first_sup(X, t, 0.4)
-    assert np.isnan(want) and np.isnan(got)
+        got = (_first_sup(X, t, 0.4), _second_sup(X, np.zeros((101, 2, 2)), t, 0.4))
+    assert np.isnan(want) == (len(nodes) == 2)
+    assert np.isnan(got).all()
 
 
 def test_tile_search_evaluates_under_a_quarter_of_the_pairs(monkeypatch):
@@ -222,6 +229,76 @@ def test_tile_search_evaluates_under_a_quarter_of_the_pairs(monkeypatch):
     assert got == sweep
     pairs = (n + 1) * n // 2
     assert max(evaluated) < 0.25 * pairs, evaluated
+
+
+# ---------------------------------------------------------------------------
+# the slack of each pair value function against exact arithmetic
+# ---------------------------------------------------------------------------
+
+exact = np.vectorize(Fraction, otypes=[object])
+
+
+def roundoff(computed, exact_values):
+    """|computed - exact| of each pair value, the difference taken exactly."""
+    e = exact(computed) - exact_values
+    return np.sqrt((e * e).reshape(len(e), -1).sum(axis=1).astype(float))
+
+
+def swinging_pair(seed, m, d):
+    """Two nearly equal second-level inputs whose running sums A swing
+    between about -1e6 and 1e6, so that each A_j - A_i rounds at that
+    scale, while the two paths' values differ by about 1e-3."""
+    rng = np.random.default_rng(seed)
+    A1 = 1e6 * (-1.0) ** np.arange(m)[:, None, None] * (1 + 0.1 * rng.random((m, d, d)))
+    A1[0] = 0.0
+    X1 = 30.0 * rng.normal(size=(m, d))
+    X2 = X1 * (1 + 1e-9 * rng.normal(size=X1.shape))
+    A2 = A1 * (1 + 1e-9 * rng.normal(size=A1.shape))
+    return X1, A1, X2, A2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_value_slacks_bound_the_exact_roundoff(d):
+    X1, A1, X2, A2 = swinging_pair(d, 24, d)
+    ii, jj = np.triu_indices(24, k=1)
+    F1, B1, F2, B2 = map(exact, (X1, A1, X2, A2))
+    second = roundoff(_accel._second(X1, A1, ii, jj), _accel._second(F1, B1, ii, jj))
+    assert second.max() <= _accel.second_slack(X1, A1)
+    want = _accel._second_diff(F1, B1, F2, B2, ii, jj)
+    diff = roundoff(_accel._second_diff(X1, A1, X2, A2, ii, jj), want)
+    assert diff.max() <= _accel.second_diff_slack(X1, A1, X2, A2)
+    # the difference rounds at the scale of each path's values, far above
+    # eps times the difference itself
+    size = np.sqrt((want * want).reshape(len(want), -1).sum(axis=1).astype(float))
+    assert diff.max() > 1e6 * _accel.EPS * size.max()
+    # pair differences of a stored array, and of a rounded difference of
+    # two, against G_j - G_i - (H_j - H_i)
+    for F, want in ((X1, F1[jj] - F1[ii]), (X1 - X2, F1[jj] - F1[ii] - (F2[jj] - F2[ii]))):
+        values, slack = _accel.differences(F)
+        assert roundoff(values(ii, jj), want).max() <= slack
+
+
+def test_search_widens_its_bounds_by_the_value_slacks():
+    # XX1 - XX2 with X = 0 is fl(A1_j - A1_i) - fl(A2_j - A2_i).  At the
+    # pair (30, 33), 2^20 + 2^-33 is a tie that rounds down while the next
+    # float up rounds up: a computed value of 2^-32 whose exact value is
+    # 2^-85, and whose anchor values at p = 32 are exact (A_32 = 0): 0 and
+    # 2^-85.  A shift of 1e-14 across a short cell in tile 1 sets a best
+    # above the slack-free bound of tile (0, 1) and below that pair's
+    # ratio, so only the slack keeps that tile in the search
+    m = 64
+    t = np.arange(m) / (m - 1.0)
+    t[41] = t[40] + 1e-3 / (m - 1.0)
+    A1 = np.zeros((m, 1, 1))
+    A1[30] = -(2.0**20)
+    A2 = A1.copy()
+    A1[33], A2[33] = 2.0**-33, np.nextafter(2.0**-33, 1.0)
+    A2[41:] += 1e-14
+    X = np.zeros((m, 1))
+    ii, jj = np.triu_indices(m, k=1)
+    want = _accel.pair_sup_second_diff(X, A1, X, A2, t, ii, jj, 0.4)
+    assert want == 2.0**-32 / (t[33] - t[30]) ** 0.8
+    assert _second_diff_sup(X, A1, X, A2, t, 0.4) == want
 
 
 def test_linear_flow_maps_match_cell_by_cell_march():

@@ -1,11 +1,16 @@
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from roughmf import _accel
 from roughmf.controlled import (
     ControlledPath,
     Func2,
+    _remainder_slack,
+    _remainders,
     compose,
     controlled_distance,
     sewing_constant,
@@ -175,6 +180,64 @@ def test_search_controlled_norms_equal_brute_force_on_rde_solutions(cells):
                    (back.path, back_other.path)):
         got = (cp.prime_norm(), cp.remainder_norm(), controlled_distance(cp, cq))
         assert got == _one_shot_norms(cp, cq)
+
+
+exact = np.vectorize(Fraction, otypes=[object])
+
+
+def _exact_remainders(cp, ii, jj):
+    # the same formula on the stored arrays taken as fractions
+    path = SimpleNamespace(base=SimpleNamespace(values=exact(cp.base.values)),
+                           Y=exact(cp.Y), Yprime=exact(cp.Yprime), val_shape=cp.val_shape)
+    return _remainders(path, ii, jj)
+
+
+def _roundoff(computed, exact_values):
+    e = exact(computed) - exact_values
+    return np.sqrt((e * e).reshape(len(e), -1).sum(axis=1).astype(float))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_remainder_slack_bounds_the_exact_roundoff(d):
+    # Y swings between about -1e6 and 1e6, so each Y_j - Y_i rounds at that
+    # scale, while the two paths' remainders differ by about 1e-3
+    m = 24
+    rng = np.random.default_rng(d)
+    rp = RoughPath(TimeGrid.regular(0.0, 1.0, m - 1), 0.3 * rng.normal(size=(m, d)),
+                   np.zeros((m - 1, d, d)), 0.4)
+    Y = 1e6 * (-1.0) ** np.arange(m)[:, None] * (1 + 0.1 * rng.random((m, d)))
+    Yp = 100.0 * rng.normal(size=(m, d, d))
+    cp = ControlledPath(rp, Y, Yp)
+    cq = ControlledPath(rp, Y * (1 + 1e-9 * rng.normal(size=Y.shape)),
+                        Yp * (1 + 1e-9 * rng.normal(size=Yp.shape)))
+    ii, jj = np.triu_indices(m, k=1)
+    want = _exact_remainders(cp, ii, jj)
+    assert _roundoff(_remainders(cp, ii, jj), want).max() <= _remainder_slack(cp)
+    want = want - _exact_remainders(cq, ii, jj)
+    diff = _roundoff(_remainders(cp, ii, jj) - _remainders(cq, ii, jj), want)
+    assert diff.max() <= _remainder_slack(cp) + _remainder_slack(cq)
+    size = np.sqrt((want * want).reshape(len(want), -1).sum(axis=1).astype(float))
+    assert diff.max() > 1e6 * _accel.EPS * size.max()
+
+
+def test_controlled_distance_search_widens_its_bounds_by_the_slacks():
+    # Y' = 0, so R_{i,j} = fl(Y_j - Y_i).  At the pair (30, 33),
+    # 2^20 + 2^-33 is a tie that rounds down while the next float up rounds
+    # up: a computed difference of 2^-32 whose anchor values at p = 32 are
+    # exact (Y_32 = 0): 0 and 2^-85.  A shift of 1e-14 across a short cell
+    # of tile 1 sets a best above the slack-free bound of tile (0, 1) and
+    # below that pair's ratio, so only the slack keeps the tile searched
+    m = 64
+    t = np.arange(m) / (m - 1.0)
+    t[41] = t[40] + 1e-3 / (m - 1.0)
+    base = RoughPath(TimeGrid(t), np.zeros((m, 1)), np.zeros((m - 1, 1, 1)), 0.4)
+    Y1 = np.zeros(m)
+    Y1[30] = -(2.0**20)
+    Y2 = Y1.copy()
+    Y1[33], Y2[33] = 2.0**-33, np.nextafter(2.0**-33, 1.0)
+    Y2[41:] += 1e-14
+    cp, cq = ControlledPath(base, Y1, np.zeros((m, 1))), ControlledPath(base, Y2, np.zeros((m, 1)))
+    assert controlled_distance(cp, cq) == 2.0**-32 / (t[33] - t[30]) ** 0.8
 
 
 def test_controlled_norms_memory_bounded_at_the_cap():
