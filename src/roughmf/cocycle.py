@@ -19,13 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
+from . import rde, rng
 from .grids import TimeGrid
 from .measures import EmpiricalMeasure, dp_bracket, wasserstein_p
 from .meanfield import FrozenLawConfig, MeasureCurve, euler_increments, simulate_frozen_law
 from .models import MeanFieldModel
 from .rde import CoefficientField, RdeSolution, doss_sussmann_solve, linear_coefficients
-from .roughpath import STRAT, NoisePath, RoughPath, brownian_lift, shift
+from .roughpath import STRAT, NoisePath, RoughPath, brownian_lift, dyadic_approximation, shift
 
 
 @dataclass(frozen=True)
@@ -191,46 +191,36 @@ def wong_zakai_run(
     corrected: bool,
     xi,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration of dY = b dt + sigma Wdot^n dt - (corrected ?
-    (1/2)(a0 sigma) dt : 0) against the level-n piecewise-linear
-    noise; corrected runs target the Ito solution, uncorrected the
-    Stratonovich/rough one.  Every stage on fine cell k reads the
-    coefficients of cell k.  Returns (times, trajectory on the fine grid)."""
-    M = noise.fine_grid.n_cells
-    cells_per = M // (1 << level)
-    if cells_per * (1 << level) != M:
-        raise ValueError("2^level dyadic cells must align with the fine grid")
-    W = noise.values()
-    ts = noise.fine_grid.points
-    nodes = np.arange(0, M + 1, cells_per)
-    vel = np.empty((M, noise.d))
-    for c in range(1 << level):
-        a, b_ = nodes[c], nodes[c + 1]
-        vel[a:b_] = (W[b_] - W[a]) / (ts[b_] - ts[a])
-    xi = np.atleast_1d(np.asarray(xi, float))
+    """RK4 integration of dY = sigma Wdot^n dt - (corrected ?
+    (1/2)(a0 sigma) dt : 0) against the level-n piecewise-linear noise
+    ``dyadic_approximation(noise, level)``, on its fine grid; corrected runs
+    target the Ito solution, uncorrected the Stratonovich/rough one.
+
+    The field is affine and fine cell k reads a1 of cell k, so on cell k,
+    of width h and increment x, the ODE is dy/dt = L y + c with
+    B = h L = a0 . x (minus (h/2) a0 a0 if corrected), and one RK4 step is
+    exactly y -> P y + q with P = sum_{m<=4} B^m/m! and
+    q = sum_{m<=3} B^m/(m+1)! h c.  ``rde._march`` steps the maps under its
+    blow-up guard.  A field with a drift raises ValueError.  Returns
+    (times, trajectory on the fine grid).
+    """
+    if coeff.b is not None:
+        raise ValueError("wong_zakai_run takes a driftless field")
+    rp = dyadic_approximation(noise, level)
+    x = np.diff(rp.values, axis=0)
+    M, d = x.shape
     a0 = coeff.a0
-    A1 = np.broadcast_to(coeff.a1(np.arange(M)), (M,) + a0.shape[:2])
-
-    def rhs(k, y, v):
-        sig = np.einsum("ikj,j->ik", a0, y) + A1[k]
-        dy = sig @ v
-        if coeff.b is not None:
-            dy = dy + coeff.b(k, y)
-        if corrected:
-            dy = dy - 0.5 * np.einsum("ikj,jk->i", a0, sig)
-        return dy
-
-    Y = np.empty((M + 1, len(xi)))
-    Y[0] = xi
-    for k in range(M):
-        h = ts[k + 1] - ts[k]
-        v = vel[k]
-        k1 = rhs(k, Y[k], v)
-        k2 = rhs(k, Y[k] + 0.5 * h * k1, v)
-        k3 = rhs(k, Y[k] + 0.5 * h * k2, v)
-        k4 = rhs(k, Y[k] + h * k3, v)
-        Y[k + 1] = Y[k] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return ts, Y
+    A1 = np.broadcast_to(coeff.a1(np.arange(M)), (M, d, d))
+    B = np.einsum("ikj,ck->cij", a0, x)
+    hc = np.einsum("cik,ck->ci", A1, x)
+    if corrected:
+        h = rp.grid.widths
+        B = B - 0.5 * h[:, None, None] * np.einsum("ikl,lkj->ij", a0, a0)
+        hc = hc - 0.5 * h[:, None] * np.einsum("ikj,cjk->ci", a0, A1)
+    eye = np.eye(d)
+    S = eye + B @ (eye + B @ (eye + B / 4) / 3) / 2  # sum_{m<=3} B^m/(m+1)!
+    xi = np.atleast_1d(np.asarray(xi, float))
+    return rp.times, rde._march(eye + B @ S, np.einsum("cij,cj->ci", S, hc), xi, 0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class TimeGrid:
         for j in (i - 1, i, i + 1):
             if 0 <= j < len(self.points) and abs(self.points[j] - t) <= tol:
                 return j
-            # fallthrough: inspect neighbours to absorb float fuzz
         raise ValueError(f"time {t} is not a grid point")
 
     def subgrid_indices(self, coarse: "TimeGrid", tol: float = 1e-9) -> np.ndarray:

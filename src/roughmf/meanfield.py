@@ -324,7 +324,8 @@ def semigroup_check(
 
     With common noise the restart leg replays the exact noise tail and the
     defect is zero to the bit; with fresh noise it measures the splitting +
-    Monte Carlo spread."""
+    Monte Carlo spread; its particles draw the members N .. 2N - 1, disjoint
+    from the run's own 0 .. N - 1."""
     k = cfg.window_index(s, T)
     dW = euler_increments(cfg, T, mu0.n, mu0.d)
     full = simulate_frozen_law(model, mu0, cfg, T, dW=dW)
@@ -334,7 +335,7 @@ def semigroup_check(
     if common_noise:
         dW2 = dW[:, k * cfg.inner:]
     else:
-        dW2 = euler_increments(cfg, T, mu0.n, mu0.d, 7919)[:, : n2 * cfg.inner]
+        dW2 = euler_increments(cfg, T, mu0.n, mu0.d, mu0.n)[:, : n2 * cfg.inner]
     leg2 = simulate_frozen_law(
         model, full.measures[k], cfg.leg(n2), T - s, t0=s, dW=dW2
     )

@@ -1,6 +1,6 @@
 """Concrete mean-field models: the ensemble Kalman sampler (EKS) and the
 Maxwell-molecule Landau system, plus the PSD matrix square root, sampling
-audits of the coefficient assumptions, and the closed-form moment ODES used
+audits of the coefficient assumptions, and the closed-form moment ODEs used
 as oracles by the test suite.
 """
 

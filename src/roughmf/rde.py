@@ -7,8 +7,9 @@ Milstein-type scheme using both levels of the driver per cell:
     Y+ = Y + sigma X + (a0 sigma) : XX  =  P Y + q.
 
 One affine cell map serves every solve: ``_cell_maps`` builds every cell's
-(P, q) in one vectorised pass, solves step Y <- P Y + q, flow Jacobians are
-running products of the P, and the affine flow maps compose both.  Backward
+(P, q) in one vectorised pass, ``_march`` steps Y <- P Y + q (the Wong-Zakai
+RK4 maps of ``cocycle.wong_zakai_run`` too), flow Jacobians are running
+products of the P, and the affine flow maps compose both.  Backward
 solves and backward Jacobians enter each cell at its right edge and use the
 inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
 coefficients are addressed by cell index, not time: the frozen-law
@@ -170,15 +171,19 @@ def _cell_maps(coeff: CoefficientField, rp: RoughPath, i: int, j: int, backward:
     return P, q
 
 
-def _march(coeff, rp: RoughPath, y0, i: int, j: int, backward: bool) -> np.ndarray:
-    """Step Y <- P Y + q over [t_i, t_j] from y0 at t_i (t_j if backward);
-    returns the trajectory forward in time, shape (j - i + 1, d)."""
-    P, q = _cell_maps(coeff, rp, i, j, backward)
-    Y = np.empty((j - i + 1, len(y0)))
+def _march(P, q, y0, first: int, backward: bool) -> np.ndarray:
+    """Step Y <- P_c Y + q_c through the cell maps in solve order from y0.
+
+    The maps are those of the grid cells first, first + 1, ..., taken in
+    reverse if backward, and the blow-up guard names the cell it trips on.
+    Returns the trajectory forward in time, shape (len(P) + 1, d).
+    """
+    n = len(P)
+    Y = np.empty((n + 1, len(y0)))
     Y[0] = y0
-    for c in range(j - i):
+    for c in range(n):
         Y[c + 1] = P[c] @ Y[c] + q[c]
-        _guard(Y[c + 1], j - 1 - c if backward else i + c)
+        _guard(Y[c + 1], first + n - 1 - c if backward else first + c)
     return Y[::-1].copy() if backward else Y
 
 
@@ -192,7 +197,7 @@ def solve_driftless(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
     without it (``doss_sussmann_solve`` applies it)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
-    Y = _march(coeff, rp, xi, 0, M, backward=False)
+    Y = _march(*_cell_maps(coeff, rp, 0, M, False), xi, 0, backward=False)
     return _solution(
         replace(coeff, b=None), rp, Y, {"steps": M, "max_abs": float(np.max(np.abs(Y)))}
     )
@@ -219,7 +224,7 @@ def solve_backward(
             "a rough path needs at least one cell"
         )
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    Y = _march(coeff, rp, delta, i, j, backward=True)
+    Y = _march(*_cell_maps(coeff, rp, i, j, True), delta, i, backward=True)
     return _solution(
         replace(coeff, b=None), rp, Y, {"steps": j - i, "direction": "backward"}, i
     )

@@ -38,6 +38,37 @@ def milstein_oracle(a0, table, rp, y0, i, j, backward=False):
     return np.array([Y[k] for k in range(i, j + 1)])
 
 
+def rk4_oracle(a0, table, noise, level, corrected, y0):
+    """Classical RK4 of the Wong-Zakai ODE dy/dt = sigma v - (corrected ?
+    (1/2)(a0 sigma) : 0), sigma = a0 . y + table[k] on fine cell k, against
+    the level-n piecewise-linear noise of velocity v on each dyadic cell;
+    one fine cell and one stage at a time.  Returns the fine-grid
+    trajectory."""
+    M = noise.fine_grid.n_cells
+    per = M >> level
+    W, ts = noise.values(), noise.fine_grid.points
+
+    def rhs(k, y, v):
+        sig = np.einsum("ikj,j->ik", a0, y) + table[k]
+        dy = sig @ v
+        if corrected:
+            dy = dy - 0.5 * np.einsum("ikj,jk->i", a0, sig)
+        return dy
+
+    Y = np.empty((M + 1, len(y0)))
+    Y[0] = y0
+    for k in range(M):
+        a = k - k % per
+        v = (W[a + per] - W[a]) / (ts[a + per] - ts[a])
+        h = ts[k + 1] - ts[k]
+        k1 = rhs(k, Y[k], v)
+        k2 = rhs(k, Y[k] + 0.5 * h * k1, v)
+        k3 = rhs(k, Y[k] + 0.5 * h * k2, v)
+        k4 = rhs(k, Y[k] + h * k3, v)
+        Y[k + 1] = Y[k] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return Y
+
+
 def assert_close(a, b, tol, msg=""):
     err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
     assert err <= tol, f"{msg} max err {err:g} > {tol:g}"

@@ -24,6 +24,8 @@ from roughmf.rde import (
 )
 from roughmf.roughpath import STRAT, NoisePath, brownian_lift
 
+from conftest import rk4_oracle
+
 
 def make_run(seed=0, n=100, n_freeze=8, T=1.0, model_name="eks-gaussian"):
     params = {"Sigma": np.diag([1.0, 4.0])} if model_name == "eks-gaussian" else None
@@ -269,6 +271,39 @@ def test_wz_defect_halves_per_level():
         ratios.append(defects[1:] / defects[:-1])
     med = np.median(np.array(ratios), axis=0)
     assert np.all(med <= 0.8), med
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_wz_matches_stagewise_rk4_oracle(d, corrected):
+    gen = np.random.default_rng(d)
+    M, level = 256, 4
+    noise = NoisePath.generate(7 + d, TimeGrid.regular(0.0, 1.0, M), d)
+    a0 = 0.4 * gen.standard_normal((d, d, d))
+    table = 0.5 * gen.standard_normal((M, d, d))
+    coeff = linear_coefficients(a0, lambda c: table[c])
+    y0 = gen.standard_normal(d)
+    ts, Y = wong_zakai_run(coeff, noise, level, corrected, y0)
+    want = rk4_oracle(a0, table, noise, level, corrected, y0)
+    assert np.array_equal(ts, noise.fine_grid.points)
+    assert np.linalg.norm(Y - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_wz_guard_names_the_step():
+    # unit increments and sigma = 40 y: each cell multiplies y by
+    # 1 + 40 + 40^2/2 + 40^3/6 + 40^4/24 ~ 1.2e5, past 1e8 on the second cell
+    grid = TimeGrid.regular(0.0, 1.0, 8)
+    noise = NoisePath(0, grid, np.ones((8, 1)))
+    coeff = linear_coefficients(40.0 * np.ones((1, 1, 1)))
+    with pytest.raises(RuntimeError, match="guard tripped at step 1:"):
+        wong_zakai_run(coeff, noise, 3, False, 1.0)
+
+
+def test_wz_rejects_a_drift():
+    noise, _ = wz_setup(0, fine=64)
+    drifted = linear_coefficients(np.ones((1, 1, 1)), b=lambda c, y: -y)
+    with pytest.raises(ValueError, match="driftless"):
+        wong_zakai_run(drifted, noise, 3, False, 1.0)
 
 
 # ---------------------------------------------------------------------------

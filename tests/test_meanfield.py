@@ -317,6 +317,24 @@ def test_semigroup_fresh_noise_positive():
     assert 0.0 < out["defect"] < 1.0
 
 
+def test_semigroup_fresh_noise_draws_members_disjoint_from_the_run(monkeypatch):
+    drawn = []
+    real = meanfield.euler_increments
+
+    def recording(cfg, T, n_particles, d, member_offset=0):
+        drawn.append(range(member_offset, member_offset + n_particles))
+        return real(cfg, T, n_particles, d, member_offset)
+
+    monkeypatch.setattr(meanfield, "euler_increments", recording)
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    # N = 8000: a fixed member offset below N would reuse the run's streams
+    mu0 = gauss_init(12, 8000, 2)
+    cfg = FrozenLawConfig(2, inner=1, seed=6, fine_cells=2)
+    semigroup_check(model, mu0, cfg, s=0.5, T=1.0, common_noise=False)
+    run, fresh = drawn
+    assert run == range(8000) and not set(run) & set(fresh)
+
+
 def test_semigroup_off_grid_restart_rejected():
     model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
     mu0 = gauss_init(11, 50, 2)
