@@ -1,5 +1,6 @@
-"""Hot numeric kernels: the discrete Hölder pair suprema and the
-composition of affine cell maps, one numpy implementation each.
+"""Hot numeric kernels: the discrete Hölder pair suprema and ``march``,
+the one loop through affine cell maps that every RDE solve, flow Jacobian
+and flow map is read off, one numpy implementation each.
 
 A pair kernel takes index arrays ``ii`` and ``jj`` that broadcast against
 each other, and returns the largest Hölder ratio over the pairs ``(i, j)``
@@ -122,15 +123,19 @@ def pair_sup_second_diff(X1, A1, X2, A2, times, ii, jj, alpha):
     return block_sup(_second_diff(X1, A1, X2, A2, ii, jj), _gap(times, ii, jj), 2.0 * alpha)
 
 
+def march(P, q, y0):
+    """Step Y <- P_k Y + q_k from y0, a point (d,), or Y <- P_k Y from a
+    frame (d, m) with ``q = None``.  Returns every node's state, shape
+    (len(P) + 1,) + y0's shape."""
+    Y = np.empty((len(P) + 1,) + np.shape(y0))
+    Y[0] = y0
+    for k in range(len(P)):
+        Y[k + 1] = P[k] @ Y[k] if q is None else P[k] @ Y[k] + q[k]
+    return Y
+
+
 def linear_flow_maps(P, q):
-    # Compose the affine cell maps y -> P_k y + q_k: M_k = P_{k-1} ... P_0
-    # and v_k, so that Y_k = M_k y0 + v_k.
-    n, d = q.shape
-    M = np.empty((n + 1, d, d))
-    v = np.empty((n + 1, d))
-    M[0] = np.eye(d)
-    v[0] = 0.0
-    for k in range(n):
-        M[k + 1] = P[k] @ M[k]
-        v[k + 1] = P[k] @ v[k] + q[k]
-    return M, v
+    """M_k = P_{k-1} ... P_0 and v_k, so that Y_k = M_k y0 + v_k: the
+    marches of the identity frame and of the point 0."""
+    d = q.shape[1]
+    return march(P, None, np.eye(d)), march(P, q, np.zeros(d))

@@ -84,8 +84,9 @@ def frozen_coefficient_field(
     the measure argument is held at the curve state mu_k.
 
     a1 reads the table of the windows' state-free sigma, sigma(0, mu_k), and
-    the drift evaluates the model at one state under mu_k.  The rough grid
-    must nest in the windows: ``cells`` is a positive multiple of their count.
+    the drift b(c, Y) the model's drift of states Y (n, d) under mu_k.  The
+    rough grid must nest in the windows: ``cells`` is a positive multiple of
+    their count.
     """
     windows = curve.measures[:-1]
     per, rest = divmod(cells, len(windows))
@@ -94,8 +95,8 @@ def frozen_coefficient_field(
     zero = np.zeros((1, model.d))
     table = np.stack([model.sigma(zero, mu)[0] for mu in windows])
 
-    def b(c, y):
-        return model.b(y[None], windows[c // per])[0]
+    def b(c, Y):
+        return model.b(Y, windows[c // per])
 
     return linear_coefficients(model.linear_a0, lambda c: table[c // per], b=b, d=model.d)
 

@@ -78,12 +78,6 @@ class MeasureCurve:
     def at(self, t: float) -> EmpiricalMeasure:
         return self.measures[self.index_of(t)]
 
-    def means(self) -> np.ndarray:
-        return np.stack([m.mean() for m in self.measures])
-
-    def covariances(self) -> np.ndarray:
-        return np.stack([covariance(m) for m in self.measures])
-
 
 def particle_noise(
     seed: int,

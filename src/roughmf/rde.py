@@ -7,9 +7,10 @@ Milstein-type scheme using both levels of the driver per cell:
     Y+ = Y + sigma X + (a0 sigma) : XX  =  P Y + q.
 
 One affine cell map serves every solve: ``_cell_maps`` builds every cell's
-(P, q) in one vectorised pass, ``_march`` steps Y <- P Y + q (the Wong-Zakai
-RK4 maps of ``cocycle.wong_zakai_run`` too), flow Jacobians are running
-products of the P, and the affine flow maps compose both.  Backward
+(P, q) in one vectorised pass, and ``_accel.march`` steps them: ``_march``
+marches a point under the blow-up guard (the Wong-Zakai RK4 maps of
+``cocycle.wong_zakai_run`` too), flow Jacobians march the identity frame,
+and the affine flow maps march both.  Backward
 solves and backward Jacobians enter each cell at its right edge and use the
 inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
 coefficients are addressed by cell index, not time: the frozen-law
@@ -37,11 +38,12 @@ DEFAULT_GUARD = 1e8
 
 @dataclass
 class CoefficientField:
-    """Drift b(c, y) and the affine diffusion
+    """Drift b(c, Y) and the affine diffusion
     sigma(c, y)_{ik} = sum_j a0[i, k, j] y_j + a1(c)[i, k] on grid cell c.
 
     a1 maps an int array of cell indices to (len(c), d, d), or to one (d, d)
-    that holds on every cell; b takes one cell index and one state (d,).
+    that holds on every cell; b takes one cell index and states (n, d) and
+    returns their drifts (n, d).
     """
 
     a0: np.ndarray  # (d, d, d)
@@ -102,15 +104,16 @@ class RdeSolution:
         """sup_t |Y_t - Y_0 - int_0^t b dt - int_0^t sigma(s, Y_s) dX_s|.
 
         The rough integral is recomputed from the returned controlled path;
-        the drift integral uses the trapezoid rule on the solver grid.
+        the drift integral uses the trapezoid rule on the solver grid, both
+        ends of cell c at the drift of cell c, as the solver steps it.
         """
         sol = self.path
         integrand = _compose_sigma(self.coeff, sol)
         cum = integrand._cumulative_integral()  # (M+1, d)
         rhs = sol.Y[0] + cum
         if self.coeff.b is not None:
-            bvals = np.stack([self.coeff.b(c, y) for c, y in zip(self.cells, sol.Y)])
-            mid = 0.5 * (bvals[1:] + bvals[:-1]) * np.diff(self.times)[:, None]
+            b = np.stack([self.coeff.b(c, sol.Y[m : m + 2]) for m, c in enumerate(self.cells[:-1])])
+            mid = 0.5 * (b[:, 1] + b[:, 0]) * np.diff(self.times)[:, None]
             drift = np.concatenate([np.zeros((1, sol.Y.shape[1])), np.cumsum(mid, axis=0)])
             rhs = rhs + drift
         return float(np.max(np.linalg.norm(sol.Y - rhs, axis=1)))
@@ -172,17 +175,20 @@ def _cell_maps(coeff: CoefficientField, rp: RoughPath, i: int, j: int, backward:
 
 
 def _march(P, q, y0, first: int, backward: bool) -> np.ndarray:
-    """Step Y <- P_c Y + q_c through the cell maps in solve order from y0.
+    """March the point y0 through the cell maps in solve order, then check
+    the blow-up guard once over the trajectory.
 
     The maps are those of the grid cells first, first + 1, ..., taken in
-    reverse if backward, and the blow-up guard names the cell it trips on.
-    Returns the trajectory forward in time, shape (len(P) + 1, d).
+    reverse if backward; the guard names the cell of the first state past
+    it, and the states after that may overflow unreported.  Returns the
+    trajectory forward in time, shape (len(P) + 1, d).
     """
     n = len(P)
-    Y = np.empty((n + 1, len(y0)))
-    Y[0] = y0
-    for c in range(n):
-        Y[c + 1] = P[c] @ Y[c] + q[c]
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = _accel.march(P, q, y0)
+    bad = np.flatnonzero(~(np.abs(Y[1:]).max(axis=1) <= DEFAULT_GUARD))
+    if len(bad):
+        c = bad[0]
         _guard(Y[c + 1], first + n - 1 - c if backward else first + c)
     return Y[::-1].copy() if backward else Y
 
@@ -241,20 +247,16 @@ def flow_jacobian(
     (M+1, d, d).
 
     The cell maps are affine, so the Jacobian is the running product of
-    their P and does not depend on the trajectory; xi fixes the dimension.
-    Forward: zeta_0 = Id and zeta+ = P zeta.  Backward: the Jacobian of the
-    inverse map with terminal identity, a running product of the inverted
-    cells' P.
+    their P, the march of the identity frame, and does not depend on the
+    trajectory: xi is not read.  Forward: zeta_0 = Id and zeta+ = P zeta.
+    Backward: the Jacobian of the inverse map with terminal identity, the
+    march through the inverted cells reversed in time.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     backward = direction == "backward"
-    M = rp.grid.n_cells
-    P, _ = _cell_maps(coeff, rp, 0, M, backward)
-    zeta = np.empty((M + 1,) + P.shape[1:])
-    zeta[0] = np.eye(np.atleast_1d(xi).shape[0])
-    for c in range(M):
-        zeta[c + 1] = P[c] @ zeta[c]
+    P, _ = _cell_maps(coeff, rp, 0, rp.grid.n_cells, backward)
+    zeta = _accel.march(P, None, np.eye(len(coeff.a0)))
     return zeta[::-1].copy() if backward else zeta
 
 
@@ -275,7 +277,8 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
     solves
         dz/dt = M_t^{-1} b(c, M_t z + v_t),   z_0 = xi,
     by Heun's method on the grid, with every M_t inverted once up front;
-    both stages on cell c read the drift of cell c.
+    both stages on cell c read the drift of cell c at a one-row block of
+    states, and the guard checks each step before the drift sees it.
     """
     if coeff.b is None:
         return solve_driftless(coeff, rp, xi)
@@ -288,7 +291,7 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
     z[0] = xi
 
     def rhs(m, zm, c):
-        return Minv[m] @ b(c, Mf[m] @ zm + vf[m])
+        return Minv[m] @ b(c, (Mf[m] @ zm + vf[m])[None])[0]
 
     hs = rp.grid.widths
     for k in range(M):

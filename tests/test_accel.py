@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,19 @@ from roughmf.roughpath import (
 )
 
 from conftest import milstein_oracle
+
+
+def test_benchmark_environment_probe_reads_the_kernels():
+    # every benchmark run records its environment first; a renamed kernel
+    # would fail them all
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    env = run._environment()
+    assert env["backend"] == "numpy"
+    assert env["kernels"] == {k: k for k in ("pair_sup_first", "pair_sup_second",
+                                             "pair_sup_second_diff", "linear_flow_maps")}
 
 
 def rough_pair(seed, cells, d, uniform):

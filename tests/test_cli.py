@@ -249,6 +249,50 @@ def test_emit_moments_and_metric_curves(tmp_path):
     assert np.all(data[:, 2] <= data[:, 3] + 1e-12)
 
 
+def test_emit_defects_writes_one_row_per_cocycle_defect(tmp_path):
+    p = write_config(tmp_path, model={"name": "landau-maxwell"}, particles=40,
+                     frozen_law={"n_freeze": 8, "inner": 1}, checks=["cocycle"])
+    out = tmp_path / "out"
+    main(["verify", "--config", str(p), "--output-dir", str(out)])
+    rc = main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "defects"])
+    assert rc == 0
+    lines = (out / "defects-long.txt").read_text().splitlines()
+    assert lines[0] == "# s t point_defect law_defect tolerance"
+    reps = json.loads((out / "verdict.json").read_text())["cocycle"]["defects"]
+    assert len(reps) == 4 and len(lines) == 1 + len(reps)
+    for line, rep in zip(lines[1:], reps):
+        keys = ("s", "t", "point_defect", "law_defect", "tolerance")
+        assert [float(x) for x in line.split()] == [rep[k] for k in keys]
+
+
+def test_moment_check_on_landau(tmp_path, monkeypatch):
+    cfg = load_config(str(write_config(tmp_path, model={"name": "landau-maxwell"},
+                                       particles=400, checks=["moments"])))
+    model = build_model("landau-maxwell")
+    rep = cli.check_moments(cfg, model)
+    assert rep["pass"], rep
+    assert np.isfinite(rep["z_mean"]) and np.isfinite(rep["z_var"])
+    oracle = cli.landau_moment_oracle
+    monkeypatch.setattr(cli, "landau_moment_oracle",
+                        lambda m0, v0, t: (oracle(m0, v0, t)[0], 2.0 * oracle(m0, v0, t)[1]))
+    bad = cli.check_moments(cfg, model)
+    assert not bad["pass"] and bad["z_var"] > 3, bad
+
+
+def test_simulate_draws_a_uniform_initial_law_inside_its_box(tmp_path):
+    low, high = [-0.5, 1.0, 2.0], [0.5, 1.5, 4.0]
+    p = write_config(tmp_path, model={"name": "landau-maxwell"}, particles=200, seeds=[0],
+                     initial={"kind": "uniform", "low": low, "high": high})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--output-dir", str(out)]) == 0
+    table = np.loadtxt(out / "curve-seed0.txt")
+    atoms = table[table[:, 0] == 0.0][:, 2:]
+    assert atoms.shape == (200, 3)
+    assert np.all((atoms >= low) & (atoms <= high))
+    # the box is filled, not a corner of it
+    assert np.all(atoms.max(axis=0) - atoms.min(axis=0) > 0.9 * (np.array(high) - low))
+
+
 def test_emit_requires_artifacts(tmp_path):
     p = write_config(tmp_path)
     with pytest.raises(SystemExit):

@@ -65,8 +65,10 @@ def test_frozen_field_piecewise_constant():
         np.einsum("ikj,j->ik", coeff.a0, y) + coeff.a1(4),
         model.sigma(y[None], curve.measures[0])[0],
     )
-    # the drift reads the same window as a1
-    assert np.array_equal(coeff.b(39, y), model.b(y[None], curve.measures[3])[0])
+    # the drift reads the same window as a1, on states (n, d)
+    Y = np.stack([y, 2.0 * y, -y])
+    assert np.array_equal(coeff.b(39, Y), model.b(Y, curve.measures[3]))
+    assert not np.array_equal(coeff.b(39, Y), coeff.b(29, Y))
 
 
 def test_frozen_field_rejects_cells_that_do_not_nest():

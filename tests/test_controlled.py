@@ -344,14 +344,15 @@ def test_compose_identity_and_linear():
     rp = random_rough_path(8)
     n = len(rp.times)
     cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-    ident = Func2(value=lambda t, y: y, grad=lambda t, y: np.eye(2))
+    ident = Func2(value=lambda t, Y: Y,
+                  grad=lambda t, Y: np.broadcast_to(np.eye(2), (len(Y), 2, 2)))
     out = compose(ident, cp)
     assert np.array_equal(out.Y, cp.Y)
     assert np.array_equal(out.Yprime, cp.Yprime)
 
     A = np.array([[2.0, 1.0], [0.0, -1.0]])
-    lin = Func2(value=lambda t, y: A @ y + np.array([np.sin(t), 0.0]),
-                grad=lambda t, y: A)
+    lin = Func2(value=lambda t, Y: Y @ A.T + np.stack([np.sin(t), np.zeros_like(t)], axis=1),
+                grad=lambda t, Y: np.broadcast_to(A, (len(Y), 2, 2)))
     out = compose(lin, cp)
     assert np.allclose(out.Y, cp.Y @ A.T + np.stack(
         [np.sin(rp.times), np.zeros(n)], axis=1))
@@ -362,8 +363,8 @@ def test_compose_chain_rule_and_remainder():
     rp = random_rough_path(9)
     n = len(rp.times)
     cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-    sq = Func2(value=lambda t, y: np.array(float(y @ y)),
-               grad=lambda t, y: 2.0 * y)
+    sq = Func2(value=lambda t, Y: np.einsum("mj,mj->m", Y, Y),
+               grad=lambda t, Y: 2.0 * Y)
     out = compose(sq, cp)
     # derivative contract (f o Y)' = grad f . Y', exactly
     assert np.array_equal(out.Yprime, 2.0 * cp.Y)
@@ -378,10 +379,14 @@ def test_compose_leibniz():
     rp = random_rough_path(10)
     n = len(rp.times)
     cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-    g = Func2(value=lambda t, y: np.array(y[0]), grad=lambda t, y: np.array([1.0, 0.0]))
-    h = Func2(value=lambda t, y: np.array(y[1]), grad=lambda t, y: np.array([0.0, 1.0]))
-    gh = Func2(value=lambda t, y: np.array(y[0] * y[1]),
-               grad=lambda t, y: np.array([y[1], y[0]]))
+
+    def unit(k):
+        return lambda t, Y: np.broadcast_to(np.eye(2)[k], Y.shape)
+
+    g = Func2(value=lambda t, Y: Y[:, 0], grad=unit(0))
+    h = Func2(value=lambda t, Y: Y[:, 1], grad=unit(1))
+    gh = Func2(value=lambda t, Y: Y[:, 0] * Y[:, 1],
+               grad=lambda t, Y: np.stack([Y[:, 1], Y[:, 0]], axis=1))
     cg, ch, cgh = compose(g, cp), compose(h, cp), compose(gh, cp)
     assert np.allclose(cgh.Y, cg.Y * ch.Y)
     assert np.allclose(cgh.Yprime, cg.Y[:, None] * ch.Yprime + ch.Y[:, None] * cg.Yprime)
@@ -391,6 +396,7 @@ def test_compose_shape_mismatch_rejected():
     rp = random_rough_path(11)
     n = len(rp.times)
     cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-    bad = Func2(value=lambda t, y: y, grad=lambda t, y: np.eye(3))
+    bad = Func2(value=lambda t, Y: Y,
+                grad=lambda t, Y: np.broadcast_to(np.eye(3), (len(Y), 3, 3)))
     with pytest.raises(ValueError):
         compose(bad, cp)

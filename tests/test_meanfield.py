@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ def test_simulate_dimension_mismatch():
     model = build_model("landau-maxwell")
     with pytest.raises(ValueError):
         simulate_frozen_law(model, gauss_init(0, 10, 2), FrozenLawConfig(2), 1.0)
+
+
+def test_simulate_names_the_step_of_a_non_finite_state():
+    # a drift that turns infinite on its third call: the third Euler step
+    model = build_model("landau-maxwell")
+    calls = []
+
+    def b(Y, mu):
+        calls.append(1)
+        return np.full_like(Y, np.inf) if len(calls) == 3 else -Y
+
+    with pytest.raises(RuntimeError, match="non-finite particle state at step 2$"):
+        simulate_frozen_law(replace(model, b=b), gauss_init(0, 10, 3), FrozenLawConfig(4), 1.0)
+    assert len(calls) == 3
 
 
 def test_refinement_consistency_common_noise():

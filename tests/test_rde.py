@@ -285,6 +285,32 @@ def test_time_dependent_drift_second_order():
     assert errs[1] <= errs[0] / 3.5
 
 
+def test_integral_defect_reads_each_cells_drift_at_both_ends():
+    # no noise and a drift table[c] that is constant in the state: Heun is
+    # exact on each cell, so the trapezoid defect must vanish; a right end
+    # read from cell c + 1 would leave about (h/2) |table jumps|
+    cells = 64
+    grid = TimeGrid.regular(0.0, 1.0, cells)
+    rp = RoughPath(grid, np.zeros((cells + 1, 2)), np.zeros((cells, 2, 2)), 0.4)
+    table = np.random.default_rng(0).normal(size=(cells, 2))
+    coeff = linear_coefficients(np.zeros((2, 2, 2)), b=lambda c, Y: np.broadcast_to(
+        table[c], Y.shape))
+    sol = doss_sussmann_solve(coeff, rp, [1.0, -1.0])
+    assert np.allclose(sol.Y[1:] - sol.Y[:-1], table / cells, rtol=0, atol=1e-15)
+    assert sol.integral_defect() <= 1e-12
+
+
+def test_doss_sussmann_without_drift_is_the_driftless_solve():
+    rp = random_rough_path(3, d=3)
+    g = np.random.default_rng(3)
+    a0, table = 0.5 * g.normal(size=(3, 3, 3)), g.normal(size=(64, 3, 3))
+    coeff = linear_coefficients(a0, lambda c: table[c])
+    y0 = g.normal(size=3)
+    ds, plain = doss_sussmann_solve(coeff, rp, y0), solve_driftless(coeff, rp, y0)
+    assert np.array_equal(ds.Y, plain.Y)
+    assert np.array_equal(ds.path.Yprime, plain.path.Yprime)
+
+
 def test_blowup_guard_trips():
     # sigma(y) = 40 y on a driver that rises by 1 per cell: each cell map
     # multiplies Y by 1 + 40 + 40^2 / 2 = 841, so |Y| passes 1e8 at step 2
