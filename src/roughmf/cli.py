@@ -30,7 +30,14 @@ from .meanfield import (
     simulate_frozen_law,
     stability_check,
 )
-from .measures import EmpiricalMeasure, ScalarFunc, dp_bracket, linear_func, moment
+from .measures import (
+    EmpiricalMeasure,
+    ScalarFunc,
+    _map_pairs,
+    dp_bracket,
+    linear_func,
+    moment,
+)
 from .models import (
     build_model,
     covariance,
@@ -278,10 +285,11 @@ def check_moments(cfg, model) -> dict:
 def check_duality(cfg, model) -> dict:
     seed = cfg["seeds"][0]
     mu0 = initial_measure(cfg, seed, model)
+    phis = (linear_func(np.eye(model.d)[0], "coord0"), _phi_sq(model.d))
+    reps = feynman_kac_duality(model, mu0, phis, _frozen_cfg(cfg, seed), cfg["T"])
     out = {}
     ok = True
-    for phi in (linear_func(np.eye(model.d)[0], "coord0"), _phi_sq(model.d)):
-        rep = feynman_kac_duality(model, mu0, phi, _frozen_cfg(cfg, seed), cfg["T"])
+    for phi, rep in zip(phis, reps):
         ok = ok and rep["residual"] <= 3.0 * rep["se"] + 1e-12
         out[phi.name] = {"residual": rep["residual"], "se": rep["se"]}
     out["pass"] = bool(ok)
@@ -317,12 +325,11 @@ def check_stability(cfg, model) -> dict:
     seed = cfg["seeds"][0]
     mu0 = initial_measure(cfg, seed, model)
     shift_dir = np.ones(model.d) / np.sqrt(model.d)
-    ratios = []
-    for eps in (1e-1, 1e-2):
-        rho0 = EmpiricalMeasure(mu0.atoms + eps * shift_dir, mu0.weights)
-        rep = stability_check(model, mu0, rho0, _frozen_cfg(cfg, seed),
-                              cfg["T"], p=2.0)
-        ratios.append(rep["max_ratio"])
+    starts = [EmpiricalMeasure(mu0.atoms + eps * shift_dir, mu0.weights)
+              for eps in (1e-1, 1e-2)]
+    reps = stability_check(model, mu0, starts, _frozen_cfg(cfg, seed),
+                           cfg["T"], p=2.0)
+    ratios = [rep["max_ratio"] for rep in reps]
     spread = max(ratios) / max(min(ratios), 1e-12)
     return {"pass": bool(spread <= 2.0), "max_ratios": ratios, "spread": spread}
 
@@ -391,7 +398,9 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
         print(out)
         return 0
     if kind == "metric-curves":
-        rows = []
+        # every seed's (time, cloud, initial cloud), then one map over all
+        # the brackets: they are independent transport problems
+        points = []
         for seed in cfg["seeds"]:
             path = os.path.join(outdir, f"curve-seed{seed}.txt")
             if not os.path.exists(path):
@@ -403,9 +412,11 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
             clouds = [
                 EmpiricalMeasure(table[table[:, 0] == t][:, 2:]) for t in times
             ]
-            for t, m in zip(times, clouds):
-                lo, up, info = dp_bracket(m, clouds[0], 2.0)
-                rows.append((t, info["w_p"], lo, up))
+            points += [(t, m, clouds[0]) for t, m in zip(times, clouds)]
+        brackets = _map_pairs(lambda m, m0: dp_bracket(m, m0, 2.0),
+                              [(m, m0) for _, m, m0 in points])
+        rows = [(t, info["w_p"], lo, up)
+                for (t, _, _), (lo, up, info) in zip(points, brackets)]
         out = os.path.join(outdir, "metric-curves.txt")
         with open(out, "w") as fh:
             fh.write("# t d_p dp_lower dp_upper\n")

@@ -18,7 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .measures import EmpiricalMeasure, dp_bracket, moment, wasserstein_p, write_rows
+from .measures import (
+    EmpiricalMeasure,
+    _map_pairs,
+    dp_bracket,
+    moment,
+    wasserstein_p,
+    write_rows,
+)
 from .models import MeanFieldModel, covariance
 
 
@@ -90,12 +97,13 @@ def particle_noise(
     """Per-particle Gaussian increments, shape (N, fine_total, d).
 
     Each particle owns one counter-based stream, so a given (seed, member)
-    row is the same whatever else is drawn.
+    row is the same whatever else is drawn.  One generator is re-keyed per
+    member (rng.streams) and draws straight into its row.
     """
     out = np.empty((n_particles, fine_total, d))
-    for i in range(n_particles):
-        g = rng.stream(seed, rng.PARTICLE_LANE, member_offset + i)
-        out[i] = g.standard_normal((fine_total, d))
+    members = range(member_offset, member_offset + n_particles)
+    for row, g in zip(out, rng.streams(seed, rng.PARTICLE_LANE, members)):
+        g.standard_normal(out=row)
     return out * np.sqrt(h_fine)
 
 
@@ -211,15 +219,18 @@ def time_regularity_check(curve: MeasureCurve, p: float) -> dict:
     """Dual-metric upper bounds between curve points at dyadic time lags,
     with a log-log scaling fit and the implied Lipschitz constant."""
     n = len(curve.times) - 1
-    lag_stats = {}
-    for lag in (1, 2, 4):
-        if lag > n:
-            break
-        ups = []
-        for i in range(0, n - lag + 1, lag):
-            _, up, _ = dp_bracket(curve.measures[i], curve.measures[i + lag], p)
-            ups.append(up)
-        lag_stats[lag] = float(np.median(ups))
+    ms = curve.measures
+    lag_pairs = {
+        lag: [(ms[i], ms[i + lag]) for i in range(0, n - lag + 1, lag)]
+        for lag in (1, 2, 4) if lag <= n
+    }
+    # every lag's brackets in one map: independent transport problems
+    ups = iter(_map_pairs(lambda a, b: dp_bracket(a, b, p)[1],
+                          [pq for pairs in lag_pairs.values() for pq in pairs]))
+    lag_stats = {
+        lag: float(np.median([next(ups) for _ in pairs]))
+        for lag, pairs in lag_pairs.items()
+    }
     lags = np.array(sorted(lag_stats))
     meds = np.array([lag_stats[l] for l in lags])
     slope = (
@@ -236,24 +247,44 @@ def time_regularity_check(curve: MeasureCurve, p: float) -> dict:
 def stability_check(
     model: MeanFieldModel,
     mu0: EmpiricalMeasure,
-    rho0: EmpiricalMeasure,
+    rho0,
     cfg: FrozenLawConfig,
     T: float,
     p: float,
-) -> dict:
+):
     """Common-noise two-initial-condition run; distance ratios against the
     initial distance at every freeze boundary.  Each curve starts on its
     initial measure's atoms and weights, so the t = 0 ratio is 1 by
-    construction and is not solved again; max_ratio is taken over t > 0."""
+    construction and is not solved again; max_ratio is taken over t > 0.
+
+    rho0 is one perturbed start, or a sequence of them: the unperturbed
+    curve is then run once, and one report per start comes back, in order.
+    The initial distances, then all starts' ratios, are each solved in one
+    pair map.
+    """
+    if isinstance(rho0, EmpiricalMeasure):
+        return stability_check(model, mu0, [rho0], cfg, T, p)[0]
+
+    def dist(a, b):
+        return wasserstein_p(a, b, p)
+
     c1 = simulate_frozen_law(model, mu0, cfg, T)
-    c2 = simulate_frozen_law(model, rho0, cfg, T)
-    d0 = wasserstein_p(mu0, rho0, p)
-    if d0 == 0.0:
-        return {"initial": 0.0, "ratios": [0.0] * len(c1.times), "max_ratio": 0.0}
-    ratios = [1.0] + [
-        wasserstein_p(a, b, p) / d0 for a, b in zip(c1.measures[1:], c2.measures[1:])
-    ]
-    return {"initial": d0, "ratios": ratios, "max_ratio": float(max(ratios[1:]))}
+    d0s = _map_pairs(dist, [(mu0, r) for r in rho0])
+    moved = [simulate_frozen_law(model, r, cfg, T)
+             for r, d0 in zip(rho0, d0s) if d0 != 0.0]
+    ds = iter(_map_pairs(
+        dist, [ab for c2 in moved for ab in zip(c1.measures[1:], c2.measures[1:])]
+    ))
+    reports = []
+    for d0 in d0s:
+        if d0 == 0.0:
+            reports.append({"initial": 0.0, "ratios": [0.0] * len(c1.times),
+                            "max_ratio": 0.0})
+            continue
+        ratios = [1.0] + [next(ds) / d0 for _ in c1.measures[1:]]
+        reports.append({"initial": d0, "ratios": ratios,
+                        "max_ratio": float(max(ratios[1:]))})
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +318,31 @@ def feynman_kac_duality(
     phi,
     cfg: FrozenLawConfig,
     T: float,
-) -> dict:
+):
     """Compare int phi dmu_T against the dual average E[phi(xi_T)] where xi
     solves the curve-frozen linear SDE from mu0-distributed starts with
-    independent noise.  Reports both sides and a combined standard error."""
+    independent noise.  Reports both sides and a combined standard error.
+
+    phi is one test function, or a sequence of them: the curve and the dual
+    SDE are then run once, and one report per function comes back, in order.
+    """
+    if hasattr(phi, "value"):
+        return feynman_kac_duality(model, mu0, [phi], cfg, T)[0]
     curve = simulate_frozen_law(model, mu0, cfg, T)
     muT = curve.measures[-1]
-    lhs_vals = phi.value(muT.atoms)
-    lhs = float(muT.weights @ lhs_vals)
     xiT = simulate_dual_sde(model, curve, mu0.atoms, cfg, T, member_offset=mu0.n + 1)
-    rhs_vals = phi.value(xiT)
-    rhs = float(mu0.weights @ rhs_vals)
-    se = float(
-        np.sqrt(np.var(lhs_vals) / muT.n + np.var(rhs_vals) / len(rhs_vals))
-    )
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "se": se,
-            "curve": curve}
+    reports = []
+    for f in phi:
+        lhs_vals = f.value(muT.atoms)
+        lhs = float(muT.weights @ lhs_vals)
+        rhs_vals = f.value(xiT)
+        rhs = float(mu0.weights @ rhs_vals)
+        se = float(
+            np.sqrt(np.var(lhs_vals) / muT.n + np.var(rhs_vals) / len(rhs_vals))
+        )
+        reports.append({"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
+                        "se": se, "curve": curve})
+    return reports
 
 
 def semigroup_check(

@@ -10,7 +10,11 @@ mean-value estimate along a transport coupling.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -103,8 +107,11 @@ def _coupling_1d(mu: EmpiricalMeasure, nu: EmpiricalMeasure):
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.ndarray:
     """Transport cost |x_i - y_j|^p, shape (mu.n, nu.n), Euclidean: the one
-    dense cost kernel of every exact coupling."""
-    return cdist(mu.atoms, nu.atoms) ** p
+    dense cost kernel of every exact coupling.  The power is taken in place:
+    the same ufunc as cdist(...) ** p, without a second (N, M) array."""
+    cost = cdist(mu.atoms, nu.atoms)
+    cost **= p
+    return cost
 
 
 def _coupling_assignment(mu, nu, p):
@@ -184,6 +191,59 @@ def wasserstein_p(
         info["coupling"] = (xs, ys, mass)
         return value, info
     return value
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_pairs(fn, pairs) -> list:
+    """[fn(mu, nu) for mu, nu in pairs], in input order, on min(len(pairs),
+    _cpus()) threads: the caller and a pool of the others.
+
+    Each pair is computed exactly as the serial loop would compute it, so
+    values are bitwise the same; only the scheduling changes.  The exact
+    solves release the GIL (cdist, linear_sum_assignment, HiGHS), so
+    independent transport problems run side by side.  Pool threads run in
+    copies of the caller's context, which carries numpy's errstate.  Pairs
+    are handed out in order and none is started after one has raised; the
+    exception of the lowest failing pair, the one the serial loop would
+    raise, is re-raised here.  The pool is shut down before returning.
+    """
+    pairs = list(pairs)
+    workers = min(len(pairs), _cpus())
+    if workers <= 1:
+        return [fn(mu, nu) for mu, nu in pairs]
+    results = [None] * len(pairs)
+    failed = {}
+    todo = iter(range(len(pairs)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = None if failed else next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*pairs[i])
+            except BaseException as exc:  # re-raised in the caller below
+                with lock:
+                    failed[i] = exc
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, drain)
+                   for _ in range(workers - 1)]
+        drain()
+    for f in futures:
+        f.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def flat_metric_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
@@ -362,14 +422,11 @@ def topology_equivalence_probe(
     tol_b: float = 1e-2,
 ) -> dict:
     """Check that d_p and the bracket vanish together along a sequence."""
-    ws, lowers, uppers = [], [], []
-    for m in sequence:
-        lo, up, info = dp_bracket(m, limit, p)
-        ws.append(info["w_p"])
-        lowers.append(lo)
-        uppers.append(up)
-    ws = np.array(ws)
-    uppers = np.array(uppers)
+    brackets = _map_pairs(lambda m, lim: dp_bracket(m, lim, p),
+                          [(m, limit) for m in sequence])
+    lowers = [lo for lo, _, _ in brackets]
+    ws = np.array([info["w_p"] for _, _, info in brackets])
+    uppers = np.array([up for _, up, _ in brackets])
     agree = bool(np.all((ws <= tol_w) == (uppers <= tol_b)))
     return {
         "d_p": ws.tolist(),

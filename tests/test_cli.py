@@ -163,11 +163,11 @@ def test_cocycle_check_tests_positive_restart_times(tmp_path):
 
 def test_stability_check_fails_on_unequal_decay(tmp_path, monkeypatch):
     # the t = 0 ratio is 1 for every epsilon and must not mask the decay
-    fake = iter([[1.0, 0.2], [1.0, 0.9]])
+    fake = [[1.0, 0.2], [1.0, 0.9]]
 
-    def stability_check(*args, **kwargs):
-        ratios = next(fake)
-        return {"initial": 1.0, "ratios": ratios, "max_ratio": max(ratios[1:])}
+    def stability_check(model, mu0, starts, *args, **kwargs):
+        assert len(starts) == len(fake)  # one call for every epsilon
+        return [{"initial": 1.0, "ratios": r, "max_ratio": max(r[1:])} for r in fake]
 
     monkeypatch.setattr(cli, "stability_check", stability_check)
     cfg = load_config(str(write_config(tmp_path, particles=20)))

@@ -156,13 +156,13 @@ def test_law_noise_cached_per_ensemble_size():
 def test_particle_streams_drawn_once_per_run(monkeypatch):
     run, e0 = make_run(seed=4, n=30)
     lanes = []
-    stream = rng.stream
+    streams = rng.streams
 
-    def counting(seed, lane, member=0):
-        lanes.append(lane)
-        return stream(seed, lane, member)
+    def counting(seed, lane, members):
+        lanes.extend([lane] * len(members))  # one entry per stream addressed
+        return streams(seed, lane, members)
 
-    monkeypatch.setattr(rng, "stream", counting)
+    monkeypatch.setattr(rng, "streams", counting)
     det = flow_details(run, e0, 1.0)
     for s, t in [(0.25, 0.5), (0.5, 0.5), (0.75, 0.25), (0.0, 1.0)]:
         cocycle_defect(run, e0, s, t, details=det)

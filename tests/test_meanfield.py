@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roughmf import meanfield
+from roughmf import meanfield, measures, rng
 from roughmf.meanfield import (
     FrozenLawConfig,
     MeasureCurve,
@@ -23,6 +23,8 @@ from roughmf.meanfield import (
 from roughmf.measures import (
     EmpiricalMeasure,
     ScalarFunc,
+    dp_bracket,
+    linear_func,
     load_measure,
     moment,
     wasserstein_p,
@@ -133,6 +135,32 @@ def test_particle_noise_member_offset_independent():
     c = particle_noise(0, 4, 8, 1, h_fine=0.1)
     d = particle_noise(0, 3, 8, 1, h_fine=0.1, member_offset=1)
     assert np.array_equal(c[1:], d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("member_offset", [0, 5, 4097])
+def test_particle_noise_equals_per_member_streams(d, member_offset):
+    # one re-keyed generator draws what a fresh stream per member draws
+    got = particle_noise(9, 6, 40, d, h_fine=0.03, member_offset=member_offset)
+    want = np.stack([
+        rng.stream(9, rng.PARTICLE_LANE, member_offset + i).standard_normal((40, d))
+        for i in range(6)
+    ]) * np.sqrt(0.03)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_streams_rekey_to_the_stream_address():
+    for member, g in zip(range(3, 7), rng.streams(4, rng.DRIVER_LANE, range(3, 7))):
+        # three of a Philox block's four words: the next member must not
+        # start on the buffered fourth
+        fresh = rng.stream(4, rng.DRIVER_LANE, member)
+        assert g.random(3).tobytes() == fresh.random(3).tobytes()
+    assert list(rng.streams(4, rng.DRIVER_LANE, range(0))) == []
+    for bad in ((-1, 0, range(2)), (0, -1, range(2)), (0, 0, range(-1, 2))):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(rng.streams(*bad))
+    with pytest.raises(ValueError, match="non-negative"):
+        rng.stream(-1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +331,30 @@ def test_stability_max_ratio_sees_contraction():
     assert out["max_ratio"] < 1.0, out["ratios"]
 
 
+def test_stability_check_several_starts_equal_one_call_each(monkeypatch):
+    monkeypatch.setattr(measures, "_cpus", lambda: 2)  # pooled on any machine
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    mu0 = gauss_init(16, 80, 2)
+    starts = [EmpiricalMeasure(mu0.atoms + eps * np.array([0.6, 0.8]))
+              for eps in (0.3, 0.02)]
+    starts.insert(1, mu0)  # d0 = 0 between two moved starts
+    cfg = FrozenLawConfig(8, seed=3)
+    reps = stability_check(model, mu0, starts, cfg, 1.0, 2.0)
+    assert reps == [stability_check(model, mu0, r, cfg, 1.0, 2.0) for r in starts]
+    assert reps[1]["max_ratio"] == 0.0 and reps[0]["max_ratio"] > 0.0
+
+
+def test_time_regularity_equals_serial_brackets(monkeypatch):
+    monkeypatch.setattr(measures, "_cpus", lambda: 2)  # pooled on any machine
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    curve = simulate_frozen_law(model, gauss_init(17, 60, 2), FrozenLawConfig(8, seed=1), 1.0)
+    out = time_regularity_check(curve, 2.0)
+    ms = curve.measures
+    for lag in (1, 2, 4):
+        ups = [dp_bracket(ms[i], ms[i + lag], 2.0)[1] for i in range(0, 9 - lag, lag)]
+        assert out["lag_medians"][lag] == float(np.median(ups))
+
+
 # ---------------------------------------------------------------------------
 # duality and semigroup
 # ---------------------------------------------------------------------------
@@ -313,6 +365,24 @@ def test_duality_within_monte_carlo_error():
     cfg = FrozenLawConfig(16, inner=2, seed=3)
     out = feynman_kac_duality(model, mu0, phi_sq(2), cfg, T=0.5)
     assert out["residual"] <= 3.0 * out["se"] + 0.05, out
+
+
+def test_duality_several_functions_equal_one_call_each(monkeypatch):
+    runs = []
+    real = meanfield.simulate_dual_sde
+    monkeypatch.setattr(meanfield, "simulate_dual_sde",
+                        lambda *a, **k: runs.append(1) or real(*a, **k))
+    model = build_model("landau-maxwell")
+    mu0 = gauss_init(18, 150, 3)
+    cfg = FrozenLawConfig(8, inner=2, seed=2)
+    phis = [linear_func(np.eye(3)[0], "coord0"), phi_sq(3)]
+    reps = feynman_kac_duality(model, mu0, phis, cfg, T=0.5)
+    assert len(runs) == 1  # one curve, one dual run for both functions
+    for phi, rep in zip(phis, reps):
+        one = feynman_kac_duality(model, mu0, phi, cfg, T=0.5)
+        assert np.array_equal(rep.pop("curve").measures[-1].atoms,
+                              one.pop("curve").measures[-1].atoms)
+        assert rep == one
 
 
 def test_semigroup_zero_defect_common_noise():

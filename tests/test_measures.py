@@ -1,14 +1,18 @@
 import io
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
+from roughmf import measures
 from roughmf.measures import (
     LP_CELL_CAP,
     EmpiricalMeasure,
     _cost_matrix,
+    _map_pairs,
     default_test_family,
     dp_bracket,
     flat_metric_bound,
@@ -334,6 +338,145 @@ def test_topology_probe_separated_sequence():
     assert np.all(np.array(out["d_p"]) > 0.5)
     assert np.all(np.array(out["bracket_upper"]) > 0.5)
     assert out["agree"]
+
+
+# ---------------------------------------------------------------------------
+# the pair map
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # a pool of the caller and one thread, whatever the machine has
+    monkeypatch.setattr(measures, "_cpus", lambda: 2)
+
+
+def mixed_pairs():
+    """One pair in each wasserstein_p mode, the cheap ones among the dear."""
+    a = cloud(60, 300, 2)
+    weights = np.random.default_rng(61).uniform(1.0, 2.0, 50)
+    return {
+        "assignment": (a, cloud(62, 300, 2, shift=0.3)),
+        "identical": (a, EmpiricalMeasure(a.atoms.copy())),
+        "quantile-1d": (cloud(63, 80, 1), cloud(64, 70, 1, shift=1.0)),
+        "transport-lp": (EmpiricalMeasure(cloud(65, 50, 3).atoms, weights / weights.sum()),
+                         cloud(66, 40, 3)),
+        "subsample-assignment": (cloud(67, 600, 2), cloud(68, 600, 2, shift=0.2)),
+    }
+
+
+def same_info(got, want):
+    gc, wc = got.pop("coupling"), want.pop("coupling")
+    return got == want and all(np.array_equal(x, y) for x, y in zip(gc, wc))
+
+
+def test_map_pairs_equals_serial_calls_bitwise(two_cpus):
+    modes = mixed_pairs()
+    pairs = list(modes.values()) * 2
+    got = _map_pairs(lambda mu, nu: wasserstein_p(mu, nu, 2.0, return_info=True), pairs)
+    want = [wasserstein_p(mu, nu, 2.0, return_info=True) for mu, nu in pairs]
+    assert [info["mode"] for _, info in got] == list(modes) * 2
+    for (gv, gi), (wv, wi) in zip(got, want):
+        assert gv == wv and same_info(gi, wi)
+    got = _map_pairs(lambda mu, nu: dp_bracket(mu, nu, 2.0), pairs)
+    assert got == [dp_bracket(mu, nu, 2.0) for mu, nu in pairs]
+
+
+def test_map_pairs_keeps_input_order_across_unequal_costs(two_cpus):
+    big = (cloud(70, 500, 2), cloud(71, 500, 2, shift=0.1))
+    small = (cloud(72, 3, 2), cloud(73, 3, 2))
+    pairs = [big, small, small, small, big, small, big, small, small]
+    got = _map_pairs(lambda mu, nu: (mu.n, wasserstein_p(mu, nu, 2.0)), pairs)
+    assert got == [(mu.n, wasserstein_p(mu, nu, 2.0)) for mu, nu in pairs]
+
+
+def test_map_pairs_reraises_the_first_failing_pairs_error(two_cpus):
+    a, b = cloud(74, 20, 2), cloud(75, 20, 2)
+    pairs = [(a, b), (a, cloud(76, 20, 3)), (a, b), (b, a)]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _map_pairs(lambda mu, nu: wasserstein_p(mu, nu, 2.0), pairs)
+
+    later_failed = threading.Event()
+
+    def fail(i, _):
+        if i == 0:  # fails only after pair 1 has failed on the other thread
+            later_failed.wait(timeout=10)
+        elif i == 1:
+            later_failed.set()
+        raise ValueError(f"pair {i}")
+
+    # the error the serial loop would raise: the lowest failing pair's
+    with pytest.raises(ValueError, match="pair 0"):
+        _map_pairs(fail, [(i, None) for i in range(4)])
+    assert later_failed.is_set()
+
+
+def test_map_pairs_carries_the_callers_errstate_into_the_pool(two_cpus):
+    both = threading.Barrier(2, timeout=10)  # one pair on each thread
+    seen = []
+
+    def probe(mu, nu):
+        both.wait()
+        seen.append((threading.get_ident(), np.geterr()["divide"]))
+        return np.ones(1) / np.zeros(1)
+
+    pairs = [(None, None)] * 2
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError):
+            _map_pairs(probe, pairs)
+    assert len({ident for ident, _ in seen}) == 2
+    assert [mode for _, mode in seen] == ["raise", "raise"]
+
+
+def test_map_pairs_leaves_no_thread_alive(two_cpus):
+    before = threading.active_count()
+    during = []
+
+    def probe(mu, nu):
+        during.append(threading.active_count())
+        return wasserstein_p(mu, nu, 2.0)
+
+    a, b = cloud(77, 200, 2), cloud(78, 200, 2, shift=0.5)
+    _map_pairs(probe, [(a, b)] * 4)
+    assert max(during) == before + 1  # the caller and one pool thread
+    assert threading.active_count() == before
+
+
+def test_map_pairs_runs_inline_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(measures, "_cpus", lambda: 1)
+    before, caller = threading.active_count(), threading.get_ident()
+    seen = _map_pairs(lambda i, _: (i, threading.get_ident(), threading.active_count()),
+                      [(i, None) for i in range(5)])
+    assert seen == [(i, caller, before) for i in range(5)]
+
+
+def test_map_pairs_hands_out_each_pair_once_under_contention(monkeypatch):
+    # more threads than cores and a switch interval short enough to
+    # interleave the hand-out: every pair runs exactly once
+    monkeypatch.setattr(measures, "_cpus", lambda: 8)
+    ran = []
+
+    def work(i, _):
+        ran.append(i)
+        return float(np.sum(np.arange(i % 7 * 100)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _map_pairs(work, [(i, None) for i in range(400)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(400))
+    assert got == [float(np.sum(np.arange(i % 7 * 100))) for i in range(400)]
+
+
+def test_topology_probe_equals_serial_brackets(two_cpus):
+    limit = cloud(79, 120, 2)
+    seq = [cloud(80 + k, 120, 2, shift=0.5 / (k + 1)) for k in range(5)]
+    out = topology_equivalence_probe(seq, limit, 2.0)
+    brackets = [dp_bracket(m, limit, 2.0) for m in seq]
+    assert out["d_p"] == [info["w_p"] for _, _, info in brackets]
+    assert out["bracket_lower"] == [lo for lo, _, _ in brackets]
+    assert out["bracket_upper"] == [up for _, up, _ in brackets]
 
 
 # ---------------------------------------------------------------------------
