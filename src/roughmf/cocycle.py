@@ -83,8 +83,8 @@ def frozen_coefficient_field(
     curve: cell c lies in freeze window k = c // (cells // n_windows), where
     the measure argument is held at the curve state mu_k.
 
-    a1 reads the table of the windows' state-free sigma, sigma(0, mu_k), and
-    the drift b(c, Y) the model's drift of states Y (n, d) under mu_k.  The
+    a0 is the model's; a1 reads the table of the windows' a1(mu_k), and the
+    drift b(c, Y) the model's drift of states Y (n, d) under mu_k.  The
     rough grid must nest in the windows: ``cells`` is a positive multiple of
     their count.
     """
@@ -92,13 +92,12 @@ def frozen_coefficient_field(
     per, rest = divmod(cells, len(windows))
     if per < 1 or rest:
         raise ValueError(f"{cells} rough cells do not nest in {len(windows)} freeze windows")
-    zero = np.zeros((1, model.d))
-    table = np.stack([model.sigma(zero, mu)[0] for mu in windows])
+    table = np.stack([model.a1(mu) for mu in windows])
 
     def b(c, Y):
         return model.b(Y, windows[c // per])
 
-    return linear_coefficients(model.linear_a0, lambda c: table[c // per], b=b, d=model.d)
+    return linear_coefficients(model.a0, lambda c: table[c // per], b=b, d=model.d)
 
 
 @dataclass

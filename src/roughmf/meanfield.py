@@ -104,7 +104,7 @@ def particle_noise(
     members = range(member_offset, member_offset + n_particles)
     for row, g in zip(out, rng.streams(seed, rng.PARTICLE_LANE, members)):
         g.standard_normal(out=row)
-    return out * np.sqrt(h_fine)
+    return np.multiply(out, np.sqrt(h_fine), out=out)
 
 
 def euler_increments(
@@ -119,12 +119,23 @@ def euler_increments(
     inc = particle_noise(
         cfg.seed, n_particles, cfg.fine_cells, d, T / cfg.fine_cells, member_offset
     )
+    if per == 1:  # in place, as a sum over one cell: a -0.0 draw becomes +0.0
+        return np.add(inc, 0.0, out=inc)
     return inc.reshape(n_particles, cfg.steps, per, d).sum(axis=2)
 
 
 def _euler_step(model: MeanFieldModel, Y, mu: EmpiricalMeasure, h: float, dW):
-    """One Euler-Maruyama step of every particle under the frozen law mu."""
-    return Y + h * model.b(Y, mu) + np.einsum("nik,nk->ni", model.sigma(Y, mu), dW)
+    """One Euler-Maruyama step of every particle under the frozen law mu:
+    Y + h b + (a1 dW^T + sum_k (a0[:, k, :] Y^T) dW_k)^T, the affine sigma term
+    by term, one noise coordinate k at a time (none if a0 = 0).  The noise
+    term is built on (d, N) arrays, whose loops run along the particles; no
+    (N, d, d) array is built."""
+    dWT = np.ascontiguousarray(dW.T)
+    noise = model.a1(mu) @ dWT
+    if model.a0.any():
+        for k in range(model.d):
+            noise += (model.a0[:, k, :] @ Y.T) * dWT[k]
+    return Y + h * model.b(Y, mu) + noise.T
 
 
 def simulate_frozen_law(
@@ -151,7 +162,7 @@ def simulate_frozen_law(
     elif dW.shape != (N, steps, d):
         raise ValueError(f"dW has shape {dW.shape}, expected {(N, steps, d)}")
     h = T / steps
-    Y = mu0.atoms.copy()
+    Y = np.array(mu0.atoms, order="F")  # column-major: the step's loops run along particles
     w = mu0.weights
     times = [t0]
     measures = [EmpiricalMeasure(Y.copy(), w)]
@@ -306,7 +317,7 @@ def simulate_dual_sde(
     N, d = atoms0.shape
     h = T / cfg.steps
     dW = euler_increments(cfg, T, N, d, member_offset)
-    Y = atoms0.copy()
+    Y = np.array(atoms0, order="F")
     for j in range(cfg.steps):
         Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[:, j, :])
     return Y

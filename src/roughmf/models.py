@@ -41,23 +41,45 @@ def psd_sqrt(A: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeanFieldModel:
-    """Coefficient pair (b, sigma) on state x measure, evaluated on a cloud.
-
-    b(Y, mu) returns the (N, d) drifts and sigma(Y, mu) the (N, d, d)
-    diffusion matrices at the N states Y (N, d) under the frozen law mu.
-    sigma is affine in the state: sigma(y, mu)_{ik} = sum_j linear_a0[i, k, j]
-    y_j + sigma(0, mu)_{ik}, which the RDE layer solves by exact affine flows.
-    constants carries the declared assumption envelopes (keys: "F"
-    Lipschitz-in-measure envelope, "C" growth/coercivity constant, "kappa"
-    the moment index used by the audit).
+    """Drifts b(Y, mu) (N, d) at the states Y (N, d) and the affine diffusion
+    sigma(y, mu)_{ik} = sum_j a0[i, k, j] y_j + a1(mu)_{ik}, declared once
+    for the particle step and the RDE layer: a0 (d, d, d), a1(mu) (d, d),
+    under the frozen law mu.  constants carries the declared assumption
+    envelopes (keys: "F" Lipschitz-in-measure envelope, "C" growth/coercivity
+    constant, "kappa" the moment index used by the audit).
     """
 
     name: str
     d: int
+    a0: np.ndarray
+    a1: Callable[[EmpiricalMeasure], np.ndarray]
     b: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
-    sigma: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
-    linear_a0: np.ndarray
     constants: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        shape, declared = (self.d, self.d), self.a1
+        self.a0 = np.asarray(self.a0, dtype=float)
+        if self.a0.shape != (self.d, *shape) or not np.isfinite(self.a0).all():
+            raise ValueError(f"{self.name}: a0 must be a finite {(self.d, *shape)} array")
+
+        def a1(mu):
+            A = declared(mu)
+            if np.shape(A) != shape:
+                raise ValueError(f"{self.name}: a1(mu) must have shape {shape}, got {np.shape(A)}")
+            return A
+
+        self.a1 = a1
+
+    def sigma(self, Y: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+        """The (N, d, d) diffusion matrices at the states Y, for the audits."""
+        return np.einsum("ikj,nj->nik", self.a0, Y) + self.a1(mu)
+
+
+def _once(mu: EmpiricalMeasure, key: str, f):
+    """f(mu), kept in mu.derived: a law is frozen over a whole window."""
+    if key not in mu.derived:
+        mu.derived[key] = f(mu)
+    return mu.derived[key]
 
 
 # ---------------------------------------------------------------------------
@@ -65,33 +87,23 @@ class MeanFieldModel:
 # ---------------------------------------------------------------------------
 
 def eks_model(grad: Callable[[np.ndarray], np.ndarray], d: int, name: str) -> MeanFieldModel:
-    """b = -Cov(mu) grad V(y), sigma = sqrt(2 Cov(mu)) (state-independent),
-    for the gradient grad V that maps states (N, d) to (N, d).
-
-    Cov(mu), and its root once sigma asks for it, are computed once per
-    measure and kept in mu.derived: a law is frozen over a whole window, in
-    which b and sigma are called many times.
+    """b = -Cov(mu) grad V(y), a0 = 0, a1 = sqrt(2 Cov(mu)), for the gradient
+    grad V that maps states (N, d) to (N, d).  Cov(mu), and its root once a1
+    asks for it, are computed once per measure.
     """
 
-    def cov(mu):
-        if "cov" not in mu.derived:
-            mu.derived["cov"] = covariance(mu)
-        return mu.derived["cov"]
-
     def b(Y, mu):
-        return -grad(Y) @ cov(mu).T
+        return -grad(Y) @ _once(mu, "cov", covariance).T
 
-    def sig(Y, mu):
-        if "sqrt_2cov" not in mu.derived:
-            mu.derived["sqrt_2cov"] = psd_sqrt(2.0 * cov(mu))
-        return np.broadcast_to(mu.derived["sqrt_2cov"], (len(Y), d, d))
+    def a1(mu):
+        return _once(mu, "sqrt_2cov", lambda m: psd_sqrt(2.0 * _once(m, "cov", covariance)))
 
     return MeanFieldModel(
         name=name,
         d=d,
+        a0=np.zeros((d, d, d)),
+        a1=a1,
         b=b,
-        sigma=sig,
-        linear_a0=np.zeros((d, d, d)),
         constants={"F": 8.0 * d, "C": 8.0 * d, "kappa": 2.0},
     )
 
@@ -134,23 +146,23 @@ def sigma0(y: np.ndarray) -> np.ndarray:
 
 
 def landau_model() -> MeanFieldModel:
-    """b = -2y + 2 m(mu); sigma = sigma0(y) - sigma0(m(mu)).
-
-    sigma0 is linear, so its measure average equals its value at the mean.
+    """b = -2y + 2 m(mu); sigma = sigma0(y - m(mu)): a0 = LANDAU_S0 and
+    a1 = -sigma0(m(mu)) = sigma0(-m(mu)).  sigma0 is linear, so its measure
+    average equals its value at the mean, computed once per measure.
     """
 
     def b(Y, mu):
-        return -2.0 * Y + 2.0 * mu.mean()
+        return -2.0 * Y + 2.0 * _once(mu, "mean", EmpiricalMeasure.mean)
 
-    def sig(Y, mu):
-        return sigma0(Y - mu.mean())
+    def a1(mu):
+        return sigma0(-_once(mu, "mean", EmpiricalMeasure.mean))
 
     return MeanFieldModel(
         name="landau-maxwell",
         d=3,
+        a0=LANDAU_S0,
+        a1=a1,
         b=b,
-        sigma=sig,
-        linear_a0=LANDAU_S0,
         constants={"F": 16.0, "C": 16.0, "kappa": 2.0},
     )
 
@@ -178,9 +190,8 @@ def assumption_audit(model: MeanFieldModel, corpus) -> dict:
         y = np.asarray(y, dtype=float)
         Y = y[None]
         b_mu, sig_mu = model.b(Y, mu)[0], model.sigma(Y, mu)[0]
-        lhs = np.linalg.norm(b_mu - model.b(Y, nu)[0]) + np.linalg.norm(
-            sig_mu - model.sigma(Y, nu)[0]
-        )
+        # sigma(y, mu) - sigma(y, nu) = a1(mu) - a1(nu): a0 . y cancels
+        lhs = np.linalg.norm(b_mu - model.b(Y, nu)[0]) + np.linalg.norm(model.a1(mu) - model.a1(nu))
         _, upper, _ = dp_bracket(mu, nu, kappa)
         if lhs > F * (1.0 + np.linalg.norm(y)) * upper + 1e-9:
             viol["measure_lipschitz"].append(idx)

@@ -60,7 +60,7 @@ def test_frozen_field_piecewise_constant():
     # a1 is the window's state-free sigma, a0 the model's state-linear part
     zero = np.zeros((1, 3))
     assert np.array_equal(coeff.a1(4), model.sigma(zero, curve.measures[0])[0])
-    assert np.array_equal(coeff.a0, model.linear_a0)
+    assert np.array_equal(coeff.a0, model.a0)
     assert np.allclose(
         np.einsum("ikj,j->ik", coeff.a0, y) + coeff.a1(4),
         model.sigma(y[None], curve.measures[0])[0],

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,122 @@ def test_streams_rekey_to_the_stream_address():
             list(rng.streams(*bad))
     with pytest.raises(ValueError, match="non-negative"):
         rng.stream(-1, 0)
+
+
+def _scaled_then_summed(draw, n, cfg, T, d):
+    """The reference increment block: scale every draw, then sum each step's
+    fine cells."""
+    per = cfg.fine_cells // cfg.steps
+    return (draw * np.sqrt(T / cfg.fine_cells)).reshape(n, cfg.steps, per, d).sum(axis=2)
+
+
+@pytest.mark.parametrize("fine_cells", [8, 16])
+def test_euler_increments_equal_the_scaled_sum_bitwise(fine_cells):
+    # per == 1 returns the drawn block itself, per == 2 sums it; both equal
+    # the scale-then-sum formula to the bit
+    cfg = FrozenLawConfig(4, inner=2, seed=2, fine_cells=fine_cells)
+    draw = np.stack([
+        rng.stream(2, rng.PARTICLE_LANE, 3 + i).standard_normal((fine_cells, 3))
+        for i in range(5)
+    ])
+    got = euler_increments(cfg, 1.5, 5, 3, member_offset=3)
+    assert got.tobytes() == _scaled_then_summed(draw, 5, cfg, 1.5, 3).tobytes()
+
+
+@pytest.mark.parametrize("fine_cells", [8, 16])
+def test_euler_increments_map_a_negative_zero_draw_to_plus_zero(monkeypatch, fine_cells):
+    # a sum over one cell maps -0.0 to +0.0; the per == 1 block does too
+    class Draws:
+        def __init__(self, member):
+            self.member = member
+
+        def standard_normal(self, out):
+            out[...] = np.arange(out.size).reshape(out.shape) - 3.0 * self.member
+            out[1, 1] = -0.0
+
+    monkeypatch.setattr(rng, "streams", lambda seed, lane, members: map(Draws, members))
+    cfg = FrozenLawConfig(4, inner=2, seed=0, fine_cells=fine_cells)
+    draw = np.empty((4, fine_cells, 2))
+    for m, row in enumerate(draw):
+        Draws(m).standard_normal(row)
+    assert np.signbit(draw).any()
+    got = euler_increments(cfg, 1.0, 4, 2)
+    want = _scaled_then_summed(draw, 4, cfg, 1.0, 2)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+def test_euler_increments_at_one_cell_per_step_hold_one_block():
+    # no second (N, steps, d) array: the traced peak stays below 1.2 blocks
+    cfg = FrozenLawConfig(64, inner=1, seed=0)
+    euler_increments(cfg, 1.0, 10, 3)  # warm the generator machinery
+    block = 2000 * cfg.steps * 3 * 8
+    tracemalloc.start()
+    try:
+        dW = euler_increments(cfg, 1.0, 2000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dW.nbytes == block
+    assert peak < 1.2 * block, (peak, block)
+
+
+# ---------------------------------------------------------------------------
+# the particle step
+# ---------------------------------------------------------------------------
+
+STEP_MODELS = [("eks-gaussian", {"Sigma": np.array([[1.0, 0.3], [0.3, 2.0]])}),
+               ("landau-maxwell", {})]
+
+
+@pytest.mark.parametrize("name,params", STEP_MODELS)
+@pytest.mark.parametrize("n", [1, 7, 5000])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_euler_step_equals_the_tensor_reference(name, params, n, order):
+    # Y + h b + dW a1^T + the a0 term equals Y + h b + sigma(Y, mu) dW, with
+    # dW one step's slice of a block as in a run, for states in either layout
+    model = build_model(name, params)
+    mu = gauss_init(21, 300, model.d)
+    Y = np.array(gauss_init(22, n, model.d).atoms * 3.0, order=order)
+    dW = np.random.default_rng(23).normal(size=(n, 5, model.d))[:, 2, :] * 0.1
+    got = meanfield._euler_step(model, Y, mu, 0.01, dW)
+    want = Y + 0.01 * model.b(Y, mu) + np.einsum("nik,nk->ni", model.sigma(Y, mu), dW)
+    assert got.shape == (n, model.d)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_particle_step_and_rde_field_never_build_sigma(monkeypatch):
+    # both layers read a0 and a1(mu); the (N, d, d) sigma is for the audits
+    from roughmf.cocycle import frozen_coefficient_field
+    from roughmf.models import MeanFieldModel
+
+    def no_tensor(self, Y, mu):
+        raise AssertionError("sigma(Y, mu) built")
+
+    monkeypatch.setattr(MeanFieldModel, "sigma", no_tensor)
+    for name, params in STEP_MODELS:
+        model = build_model(name, params)
+        mu0 = gauss_init(24, 30, model.d)
+        cfg = FrozenLawConfig(4, inner=2, seed=1)
+        curve = simulate_frozen_law(model, mu0, cfg, 1.0)
+        meanfield.simulate_dual_sde(model, curve, mu0.atoms, cfg, 1.0, member_offset=31)
+        frozen_coefficient_field(model, curve, 8)
+
+
+def test_a0_fault_reaches_the_particles_and_the_rde_field():
+    # one declaration: a wrong state-linear part changes both layers
+    from roughmf.cocycle import frozen_coefficient_field
+    from roughmf.models import LANDAU_S0
+
+    model = build_model("landau-maxwell")
+    faulty = replace(model, a0=0.9 * LANDAU_S0)
+    mu0 = gauss_init(25, 40, 3)
+    cfg = FrozenLawConfig(4, inner=2, seed=2)
+    good = simulate_frozen_law(model, mu0, cfg, 1.0)
+    bad = simulate_frozen_law(faulty, mu0, cfg, 1.0)
+    assert np.max(np.abs(good.measures[-1].atoms - bad.measures[-1].atoms)) > 1e-3
+    assert np.array_equal(frozen_coefficient_field(model, good, 8).a0, LANDAU_S0)
+    assert np.array_equal(frozen_coefficient_field(faulty, good, 8).a0, 0.9 * LANDAU_S0)
 
 
 # ---------------------------------------------------------------------------

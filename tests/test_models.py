@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ def test_eks_model_batch_matches_pointwise():
     for k, y in enumerate(Y):
         assert np.allclose(sd[k], model.sigma(y[None], mu)[0] @ dW[k], atol=1e-12)
     # sigma is state-independent: linear part is zero
-    assert np.array_equal(model.linear_a0, np.zeros((2, 2, 2)))
+    assert np.array_equal(model.a0, np.zeros((2, 2, 2)))
 
 
 def test_eks_covariance_once_per_measure(monkeypatch):
@@ -146,7 +148,7 @@ def test_landau_coefficients():
         z = y - m
         assert np.allclose(sig[k], sigma0(z))
         assert np.allclose(sig[k] @ sig[k].T, (z @ z) * np.eye(3) - np.outer(z, z))
-    assert np.array_equal(model.linear_a0, LANDAU_S0)
+    assert np.array_equal(model.a0, LANDAU_S0)
     with pytest.raises(ValueError):  # the system lives in R^3
         model.sigma(np.zeros((4, 2)), EmpiricalMeasure(np.zeros((5, 2))))
 
@@ -159,6 +161,54 @@ def test_landau_fluctuation_energy_identity():
     z = mu.atoms - mu.mean()
     energy = np.sum(model.sigma(mu.atoms, mu) ** 2, axis=(1, 2))
     assert np.allclose(energy, 2.0 * np.sum(z * z, axis=1), rtol=1e-12)
+
+
+def test_landau_mean_once_per_window(monkeypatch):
+    # the law is frozen over a window: its mean is computed once per window
+    # measure, for b and a1 alike, and equals a fresh computation bitwise
+    from roughmf.meanfield import FrozenLawConfig, simulate_frozen_law
+
+    calls = []
+    fresh = EmpiricalMeasure.mean
+
+    def counted(self):
+        calls.append(self)
+        return fresh(self)
+
+    monkeypatch.setattr(EmpiricalMeasure, "mean", counted)
+    model = landau_model()
+    mu0 = gauss_cloud(8, n=40, d=3, shift=0.5)
+    curve = simulate_frozen_law(model, mu0, FrozenLawConfig(4, inner=3, seed=0), T=1.0)
+    windows = curve.measures[:-1]
+    assert len(calls) == 4 and all(a is b for a, b in zip(calls, windows))
+    mu, Y = windows[2], mu0.atoms[:5]
+    m = fresh(mu)
+    assert np.array_equal(model.b(Y, mu), -2.0 * Y + 2.0 * m)
+    assert np.array_equal(model.a1(mu), -sigma0(m))
+    assert len(calls) == 4
+
+
+def test_declaration_rejects_a_bad_a0():
+    model = landau_model()
+    inf = LANDAU_S0.copy()
+    inf[0, 0, 1] = np.inf
+    for a0 in (np.zeros((3, 3)), np.zeros((2, 2, 2)), np.full((3, 3, 3), np.nan), inf):
+        with pytest.raises(ValueError, match=r"a0 must be a finite \(3, 3, 3\) array") as err:
+            replace(model, a0=a0)
+        assert "\n" not in str(err.value)
+
+
+def test_first_a1_of_a_wrong_shape_raises():
+    from roughmf.meanfield import FrozenLawConfig, simulate_frozen_law
+
+    mu0 = gauss_cloud(9, n=10, d=2)
+    for shape in ((2,), (2, 3), (1, 2, 2)):
+        model = replace(eks_gaussian_model(np.eye(2)), a1=lambda mu, s=shape: np.ones(s))
+        for call in (lambda: model.a1(mu0), lambda: model.sigma(mu0.atoms, mu0),
+                     lambda: simulate_frozen_law(model, mu0, FrozenLawConfig(2), 1.0)):
+            with pytest.raises(ValueError, match=r"a1\(mu\) must have shape \(2, 2\)") as err:
+                call()
+            assert "\n" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
