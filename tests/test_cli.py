@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import roughmf.cli as cli
+from roughmf import verdicts
 from roughmf.cli import canonical_config, load_config, main, validate_config
 from roughmf.models import build_model
 
@@ -121,6 +122,25 @@ def test_config_errors_are_clear_not_tracebacks(tmp_path):
         assert len(str(exc.value).splitlines()) == 1, str(exc.value)
 
 
+def test_bad_checks_value_is_one_line_error(tmp_path):
+    for checks in (5, [["moments"]], "moments"):
+        p = write_config(tmp_path, checks=checks)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+        assert str(exc.value) == f"{p}: checks must be a list of check names", checks
+
+
+def test_verify_without_checks_is_one_line_error(tmp_path):
+    # a verdict file with no checks in it would be a pass that checked nothing
+    p = write_config(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(p), "--output-dir", str(out)])
+    assert str(exc.value).startswith("verify: the config lists no checks")
+    assert len(str(exc.value).splitlines()) == 1
+    assert not out.exists()
+
+
 def test_only_named_models_load(tmp_path):
     # a model that cannot be built from a config is rejected by name, in one line
     p = write_config(tmp_path, model={"name": "eks-custom", "params": {"d": 2, "potential": "x"}})
@@ -217,6 +237,7 @@ def test_verify_passes_and_writes_verdict(tmp_path):
     assert set(verdict) == {"moments", "duality", "cocycle", "stability"}
     for name, rec in verdict.items():
         assert rec["pass"], (name, rec)
+        assert rec["contract"] and rec["margin"] >= 0, (name, rec)
     assert rc == 0
 
 
@@ -272,8 +293,8 @@ def test_moment_check_on_landau(tmp_path, monkeypatch):
     rep = cli.check_moments(cfg, model)
     assert rep["pass"], rep
     assert np.isfinite(rep["z_mean"]) and np.isfinite(rep["z_var"])
-    oracle = cli.landau_moment_oracle
-    monkeypatch.setattr(cli, "landau_moment_oracle",
+    oracle = verdicts.landau_moment_oracle
+    monkeypatch.setattr(verdicts, "landau_moment_oracle",
                         lambda m0, v0, t: (oracle(m0, v0, t)[0], 2.0 * oracle(m0, v0, t)[1]))
     bad = cli.check_moments(cfg, model)
     assert not bad["pass"] and bad["z_var"] > 3, bad

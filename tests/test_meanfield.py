@@ -11,11 +11,9 @@ from roughmf.meanfield import (
     MeasureCurve,
     euler_increments,
     feynman_kac_duality,
-    moment_bound_check,
     particle_noise,
     save_curve,
     save_curve_summary,
-    semigroup_check,
     simulate_frozen_law,
     stability_check,
     time_regularity_check,
@@ -375,19 +373,6 @@ def test_weak_solution_residual_small():
     assert res <= 0.2, res
 
 
-def test_moment_bound_check_uniform_in_refinement():
-    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
-    mu0 = gauss_init(5, 300, 2)
-    curves = [
-        simulate_frozen_law(model, mu0, FrozenLawConfig(nf, seed=0), T=1.0)
-        for nf in (8, 16, 32, 64)
-    ]
-    out = moment_bound_check(curves, 4.0)
-    sups = np.array(out["sup_moments"])
-    assert np.all(sups < 10 * sups[0])
-    assert abs(out["trend_slope"]) <= 2.0
-
-
 def test_time_regularity_check():
     model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
     mu0 = gauss_init(6, 400, 2)
@@ -473,7 +458,7 @@ def test_time_regularity_equals_serial_brackets(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# duality and semigroup
+# duality
 # ---------------------------------------------------------------------------
 
 def test_duality_within_monte_carlo_error():
@@ -500,48 +485,6 @@ def test_duality_several_functions_equal_one_call_each(monkeypatch):
         assert np.array_equal(rep.pop("curve").measures[-1].atoms,
                               one.pop("curve").measures[-1].atoms)
         assert rep == one
-
-
-def test_semigroup_zero_defect_common_noise():
-    model = build_model("landau-maxwell")
-    mu0 = gauss_init(9, 200, 3)
-    cfg = FrozenLawConfig(16, inner=2, seed=4, fine_cells=64)
-    for s in (0.25, 0.5, 0.75):
-        out = semigroup_check(model, mu0, cfg, s=s, T=1.0)
-        assert out["defect"] == 0.0, out
-
-
-def test_semigroup_fresh_noise_positive():
-    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
-    mu0 = gauss_init(10, 200, 2)
-    cfg = FrozenLawConfig(16, seed=5)
-    out = semigroup_check(model, mu0, cfg, s=0.5, T=1.0, common_noise=False)
-    assert 0.0 < out["defect"] < 1.0
-
-
-def test_semigroup_fresh_noise_draws_members_disjoint_from_the_run(monkeypatch):
-    drawn = []
-    real = meanfield.euler_increments
-
-    def recording(cfg, T, n_particles, d, member_offset=0):
-        drawn.append(range(member_offset, member_offset + n_particles))
-        return real(cfg, T, n_particles, d, member_offset)
-
-    monkeypatch.setattr(meanfield, "euler_increments", recording)
-    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
-    # N = 8000: a fixed member offset below N would reuse the run's streams
-    mu0 = gauss_init(12, 8000, 2)
-    cfg = FrozenLawConfig(2, inner=1, seed=6, fine_cells=2)
-    semigroup_check(model, mu0, cfg, s=0.5, T=1.0, common_noise=False)
-    run, fresh = drawn
-    assert run == range(8000) and not set(run) & set(fresh)
-
-
-def test_semigroup_off_grid_restart_rejected():
-    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
-    mu0 = gauss_init(11, 50, 2)
-    with pytest.raises(ValueError):
-        semigroup_check(model, mu0, FrozenLawConfig(16, seed=0), s=0.3, T=1.0)
 
 
 # ---------------------------------------------------------------------------

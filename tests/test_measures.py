@@ -15,7 +15,6 @@ from roughmf.measures import (
     _map_pairs,
     default_test_family,
     dp_bracket,
-    flat_metric_bound,
     linear_func,
     load_measure,
     moment,
@@ -249,11 +248,6 @@ def test_w_input_validation():
         wasserstein_p(mu, nu, 2.0)
     with pytest.raises(ValueError):
         wasserstein_p(mu, mu, 0.5)
-
-
-def test_flat_metric_bound_is_w1():
-    mu, nu = cloud(6, 64, 2), cloud(7, 64, 2, shift=0.2)
-    assert flat_metric_bound(mu, nu) == wasserstein_p(mu, nu, 1.0)
 
 
 # ---------------------------------------------------------------------------
