@@ -63,7 +63,6 @@ from .roughpath import (
     load_rough_path,
     rough_distance,
     save_rough_path,
-    shift,
 )
 
 __version__ = "0.1.0"

@@ -78,7 +78,7 @@ def validate_config(cfg: dict) -> list:
             d = build_model(model["name"], _model_params(model)).d
         except (ValueError, TypeError) as exc:
             errors.append(f"model: {exc}")
-    _check_initial(_block(cfg, "initial", errors), d, errors)
+    cov = _check_initial(_block(cfg, "initial", errors), d, errors)
     T = cfg.get("T", DEFAULTS["T"])
     if not _is_number(T) or not T > 0:
         errors.append(f"T must be a positive number, got {T!r}")
@@ -117,14 +117,24 @@ def validate_config(cfg: dict) -> list:
         checks = []
     errors += [f"unknown check {c!r} (known: {sorted(CHECKS)})"
                for c in checks if c not in CHECKS]
+    errors += [f"check {c!r} is listed more than once"
+               for c in sorted(set(checks)) if checks.count(c) > 1]
     if "cocycle" in checks and _is_int(n_freeze) and n_freeze < 2:
         errors.append("the cocycle check needs frozen_law.n_freeze >= 2")
+    if "moments" in checks and cov is not None:
+        # the moments gate divides by standard errors that these variances set
+        eks = model["name"] == "eks-gaussian"
+        what, var = ("every diagonal entry", np.diag(cov)) if eks else ("the trace", np.trace(cov))
+        if not np.all(var > 0):
+            errors.append(f"the moments check needs {what} of initial.cov positive "
+                          f"for {model['name']}, got {cov.tolist()}")
     return errors
 
 
-def _check_initial(init: dict, d, errors: list) -> None:
+def _check_initial(init: dict, d, errors: list):
     """The initial law's kind, and its parameters' shapes against the
-    model's dimension d (skipped when the model itself is invalid)."""
+    model's dimension d (skipped when the model itself is invalid).
+    Returns a Gaussian initial law's valid covariance, else None."""
     kind = init.get("kind", "gaussian")
     if kind not in ("gaussian", "uniform"):
         errors.append(f"initial.kind must be 'gaussian' or 'uniform', got {kind!r}")
@@ -139,12 +149,13 @@ def _check_initial(init: dict, d, errors: list) -> None:
                 psd_sqrt(cov)
             except ValueError as exc:
                 errors.append(f"initial.cov must be symmetric positive semidefinite: {exc}")
-    else:
-        lo = _initial_array(init, "low", -np.ones(d), errors)
-        hi = _initial_array(init, "high", np.ones(d), errors)
-        if lo is not None and hi is not None and not np.all(lo < hi):
-            errors.append(f"initial.low must be below initial.high in every coordinate, "
-                          f"got {lo.tolist()} and {hi.tolist()}")
+                return None
+        return cov
+    lo = _initial_array(init, "low", -np.ones(d), errors)
+    hi = _initial_array(init, "high", np.ones(d), errors)
+    if lo is not None and hi is not None and not np.all(lo < hi):
+        errors.append(f"initial.low must be below initial.high in every coordinate, "
+                      f"got {lo.tolist()} and {hi.tolist()}")
 
 
 def _initial_array(init: dict, key: str, default: np.ndarray, errors: list):

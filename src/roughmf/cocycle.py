@@ -3,11 +3,12 @@ property.
 
 The flow advances a distinguished point by an RDE whose time-dependent
 coefficients are read off a frozen-law particle curve, while the law itself
-advances by the particle scheme.  The cocycle check compares the one-shot
-flow over s + t with the two-stage flow that restarts at s under the
-time-shifted noise.  The law leg restarted at window k is fed the run's own
-particle increments from window k on, so the law defect is exactly zero and
-the point defect measures only floating-point re-anchoring and scheme
+advances by the particle scheme.  Every run of it is one leg over freeze
+windows addressed by index, ``FlowRun.leg``.  The cocycle check compares
+the one-shot leg over s + t with the leg that restarts at s from the
+one-shot state there on the same increments, at the same step, and on the
+same driver window, so the law defect is zero by construction on every
+window grid and the point defect measures only the scheme's
 self-consistency.
 """
 
@@ -25,7 +26,7 @@ from .measures import EmpiricalMeasure, dp_bracket, wasserstein_p
 from .meanfield import FrozenLawConfig, MeasureCurve, euler_increments, simulate_frozen_law
 from .models import MeanFieldModel
 from .rde import CoefficientField, RdeSolution, doss_sussmann_solve, linear_coefficients
-from .roughpath import STRAT, NoisePath, RoughPath, brownian_lift, dyadic_approximation, shift
+from .roughpath import STRAT, NoisePath, RoughPath, brownian_lift, dyadic_approximation
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,35 @@ class FlowRun:
             )
         return self._noise
 
+    @cached_property
+    def rough(self) -> RoughPath:
+        """The Stratonovich lift of the driver on the rough grid of [0, T],
+        built once per run; a leg reads its window by index."""
+        grid = TimeGrid.regular(0.0, self.T, self.rde_cells)
+        return brownian_lift(self.driver_noise(), grid, STRAT, self.alpha)
+
     def law_noise(self, n_particles: int) -> np.ndarray:
         """The particle increments of the whole run, (N, cfg.steps, d); a
-        leg over windows [k, k + m) uses the steps [k, k + m) * cfg.inner."""
+        leg over windows [k0, k1) uses the steps [k0, k1) * cfg.inner."""
         if self._law_noise is None or len(self._law_noise) != n_particles:
             self._law_noise = euler_increments(
                 self.cfg, self.T, n_particles, self.model.d
             )
         return self._law_noise
+
+    def leg(self, e: JointState, k0: int, k1: int) -> FlowDetails:
+        """The joint flow over the freeze windows [k0, k1) from e: the law
+        by the run's scheme on its increments of steps [k0, k1) * inner, the
+        point on ``rough.restrict(k0 r, k1 r)``, r rough cells per window."""
+        if not 0 <= k0 < k1 <= self.cfg.n_freeze:
+            raise ValueError(f"windows [{k0}, {k1}) are not a leg of the run's "
+                             f"{self.cfg.n_freeze} windows")
+        inner, r = self.cfg.inner, self.rde_per_freeze
+        rp = self.rough.restrict(k0 * r, k1 * r)
+        dW = self.law_noise(e.law.n)[:, k0 * inner : k1 * inner]
+        curve = simulate_frozen_law(self.model, e.law, self.cfg, self.T, t0=rp.times[0], dW=dW)
+        coeff = frozen_coefficient_field(self.model, curve, (k1 - k0) * r)
+        return FlowDetails(curve, doss_sussmann_solve(coeff, rp, e.point), rp)
 
 
 def frozen_coefficient_field(
@@ -120,15 +142,7 @@ class FlowDetails:
 
 def flow_details(run: FlowRun, e0: JointState, t: float) -> FlowDetails:
     """Run the joint flow on [0, t] and keep all intermediate structure."""
-    k = run.cfg.window_index(t, run.T)
-    if k < 1:
-        raise ValueError("flow horizon must be a positive law-freeze time")
-    dW = run.law_noise(e0.law.n)[:, : k * run.cfg.inner]
-    curve = simulate_frozen_law(run.model, e0.law, run.cfg.leg(k), t, dW=dW)
-    cells = k * run.rde_per_freeze
-    rp = brownian_lift(run.driver_noise(), TimeGrid.regular(0.0, t, cells), STRAT, run.alpha)
-    sol = doss_sussmann_solve(frozen_coefficient_field(run.model, curve, cells), rp, e0.point)
-    return FlowDetails(curve, sol, rp)
+    return run.leg(e0, 0, run.cfg.window_index(t, run.T))
 
 
 def joint_flow(run: FlowRun, e0: JointState, t: float) -> JointState:
@@ -148,13 +162,13 @@ def cocycle_defect(
 ) -> dict:
     """Compare phi(s+t, omega, e0) with phi(t, theta_s omega, phi(s, omega, e0)).
 
-    The second stage restarts the law particles from their state at s on the
-    run's increments of windows [s, s + t) and solves the point RDE against
-    the shifted rough driver.  Reports point and law defects plus the
-    single-run self-consistency defect used as the tolerance scale.
+    The second stage is the leg over windows [ks, ks + kt) from the
+    one-shot state at s: the law particles restart on the run's increments
+    of those windows, the point on the driver's window from s.  Reports
+    point and law defects plus the single-run self-consistency defect used
+    as the tolerance scale.
     """
-    cfg, r = run.cfg, run.rde_per_freeze
-    ks, kt = cfg.window_index(s, run.T), cfg.window_index(t, run.T)
+    ks, kt = run.cfg.window_index(s, run.T), run.cfg.window_index(t, run.T)
     if details is None:
         details = flow_details(run, e0, s + t)
     end = details.state_at(ks + kt)
@@ -162,19 +176,10 @@ def cocycle_defect(
            "self_defect": details.self_defect, "s": s, "t": t}
     if ks == 0 or kt == 0:
         return rep
-    mid = details.state_at(ks)
-
-    # law leg: restart at s on the run's increments from window ks, on [0, t]
-    dW = run.law_noise(e0.law.n)[:, ks * cfg.inner : (ks + kt) * cfg.inner]
-    lawB = simulate_frozen_law(run.model, mid.law, cfg.leg(kt), t, dW=dW)
-
-    # point leg: shift the driver, restrict to [0, t], solve from the mid point
-    rpB = shift(details.rough, s).restrict(ks * r, (ks + kt) * r)
-    solB = doss_sussmann_solve(frozen_coefficient_field(run.model, lawB, kt * r), rpB, mid.point)
-
-    _, law_upper, info = dp_bracket(lawB.measures[-1], end.law, p)
+    legB = run.leg(details.state_at(ks), ks, ks + kt)
+    _, law_upper, info = dp_bracket(legB.curve.measures[-1], end.law, p)
     return rep | {
-        "point_defect": float(np.linalg.norm(solB.Y[-1] - end.point)),
+        "point_defect": float(np.linalg.norm(legB.solution.Y[-1] - end.point)),
         "law_defect": info["w_p"],
         "law_upper": float(law_upper),
     }

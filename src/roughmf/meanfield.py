@@ -6,7 +6,8 @@ the particles solve a classical SDE within the interval, advanced by
 Euler-Maruyama.  Per-particle noise comes from counter-based streams keyed
 by (seed, lane, particle index) and is drawn once per run on a fine grid,
 as one block of Euler-step increments; a leg restarted at freeze window k
-takes that block's steps from window k on, so it replays the run's noise.
+takes that block's steps from window k on, at the run's own step, so it
+replays the run's noise.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ class FrozenLawConfig:
     @property
     def steps(self) -> int:
         return self.n_freeze * self.inner
-
-    def leg(self, k: int) -> "FrozenLawConfig":
-        """Config of a leg of k windows at this Euler and noise resolution."""
-        per = self.fine_cells // self.steps
-        return FrozenLawConfig(k, self.inner, self.seed, k * self.inner * per)
 
     def window_index(self, t: float, T: float) -> int:
         """Index k of the freeze-window edge t = k T / n_freeze on [0, T]."""
@@ -147,21 +143,25 @@ def simulate_frozen_law(
     record_inner: bool = False,
     dW: Optional[np.ndarray] = None,
 ) -> MeasureCurve:
-    """Run the frozen-law scheme on [t0, t0 + T].
+    """Run the frozen-law scheme over k freeze windows from t0.
 
-    dW holds the Euler-step increments, shape (N, cfg.steps, d); by default
-    they are the cfg's own (euler_increments).  A restarted leg passes its
-    slice of the parent run's block, so it replays the parent's noise.
+    ``cfg`` and ``T`` fix the scheme: the step h = T / cfg.steps and the
+    cfg.inner steps per window.  ``dW``, the Euler-step increments of shape
+    (N, k * cfg.inner, d) with 1 <= k <= cfg.n_freeze, fixes how many steps
+    run; by default it is the cfg's whole block (euler_increments).  A leg
+    restarted at window k passes the run's cfg, T and block from step
+    k * cfg.inner on, so it replays the run's noise at the run's step.
     """
     if model.d != mu0.d:
         raise ValueError("model and initial measure dimension mismatch")
     N, d = mu0.n, mu0.d
-    steps = cfg.steps
     if dW is None:
         dW = euler_increments(cfg, T, N, d)
-    elif dW.shape != (N, steps, d):
-        raise ValueError(f"dW has shape {dW.shape}, expected {(N, steps, d)}")
-    h = T / steps
+    steps = dW.shape[1]
+    if dW.shape != (N, steps, d) or steps % cfg.inner or not 0 < steps <= cfg.steps:
+        raise ValueError(f"dW has shape {dW.shape}, expected (N, k * inner, d) = "
+                         f"({N}, k * {cfg.inner}, {d}) with 1 <= k <= {cfg.n_freeze}")
+    h = T / cfg.steps
     Y = np.array(mu0.atoms, order="F")  # column-major: the step's loops run along particles
     w = mu0.weights
     times = [t0]
@@ -260,14 +260,10 @@ def stability_check(
     initial measure's atoms and weights, so the t = 0 ratio is 1 by
     construction and is not solved again; max_ratio is taken over t > 0.
 
-    rho0 is one perturbed start, or a sequence of them: the unperturbed
-    curve is then run once, and one report per start comes back, in order.
-    The initial distances, then all starts' ratios, are each solved in one
-    pair map.
+    rho0 is a sequence of perturbed starts: the unperturbed curve is run
+    once, and one report per start comes back, in order.  The initial
+    distances, then all starts' ratios, are each solved in one pair map.
     """
-    if isinstance(rho0, EmpiricalMeasure):
-        return stability_check(model, mu0, [rho0], cfg, T, p)[0]
-
     def dist(a, b):
         return wasserstein_p(a, b, p)
 
@@ -326,11 +322,9 @@ def feynman_kac_duality(
     solves the curve-frozen linear SDE from mu0-distributed starts with
     independent noise.  Reports both sides and a combined standard error.
 
-    phi is one test function, or a sequence of them: the curve and the dual
-    SDE are then run once, and one report per function comes back, in order.
+    phi is a sequence of test functions: the curve and the dual SDE are run
+    once, and one report per function comes back, in order.
     """
-    if hasattr(phi, "value"):
-        return feynman_kac_duality(model, mu0, [phi], cfg, T)[0]
     curve = simulate_frozen_law(model, mu0, cfg, T)
     muT = curve.measures[-1]
     xiT = simulate_dual_sde(model, curve, mu0.atoms, cfg, T, member_offset=mu0.n + 1)

@@ -290,11 +290,7 @@ class RoughPath:
 
     def second_level(self, i: int, j: int) -> np.ndarray:
         """XX_{t_i, t_j} by Chen composition of the stored cells."""
-        return (
-            self._cum[j]
-            - self._cum[i]
-            - np.outer(self.values[i] - self.values[0], self.values[j] - self.values[i])
-        )
+        return _accel._second(self.values, self._cum, i, j)
 
     def chen_defect(self, s: float, u: float, t: float) -> np.ndarray:
         """XX_{s,t} - XX_{s,u} - XX_{u,t} - X_{s,u} (x) X_{u,t} for grid times."""
@@ -326,7 +322,10 @@ class RoughPath:
         return nx + np.sqrt(nxx)
 
     def restrict(self, i: int, j: int) -> "RoughPath":
-        """Sub-path over grid points i..j (times kept, first level rebased)."""
+        """Sub-path over grid points i..j (times kept, first level rebased):
+        the window [t_i, t_j] of the shifted path theta_{t_i} X, since its
+        first level starts at 0, its stored cells are the same, and
+        cell-indexed coefficients never read the time labels."""
         if not (0 <= i < j <= self.grid.n_cells):
             raise ValueError("invalid restriction window")
         return RoughPath(
@@ -456,19 +455,6 @@ def dyadic_approximation(noise: NoisePath, n: int, alpha: float = 0.4) -> RoughP
         cells,
         alpha,
         {"mode": STRAT, "seed": noise.seed, "kind": "dyadic", "level": n},
-    )
-
-
-def shift(rp: RoughPath, r: float) -> RoughPath:
-    """Time shift: first level (theta_r X)(t) = X(t+r) - X(r), second level
-    re-indexed accordingly (the stored cells are untouched)."""
-    k = rp.grid.index_of(r)
-    return RoughPath(
-        TimeGrid(rp.times - r),
-        rp.values - rp.values[k],
-        rp.cells,
-        rp.alpha,
-        dict(rp.meta, shifted_by=float(r)),
     )
 
 

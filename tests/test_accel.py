@@ -20,7 +20,6 @@ from roughmf.roughpath import (
     brownian_lift,
     dyadic_approximation,
     rough_distance,
-    shift,
 )
 
 from conftest import milstein_oracle
@@ -161,7 +160,12 @@ def search_cases(rp, rq):
     if n > 4:
         yield "restrict", rp.restrict(2, n - 1), rq.restrict(2, n - 1)
         k = n // 3
-        yield "shift", shift(rp, rp.times[k]), shift(rq, rq.times[k])
+        # the time shift by t_k: times and first level re-anchored at node k
+        sp, sq = (
+            RoughPath(TimeGrid(x.times - x.times[k]), x.values - x.values[k], x.cells, x.alpha)
+            for x in (rp, rq)
+        )
+        yield "shift", sp, sq
     X = rp.values.copy()
     X[n // 2, 0] = np.nan
     yield "nan", RoughPath(grid, X, rp.cells, 0.4), rq

@@ -130,6 +130,51 @@ def test_bad_checks_value_is_one_line_error(tmp_path):
         assert str(exc.value) == f"{p}: checks must be a list of check names", checks
 
 
+def test_repeated_check_is_one_line_error(tmp_path):
+    # a check named twice would run twice and keep one entry
+    p = write_config(tmp_path, checks=["moments", "cocycle", "moments"])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+    assert str(exc.value) == f"{p}: check 'moments' is listed more than once"
+
+
+def test_moments_check_rejects_zero_standard_errors(tmp_path):
+    # the moments gate divides by standard errors that these variances zero
+    eks = {"name": "eks-gaussian", "params": {"Sigma": [[1.0, 0.0], [0.0, 4.0]]}}
+    cases = [
+        (eks, np.zeros((2, 2)), "needs every diagonal entry of initial.cov positive"),
+        (eks, np.diag([1.0, 0.0]), "needs every diagonal entry of initial.cov positive"),
+        ({"name": "landau-maxwell"}, np.zeros((3, 3)), "needs the trace of initial.cov positive"),
+    ]
+    for model, cov, message in cases:
+        p = write_config(tmp_path, model=model, initial={"cov": cov.tolist()},
+                         checks=["moments"])
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", str(p), "--output-dir", str(tmp_path / "out")])
+        assert str(exc.value).startswith(f"{p}: the moments check needs"), str(exc.value)
+        assert message in str(exc.value)
+        assert len(str(exc.value).splitlines()) == 1
+        # other checks and simulate do not divide by them
+        assert validate_config({"model": model, "initial": {"cov": cov.tolist()},
+                                "checks": ["duality"]}) == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_moments_check_on_singular_covariance_writes_finite_numbers(tmp_path):
+    # a singular covariance with a positive diagonal keeps every standard
+    # error positive, so verdict.json stays standard JSON
+    p = write_config(tmp_path, initial={"cov": [[1.0, 1.0], [1.0, 1.0]]},
+                     particles=60, seeds=[0], checks=["moments"])
+    out = tmp_path / "out"
+    main(["verify", "--config", str(p), "--output-dir", str(out)])
+
+    def reject(token):
+        raise AssertionError(f"verdict.json holds {token}")
+
+    rep = json.loads((out / "verdict.json").read_text(), parse_constant=reject)["moments"]
+    assert all(np.isfinite(rep[k]) for k in ("z_mean", "z_cov", "margin"))
+
+
 def test_verify_without_checks_is_one_line_error(tmp_path):
     # a verdict file with no checks in it would be a pass that checked nothing
     p = write_config(tmp_path)

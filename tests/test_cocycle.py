@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roughmf import rng
+from roughmf import cocycle, rng
 from roughmf.cocycle import (
     FlowRun,
     JointState,
@@ -27,12 +27,13 @@ from roughmf.roughpath import STRAT, NoisePath, brownian_lift
 from conftest import rk4_oracle
 
 
-def make_run(seed=0, n=100, n_freeze=8, T=1.0, model_name="eks-gaussian"):
+def make_run(seed=0, n=100, n_freeze=8, T=1.0, model_name="eks-gaussian", inner=2,
+             rde_per_freeze=None):
     params = {"Sigma": np.diag([1.0, 4.0])} if model_name == "eks-gaussian" else None
     model = build_model(model_name, params)
-    cfg = FrozenLawConfig(n_freeze, inner=2, seed=seed)
+    cfg = FrozenLawConfig(n_freeze, inner=inner, seed=seed)
     mu0 = EmpiricalMeasure(np.random.default_rng(seed).normal(size=(n, model.d)))
-    run = FlowRun(model, cfg, T)
+    run = FlowRun(model, cfg, T, rde_per_freeze=rde_per_freeze)
     e0 = JointState(np.zeros(model.d), mu0)
     return run, e0
 
@@ -114,10 +115,12 @@ def test_backward_return_error_shrinks_with_cells_landau():
 
 def test_flow_horizon_must_sit_on_freeze_grid():
     run, e0 = make_run()
-    with pytest.raises(ValueError):
-        flow_details(run, e0, 0.3)
-    with pytest.raises(ValueError):
-        flow_details(run, e0, 1.5)
+    for t in (0.0, 0.3, 1.5):
+        with pytest.raises(ValueError):
+            flow_details(run, e0, t)
+    for k0, k1 in ((2, 2), (3, 2), (-1, 2), (4, 9)):
+        with pytest.raises(ValueError, match="not a leg"):
+            run.leg(e0, k0, k1)
 
 
 def test_joint_flow_identity_at_zero():
@@ -151,6 +154,36 @@ def test_law_noise_cached_per_ensemble_size():
     other = run.law_noise(20)
     assert other.shape == (20, run.cfg.steps, 2)
     assert np.array_equal(other, block[:20])
+
+
+def test_driver_lifted_once_per_run(monkeypatch):
+    run, e0 = make_run(seed=4, n=30, n_freeze=5, T=0.9, inner=3)
+    lifts = []
+    lift = cocycle.brownian_lift
+    monkeypatch.setattr(cocycle, "brownian_lift",
+                        lambda *a, **k: lifts.append(1) or lift(*a, **k))
+    det = flow_details(run, e0, 0.9)
+    for s, t in [(0.18, 0.54), (0.36, 0.36), (0.72, 0.18), (0.0, 0.9)]:
+        cocycle_defect(run, e0, s, t, details=det)
+    cocycle_defect(run, e0, 0.18, 0.36)  # its own one-shot run on [0, 0.54]
+    joint_flow(run, e0, 0.36)
+    assert len(lifts) == 1
+
+
+def test_restart_leg_reads_the_run_lift_by_index():
+    run, e0 = make_run(seed=2, n=30, n_freeze=5, T=0.9, inner=3, rde_per_freeze=2)
+    det = flow_details(run, e0, 0.9)
+    assert det.rough.grid.n_cells == run.rough.grid.n_cells
+    for ks, k1 in [(1, 3), (2, 5), (4, 5)]:
+        leg = run.leg(det.state_at(ks), ks, k1)
+        i, j = 2 * ks, 2 * k1
+        assert np.array_equal(leg.rough.cells, run.rough.cells[i:j])
+        assert np.array_equal(leg.rough.grid.widths, run.rough.grid.widths[i:j])
+        assert np.array_equal(leg.rough.times, run.rough.times[i : j + 1])
+        assert np.array_equal(leg.rough.values,
+                              run.rough.values[i : j + 1] - run.rough.values[i])
+        assert leg.curve.times[0] == run.rough.times[i]
+        assert len(leg.curve.measures) == k1 - ks + 1
 
 
 def test_particle_streams_drawn_once_per_run(monkeypatch):
@@ -192,11 +225,18 @@ def test_self_defect_computed_once(monkeypatch):
 
 @pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
 def test_cocycle_law_defect_exactly_zero(model_name):
-    run, e0 = make_run(seed=1, n=80, model_name=model_name)
-    det = flow_details(run, e0, 1.0)
-    out = cocycle_defect(run, e0, 0.5, 0.5, details=det)
-    assert out["law_defect"] == 0.0
-    assert out["law_upper"] == 0.0
+    # the restart replays the one-shot's Euler steps to the bit, on window
+    # grids whose times are not dyadic fractions as on those that are
+    for T, n_freeze, inner in [(1.0, 8, 2), (0.9, 5, 3), (0.1, 7, 1)]:
+        run, e0 = make_run(seed=1, n=80, n_freeze=n_freeze, T=T, model_name=model_name,
+                           inner=inner)
+        det = flow_details(run, e0, T)
+        delta = T / n_freeze
+        for ks in range(1, n_freeze):
+            for kt in range(1, n_freeze - ks + 1):
+                out = cocycle_defect(run, e0, ks * delta, kt * delta, details=det)
+                assert out["law_defect"] == 0.0, (T, n_freeze, inner, ks, kt)
+                assert out["law_upper"] == 0.0
 
 
 def test_cocycle_point_defect_within_scheme_scale():

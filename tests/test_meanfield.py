@@ -62,9 +62,8 @@ def test_config_validation():
     assert cfg.steps == 8 and cfg.fine_cells == 8
 
 
-def test_config_leg_and_window_index():
+def test_config_window_index():
     cfg = FrozenLawConfig(8, inner=2, seed=3, fine_cells=64)
-    assert cfg.leg(3) == FrozenLawConfig(3, inner=2, seed=3, fine_cells=24)
     assert [cfg.window_index(t, 2.0) for t in (0.0, 0.25, 1.5, 2.0)] == [0, 1, 6, 8]
     for t in (0.3, -0.25, 2.25):
         with pytest.raises(ValueError):
@@ -90,22 +89,22 @@ def test_measure_curve_validation():
 # ---------------------------------------------------------------------------
 
 def test_particle_noise_tail_replay_bitwise():
-    # a leg restarted at window k on the slice of the run's increment block
-    # ends on the full run's atoms, to the bit
+    # a leg restarted at window k on the slice of the run's increment block,
+    # with the run's cfg and T, ends on the full run's atoms, to the bit, on
+    # window grids whose times are not dyadic fractions as on those that are
     model = build_model("landau-maxwell")
     mu0 = gauss_init(13, 40, 3)
-    cfg = FrozenLawConfig(8, inner=2, seed=6, fine_cells=48)
-    T, k = 1.0, 3
-    s = k * T / cfg.n_freeze
-    dW = euler_increments(cfg, T, mu0.n, mu0.d)
-    full = simulate_frozen_law(model, mu0, cfg, T, dW=dW)
-    assert np.array_equal(simulate_frozen_law(model, mu0, cfg, T).measures[-1].atoms,
-                          full.measures[-1].atoms)
-    leg = simulate_frozen_law(
-        model, full.measures[k], cfg.leg(cfg.n_freeze - k), T - s, t0=s,
-        dW=dW[:, k * cfg.inner:],
-    )
-    assert np.array_equal(leg.measures[-1].atoms, full.measures[-1].atoms)
+    for T, n_freeze, inner, per, k in [(1.0, 8, 2, 3, 3), (0.9, 5, 3, 2, 2), (0.1, 7, 1, 1, 4)]:
+        cfg = FrozenLawConfig(n_freeze, inner=inner, seed=6, fine_cells=n_freeze * inner * per)
+        dW = euler_increments(cfg, T, mu0.n, mu0.d)
+        full = simulate_frozen_law(model, mu0, cfg, T, dW=dW)
+        assert np.array_equal(simulate_frozen_law(model, mu0, cfg, T).measures[-1].atoms,
+                              full.measures[-1].atoms)
+        for k1 in (k + 1, n_freeze):
+            leg = simulate_frozen_law(model, full.measures[k], cfg, T, t0=full.times[k],
+                                      dW=dW[:, k * inner : k1 * inner])
+            assert len(leg.measures) == k1 - k + 1
+            assert np.array_equal(leg.measures[-1].atoms, full.measures[k1].atoms)
 
 
 def test_euler_increments_sum_the_fine_grid():
@@ -121,7 +120,8 @@ def test_simulate_rejects_wrong_increment_shape():
     mu0 = gauss_init(14, 10, 2)
     cfg = FrozenLawConfig(4, inner=2, seed=0)
     dW = euler_increments(cfg, 1.0, 10, 2)
-    for bad in (dW[:, :-1], dW[:-1], dW[..., :1]):
+    longer = np.concatenate([dW, dW[:, :2]], axis=1)
+    for bad in (dW[:, :-1], dW[:, :0], longer, dW[:-1], dW[..., :1]):
         with pytest.raises(ValueError, match="dW has shape"):
             simulate_frozen_law(model, mu0, cfg, 1.0, dW=bad)
 
@@ -391,11 +391,11 @@ def test_stability_check_common_noise():
     model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
     mu0 = gauss_init(7, 300, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + np.array([0.5, 0.0]))
-    out = stability_check(model, mu0, rho0, FrozenLawConfig(16, seed=2), 1.0, 2.0)
+    out = stability_check(model, mu0, [rho0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
     assert out["ratios"][0] == pytest.approx(1.0)
     assert out["max_ratio"] <= 10.0
     assert out["max_ratio"] == max(out["ratios"][1:])
-    same = stability_check(model, mu0, mu0, FrozenLawConfig(16, seed=2), 1.0, 2.0)
+    same = stability_check(model, mu0, [mu0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
     assert same["max_ratio"] == 0.0
 
 
@@ -410,7 +410,7 @@ def test_stability_check_solves_each_pair_once(monkeypatch):
     model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
     mu0 = gauss_init(7, 100, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + np.array([0.5, 0.0]))
-    out = stability_check(model, mu0, rho0, FrozenLawConfig(16, seed=2), 1.0, 2.0)
+    out = stability_check(model, mu0, [rho0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
     assert len(calls) == 1 + 16  # d0, then one solve per freeze boundary t > 0
     assert out["ratios"][0] == 1.0
     # the skipped t = 0 solve is the d0 problem: curves start on mu0 and rho0
@@ -429,7 +429,7 @@ def test_stability_max_ratio_sees_contraction():
     model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
     mu0 = gauss_init(15, 300, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + 0.1 * np.ones(2) / np.sqrt(2.0))
-    out = stability_check(model, mu0, rho0, FrozenLawConfig(16, seed=0), 1.0, 2.0)
+    out = stability_check(model, mu0, [rho0], FrozenLawConfig(16, seed=0), 1.0, 2.0)[0]
     assert out["max_ratio"] < 1.0, out["ratios"]
 
 
@@ -442,7 +442,7 @@ def test_stability_check_several_starts_equal_one_call_each(monkeypatch):
     starts.insert(1, mu0)  # d0 = 0 between two moved starts
     cfg = FrozenLawConfig(8, seed=3)
     reps = stability_check(model, mu0, starts, cfg, 1.0, 2.0)
-    assert reps == [stability_check(model, mu0, r, cfg, 1.0, 2.0) for r in starts]
+    assert reps == [stability_check(model, mu0, [r], cfg, 1.0, 2.0)[0] for r in starts]
     assert reps[1]["max_ratio"] == 0.0 and reps[0]["max_ratio"] > 0.0
 
 
@@ -465,7 +465,7 @@ def test_duality_within_monte_carlo_error():
     model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
     mu0 = gauss_init(8, 2000, 2)
     cfg = FrozenLawConfig(16, inner=2, seed=3)
-    out = feynman_kac_duality(model, mu0, phi_sq(2), cfg, T=0.5)
+    out = feynman_kac_duality(model, mu0, [phi_sq(2)], cfg, T=0.5)[0]
     assert out["residual"] <= 3.0 * out["se"] + 0.05, out
 
 
@@ -481,7 +481,7 @@ def test_duality_several_functions_equal_one_call_each(monkeypatch):
     reps = feynman_kac_duality(model, mu0, phis, cfg, T=0.5)
     assert len(runs) == 1  # one curve, one dual run for both functions
     for phi, rep in zip(phis, reps):
-        one = feynman_kac_duality(model, mu0, phi, cfg, T=0.5)
+        one = feynman_kac_duality(model, mu0, [phi], cfg, T=0.5)[0]
         assert np.array_equal(rep.pop("curve").measures[-1].atoms,
                               one.pop("curve").measures[-1].atoms)
         assert rep == one

@@ -22,7 +22,6 @@ from roughmf.roughpath import (
     load_rough_path,
     rough_distance,
     save_rough_path,
-    shift,
 )
 
 from conftest import random_rough_path
@@ -376,45 +375,6 @@ def test_dyadic_distance_decreasing_in_median():
         )
     med = np.median(np.array(dists), axis=0)
     assert np.all(np.diff(med) < 0), med
-
-
-# ---------------------------------------------------------------------------
-# shift
-# ---------------------------------------------------------------------------
-
-def test_shift_identity_and_group(strat_lift):
-    rp = strat_lift
-    s0 = shift(rp, 0.0)
-    assert np.array_equal(s0.values, rp.values)
-    assert np.array_equal(s0.cells, rp.cells)
-    t = rp.times
-    a = shift(shift(rp, t[8]), t[24] - t[8])
-    b = shift(rp, t[24])
-    assert np.allclose(a.times, b.times, atol=1e-12)
-    assert np.max(np.abs(a.values - b.values)) <= 1e-12
-    assert np.array_equal(a.cells, b.cells)
-
-
-def test_shift_anchors_first_level(strat_lift):
-    rp = strat_lift
-    sh = shift(rp, rp.times[17])
-    assert np.all(sh.values[sh.grid.index_of(0.0)] == 0.0)
-    # stored cells untouched, so Chen still holds
-    t = sh.times
-    assert np.max(np.abs(sh.chen_defect(t[0], t[30], t[-1]))) <= 1e-12
-
-
-def test_shift_preserves_norms_on_common_window(strat_lift):
-    rp = strat_lift
-    k = 16
-    sub = rp.restrict(k, rp.grid.n_cells)
-    sh = shift(rp, rp.times[k]).restrict(k, rp.grid.n_cells)
-    assert np.allclose(sub.holder_norms(), sh.holder_norms(), rtol=1e-12)
-
-
-def test_shift_off_grid_rejected(strat_lift):
-    with pytest.raises(ValueError):
-        shift(strat_lift, 0.01234)
 
 
 # ---------------------------------------------------------------------------
