@@ -2,8 +2,6 @@
 
 from .controlled import (
     ControlledPath,
-    Func2,
-    compose,
     controlled_distance,
     sewing_constant,
 )
@@ -51,7 +49,6 @@ from .rde import (
     linear_coefficients,
     solve_backward,
     solve_driftless,
-    stability_probe,
 )
 from .roughpath import (
     ITO,
@@ -60,9 +57,7 @@ from .roughpath import (
     RoughPath,
     brownian_lift,
     dyadic_approximation,
-    load_rough_path,
     rough_distance,
-    save_rough_path,
 )
 
 __version__ = "0.1.0"

@@ -328,7 +328,7 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
             table = np.atleast_2d(np.loadtxt(path))
             d = int(np.sqrt(table.shape[1] - 3 + 0.25) - 0.5)  # 3 + d + d^2 cols
             names = (
-                ["M2", f"M4"]
+                ["M2", "M4"]
                 + [f"mean{i}" for i in range(d)]
                 + [f"cov{i}{j}" for i in range(d) for j in range(d)]
             )

@@ -11,9 +11,6 @@ valid since 3a > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import _accel
@@ -25,21 +22,6 @@ def sewing_constant(alpha: float) -> float:
     if 3.0 * alpha <= 1.0:
         raise ValueError("sewing constant requires 3*alpha > 1")
     return 2.0 ** (3.0 * alpha) / (1.0 - 2.0 ** (1.0 - 3.0 * alpha))
-
-
-@dataclass
-class Func2:
-    """A time-dependent map f(t, y) with an analytic state derivative, on
-    arrays: ``value`` and ``grad`` take node times (M+1,) and states
-    (M+1, d) and return one row per node.
-
-    ``grad`` carries one extra trailing axis over the state components.  It
-    is supplied in closed form — finite differences are reserved for test
-    oracles.
-    """
-
-    value: Callable[[float, np.ndarray], np.ndarray]
-    grad: Callable[[float, np.ndarray], np.ndarray]
 
 
 class ControlledPath:
@@ -97,14 +79,6 @@ class ControlledPath:
     def seminorm(self) -> float:
         """||Y'||_a + ||R^Y||_{2a} (no dependence on initial values)."""
         return self.prime_norm() + self.remainder_norm()
-
-    def full_norm(self) -> float:
-        """Banach norm: |Y_0| + |Y'_0| + seminorm."""
-        return (
-            float(np.linalg.norm(self.Y[0].ravel()))
-            + float(np.linalg.norm(self.Yprime[0].ravel()))
-            + self.seminorm()
-        )
 
     # -- rough integral -----------------------------------------------------
 
@@ -237,20 +211,3 @@ def controlled_distance(cp: ControlledPath, cq: ControlledPath) -> float:
         ),
     )
     return d1 + d2
-
-
-def compose(f: Func2, cp: ControlledPath) -> ControlledPath:
-    """Push a controlled path through a C^2 map: (f(t,Y), grad f(t,Y) Y').
-
-    The input must have vector (or scalar) values; f may produce any shape,
-    with grad carrying one extra trailing axis over input components.
-    """
-    if len(cp.val_shape) > 1:
-        raise ValueError("compose expects scalar- or vector-valued input paths")
-    Yv = cp.Y if cp.val_shape else cp.Y[:, None]
-    Yp = cp.Yprime if cp.val_shape else cp.Yprime[:, None, :]
-    val = np.asarray(f.value(cp.base.times, Yv), dtype=float)
-    g = np.asarray(f.grad(cp.base.times, Yv), dtype=float)
-    if g.shape != val.shape + Yv.shape[1:]:
-        raise ValueError("grad shape must be value shape plus one state axis")
-    return ControlledPath(cp.base, val, np.einsum("m...j,mjk->m...k", g, Yp))

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: how far a time may sit from a grid point and still name it
+TIME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -33,24 +36,25 @@ class TimeGrid:
     def widths(self) -> np.ndarray:
         return np.diff(self.points)
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of grid point equal to t; raises if t is not on the grid."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid point within TIME_TOL of t; raises if t is not
+        on the grid."""
         i = int(np.searchsorted(self.points, t))
         for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.points) and abs(self.points[j] - t) <= tol:
+            if 0 <= j < len(self.points) and abs(self.points[j] - t) <= TIME_TOL:
                 return j
         raise ValueError(f"time {t} is not a grid point")
 
-    def subgrid_indices(self, coarse: "TimeGrid", tol: float = 1e-9) -> np.ndarray:
+    def subgrid_indices(self, coarse: "TimeGrid") -> np.ndarray:
         """Indices embedding a coarser grid into this one; raises if not nested.
 
         Each coarse point takes, like ``index_of``, the first of its
-        neighbours i-1, i, i+1 within ``tol``, where i is its search index.
+        neighbours i-1, i, i+1 within TIME_TOL, where i is its search index.
         """
         pts, t = self.points, coarse.points
         # a neighbour clipped at either end repeats one already tried
         idx = (np.searchsorted(pts, t)[:, None] + np.arange(-1, 2)).clip(0, len(pts) - 1)
-        hit = np.abs(pts[idx] - t[:, None]) <= tol
+        hit = np.abs(pts[idx] - t[:, None]) <= TIME_TOL
         if not hit.any(axis=1).all():
             raise ValueError("coarse grid is not nested in the fine grid")
         return idx[np.arange(len(t)), hit.argmax(axis=1)].astype(np.int64)

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
+from .grids import TIME_TOL
 from .measures import (
     EmpiricalMeasure,
     _map_pairs,
@@ -54,7 +55,7 @@ class FrozenLawConfig:
         """Index k of the freeze-window edge t = k T / n_freeze on [0, T]."""
         delta = T / self.n_freeze
         k = int(round(t / delta))
-        if abs(k * delta - t) > 1e-9 or not 0 <= k <= self.n_freeze:
+        if abs(k * delta - t) > TIME_TOL or not 0 <= k <= self.n_freeze:
             raise ValueError(f"time {t} is not on the law-freeze grid of [0, {T}]")
         return k
 
@@ -72,9 +73,9 @@ class MeasureCurve:
         if len(ns) != 1:
             raise ValueError("particle count must be constant along the curve")
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
+    def index_of(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol:
+        if abs(self.times[i] - t) > TIME_TOL:
             raise ValueError(f"time {t} is not on the curve grid")
         return i
 
@@ -220,7 +221,8 @@ def weak_solution_residual(
 
 def time_regularity_check(curve: MeasureCurve, p: float) -> dict:
     """Dual-metric upper bounds between curve points at dyadic time lags,
-    with a log-log scaling fit and the implied Lipschitz constant."""
+    with a log-log scaling fit and the implied Lipschitz constant.  The fit
+    needs two lags with positive medians; without them the exponent is NaN."""
     n = len(curve.times) - 1
     ms = curve.measures
     lag_pairs = {
@@ -237,9 +239,9 @@ def time_regularity_check(curve: MeasureCurve, p: float) -> dict:
     lags = np.array(sorted(lag_stats))
     meds = np.array([lag_stats[l] for l in lags])
     slope = (
-        float(np.polyfit(np.log(lags), np.log(np.maximum(meds, 1e-300)), 1)[0])
+        float(np.polyfit(np.log(lags), np.log(meds), 1)[0])
         if len(lags) > 1 and np.all(meds > 0)
-        else 1.0
+        else float("nan")
     )
     dt = float(curve.times[1] - curve.times[0])
     lip = lag_stats[1] / dt if 1 in lag_stats else 0.0
@@ -358,12 +360,12 @@ def save_curve(curve: MeasureCurve, path) -> None:
         write_rows(fh, rows)
 
 
-def save_curve_summary(curve: MeasureCurve, path, p: float = 4.0) -> None:
-    """Rows of (time, M_2, M_p, mean components, covariance entries)."""
+def save_curve_summary(curve: MeasureCurve, path) -> None:
+    """Rows of (time, M_2, M_4, mean components, covariance entries)."""
     rows = []
     for t, m in zip(curve.times, curve.measures):
         C = covariance(m)
-        rows.append([t, moment(m, 2.0), moment(m, p), *m.mean(), *C.ravel()])
+        rows.append([t, moment(m, 2.0), moment(m, 4.0), *m.mean(), *C.ravel()])
     with open(path, "w") as fh:
         fh.write("# roughmf-curve-summary v1\n")
         write_rows(fh, np.array(rows))

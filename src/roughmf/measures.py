@@ -11,7 +11,6 @@ mean-value estimate along a transport coupling.
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -373,16 +372,12 @@ def default_test_family(
     return TestFunctionFamily(funcs, p)
 
 
-def dp_bracket(
-    mu: EmpiricalMeasure,
-    nu: EmpiricalMeasure,
-    p: float,
-    fam: Optional[TestFunctionFamily] = None,
-):
+def dp_bracket(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float):
     """Two-sided bracket for the dual metric over the certified class.
 
-    lower: best |int phi d(mu - nu)| over the finite family (the class is
-    closed under negation, so the absolute value is admissible).
+    lower: best |int phi d(mu - nu)| over the finite family
+    default_test_family(p, clouds=[mu, nu]) (the class is closed under
+    negation, so the absolute value is admissible).
     upper: mean-value bound sum_pi (1 + |x|^{p-1} + |x-y|^{p-1}) |x-y| on
     the coupling returned by wasserstein_p; approximate couplings make the
     upper bound approximate, and the flag says so, while identical inputs
@@ -390,8 +385,7 @@ def dp_bracket(
     carries that wasserstein_p value as "w_p", so callers need not solve the
     same transport problem again.
     """
-    if fam is None:
-        fam = default_test_family(p, clouds=[mu, nu])
+    fam = default_test_family(p, clouds=[mu, nu])
     lower = 0.0
     for f in fam.funcs:
         gap = abs(mu.integrate(f.value) - nu.integrate(f.value))
@@ -432,27 +426,8 @@ def topology_equivalence_probe(
 # serialization
 # ---------------------------------------------------------------------------
 
-_MAGIC = "# roughmf-measure v1 "
-
-
 def write_rows(fh, rows: np.ndarray) -> None:
     """Write a 2-d table with one "%.17g" pass, bytes as np.savetxt(fmt="%.17g")."""
     n, k = rows.shape
     line = " ".join(["%.17g"] * k) + "\n"
     fh.write((line * n) % tuple(rows.ravel().tolist()))
-
-
-def save_measure(mu: EmpiricalMeasure, path) -> None:
-    """Rows of (weight, coordinates)."""
-    with open(path, "w") as fh:
-        fh.write(_MAGIC + json.dumps({"d": mu.d, "n": mu.n}) + "\n")
-        write_rows(fh, np.hstack([mu.weights[:, None], mu.atoms]))
-
-
-def load_measure(path) -> EmpiricalMeasure:
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith(_MAGIC):
-            raise ValueError("not a roughmf measure file")
-        table = np.atleast_2d(np.loadtxt(fh))
-    return EmpiricalMeasure(table[:, 1:], table[:, 0])

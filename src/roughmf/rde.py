@@ -30,7 +30,6 @@ import numpy as np
 
 from . import _accel
 from .controlled import ControlledPath
-from .measures import write_rows
 from .roughpath import RoughPath
 
 DEFAULT_GUARD = 1e8
@@ -60,15 +59,9 @@ def linear_coefficients(
     """CoefficientField for sigma(c, y) = a0 . y + a1(c) on cell c, a1 = 0 by
     default.
 
-    a0 is the (d, d, d) tensor with sigma_{ik} = sum_j a0[i, k, j] y_j.  A
-    (1, 1) matrix is accepted for d = 1; any other (d, d) matrix is
-    rejected, because it does not say which axis acts on y.
+    a0 is the (d, d, d) tensor with sigma_{ik} = sum_j a0[i, k, j] y_j.
     """
     a0 = np.asarray(a0, dtype=float)
-    if a0.ndim == 2:
-        if a0.shape != (1, 1):
-            raise ValueError("pass the full (d, d, d) tensor for d > 1")
-        a0 = a0.reshape(1, 1, 1)
     dd = a0.shape[0] if d is None else d
     if a0.shape != (dd, dd, dd):
         raise ValueError("a0 must have shape (d, d, d)")
@@ -305,7 +298,7 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
 
 
 # ---------------------------------------------------------------------------
-# Picard validation mode and stability diagnostic
+# Picard validation mode
 # ---------------------------------------------------------------------------
 
 def picard_validate(
@@ -323,45 +316,3 @@ def picard_validate(
     for _ in range(iters):
         cp = _solution(coeff, rp, xi + _compose_sigma(coeff, cp)._cumulative_integral(), {}).path
     return cp
-
-
-def stability_probe(
-    sol1: RdeSolution,
-    sol2: RdeSolution,
-    xi1,
-    xi2,
-    rho_drivers: float = 0.0,
-    coeff_gap: float = 0.0,
-    drift_gap: float = 0.0,
-) -> dict:
-    """Empirical two-solution stability ratio.
-
-    left  = controlled distance between the two solution paths,
-    right = |xi1 - xi2| + driver distance + coefficient gaps.
-    """
-    from .controlled import controlled_distance
-
-    left = controlled_distance(sol1.path, sol2.path)
-    xi_gap = float(np.linalg.norm(np.atleast_1d(xi1) - np.atleast_1d(xi2)))
-    right = xi_gap + rho_drivers + coeff_gap + drift_gap
-    ratio = left / right if right > 0 else (0.0 if left == 0 else np.inf)
-    return {
-        "left": left,
-        "right": right,
-        "ratio": ratio,
-        "xi_gap": xi_gap,
-        "driver_gap": rho_drivers,
-    }
-
-
-def save_solution(sol: RdeSolution, path) -> None:
-    """Columnar dump: t, Y components, row-major Yprime entries."""
-    import json
-
-    Y, Yp = sol.path.Y, sol.path.Yprime
-    d = Y.shape[1]
-    table = np.hstack([sol.times[:, None], Y, Yp.reshape(len(Y), -1)])
-    header = {"d": d, "alpha": sol.path.base.alpha, "diagnostics": sol.diagnostics}
-    with open(path, "w") as fh:
-        fh.write("# roughmf-solution v1 " + json.dumps(header, sort_keys=True) + "\n")
-        write_rows(fh, table)

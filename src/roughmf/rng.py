@@ -49,14 +49,3 @@ def streams(seed: int, lane: int, members: range):
         fresh["state"]["counter"] = _counter(seed, lane, m)
         g.bit_generator.state = fresh
         yield g
-
-
-def gaussian_increments(
-    seed: int, lane: int, member: int, n: int, d: int, dt: float | np.ndarray
-) -> np.ndarray:
-    """Draw (n, d) Gaussian increments with per-row variance dt.
-
-    dt may be a scalar or an (n,) array of cell widths.
-    """
-    g = stream(seed, lane, member).standard_normal((n, d))
-    return g * np.sqrt(np.asarray(dt)).reshape(-1, 1)

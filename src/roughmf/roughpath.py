@@ -14,15 +14,12 @@ correction (h/2) Id per cell.
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _accel, rng
 from .grids import TimeGrid
-from .measures import write_rows
 
 ITO = "ito"
 STRAT = "strat"
@@ -232,9 +229,8 @@ class NoisePath:
         lane: int = rng.DRIVER_LANE,
         member: int = 0,
     ) -> "NoisePath":
-        inc = rng.gaussian_increments(
-            seed, lane, member, fine_grid.n_cells, d, fine_grid.widths
-        )
+        inc = rng.stream(seed, lane, member).standard_normal((fine_grid.n_cells, d))
+        inc *= np.sqrt(fine_grid.widths)[:, None]
         return cls(seed, fine_grid, inc, lane, member)
 
     @property
@@ -316,10 +312,6 @@ class RoughPath:
             cached = (_first_sup(X, t, a), _second_sup(X, A, t, a))
             object.__setattr__(self, "_norms", cached)
         return cached
-
-    def homogeneous_norm(self) -> float:
-        nx, nxx = self.holder_norms()
-        return nx + np.sqrt(nxx)
 
     def restrict(self, i: int, j: int) -> "RoughPath":
         """Sub-path over grid points i..j (times kept, first level rebased):
@@ -456,39 +448,3 @@ def dyadic_approximation(noise: NoisePath, n: int, alpha: float = 0.4) -> RoughP
         alpha,
         {"mode": STRAT, "seed": noise.seed, "kind": "dyadic", "level": n},
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_MAGIC = "# roughmf-roughpath v1 "
-
-
-def save_rough_path(rp: RoughPath, path) -> None:
-    """Columnar text dump: t, X components, row-major consecutive-cell XX."""
-    d = rp.d
-    header = {"d": d, "alpha": rp.alpha, "meta": rp.meta}
-    M = rp.grid.n_cells
-    table = np.full((M + 1, 1 + d + d * d), np.nan)
-    table[:, 0] = rp.times
-    table[:, 1 : 1 + d] = rp.values
-    table[:M, 1 + d :] = rp.cells.reshape(M, d * d)
-    with open(path, "w") as fh:
-        fh.write(_MAGIC + json.dumps(header, sort_keys=True) + "\n")
-        write_rows(fh, table)
-
-
-def load_rough_path(path) -> RoughPath:
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith(_MAGIC):
-            raise ValueError("not a roughmf rough path file")
-        header = json.loads(first[len(_MAGIC) :])
-        table = np.loadtxt(io.StringIO(fh.read()))
-    d = header["d"]
-    table = np.atleast_2d(table)
-    times = table[:, 0]
-    X = table[:, 1 : 1 + d]
-    cells = table[:-1, 1 + d :].reshape(len(times) - 1, d, d)
-    return RoughPath(TimeGrid(times), X, cells, header["alpha"], header.get("meta", {}))

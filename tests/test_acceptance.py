@@ -16,7 +16,7 @@ from roughmf.cocycle import (
     flow_details,
     wong_zakai_run,
 )
-from roughmf.controlled import ControlledPath
+from roughmf.controlled import ControlledPath, controlled_distance
 from roughmf.grids import TimeGrid
 from roughmf.meanfield import (
     FrozenLawConfig,
@@ -37,7 +37,6 @@ from roughmf.rde import (
     linear_coefficients,
     solve_backward,
     solve_driftless,
-    stability_probe,
 )
 from roughmf.roughpath import (
     ITO,
@@ -445,7 +444,7 @@ def test_10_stability():
     lefts = []
     for g in gaps:
         pert = solve_driftless(geom, rp, 1.0 + g)
-        lefts.append(stability_probe(base, pert, 1.0, 1.0 + g)["left"])
+        lefts.append(controlled_distance(base.path, pert.path))
     lefts = np.array(lefts)
     coeffs = np.polyfit(gaps, lefts, 1)
     fit = np.polyval(coeffs, gaps)

@@ -369,6 +369,19 @@ def test_emit_requires_artifacts(tmp_path):
               "--kind", "defects"])
 
 
+def test_emit_metric_curves_names_the_missing_curve(tmp_path):
+    p = write_config(tmp_path, seeds=[0, 1], particles=20)
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(p), "--output-dir", str(out)])
+    (out / "curve-seed1.txt").unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["emit", "--config", str(p), "--output-dir", str(out),
+              "--kind", "metric-curves"])
+    msg = str(exc.value)
+    assert str(out / "curve-seed1.txt") in msg and "\n" not in msg
+    assert not (out / "metric-curves.txt").exists()
+
+
 def test_console_script_entrypoint(tmp_path):
     p = write_config(tmp_path, seeds=[0], particles=30)
     out = tmp_path / "out"

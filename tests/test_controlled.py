@@ -8,10 +8,8 @@ import pytest
 from roughmf import _accel
 from roughmf.controlled import (
     ControlledPath,
-    Func2,
     _remainder_slack,
     _remainders,
-    compose,
     controlled_distance,
     sewing_constant,
 )
@@ -95,7 +93,6 @@ def test_seminorm_examples():
     assert const.seminorm() == 0.0
     ident = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
     assert ident.seminorm() <= 1e-10
-    assert ident.full_norm() >= np.sqrt(2)  # includes |Y'_0| = |Id|
     lam = 3.0
     scaled = ControlledPath(rp, lam * rp.values, lam * np.tile(np.eye(2), (n, 1, 1)))
     assert scaled.seminorm() == pytest.approx(lam * ident.seminorm(), abs=1e-12)
@@ -321,6 +318,23 @@ def test_local_error_certificate_random_cells():
         assert ok, (i, j, val, bound)
 
 
+def test_local_error_certificate_vector_integrand():
+    # the one-form Y = sin X with Y' = diag(cos X), contracted against dX
+    rp = random_rough_path(12, cells=256, fine_per=8)
+    X = rp.values
+    cp = ControlledPath(rp, np.sin(X), np.cos(X)[:, :, None] * np.eye(2))
+    rngs = np.random.default_rng(1)
+    for _ in range(50):
+        i = int(rngs.integers(0, 255))
+        j = int(rngs.integers(i + 1, 257))
+        val, bound, ok = cp.local_error_certificate(rp.times[i], rp.times[j])
+        XX = rp.second_level(i, j)
+        head = np.sin(X[i]) @ rp.increment(i, j) + np.cos(X[i]) @ np.diag(XX)
+        ref = abs(float(cp.rough_integral(rp.times[i], rp.times[j])) - head)
+        assert val == pytest.approx(ref, rel=1e-9, abs=1e-14)
+        assert ok and bound > 0.0, (i, j, val, bound)
+
+
 def test_local_error_decay_rate():
     # one-window local error of the compensated sum decays at >= 3a - eps
     errs, hs = [], []
@@ -334,69 +348,3 @@ def test_local_error_decay_rate():
         hs.append(rp.times[2] - rp.times[0])
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 3 * 0.4 - 0.25, slope
-
-
-# ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-def test_compose_identity_and_linear():
-    rp = random_rough_path(8)
-    n = len(rp.times)
-    cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-    ident = Func2(value=lambda t, Y: Y,
-                  grad=lambda t, Y: np.broadcast_to(np.eye(2), (len(Y), 2, 2)))
-    out = compose(ident, cp)
-    assert np.array_equal(out.Y, cp.Y)
-    assert np.array_equal(out.Yprime, cp.Yprime)
-
-    A = np.array([[2.0, 1.0], [0.0, -1.0]])
-    lin = Func2(value=lambda t, Y: Y @ A.T + np.stack([np.sin(t), np.zeros_like(t)], axis=1),
-                grad=lambda t, Y: np.broadcast_to(A, (len(Y), 2, 2)))
-    out = compose(lin, cp)
-    assert np.allclose(out.Y, cp.Y @ A.T + np.stack(
-        [np.sin(rp.times), np.zeros(n)], axis=1))
-    assert np.allclose(out.Yprime, np.einsum("ij,njk->nik", A, cp.Yprime))
-
-
-def test_compose_chain_rule_and_remainder():
-    rp = random_rough_path(9)
-    n = len(rp.times)
-    cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-    sq = Func2(value=lambda t, Y: np.einsum("mj,mj->m", Y, Y),
-               grad=lambda t, Y: 2.0 * Y)
-    out = compose(sq, cp)
-    # derivative contract (f o Y)' = grad f . Y', exactly
-    assert np.array_equal(out.Yprime, 2.0 * cp.Y)
-    # one-cell remainder of |X|^2 is |X_{s,t}|^2
-    s, t = rp.times[5], rp.times[6]
-    r = out.gubinelli_remainder(s, t)
-    x = rp.increment(5, 6)
-    assert float(r) == pytest.approx(float(x @ x), abs=1e-14)
-
-
-def test_compose_leibniz():
-    rp = random_rough_path(10)
-    n = len(rp.times)
-    cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-
-    def unit(k):
-        return lambda t, Y: np.broadcast_to(np.eye(2)[k], Y.shape)
-
-    g = Func2(value=lambda t, Y: Y[:, 0], grad=unit(0))
-    h = Func2(value=lambda t, Y: Y[:, 1], grad=unit(1))
-    gh = Func2(value=lambda t, Y: Y[:, 0] * Y[:, 1],
-               grad=lambda t, Y: np.stack([Y[:, 1], Y[:, 0]], axis=1))
-    cg, ch, cgh = compose(g, cp), compose(h, cp), compose(gh, cp)
-    assert np.allclose(cgh.Y, cg.Y * ch.Y)
-    assert np.allclose(cgh.Yprime, cg.Y[:, None] * ch.Yprime + ch.Y[:, None] * cg.Yprime)
-
-
-def test_compose_shape_mismatch_rejected():
-    rp = random_rough_path(11)
-    n = len(rp.times)
-    cp = ControlledPath(rp, rp.values, np.tile(np.eye(2), (n, 1, 1)))
-    bad = Func2(value=lambda t, Y: Y,
-                grad=lambda t, Y: np.broadcast_to(np.eye(3), (len(Y), 3, 3)))
-    with pytest.raises(ValueError):
-        compose(bad, cp)

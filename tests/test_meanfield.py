@@ -24,7 +24,6 @@ from roughmf.measures import (
     ScalarFunc,
     dp_bracket,
     linear_func,
-    load_measure,
     moment,
     wasserstein_p,
 )
@@ -385,6 +384,20 @@ def test_time_regularity_check():
     assert ups[0] <= ups[1] <= ups[2]  # larger lags move further
     assert 0.0 < out["scaling_exponent"] <= 1.5
     assert out["lipschitz"] > 0
+
+
+def test_time_regularity_check_gives_no_exponent_without_a_fit():
+    # one window gives one lag, and a constant curve gives zero medians:
+    # neither supports a log-log fit, so the exponent is NaN, not made up
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    mu0 = gauss_init(18, 50, 2)
+    one = time_regularity_check(
+        simulate_frozen_law(model, mu0, FrozenLawConfig(1, seed=0), T=1.0), 2.0)
+    assert set(one["lag_medians"]) == {1} and one["lag_medians"][1] > 0
+    assert np.isnan(one["scaling_exponent"])
+    flat = time_regularity_check(MeasureCurve(np.linspace(0.0, 1.0, 5), [mu0] * 5), 2.0)
+    assert flat["lag_medians"] == {1: 0.0, 2: 0.0, 4: 0.0}
+    assert np.isnan(flat["scaling_exponent"])
 
 
 def test_stability_check_common_noise():

@@ -16,9 +16,7 @@ from roughmf.measures import (
     default_test_family,
     dp_bracket,
     linear_func,
-    load_measure,
     moment,
-    save_measure,
     topology_equivalence_probe,
     wasserstein_p,
     write_rows,
@@ -488,19 +486,3 @@ def test_write_rows_bytes_equal_savetxt():
     np.savetxt(theirs, table, fmt="%.17g")
     assert ours.getvalue() == theirs.getvalue()
     assert ours.getvalue().splitlines()[0] == "0 -0 1e-300 1.0000000000000001e+300"
-
-
-def test_save_load_roundtrip(tmp_path):
-    mu = EmpiricalMeasure(
-        np.random.default_rng(12).normal(size=(17, 3)),
-        np.full(17, 1.0 / 17),
-    )
-    p = tmp_path / "mu.txt"
-    save_measure(mu, p)
-    back = load_measure(p)
-    assert np.array_equal(back.atoms, mu.atoms)
-    assert np.array_equal(back.weights, mu.weights)
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("nope\n")
-        load_measure(bad)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roughmf.measures import EmpiricalMeasure
+from roughmf.measures import EmpiricalMeasure, moment
 from roughmf.models import (
     LANDAU_S0,
     assumption_audit,
@@ -238,6 +238,23 @@ def test_assumption_audit_flags_bad_constants():
     model = build_model("landau-maxwell")
     model.constants = dict(model.constants, F=1e-6, C=1e-6)
     out = assumption_audit(model, corpus(model, 11))
+    assert not out["clean"]
+
+
+def test_assumption_audit_flags_a_coercivity_violation():
+    # <b(y, mu), y> = 100 |y|^2 outgrows C (1 + |y|^2 + M_2(mu)) at large |y|
+    model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
+    samples = corpus(model, 12)
+    samples[3] = (np.array([3.0, 0.0]), *samples[3][1:])
+    assert assumption_audit(model, samples)["clean"]
+    bad = replace(model, b=lambda Y, mu: 100.0 * Y)
+    out = assumption_audit(bad, samples)
+    C = model.constants["C"]
+    want = [i for i, (y, mu, _) in enumerate(samples)
+            if 100.0 * (y @ y) > C * (1.0 + y @ y + moment(mu, 2.0)) + 1e-9]
+    assert 3 in want and len(want) < len(samples)
+    assert out["coercivity"] == want
+    assert out["measure_lipschitz"] == [] and out["growth"] == []
     assert not out["clean"]
 
 

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 import warnings
 
@@ -19,9 +18,7 @@ from roughmf.roughpath import (
     _pair_blocks,
     brownian_lift,
     dyadic_approximation,
-    load_rough_path,
     rough_distance,
-    save_rough_path,
 )
 
 from conftest import random_rough_path
@@ -247,7 +244,6 @@ def test_holder_norms_constant_path():
     X = np.full((17, 2), 3.7)
     rp = RoughPath(grid, X, np.zeros((16, 2, 2)), 0.4)
     assert rp.holder_norms() == (0.0, 0.0)
-    assert rp.homogeneous_norm() == 0.0
 
 
 def test_holder_norm_linear_path():
@@ -375,26 +371,6 @@ def test_dyadic_distance_decreasing_in_median():
         )
     med = np.median(np.array(dists), axis=0)
     assert np.all(np.diff(med) < 0), med
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_save_load_roundtrip(tmp_path, strat_lift):
-    p = tmp_path / "rp.txt"
-    save_rough_path(strat_lift, p)
-    back = load_rough_path(p)
-    assert np.array_equal(back.values, strat_lift.values)
-    assert np.array_equal(back.cells, strat_lift.cells)
-    assert np.array_equal(back.times, strat_lift.times)
-    assert back.alpha == strat_lift.alpha
-    assert back.meta["mode"] == STRAT
-    # the table's bytes are np.savetxt's, NaN padding row included
-    table, theirs = np.loadtxt(p), io.StringIO()
-    np.savetxt(theirs, table, fmt="%.17g")
-    assert p.read_text().split("\n", 1)[1] == theirs.getvalue()
-    assert np.isnan(table[-1, 1 + strat_lift.d :]).all()
 
 
 def test_noise_determinism():
