@@ -222,8 +222,11 @@ def weak_solution_residual(
 def time_regularity_check(curve: MeasureCurve, p: float) -> dict:
     """Dual-metric upper bounds between curve points at dyadic time lags,
     with a log-log scaling fit and the implied Lipschitz constant.  The fit
-    needs two lags with positive medians; without them the exponent is NaN."""
+    needs two lags with positive medians; without them the exponent is NaN.
+    A curve of one time point has no lag and is rejected."""
     n = len(curve.times) - 1
+    if n < 1:
+        raise ValueError("time_regularity_check needs a curve of at least two time points")
     ms = curve.measures
     lag_pairs = {
         lag: [(ms[i], ms[i + lag]) for i in range(0, n - lag + 1, lag)]

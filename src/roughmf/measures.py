@@ -380,11 +380,16 @@ def dp_bracket(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float):
     negation, so the absolute value is admissible).
     upper: mean-value bound sum_pi (1 + |x|^{p-1} + |x-y|^{p-1}) |x-y| on
     the coupling returned by wasserstein_p; approximate couplings make the
-    upper bound approximate, and the flag says so, while identical inputs
-    get the identity coupling and an exact 0.  The info record also
+    upper bound approximate, and the flag says so.  Bitwise-identical atoms
+    and weights return at once the exact 0 bracket that the identity
+    coupling gives, without building the family.  The info record also
     carries that wasserstein_p value as "w_p", so callers need not solve the
     same transport problem again.
     """
+    if p < 1:
+        raise ValueError("p >= 1 required")
+    if np.array_equal(mu.atoms, nu.atoms) and np.array_equal(mu.weights, nu.weights):
+        return 0.0, 0.0, {"exact_upper": True, "mode": "identical", "w_p": 0.0}
     fam = default_test_family(p, clouds=[mu, nu])
     lower = 0.0
     for f in fam.funcs:

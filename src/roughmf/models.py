@@ -1,7 +1,7 @@
 """Concrete mean-field models: the ensemble Kalman sampler (EKS) and the
 Maxwell-molecule Landau system, plus the PSD matrix square root, sampling
-audits of the coefficient assumptions, and the closed-form moment ODEs used
-as oracles by the test suite.
+audits of the coefficient assumptions, and the closed-form moment solutions
+used as oracles by the verdicts and the test suite.
 """
 
 from __future__ import annotations
@@ -208,44 +208,32 @@ def assumption_audit(model: MeanFieldModel, corpus) -> dict:
 # moment-ODE oracles (closed-form mean/covariance dynamics)
 # ---------------------------------------------------------------------------
 
-def _rk4(f, y0, T, steps):
-    y = np.asarray(y0, dtype=float).copy()
-    h = T / steps
-    out = [y.copy()]
-    t = 0.0
-    for _ in range(steps):
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(t + h, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        out.append(y.copy())
-    return np.array(out)
-
-
-def eks_gaussian_moment_ode(Sigma, m0, C0, T: float, steps: int = 4000):
-    """Mean/covariance dynamics of the Gaussian-target EKS:
+def eks_gaussian_moment_ode(Sigma, m0, C0, times):
+    """Mean/covariance dynamics of the Gaussian-target EKS,
 
         dm/dt = -C Sigma^{-1} m,   dC/dt = -2 C Sigma^{-1} C + 2 C,
 
-    integrated by RK4.  Returns (times, means, covariances).
+    solved exactly at ``times``.  K = C^{-1} solves K' = 2 Sigma^{-1} - 2K;
+    whitened by Sigma^{1/2}, with S = Sigma^{-1/2} C0 Sigma^{-1/2} =
+    U diag(lam) U^T and h(t) = e^{-2t} + (1 - e^{-2t}) lam, this gives
+
+        C(t) = Sigma^{1/2} U diag(lam / h) U^T Sigma^{1/2},
+        m(t) = e^{-t} Sigma^{1/2} U diag(h^{-1/2}) U^T Sigma^{-1/2} m0,
+
+    which holds for singular C0 too (lam = 0 directions stay at 0).
+    Returns (means (n, d), covariances (n, d, d)) for the n times.
     """
-    Sigma = np.asarray(Sigma, dtype=float)
-    P = np.linalg.inv(Sigma)
-    d = Sigma.shape[0]
-
-    def f(t, state):
-        m = state[:d]
-        C = state[d:].reshape(d, d)
-        dm = -C @ P @ m
-        dC = -2.0 * C @ P @ C + 2.0 * C
-        return np.concatenate([dm, dC.ravel()])
-
-    state0 = np.concatenate([np.asarray(m0, float), np.asarray(C0, float).ravel()])
-    traj = _rk4(f, state0, T, steps)
-    times = np.linspace(0.0, T, steps + 1)
-    return times, traj[:, :d], traj[:, d:].reshape(-1, d, d)
+    w, V = np.linalg.eigh(np.asarray(Sigma, dtype=float))
+    root, inv_root = (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
+    lam, U = np.linalg.eigh(inv_root @ np.asarray(C0, dtype=float) @ inv_root)
+    t = np.asarray(times, dtype=float)[:, None]
+    e = np.exp(-2.0 * t)
+    h = e + (1.0 - e) * lam  # (n, d)
+    RU = root @ U
+    z0 = U.T @ inv_root @ np.asarray(m0, dtype=float)
+    means = (np.exp(-t) / np.sqrt(h) * z0) @ RU.T
+    covs = (RU * (lam / h)[:, None, :]) @ RU.T
+    return means, covs
 
 
 def landau_moment_oracle(m0, v0, t):

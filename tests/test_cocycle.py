@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,79 @@ def test_self_defect_computed_once(monkeypatch):
             for s, t in [(0.25, 0.5), (0.5, 0.5), (0.0, 1.0)]]
     assert len(calls) == 1
     assert {r["self_defect"] for r in reps} == {defect(det.solution)}
+
+
+PREFIX_RUNS = [dict(n_freeze=8, T=1.0, inner=2), dict(n_freeze=5, T=0.9, inner=3, rde_per_freeze=2)]
+
+
+@pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
+@pytest.mark.parametrize("layout", PREFIX_RUNS)
+def test_leg_state_does_not_depend_on_its_end(model_name, layout):
+    # a leg marches forward, so a restart run to the end holds every
+    # shorter restart from the same window as a bitwise prefix
+    run, e0 = make_run(seed=6, n=40, model_name=model_name, **layout)
+    K = run.cfg.n_freeze
+    det = flow_details(run, e0, run.T)
+    for ks in range(1, K):
+        e = det.state_at(ks)
+        full = run.leg(e, ks, K)
+        for kt in range(1, K - ks + 1):
+            short = run.leg(e, ks, ks + kt).state_at(kt)
+            long = full.state_at(kt)
+            assert np.array_equal(long.point, short.point), (ks, kt)
+            assert np.array_equal(long.law.atoms, short.law.atoms), (ks, kt)
+
+
+@pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
+@pytest.mark.parametrize("layout", PREFIX_RUNS)
+def test_cocycle_reports_do_not_depend_on_the_one_shot_horizon(model_name, layout):
+    # read off the restart to the one-shot's end, or off the run of its own
+    # one-shot on [0, s + t] whose restart ends at s + t: the same bits
+    run, e0 = make_run(seed=7, n=40, model_name=model_name, **layout)
+    K, delta = run.cfg.n_freeze, run.T / run.cfg.n_freeze
+    det = flow_details(run, e0, run.T)
+    keys = ("point_defect", "law_defect", "law_upper")
+    for ks in range(1, K):
+        for kt in range(1, K - ks + 1):
+            got = cocycle_defect(run, e0, ks * delta, kt * delta, details=det)
+            own = cocycle_defect(run, e0, ks * delta, kt * delta)
+            assert [got[k] for k in keys] == [own[k] for k in keys], (ks, kt)
+            assert got["law_defect"] == 0.0
+
+
+def test_one_restart_per_restart_window(monkeypatch):
+    # criterion 6's pattern: 16 pairs (s, t) over 4 restart times, read
+    # off one one-shot run and one restart per s
+    run, e0 = make_run(seed=8, n=30, n_freeze=8, inner=1)
+    calls = []
+    simulate = cocycle.simulate_frozen_law
+    monkeypatch.setattr(cocycle, "simulate_frozen_law",
+                        lambda *a, **k: calls.append(1) or simulate(*a, **k))
+    det = flow_details(run, e0, 1.0)
+    for s8 in (1, 2, 3, 4):
+        for t8 in (1, 2, 3, 4):
+            cocycle_defect(run, e0, s8 / 8, t8 / 8, details=det)
+    assert len(calls) == 1 + 4
+
+
+def test_restart_keeps_only_the_last_one_asked_for(monkeypatch):
+    run, e0 = make_run(seed=9, n=30, n_freeze=4)
+    det = flow_details(run, e0, 1.0)
+    first = run.restart(det, 1)
+    assert run.restart(det, 1) is first
+    assert len(first.curve.measures) == 4  # windows [1, 4)
+    second = run.restart(det, 2)
+    assert second is not first and run.restart(det, 2) is second
+    assert run.restart(det, 1) is not first  # the slot held only ks = 2
+    other = flow_details(run, e0, 1.0)  # equal values, another one-shot
+    assert run.restart(other, 1) is not run.restart(det, 1)
+    # the kept leg is let go before the next one runs: one at a time
+    held = weakref.ref(run.restart(det, 3))
+    leg, alive = FlowRun.leg, []
+    monkeypatch.setattr(FlowRun, "leg",
+                        lambda self, *a: alive.append(held() is not None) or leg(self, *a))
+    run.restart(det, 2)
+    assert alive == [False]
 
 
 # ---------------------------------------------------------------------------

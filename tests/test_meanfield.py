@@ -336,7 +336,7 @@ def test_eks_tracks_moment_ode():
     cfg = FrozenLawConfig(32, inner=2, seed=1)
     T = 1.0
     curve = simulate_frozen_law(model, mu0, cfg, T)
-    _, ms, Cs = eks_gaussian_moment_ode(Sigma, mu0.mean(), covariance(mu0), T)
+    ms, Cs = eks_gaussian_moment_ode(Sigma, mu0.mean(), covariance(mu0), [T])
     got_C = covariance(curve.measures[-1])
     se = np.linalg.norm(Cs[-1]) * np.sqrt(2.0 / mu0.n)
     assert np.linalg.norm(got_C - Cs[-1]) <= 3.0 * se + 0.05
@@ -398,6 +398,12 @@ def test_time_regularity_check_gives_no_exponent_without_a_fit():
     flat = time_regularity_check(MeasureCurve(np.linspace(0.0, 1.0, 5), [mu0] * 5), 2.0)
     assert flat["lag_medians"] == {1: 0.0, 2: 0.0, 4: 0.0}
     assert np.isnan(flat["scaling_exponent"])
+
+
+def test_time_regularity_check_rejects_a_one_point_curve():
+    mu0 = gauss_init(18, 20, 2)
+    with pytest.raises(ValueError, match="at least two time points"):
+        time_regularity_check(MeasureCurve(np.array([0.0]), [mu0]), 2.0)
 
 
 def test_stability_check_common_noise():

@@ -301,11 +301,37 @@ def test_bracket_orders_and_translation():
     assert info["exact_upper"]
 
 
-def test_bracket_identical_measures():
+def test_bracket_identical_measures(monkeypatch):
+    # bitwise-equal inputs need no test family and no transport solve
+    def unreachable(*args, **kwargs):
+        raise AssertionError("identical inputs reached the full bracket")
+
+    monkeypatch.setattr(measures, "wasserstein_p", unreachable)
+    monkeypatch.setattr(measures, "default_test_family", unreachable)
+    for mu in (cloud(9, 64, 2), cloud(9, 600, 3)):  # below and above the assignment cap
+        twin = EmpiricalMeasure(mu.atoms.copy(), mu.weights.copy())
+        for nu in (mu, twin):
+            out = dp_bracket(mu, nu, 2.0)
+            assert out == (0.0, 0.0, {"exact_upper": True, "mode": "identical", "w_p": 0.0})
+            assert [np.signbit(x) for x in out[:2]] == [False, False]
+        with pytest.raises(ValueError, match="p >= 1"):
+            dp_bracket(mu, twin, 0.5)
+
+
+def test_bracket_of_a_copy_one_ulp_apart_takes_the_full_path(monkeypatch):
+    calls = []
+    family, transport = measures.default_test_family, measures.wasserstein_p
+    monkeypatch.setattr(measures, "default_test_family",
+                        lambda *a, **k: calls.append("family") or family(*a, **k))
+    monkeypatch.setattr(measures, "wasserstein_p",
+                        lambda *a, **k: calls.append("w_p") or transport(*a, **k))
     mu = cloud(9, 64, 2)
-    lo, up, _ = dp_bracket(mu, mu, 2.0)
-    assert lo == 0.0
-    assert up <= 1e-12
+    atoms = mu.atoms.copy()
+    atoms[5, 1] = np.nextafter(atoms[5, 1], np.inf)
+    lo, up, info = dp_bracket(mu, EmpiricalMeasure(atoms), 2.0)
+    assert calls == ["family", "w_p"]
+    assert info["mode"] == "assignment" and info["w_p"] > 0.0
+    assert 0.0 <= lo <= up
 
 
 def test_topology_probe_converging_sequence():

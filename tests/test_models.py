@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from roughmf.measures import EmpiricalMeasure, moment
 from roughmf.models import (
@@ -265,7 +266,7 @@ def test_assumption_audit_flags_a_coercivity_violation():
 def test_eks_moment_ode_fixed_point():
     # C = Sigma, m = 0 is stationary
     Sigma = np.diag([1.0, 4.0])
-    _, ms, Cs = eks_gaussian_moment_ode(Sigma, np.zeros(2), Sigma, T=2.0)
+    ms, Cs = eks_gaussian_moment_ode(Sigma, np.zeros(2), Sigma, np.linspace(0.0, 2.0, 4001))
     assert np.max(np.abs(ms)) <= 1e-12
     assert np.max(np.abs(Cs - Sigma)) <= 1e-10
 
@@ -273,21 +274,44 @@ def test_eks_moment_ode_fixed_point():
 def test_eks_moment_ode_scalar_closed_form():
     # d = 1, Sigma = 1: dc/dt = -2c^2 + 2c has c(t) = c0 / (c0 + (1-c0)e^{-2t})
     c0 = 0.2
-    ts, _, Cs = eks_gaussian_moment_ode(np.eye(1), np.zeros(1), c0 * np.eye(1), T=2.0)
+    ts = np.linspace(0.0, 2.0, 4001)
+    _, Cs = eks_gaussian_moment_ode(np.eye(1), np.zeros(1), c0 * np.eye(1), ts)
     ref = c0 / (c0 + (1 - c0) * np.exp(-2.0 * ts))
     assert np.max(np.abs(Cs[:, 0, 0] - ref)) <= 1e-8
 
 
 def test_eks_moment_ode_attracts_to_target():
     Sigma = np.diag([1.0, 4.0])
-    _, ms, Cs = eks_gaussian_moment_ode(
-        Sigma, np.array([1.0, -1.0]), 0.25 * np.eye(2), T=8.0
+    ms, Cs = eks_gaussian_moment_ode(
+        Sigma, np.array([1.0, -1.0]), 0.25 * np.eye(2), np.linspace(0.0, 8.0, 4001)
     )
     assert np.linalg.norm(ms[-1]) <= 5e-3
     assert np.max(np.abs(Cs[-1] - Sigma)) <= 5e-3
     # distance to the target covariance decreases monotonically
     gaps = np.linalg.norm(Cs - Sigma, axis=(1, 2))
     assert np.all(np.diff(gaps) <= 1e-12)
+
+
+@pytest.mark.parametrize("Sigma, m0, C0", [
+    ([[1.0, 0.0], [0.0, 4.0]], [1.0, -1.0], [[0.25, 0.1], [0.1, 0.5]]),
+    ([[2.0, 0.5], [0.5, 1.0]], [0.3, 0.7], [[1.0, 1.0], [1.0, 1.0]]),  # singular C0
+    ([[2.0, 0.5], [0.5, 1.0]], [-1.0, 2.0], [[3.0, -1.0], [-1.0, 2.0]]),
+])
+def test_eks_moment_ode_matches_an_ode_solver(Sigma, m0, C0):
+    # the closed form against an independent DOP853 solve of the moment ODE
+    Sigma, m0, C0 = (np.asarray(a, dtype=float) for a in (Sigma, m0, C0))
+    P = np.linalg.inv(Sigma)
+
+    def f(t, state):
+        m, C = state[:2], state[2:].reshape(2, 2)
+        return np.concatenate([-C @ P @ m, (-2.0 * C @ P @ C + 2.0 * C).ravel()])
+
+    ts = np.linspace(0.0, 2.0, 9)
+    ref = solve_ivp(f, (0.0, 2.0), np.concatenate([m0, C0.ravel()]), method="DOP853",
+                    t_eval=ts, rtol=1e-11, atol=1e-13).y.T
+    ms, Cs = eks_gaussian_moment_ode(Sigma, m0, C0, ts)
+    assert np.max(np.abs(ms - ref[:, :2])) <= 1e-9
+    assert np.max(np.abs(Cs.reshape(-1, 4) - ref[:, 2:])) <= 1e-9
 
 
 def test_landau_moment_oracle():

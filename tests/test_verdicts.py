@@ -81,8 +81,8 @@ def test_moments_gate(name, z_mean, z_second, passes):
     mu0 = cloud(np.linspace(-0.5, 0.5, d), np.eye(d) * 0.7, N, seed=1)
     e0 = np.eye(d)[0]
     if name == "eks-gaussian":
-        _, ms, Cs = eks_gaussian_moment_ode(model.constants["Sigma"], mu0.mean(),
-                                            covariance(mu0), T)
+        ms, Cs = eks_gaussian_moment_ode(model.constants["Sigma"], mu0.mean(),
+                                         covariance(mu0), [T])
         C = Cs[-1]
         mean = ms[-1] + z_mean * np.sqrt(C[0, 0] / N) * e0
         cov = C + z_second * C[0, 0] * np.sqrt(2.0 / N) * np.outer(e0, e0)
