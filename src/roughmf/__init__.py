@@ -38,7 +38,6 @@ from .cocycle import (
     JointState,
     cocycle_defect,
     continuity_probe,
-    joint_flow,
     wong_zakai_run,
 )
 from .rde import (

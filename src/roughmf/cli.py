@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import rng, verdicts
-from .cocycle import FlowRun, JointState, cocycle_defect, flow_details
+from .cocycle import FlowDetails, FlowRun, JointState, cocycle_defect, flow_details
 from .meanfield import (
     FrozenLawConfig,
     feynman_kac_duality,
@@ -37,7 +37,7 @@ DEFAULTS = {
     "T": 1.0,
     "particles": 500,
     "frozen_law": {"n_freeze": 16, "inner": 1},
-    "rde": {"alpha": 0.4, "per_freeze": 1, "driver_fine_per": 8},
+    "rde": {"per_freeze": 1, "driver_fine_per": 8},
     "seeds": [0, 1, 2, 3],
     "checks": [],
     "output_dir": "roughmf-out",
@@ -93,7 +93,8 @@ def validate_config(cfg: dict) -> list:
     elif len(set(seeds)) != len(seeds):
         errors.append("seeds must be distinct")
     fl, rd = _block(cfg, "frozen_law", errors), _block(cfg, "rde", errors)
-    n_freeze, inner = fl.get("n_freeze", 1), fl.get("inner", 1)
+    n_freeze = fl.get("n_freeze", DEFAULTS["frozen_law"]["n_freeze"])
+    inner = fl.get("inner", DEFAULTS["frozen_law"]["inner"])
     if not (_is_int(n_freeze) and _is_int(inner) and n_freeze >= 1 and inner >= 1):
         errors.append("frozen_law needs integers n_freeze >= 1 and inner >= 1")
     else:
@@ -104,10 +105,9 @@ def validate_config(cfg: dict) -> list:
                 f"frozen_law.fine_cells must be null or a positive multiple of "
                 f"n_freeze * inner = {steps}, got {fine!r}"
             )
-    alpha = rd.get("alpha", DEFAULTS["rde"]["alpha"])
-    if not (_is_number(alpha) and 1 / 3 < alpha < 1 / 2):
-        errors.append(f"rde.alpha must be a number in (1/3, 1/2), got {alpha!r}")
-    for key in ("per_freeze", "driver_fine_per"):
+    errors += [f"unknown rde key {k!r} (known: {sorted(DEFAULTS['rde'])})"
+               for k in sorted(rd) if k not in DEFAULTS["rde"]]
+    for key in DEFAULTS["rde"]:
         val = rd.get(key, DEFAULTS["rde"][key])
         if not (_is_int(val) and val >= 1):
             errors.append(f"rde.{key} must be an integer >= 1, got {val!r}")
@@ -222,7 +222,7 @@ def _frozen_cfg(cfg: dict, seed: int) -> FrozenLawConfig:
     fl = cfg["frozen_law"]
     return FrozenLawConfig(
         n_freeze=int(fl["n_freeze"]),
-        inner=int(fl.get("inner", 1)),
+        inner=int(fl["inner"]),
         seed=seed,
         fine_cells=fl.get("fine_cells"),
     )
@@ -245,51 +245,52 @@ def cmd_simulate(cfg: dict, outdir: str) -> int:
     return 0
 
 
+def verify_run(cfg: dict) -> tuple[FlowRun, FlowDetails]:
+    """The run every check reads: the first seed's initial law, its
+    ``FlowRun`` and the one-shot joint flow over [0, T] from the law's first
+    atom.  The flow's law curve is ``simulate_frozen_law`` of that law on the
+    run's increments."""
+    model = build_model(cfg["model"]["name"], _model_params(cfg["model"]))
+    seed = cfg["seeds"][0]
+    mu0 = initial_measure(cfg, seed, model)
+    run = FlowRun(model, _frozen_cfg(cfg, seed), cfg["T"],
+                  rde_per_freeze=cfg["rde"]["per_freeze"],
+                  driver_fine_per=cfg["rde"]["driver_fine_per"])
+    return run, flow_details(run, JointState(mu0.atoms[0], mu0), cfg["T"])
+
+
 def _phi_sq(d):
     return ScalarFunc("sq", lambda Y: np.sum(Y * Y, axis=1), lambda Y: 2.0 * Y,
                       lambda Y: np.broadcast_to(2.0 * np.eye(d), (len(Y), d, d)))
 
 
-def check_moments(cfg, model) -> dict:
-    seed = cfg["seeds"][0]
-    mu0 = initial_measure(cfg, seed, model)
-    curve = simulate_frozen_law(model, mu0, _frozen_cfg(cfg, seed), cfg["T"])
-    return verdicts.moments(model, mu0, curve, [cfg["T"]])
+def check_moments(run: FlowRun, details: FlowDetails) -> dict:
+    return verdicts.moments(run.model, details.curve, [run.T])
 
 
-def check_duality(cfg, model) -> dict:
-    seed = cfg["seeds"][0]
-    mu0 = initial_measure(cfg, seed, model)
-    phis = (linear_func(np.eye(model.d)[0], "coord0"), _phi_sq(model.d))
-    reps = feynman_kac_duality(model, mu0, phis, _frozen_cfg(cfg, seed), cfg["T"])
+def check_duality(run: FlowRun, details: FlowDetails) -> dict:
+    d = run.model.d
+    phis = (linear_func(np.eye(d)[0], "coord0"), _phi_sq(d))
+    reps = feynman_kac_duality(run.model, details.curve, phis, run.cfg, run.T)
     return verdicts.duality({phi.name: rep for phi, rep in zip(phis, reps)})
 
 
-def check_cocycle(cfg, model) -> dict:
-    seed = cfg["seeds"][0]
-    mu0 = initial_measure(cfg, seed, model)
-    fcfg = _frozen_cfg(cfg, seed)
-    run = FlowRun(model, fcfg, cfg["T"], alpha=cfg["rde"]["alpha"],
-                  rde_per_freeze=cfg["rde"]["per_freeze"],
-                  driver_fine_per=cfg["rde"]["driver_fine_per"])
-    e0 = JointState(mu0.atoms[0], mu0)
-    details = flow_details(run, e0, cfg["T"])
-    delta = cfg["T"] / fcfg.n_freeze
-    q = max(1, fcfg.n_freeze // 4)
+def check_cocycle(run: FlowRun, details: FlowDetails) -> dict:
+    n = run.cfg.n_freeze
+    delta, q = run.T / n, max(1, n // 4)
+    e0 = details.state_at(0)
     return verdicts.cocycle(
         cocycle_defect(run, e0, i * q * delta, j * q * delta, details=details)
-        for i in (1, 2) for j in (1, 2) if (i + j) * q <= fcfg.n_freeze
+        for i in (1, 2) for j in (1, 2) if (i + j) * q <= n
     )
 
 
-def check_stability(cfg, model) -> dict:
-    seed = cfg["seeds"][0]
-    mu0 = initial_measure(cfg, seed, model)
-    shift_dir = np.ones(model.d) / np.sqrt(model.d)
+def check_stability(run: FlowRun, details: FlowDetails) -> dict:
+    mu0 = details.curve.measures[0]
+    shift_dir = np.ones(mu0.d) / np.sqrt(mu0.d)
     starts = [EmpiricalMeasure(mu0.atoms + eps * shift_dir, mu0.weights)
               for eps in (1e-1, 1e-2)]
-    reps = stability_check(model, mu0, starts, _frozen_cfg(cfg, seed),
-                           cfg["T"], p=2.0)
+    reps = stability_check(run.model, details.curve, starts, run.cfg, run.T, p=2.0)
     return verdicts.stability([rep["max_ratio"] for rep in reps])
 
 
@@ -304,11 +305,9 @@ CHECKS = {
 def cmd_verify(cfg: dict, outdir: str) -> int:
     if not cfg["checks"]:
         raise SystemExit(f"verify: the config lists no checks (known: {sorted(CHECKS)})")
-    model = build_model(cfg["model"]["name"], _model_params(cfg["model"]))
+    run, details = verify_run(cfg)
     os.makedirs(outdir, exist_ok=True)
-    verdict = {}
-    for name in cfg["checks"]:
-        verdict[name] = CHECKS[name](cfg, model)
+    verdict = {name: CHECKS[name](run, details) for name in cfg["checks"]}
     with open(os.path.join(outdir, "verdict.json"), "w") as fh:
         json.dump(verdict, fh, sort_keys=True, indent=2, default=float)
         fh.write("\n")

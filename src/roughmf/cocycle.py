@@ -48,7 +48,6 @@ class FlowRun:
     model: MeanFieldModel
     cfg: FrozenLawConfig  # law-freeze layout over the full horizon
     T: float
-    alpha: float = 0.4
     rde_per_freeze: Optional[int] = None  # rough cells per freeze interval
     driver_fine_per: int = 8  # fine noise cells per rough cell
     _noise: Optional[NoisePath] = field(default=None, repr=False)
@@ -77,7 +76,7 @@ class FlowRun:
         """The Stratonovich lift of the driver on the rough grid of [0, T],
         built once per run; a leg reads its window by index."""
         grid = TimeGrid.regular(0.0, self.T, self.rde_cells)
-        return brownian_lift(self.driver_noise(), grid, STRAT, self.alpha)
+        return brownian_lift(self.driver_noise(), grid, STRAT)
 
     def law_noise(self, n_particles: int) -> np.ndarray:
         """The particle increments of the whole run, (N, cfg.steps, d); a
@@ -161,13 +160,6 @@ class FlowDetails:
 def flow_details(run: FlowRun, e0: JointState, t: float) -> FlowDetails:
     """Run the joint flow on [0, t] and keep all intermediate structure."""
     return run.leg(e0, 0, run.cfg.window_index(t, run.T))
-
-
-def joint_flow(run: FlowRun, e0: JointState, t: float) -> JointState:
-    if t == 0.0:
-        return e0
-    det = flow_details(run, e0, t)
-    return JointState(det.solution.Y[-1], det.curve.measures[-1])
 
 
 def cocycle_defect(
@@ -266,7 +258,12 @@ def continuity_probe(
     Perturbs the initial point, the initial cloud (rigid translation), and
     the driving noise (uniform-norm drift bump of size eps), and fits the
     log-log slope of output distance against eps."""
-    base = joint_flow(run, e0, t)
+    K = run.cfg.window_index(t, run.T)
+
+    def end_state(r: FlowRun, e: JointState) -> JointState:
+        return flow_details(r, e, t).state_at(K)
+
+    base = end_state(run, e0)
     d = run.model.d
     u = np.ones(d) / np.sqrt(d)
     out = {}
@@ -275,12 +272,12 @@ def continuity_probe(
         for eps in epsilons:
             if channel == "point":
                 e1 = JointState(e0.point + eps * u, e0.law)
-                pert = joint_flow(run, e1, t)
+                pert = end_state(run, e1)
             elif channel == "law":
                 e1 = JointState(
                     e0.point, EmpiricalMeasure(e0.law.atoms + eps * u, e0.law.weights)
                 )
-                pert = joint_flow(run, e1, t)
+                pert = end_state(run, e1)
             else:
                 noise = run.driver_noise()
                 widths = noise.fine_grid.widths[:, None]
@@ -291,7 +288,7 @@ def continuity_probe(
                     noise.lane,
                     noise.member,
                 )
-                pert = joint_flow(replace(run, _noise=bumped), e0, t)
+                pert = end_state(replace(run, _noise=bumped), e0)
             dists.append(max(_joint_distance(pert, base), 1e-300))
         le = np.log(np.asarray(epsilons))
         ld = np.log(np.asarray(dists))

@@ -252,9 +252,15 @@ def time_regularity_check(curve: MeasureCurve, p: float) -> dict:
             "scaling_exponent": slope, "lipschitz": lip}
 
 
+def _check_whole_run(curve: MeasureCurve, cfg: FrozenLawConfig) -> None:
+    if len(curve.measures) != cfg.n_freeze + 1:
+        raise ValueError(f"the curve has {len(curve.measures)} states, not the "
+                         f"{cfg.n_freeze + 1} window edges of the cfg's run")
+
+
 def stability_check(
     model: MeanFieldModel,
-    mu0: EmpiricalMeasure,
+    curve: MeasureCurve,
     rho0,
     cfg: FrozenLawConfig,
     T: float,
@@ -265,27 +271,32 @@ def stability_check(
     initial measure's atoms and weights, so the t = 0 ratio is 1 by
     construction and is not solved again; max_ratio is taken over t > 0.
 
-    rho0 is a sequence of perturbed starts: the unperturbed curve is run
-    once, and one report per start comes back, in order.  The initial
-    distances, then all starts' ratios, are each solved in one pair map.
+    ``curve`` is the unperturbed run of the cfg from mu0 = curve.measures[0]
+    on the cfg's increment block.  rho0 is a sequence of perturbed starts of
+    mu0's particle count: every moved one runs on one draw of that block,
+    the common noise, and one report per start comes back, in order.  The
+    initial distances, then all starts' ratios, are each solved in one pair
+    map.
     """
     def dist(a, b):
         return wasserstein_p(a, b, p)
 
-    c1 = simulate_frozen_law(model, mu0, cfg, T)
+    _check_whole_run(curve, cfg)
+    mu0 = curve.measures[0]
     d0s = _map_pairs(dist, [(mu0, r) for r in rho0])
-    moved = [simulate_frozen_law(model, r, cfg, T)
-             for r, d0 in zip(rho0, d0s) if d0 != 0.0]
+    starts = [r for r, d0 in zip(rho0, d0s) if d0 != 0.0]
+    dW = euler_increments(cfg, T, mu0.n, mu0.d) if starts else None
+    moved = [simulate_frozen_law(model, r, cfg, T, dW=dW) for r in starts]
     ds = iter(_map_pairs(
-        dist, [ab for c2 in moved for ab in zip(c1.measures[1:], c2.measures[1:])]
+        dist, [ab for c2 in moved for ab in zip(curve.measures[1:], c2.measures[1:])]
     ))
     reports = []
     for d0 in d0s:
         if d0 == 0.0:
-            reports.append({"initial": 0.0, "ratios": [0.0] * len(c1.times),
+            reports.append({"initial": 0.0, "ratios": [0.0] * len(curve.times),
                             "max_ratio": 0.0})
             continue
-        ratios = [1.0] + [next(ds) / d0 for _ in c1.measures[1:]]
+        ratios = [1.0] + [next(ds) / d0 for _ in curve.measures[1:]]
         reports.append({"initial": d0, "ratios": ratios,
                         "max_ratio": float(max(ratios[1:]))})
     return reports
@@ -318,20 +329,21 @@ def simulate_dual_sde(
 
 def feynman_kac_duality(
     model: MeanFieldModel,
-    mu0: EmpiricalMeasure,
+    curve: MeasureCurve,
     phi,
     cfg: FrozenLawConfig,
     T: float,
 ):
     """Compare int phi dmu_T against the dual average E[phi(xi_T)] where xi
-    solves the curve-frozen linear SDE from mu0-distributed starts with
-    independent noise.  Reports both sides and a combined standard error.
+    solves the linear SDE frozen on ``curve``, the cfg's run from
+    mu0 = curve.measures[0], from mu0-distributed starts with independent
+    noise.  Reports both sides and a combined standard error.
 
-    phi is a sequence of test functions: the curve and the dual SDE are run
-    once, and one report per function comes back, in order.
+    phi is a sequence of test functions: the dual SDE is run once, and one
+    report per function comes back, in order.
     """
-    curve = simulate_frozen_law(model, mu0, cfg, T)
-    muT = curve.measures[-1]
+    _check_whole_run(curve, cfg)
+    mu0, muT = curve.measures[0], curve.measures[-1]
     xiT = simulate_dual_sde(model, curve, mu0.atoms, cfg, T, member_offset=mu0.n + 1)
     reports = []
     for f in phi:
@@ -342,8 +354,7 @@ def feynman_kac_duality(
         se = float(
             np.sqrt(np.var(lhs_vals) / muT.n + np.var(rhs_vals) / len(rhs_vals))
         )
-        reports.append({"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs),
-                        "se": se, "curve": curve})
+        reports.append({"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs), "se": se})
     return reports
 
 

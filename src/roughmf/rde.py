@@ -197,9 +197,7 @@ def solve_driftless(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
     Y = _march(*_cell_maps(coeff, rp, 0, M, False), xi, 0, backward=False)
-    return _solution(
-        replace(coeff, b=None), rp, Y, {"steps": M, "max_abs": float(np.max(np.abs(Y)))}
-    )
+    return _solution(replace(coeff, b=None), rp, Y, {"steps": M})
 
 
 def solve_backward(
@@ -224,9 +222,7 @@ def solve_backward(
         )
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     Y = _march(*_cell_maps(coeff, rp, i, j, True), delta, i, backward=True)
-    return _solution(
-        replace(coeff, b=None), rp, Y, {"steps": j - i, "direction": "backward"}, i
-    )
+    return _solution(replace(coeff, b=None), rp, Y, {"steps": j - i}, i)
 
 
 # ---------------------------------------------------------------------------

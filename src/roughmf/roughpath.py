@@ -251,7 +251,6 @@ class RoughPath:
     values: np.ndarray  # X at grid points, (M+1, d)
     cells: np.ndarray  # second level over consecutive cells, (M, d, d)
     alpha: float
-    meta: dict = field(default_factory=dict, compare=False)
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -325,7 +324,6 @@ class RoughPath:
             self.values[i : j + 1] - self.values[i],
             self.cells[i:j],
             self.alpha,
-            dict(self.meta),
         )
 
 
@@ -411,13 +409,7 @@ def brownian_lift(
     cells = cumG[b] - cumG[a] - np.einsum("ml,mk->mlk", W[a], W[b] - W[a])
     if mode == ITO:
         cells = cells - 0.5 * coarse.widths[:, None, None] * np.eye(d)
-    return RoughPath(
-        coarse,
-        W[sub],
-        cells,
-        alpha,
-        {"mode": mode, "seed": noise.seed, "kind": "brownian_lift"},
-    )
+    return RoughPath(coarse, W[sub], cells, alpha)
 
 
 def dyadic_approximation(noise: NoisePath, n: int, alpha: float = 0.4) -> RoughPath:
@@ -441,10 +433,4 @@ def dyadic_approximation(noise: NoisePath, n: int, alpha: float = 0.4) -> RoughP
         X[a : b + 1] = (1 - lam)[:, None] * W[a] + lam[:, None] * W[b]
     dX = np.diff(X, axis=0)
     cells = 0.5 * np.einsum("ml,mk->mlk", dX, dX)
-    return RoughPath(
-        noise.fine_grid,
-        X,
-        cells,
-        alpha,
-        {"mode": STRAT, "seed": noise.seed, "kind": "dyadic", "level": n},
-    )
+    return RoughPath(noise.fine_grid, X, cells, alpha)

@@ -58,9 +58,9 @@ def _variance(mu) -> float:
     return moment(mu, 2.0) - float(mu.mean() @ mu.mean())
 
 
-def moments(model, mu0, curve, times) -> dict:
+def moments(model, curve, times) -> dict:
     """z-scores of the curve's moments at ``times`` against the model's
-    oracle from ``mu0``, each the worst over the times.
+    oracle from its first state mu0, each the worst over the times.
 
     EKS: the closed-form solution of the moment ODE at each time; the
     standard errors are the Gaussian ones of an N-sample mean and
@@ -68,6 +68,7 @@ def moments(model, mu0, curve, times) -> dict:
     Var(m_t - m_0) = (2/3N) int_0^t v ds per coordinate, and the sample
     variance of N draws has standard error sqrt(2/(3N)) v.
     """
+    mu0 = curve.measures[0]
     N = mu0.n
     if model.name == "eks-gaussian":
         ms, Cs = eks_gaussian_moment_ode(model.constants["Sigma"], mu0.mean(),

@@ -303,7 +303,7 @@ def test_07_moment_oracles():
     T = 2.0
     check_times = [0.5, 1.0, 1.5, 2.0]
     curve = simulate_frozen_law(model, mu0, FrozenLawConfig(128, inner=1, seed=0), T)
-    eks = verdicts.moments(model, mu0, curve, check_times)
+    eks = verdicts.moments(model, curve, check_times)
     gaps = [float(np.linalg.norm(covariance(curve.at(t)) - Sigma)) for t in check_times]
     eks_ok = eks["pass"] and bool(np.all(np.diff(gaps) < 0))
 
@@ -314,7 +314,7 @@ def test_07_moment_oracles():
     )
     # inner substeps keep the Euler variance bias well below the MC band
     curve_l = simulate_frozen_law(lan, mu0l, FrozenLawConfig(128, inner=4, seed=1), T)
-    landau = verdicts.moments(lan, mu0l, curve_l, check_times)
+    landau = verdicts.moments(lan, curve_l, check_times)
     elapsed = time.time() - tic
     ok = eks_ok and landau["pass"] and elapsed < 300
     record(7, "moment oracles", ok,
@@ -344,8 +344,9 @@ def test_08_duality():
             np.random.default_rng(3).normal(size=(2000, model.d))
         )
         phis = (linear_func(np.eye(model.d)[0], "coord"), _phi_sq(model.d))
-        reps = feynman_kac_duality(model, mu0, phis, FrozenLawConfig(32, inner=2, seed=0),
-                                   T=0.5)
+        cfg = FrozenLawConfig(32, inner=2, seed=0)
+        curve = simulate_frozen_law(model, mu0, cfg, 0.5)
+        reps = feynman_kac_duality(model, curve, phis, cfg, T=0.5)
         reports |= {f"{name}/{phi.name}": rep for phi, rep in zip(phis, reps)}
     verdict = verdicts.duality(reports)
     details = [f"{key} {verdict[key]['residual']:.3f}<=3x{verdict[key]['se']:.3f}"
@@ -434,7 +435,9 @@ def test_10_stability():
     mu0 = EmpiricalMeasure(np.random.default_rng(5).normal(size=(500, 2)))
     u = np.ones(2) / np.sqrt(2.0)
     starts = [EmpiricalMeasure(mu0.atoms + eps * u) for eps in (1e-1, 10 ** -1.5, 1e-2)]
-    reps = stability_check(model, mu0, starts, FrozenLawConfig(32, seed=0), 1.0, 2.0)
+    cfg = FrozenLawConfig(32, seed=0)
+    reps = stability_check(model, simulate_frozen_law(model, mu0, cfg, 1.0), starts, cfg,
+                           1.0, 2.0)
     ratio = verdicts.stability([rep["max_ratio"] for rep in reps])
 
     geom = linear_coefficients(np.ones((1, 1, 1)))

@@ -1,14 +1,14 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import roughmf.cli as cli
-from roughmf import verdicts
+from roughmf import cocycle, meanfield, verdicts
 from roughmf.cli import canonical_config, load_config, main, validate_config
-from roughmf.models import build_model
 
 
 def write_config(tmp_path, **overrides):
@@ -28,7 +28,7 @@ def write_config(tmp_path, **overrides):
 def test_load_config_defaults_merge(tmp_path):
     p = write_config(tmp_path)
     cfg = load_config(str(p))
-    assert cfg["rde"]["alpha"] == 0.4  # default filled in
+    assert cfg["rde"] == {"per_freeze": 1, "driver_fine_per": 8}  # defaults filled in
     assert cfg["frozen_law"]["n_freeze"] == 8  # override kept
     assert cfg["particles"] == 120
 
@@ -63,9 +63,9 @@ def test_validate_config_messages():
         ({"frozen_law": {"n_freeze": 4, "inner": 2, "fine_cells": 4}}, "multiple of"),
         ({"frozen_law": {"n_freeze": 4, "fine_cells": 0}}, "fine_cells must be null"),
         ({"frozen_law": {"n_freeze": 4, "fine_cells": 8.0}}, "fine_cells must be null"),
-        ({"rde": {"alpha": 0.7}}, "rde.alpha must be a number in (1/3, 1/2)"),
-        ({"rde": {"alpha": 1 / 3}}, "rde.alpha must be a number in (1/3, 1/2)"),
-        ({"rde": {"alpha": "0.4"}}, "rde.alpha must be a number in (1/3, 1/2)"),
+        ({"rde": {"alpha": 0.4}}, "unknown rde key 'alpha' (known: ['driver_fine_per', "
+                                  "'per_freeze'])"),
+        ({"rde": {"per_freez": 2}}, "unknown rde key 'per_freez'"),
         ({"rde": {"per_freeze": 0}}, "rde.per_freeze must be an integer >= 1"),
         ({"rde": {"per_freeze": 1.5}}, "rde.per_freeze must be an integer >= 1"),
         ({"rde": {"driver_fine_per": 0}}, "rde.driver_fine_per must be an integer >= 1"),
@@ -99,6 +99,15 @@ def test_validate_config_messages():
     assert validate_config({"model": model, "initial": box}) == []
     gauss = {"mean": [0, 1, 2], "cov": np.diag([1.0, 0.0, 2.0]).tolist()}
     assert validate_config({"model": model, "initial": gauss}) == []
+
+
+def test_validate_config_reads_absent_frozen_law_keys_from_the_defaults():
+    # load_config fills n_freeze 16 and inner 1; a direct call must agree
+    model = {"name": "eks-gaussian"}
+    assert validate_config({"model": model, "checks": ["cocycle"]}) == []
+    errs = validate_config({"model": model, "frozen_law": {"fine_cells": 8}})
+    assert any("n_freeze * inner = 16" in e for e in errs), errs
+    assert validate_config({"model": model, "frozen_law": {"inner": 2, "fine_cells": 64}}) == []
 
 
 def test_config_errors_are_clear_not_tracebacks(tmp_path):
@@ -221,7 +230,7 @@ def test_cocycle_check_tests_positive_restart_times(tmp_path):
     p = write_config(tmp_path, model={"name": "landau-maxwell"}, particles=40,
                      frozen_law={"n_freeze": 2, "inner": 1}, checks=["cocycle"])
     cfg = load_config(str(p))
-    rep = cli.check_cocycle(cfg, build_model("landau-maxwell"))
+    rep = cli.check_cocycle(*cli.verify_run(cfg))
     assert rep["defects"]
     assert all(row["s"] > 0 and row["t"] > 0 for row in rep["defects"])
 
@@ -230,13 +239,13 @@ def test_stability_check_fails_on_unequal_decay(tmp_path, monkeypatch):
     # the t = 0 ratio is 1 for every epsilon and must not mask the decay
     fake = [[1.0, 0.2], [1.0, 0.9]]
 
-    def stability_check(model, mu0, starts, *args, **kwargs):
+    def stability_check(model, curve, starts, *args, **kwargs):
         assert len(starts) == len(fake)  # one call for every epsilon
         return [{"initial": 1.0, "ratios": r, "max_ratio": max(r[1:])} for r in fake]
 
     monkeypatch.setattr(cli, "stability_check", stability_check)
     cfg = load_config(str(write_config(tmp_path, particles=20)))
-    rep = cli.check_stability(cfg, build_model("eks-gaussian", {"Sigma": np.eye(2)}))
+    rep = cli.check_stability(*cli.verify_run(cfg))
     assert rep["max_ratios"] == [0.2, 0.9]
     assert not rep["pass"]
 
@@ -286,12 +295,36 @@ def test_verify_passes_and_writes_verdict(tmp_path):
     assert rc == 0
 
 
+def test_verify_runs_its_seed_once(tmp_path, monkeypatch):
+    # one initial law and one one-shot flow serve all four checks: its curve,
+    # the cocycle restarts at ks = 2 and 4 of 8 windows, two moved stability
+    # starts; nothing re-simulates the one-shot curve
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    sim = counted("simulate_frozen_law", meanfield.simulate_frozen_law)
+    for module in (meanfield, cocycle, cli):
+        monkeypatch.setattr(module, "simulate_frozen_law", sim)
+    monkeypatch.setattr(cli, "initial_measure", counted("initial_measure", cli.initial_measure))
+    p = write_config(tmp_path, particles=60,
+                     checks=["moments", "duality", "cocycle", "stability"])
+    out = tmp_path / "out"
+    main(["verify", "--config", str(p), "--output-dir", str(out)])
+    assert len(json.loads((out / "verdict.json").read_text())) == 4
+    assert calls == {"simulate_frozen_law": 1 + 2 + 2, "initial_measure": 1}
+
+
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     p = write_config(tmp_path, checks=["moments"])
     out = tmp_path / "out"
     import roughmf.cli as cli
 
-    monkeypatch.setitem(cli.CHECKS, "moments", lambda cfg, model: {"pass": False})
+    monkeypatch.setitem(cli.CHECKS, "moments", lambda run, details: {"pass": False})
     rc = main(["verify", "--config", str(p), "--output-dir", str(out)])
     assert rc == 1
 
@@ -334,14 +367,14 @@ def test_emit_defects_writes_one_row_per_cocycle_defect(tmp_path):
 def test_moment_check_on_landau(tmp_path, monkeypatch):
     cfg = load_config(str(write_config(tmp_path, model={"name": "landau-maxwell"},
                                        particles=400, checks=["moments"])))
-    model = build_model("landau-maxwell")
-    rep = cli.check_moments(cfg, model)
+    run, details = cli.verify_run(cfg)
+    rep = cli.check_moments(run, details)
     assert rep["pass"], rep
     assert np.isfinite(rep["z_mean"]) and np.isfinite(rep["z_var"])
     oracle = verdicts.landau_moment_oracle
     monkeypatch.setattr(verdicts, "landau_moment_oracle",
                         lambda m0, v0, t: (oracle(m0, v0, t)[0], 2.0 * oracle(m0, v0, t)[1]))
-    bad = cli.check_moments(cfg, model)
+    bad = cli.check_moments(run, details)
     assert not bad["pass"] and bad["z_var"] > 3, bad
 
 

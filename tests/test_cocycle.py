@@ -11,7 +11,6 @@ from roughmf.cocycle import (
     continuity_probe,
     flow_details,
     frozen_coefficient_field,
-    joint_flow,
     wong_zakai_run,
 )
 from roughmf.grids import TimeGrid
@@ -125,12 +124,6 @@ def test_flow_horizon_must_sit_on_freeze_grid():
             run.leg(e0, k0, k1)
 
 
-def test_joint_flow_identity_at_zero():
-    run, e0 = make_run()
-    out = joint_flow(run, e0, 0.0)
-    assert out is e0
-
-
 def test_flow_details_state_lookup():
     run, e0 = make_run(n=60, n_freeze=4)
     det = flow_details(run, e0, 1.0)
@@ -141,6 +134,28 @@ def test_flow_details_state_lookup():
     mid = det.state_at(2)
     assert np.array_equal(mid.point, det.solution.Y[2 * run.rde_per_freeze])
     assert mid.law is det.curve.measures[2]
+
+
+@pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
+@pytest.mark.parametrize("inner, fine_per, per_freeze", [(3, 2, 2), (1, None, None)])
+def test_one_shot_curve_is_the_frozen_law_run(model_name, inner, fine_per, per_freeze):
+    # verify's moments, duality and stability checks read this curve in
+    # place of their own simulate_frozen_law run: same block, t0 and step
+    n_freeze, T = 6, 0.9
+    fine = None if fine_per is None else fine_per * n_freeze * inner
+    params = {"Sigma": np.array([[2.0, 0.5], [0.5, 1.0]])} if model_name == "eks-gaussian" else None
+    model = build_model(model_name, params)
+    cfg = FrozenLawConfig(n_freeze, inner=inner, seed=3, fine_cells=fine)
+    run = FlowRun(model, cfg, T, rde_per_freeze=per_freeze)
+    mu0 = EmpiricalMeasure(np.random.default_rng(3).normal(size=(40, model.d)))
+    curve = flow_details(run, JointState(mu0.atoms[0], mu0), T).curve
+    ref = simulate_frozen_law(model, mu0, cfg, T)
+    assert curve.times.tobytes() == ref.times.tobytes()
+    assert curve.meta == ref.meta
+    assert len(curve.measures) == len(ref.measures) == n_freeze + 1
+    for a, b in zip(curve.measures, ref.measures):
+        assert a.atoms.tobytes() == b.atoms.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
 
 
 def test_driver_noise_cached():
@@ -168,7 +183,7 @@ def test_driver_lifted_once_per_run(monkeypatch):
     for s, t in [(0.18, 0.54), (0.36, 0.36), (0.72, 0.18), (0.0, 0.9)]:
         cocycle_defect(run, e0, s, t, details=det)
     cocycle_defect(run, e0, 0.18, 0.36)  # its own one-shot run on [0, 0.54]
-    joint_flow(run, e0, 0.36)
+    flow_details(run, e0, 0.36)
     assert len(lifts) == 1
 
 

@@ -410,11 +410,13 @@ def test_stability_check_common_noise():
     model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
     mu0 = gauss_init(7, 300, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + np.array([0.5, 0.0]))
-    out = stability_check(model, mu0, [rho0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
+    cfg = FrozenLawConfig(16, seed=2)
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0)
+    out = stability_check(model, curve, [rho0], cfg, 1.0, 2.0)[0]
     assert out["ratios"][0] == pytest.approx(1.0)
     assert out["max_ratio"] <= 10.0
     assert out["max_ratio"] == max(out["ratios"][1:])
-    same = stability_check(model, mu0, [mu0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
+    same = stability_check(model, curve, [mu0], cfg, 1.0, 2.0)[0]
     assert same["max_ratio"] == 0.0
 
 
@@ -429,11 +431,11 @@ def test_stability_check_solves_each_pair_once(monkeypatch):
     model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
     mu0 = gauss_init(7, 100, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + np.array([0.5, 0.0]))
-    out = stability_check(model, mu0, [rho0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
+    c1 = simulate_frozen_law(model, mu0, FrozenLawConfig(16, seed=2), 1.0)
+    out = stability_check(model, c1, [rho0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
     assert len(calls) == 1 + 16  # d0, then one solve per freeze boundary t > 0
     assert out["ratios"][0] == 1.0
     # the skipped t = 0 solve is the d0 problem: curves start on mu0 and rho0
-    c1 = simulate_frozen_law(model, mu0, FrozenLawConfig(16, seed=2), 1.0)
     c2 = simulate_frozen_law(model, rho0, FrozenLawConfig(16, seed=2), 1.0)
     assert wasserstein_p(c1.measures[0], c2.measures[0], 2.0) == out["initial"]
     assert out["ratios"][1:] == [
@@ -442,13 +444,44 @@ def test_stability_check_solves_each_pair_once(monkeypatch):
     ]
 
 
+def test_stability_check_draws_the_common_noise_once(monkeypatch):
+    draws = []
+    real = meanfield.euler_increments
+    model = build_model("landau-maxwell")
+    mu0 = gauss_init(19, 60, 3)
+    cfg = FrozenLawConfig(8, inner=2, seed=4, fine_cells=32)
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0)
+    monkeypatch.setattr(meanfield, "euler_increments",
+                        lambda *a, **k: draws.append(1) or real(*a, **k))
+    starts = [EmpiricalMeasure(mu0.atoms + eps) for eps in (0.1, 0.01)]
+    reps = stability_check(model, curve, starts, cfg, 1.0, 2.0)
+    assert len(draws) == 1  # one block for both moved starts
+    for r, rep in zip(starts, reps):
+        c2 = simulate_frozen_law(model, r, cfg, 1.0)  # its own draw of the same block
+        assert rep["ratios"][1:] == [wasserstein_p(a, b, 2.0) / rep["initial"]
+                                     for a, b in zip(curve.measures[1:], c2.measures[1:])]
+
+
+def test_curve_inputs_must_span_the_cfg_run():
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    mu0 = gauss_init(20, 30, 2)
+    cfg = FrozenLawConfig(8, inner=2, seed=1)
+    short = simulate_frozen_law(model, mu0, FrozenLawConfig(4, inner=2, seed=1), 1.0)
+    with pytest.raises(ValueError, match="window edges"):
+        stability_check(model, short, [EmpiricalMeasure(mu0.atoms + 0.1)], cfg, 1.0, 2.0)
+    with pytest.raises(ValueError, match="window edges"):
+        feynman_kac_duality(model, short, [phi_sq(2)], cfg, T=1.0)
+
+
 def test_stability_max_ratio_sees_contraction():
     # a rigid shift of the EKS cloud decays under common noise; the t = 0
     # ratio of exactly 1 must not stand in for the maximum
     model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
     mu0 = gauss_init(15, 300, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + 0.1 * np.ones(2) / np.sqrt(2.0))
-    out = stability_check(model, mu0, [rho0], FrozenLawConfig(16, seed=0), 1.0, 2.0)[0]
+    cfg = FrozenLawConfig(16, seed=0)
+    out = stability_check(model, simulate_frozen_law(model, mu0, cfg, 1.0), [rho0], cfg,
+                          1.0, 2.0)[0]
     assert out["max_ratio"] < 1.0, out["ratios"]
 
 
@@ -460,8 +493,9 @@ def test_stability_check_several_starts_equal_one_call_each(monkeypatch):
               for eps in (0.3, 0.02)]
     starts.insert(1, mu0)  # d0 = 0 between two moved starts
     cfg = FrozenLawConfig(8, seed=3)
-    reps = stability_check(model, mu0, starts, cfg, 1.0, 2.0)
-    assert reps == [stability_check(model, mu0, [r], cfg, 1.0, 2.0)[0] for r in starts]
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0)
+    reps = stability_check(model, curve, starts, cfg, 1.0, 2.0)
+    assert reps == [stability_check(model, curve, [r], cfg, 1.0, 2.0)[0] for r in starts]
     assert reps[1]["max_ratio"] == 0.0 and reps[0]["max_ratio"] > 0.0
 
 
@@ -484,7 +518,8 @@ def test_duality_within_monte_carlo_error():
     model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
     mu0 = gauss_init(8, 2000, 2)
     cfg = FrozenLawConfig(16, inner=2, seed=3)
-    out = feynman_kac_duality(model, mu0, [phi_sq(2)], cfg, T=0.5)[0]
+    curve = simulate_frozen_law(model, mu0, cfg, 0.5)
+    out = feynman_kac_duality(model, curve, [phi_sq(2)], cfg, T=0.5)[0]
     assert out["residual"] <= 3.0 * out["se"] + 0.05, out
 
 
@@ -497,13 +532,11 @@ def test_duality_several_functions_equal_one_call_each(monkeypatch):
     mu0 = gauss_init(18, 150, 3)
     cfg = FrozenLawConfig(8, inner=2, seed=2)
     phis = [linear_func(np.eye(3)[0], "coord0"), phi_sq(3)]
-    reps = feynman_kac_duality(model, mu0, phis, cfg, T=0.5)
-    assert len(runs) == 1  # one curve, one dual run for both functions
+    curve = simulate_frozen_law(model, mu0, cfg, 0.5)
+    reps = feynman_kac_duality(model, curve, phis, cfg, T=0.5)
+    assert len(runs) == 1  # one dual run for both functions
     for phi, rep in zip(phis, reps):
-        one = feynman_kac_duality(model, mu0, [phi], cfg, T=0.5)[0]
-        assert np.array_equal(rep.pop("curve").measures[-1].atoms,
-                              one.pop("curve").measures[-1].atoms)
-        assert rep == one
+        assert rep == feynman_kac_duality(model, curve, [phi], cfg, T=0.5)[0]
 
 
 # ---------------------------------------------------------------------------
