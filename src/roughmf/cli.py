@@ -265,7 +265,7 @@ def _phi_sq(d):
 
 
 def check_moments(run: FlowRun, details: FlowDetails) -> dict:
-    return verdicts.moments(run.model, details.curve, [run.T])
+    return verdicts.moments(run.model, details.curve, [run.cfg.n_freeze])
 
 
 def check_duality(run: FlowRun, details: FlowDetails) -> dict:
@@ -290,7 +290,8 @@ def check_stability(run: FlowRun, details: FlowDetails) -> dict:
     shift_dir = np.ones(mu0.d) / np.sqrt(mu0.d)
     starts = [EmpiricalMeasure(mu0.atoms + eps * shift_dir, mu0.weights)
               for eps in (1e-1, 1e-2)]
-    reps = stability_check(run.model, details.curve, starts, run.cfg, run.T, p=2.0)
+    reps = stability_check(run.model, details.curve, starts, run.cfg, run.T, 2.0,
+                           run.law_noise(mu0.n))
     return verdicts.stability([rep["max_ratio"] for rep in reps])
 
 

@@ -48,16 +48,12 @@ class FlowRun:
     model: MeanFieldModel
     cfg: FrozenLawConfig  # law-freeze layout over the full horizon
     T: float
-    rde_per_freeze: Optional[int] = None  # rough cells per freeze interval
+    rde_per_freeze: int = 1  # rough cells per freeze interval
     driver_fine_per: int = 8  # fine noise cells per rough cell
     _noise: Optional[NoisePath] = field(default=None, repr=False)
     _law_noise: Optional[np.ndarray] = field(default=None, repr=False)
     # the last restart asked for: (details, ks, leg)
     _restart: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.rde_per_freeze is None:
-            self.rde_per_freeze = self.cfg.inner
 
     @property
     def rde_cells(self) -> int:
@@ -89,15 +85,16 @@ class FlowRun:
 
     def leg(self, e: JointState, k0: int, k1: int) -> FlowDetails:
         """The joint flow over the freeze windows [k0, k1) from e: the law
-        by the run's scheme on its increments of steps [k0, k1) * inner, the
-        point on ``rough.restrict(k0 r, k1 r)``, r rough cells per window."""
+        by the run's scheme on its increments of steps [k0, k1) * inner,
+        labelled with the run's step times, the point on
+        ``rough.restrict(k0 r, k1 r)``, r rough cells per window."""
         if not 0 <= k0 < k1 <= self.cfg.n_freeze:
             raise ValueError(f"windows [{k0}, {k1}) are not a leg of the run's "
                              f"{self.cfg.n_freeze} windows")
         inner, r = self.cfg.inner, self.rde_per_freeze
         rp = self.rough.restrict(k0 * r, k1 * r)
         dW = self.law_noise(e.law.n)[:, k0 * inner : k1 * inner]
-        curve = simulate_frozen_law(self.model, e.law, self.cfg, self.T, t0=rp.times[0], dW=dW)
+        curve = simulate_frozen_law(self.model, e.law, self.cfg, self.T, k0, dW=dW)
         coeff = frozen_coefficient_field(self.model, curve, (k1 - k0) * r)
         return FlowDetails(curve, doss_sussmann_solve(coeff, rp, e.point), rp)
 
@@ -158,7 +155,8 @@ class FlowDetails:
 
 
 def flow_details(run: FlowRun, e0: JointState, t: float) -> FlowDetails:
-    """Run the joint flow on [0, t] and keep all intermediate structure."""
+    """Run the joint flow on [0, t] and keep all intermediate structure; t
+    is a freeze-window edge, parsed once to its index."""
     return run.leg(e0, 0, run.cfg.window_index(t, run.T))
 
 
@@ -172,7 +170,9 @@ def cocycle_defect(
 ) -> dict:
     """Compare phi(s+t, omega, e0) with phi(t, theta_s omega, phi(s, omega, e0)).
 
-    The second stage is the leg over windows [ks, ks + kt) from the
+    s and t are freeze-window edges, parsed once to window indices ks, kt;
+    without ``details`` the one-shot is the leg over [0, ks + kt).  The
+    second stage is the leg over windows [ks, ks + kt) from the
     one-shot state at s: the law particles restart on the run's increments
     of those windows, the point on the driver's window from s.  It is read
     at edge kt of ``run.restart(details, ks)``, which covers every horizon
@@ -181,7 +181,7 @@ def cocycle_defect(
     """
     ks, kt = run.cfg.window_index(s, run.T), run.cfg.window_index(t, run.T)
     if details is None:
-        details = flow_details(run, e0, s + t)
+        details = run.leg(e0, 0, ks + kt)
     end = details.state_at(ks + kt)
     rep = {"point_defect": 0.0, "law_defect": 0.0, "law_upper": 0.0,
            "self_defect": details.self_defect, "s": s, "t": t}
@@ -250,18 +250,18 @@ def _joint_distance(a: JointState, b: JointState, p: float = 2.0) -> float:
 def continuity_probe(
     run: FlowRun,
     e0: JointState,
-    t: float,
+    K: int,
     epsilons=(1e-1, 1e-2, 1e-3, 1e-4),
 ) -> dict:
-    """Empirical modulus of continuity of the flow in each input channel.
+    """Empirical modulus of continuity of the flow over the first K freeze
+    windows in each input channel.
 
     Perturbs the initial point, the initial cloud (rigid translation), and
     the driving noise (uniform-norm drift bump of size eps), and fits the
     log-log slope of output distance against eps."""
-    K = run.cfg.window_index(t, run.T)
 
     def end_state(r: FlowRun, e: JointState) -> JointState:
-        return flow_details(r, e, t).state_at(K)
+        return r.leg(e, 0, K).state_at(K)
 
     base = end_state(run, e0)
     d = run.model.d

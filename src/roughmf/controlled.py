@@ -49,13 +49,6 @@ class ControlledPath:
 
     # -- remainder and seminorms -------------------------------------------
 
-    def gubinelli_remainder(self, s: float, t: float):
-        """R_{s,t} = Y_{s,t} - Y'_s X_{s,t} for grid times s, t."""
-        i = self.base.grid.index_of(s)
-        j = self.base.grid.index_of(t)
-        dX = self.base.increment(i, j)
-        return self.Y[j] - self.Y[i] - self.Yprime[i] @ dX
-
     def prime_norm(self) -> float:
         """Discrete alpha-Hölder norm of the Gubinelli derivative."""
         if self._prime_norm is None:
@@ -107,29 +100,26 @@ class ControlledPath:
             self._cumint = cum
         return self._cumint
 
-    def rough_integral(self, s: float, t: float):
-        """Compensated Riemann sum of Y against the base rough path on [s, t].
+    def rough_integral(self, i: int, j: int):
+        """Compensated Riemann sum of Y against the base rough path between
+        grid nodes i <= j.
 
         Exactly additive over adjacent windows (differences of one running sum).
         """
-        i = self.base.grid.index_of(s)
-        j = self.base.grid.index_of(t)
         if i > j:
-            raise ValueError("rough_integral requires s <= t")
+            raise ValueError("rough_integral requires i <= j")
         cum = self._cumulative_integral()
         return cum[j] - cum[i]
 
-    def local_error_certificate(self, s: float, t: float):
-        """One-window sewing check.
+    def local_error_certificate(self, i: int, j: int):
+        """One-window sewing check between grid nodes i < j, at times s < t.
 
         Returns (value, bound, ok) where value is
         |int_s^t Y dX - Y_s X_{s,t} - Y'_s XX_{s,t}| and bound is
         C (||X||_a ||R^Y||_{2a} + ||XX||_{2a} ||Y'||_a) |t-s|^{3a}.
         """
-        i = self.base.grid.index_of(s)
-        j = self.base.grid.index_of(t)
         if i >= j:
-            raise ValueError("certificate needs s < t")
+            raise ValueError("certificate needs i < j")
         dX = self.base.increment(i, j)
         XX = self.base.second_level(i, j)
         if self.val_shape == ():
@@ -138,7 +128,7 @@ class ControlledPath:
             head = np.einsum("...k,k->...", self.Y[i], dX) + np.einsum(
                 "...kl,lk->...", self.Yprime[i], XX
             )
-        value = float(np.linalg.norm((self.rough_integral(s, t) - head).ravel()))
+        value = float(np.linalg.norm((self.rough_integral(i, j) - head).ravel()))
         nx, nxx = self.base.holder_norms()
         C = sewing_constant(self.base.alpha)
         dt = self.base.times[j] - self.base.times[i]

@@ -62,6 +62,8 @@ class FrozenLawConfig:
 
 @dataclass
 class MeasureCurve:
+    """State k is ``measures[k]`` at ``times[k]``; callers address it by k."""
+
     times: np.ndarray
     measures: list  # EmpiricalMeasure per time
     meta: dict = field(default_factory=dict)
@@ -72,15 +74,6 @@ class MeasureCurve:
         ns = {m.n for m in self.measures}
         if len(ns) != 1:
             raise ValueError("particle count must be constant along the curve")
-
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > TIME_TOL:
-            raise ValueError(f"time {t} is not on the curve grid")
-        return i
-
-    def at(self, t: float) -> EmpiricalMeasure:
-        return self.measures[self.index_of(t)]
 
 
 def particle_noise(
@@ -140,18 +133,20 @@ def simulate_frozen_law(
     mu0: EmpiricalMeasure,
     cfg: FrozenLawConfig,
     T: float,
-    t0: float = 0.0,
+    k0: int = 0,
     record_inner: bool = False,
     dW: Optional[np.ndarray] = None,
 ) -> MeasureCurve:
-    """Run the frozen-law scheme over k freeze windows from t0.
+    """Run the frozen-law scheme over k freeze windows from window edge k0.
 
     ``cfg`` and ``T`` fix the scheme: the step h = T / cfg.steps and the
     cfg.inner steps per window.  ``dW``, the Euler-step increments of shape
-    (N, k * cfg.inner, d) with 1 <= k <= cfg.n_freeze, fixes how many steps
-    run; by default it is the cfg's whole block (euler_increments).  A leg
-    restarted at window k passes the run's cfg, T and block from step
-    k * cfg.inner on, so it replays the run's noise at the run's step.
+    (N, k * cfg.inner, d) with k >= 1 and k0 + k <= cfg.n_freeze, fixes how
+    many steps run; by default it is the cfg's whole block
+    (euler_increments).  A leg restarted at window k0 passes the run's cfg,
+    T and block from step k0 * cfg.inner on, so it replays the run's noise
+    at the run's step, and its state after step j is labelled with the run's
+    own step time (k0 * cfg.inner + j + 1) h.
     """
     if model.d != mu0.d:
         raise ValueError("model and initial measure dimension mismatch")
@@ -162,10 +157,14 @@ def simulate_frozen_law(
     if dW.shape != (N, steps, d) or steps % cfg.inner or not 0 < steps <= cfg.steps:
         raise ValueError(f"dW has shape {dW.shape}, expected (N, k * inner, d) = "
                          f"({N}, k * {cfg.inner}, {d}) with 1 <= k <= {cfg.n_freeze}")
+    j0 = k0 * cfg.inner
+    if k0 < 0 or j0 + steps > cfg.steps:
+        raise ValueError(f"{steps // cfg.inner} windows from window {k0} do not fit "
+                         f"in the run's {cfg.n_freeze} windows")
     h = T / cfg.steps
     Y = np.array(mu0.atoms, order="F")  # column-major: the step's loops run along particles
     w = mu0.weights
-    times = [t0]
+    times = [j0 * h]
     measures = [EmpiricalMeasure(Y.copy(), w)]
     frozen = None
     for j in range(steps):
@@ -175,7 +174,7 @@ def simulate_frozen_law(
         if not np.all(np.isfinite(Y)):
             raise RuntimeError(f"non-finite particle state at step {j}")
         if record_inner or (j + 1) % cfg.inner == 0:
-            times.append(t0 + (j + 1) * h)
+            times.append((j0 + j + 1) * h)
             measures.append(EmpiricalMeasure(Y.copy(), w))
     return MeasureCurve(
         np.array(times),
@@ -186,7 +185,7 @@ def simulate_frozen_law(
             "n_freeze": cfg.n_freeze,
             "inner": cfg.inner,
             "h_fine": T / cfg.fine_cells,
-            "t0": t0,
+            "t0": times[0],
             "T": T,
         },
     )
@@ -197,25 +196,23 @@ def simulate_frozen_law(
 # ---------------------------------------------------------------------------
 
 def weak_solution_residual(
-    curve: MeasureCurve, model: MeanFieldModel, phi, t: float
+    curve: MeasureCurve, model: MeanFieldModel, phi, k: int
 ) -> float:
-    """|int phi dmu_t - int phi dmu_0 - int_0^t int L phi dmu_s ds| with the
-    generator L phi = <b, grad phi> + 1/2 sigma sigma^T : D^2 phi and a
-    trapezoid rule in time on the curve grid."""
-    j = curve.index_of(t)
-    gen = np.empty(j + 1)
-    for k in range(j + 1):
-        mu = curve.measures[k]
+    """|int phi dmu_t - int phi dmu_0 - int_0^t int L phi dmu_s ds| at the
+    time t of curve state k, with the generator
+    L phi = <b, grad phi> + 1/2 sigma sigma^T : D^2 phi and a trapezoid rule
+    in time on the curve grid."""
+    gen = np.empty(k + 1)
+    for i, mu in enumerate(curve.measures[: k + 1]):
         Y = mu.atoms
         sg = model.sigma(Y, mu)
         a = np.einsum("nik,njk->nij", sg, sg)
         Lphi = np.einsum("ni,ni->n", model.b(Y, mu), phi.grad(Y)) + 0.5 * np.einsum(
             "nij,nij->n", a, phi.hess(Y)
         )
-        gen[k] = float(mu.weights @ Lphi)
-    ts = curve.times[: j + 1]
-    time_integral = float(np.trapezoid(gen, ts))
-    lhs = curve.measures[j].integrate(phi.value) - curve.measures[0].integrate(phi.value)
+        gen[i] = float(mu.weights @ Lphi)
+    time_integral = float(np.trapezoid(gen, curve.times[: k + 1]))
+    lhs = curve.measures[k].integrate(phi.value) - curve.measures[0].integrate(phi.value)
     return abs(lhs - time_integral)
 
 
@@ -265,6 +262,7 @@ def stability_check(
     cfg: FrozenLawConfig,
     T: float,
     p: float,
+    dW: np.ndarray,
 ):
     """Common-noise two-initial-condition run; distance ratios against the
     initial distance at every freeze boundary.  Each curve starts on its
@@ -272,11 +270,11 @@ def stability_check(
     construction and is not solved again; max_ratio is taken over t > 0.
 
     ``curve`` is the unperturbed run of the cfg from mu0 = curve.measures[0]
-    on the cfg's increment block.  rho0 is a sequence of perturbed starts of
-    mu0's particle count: every moved one runs on one draw of that block,
-    the common noise, and one report per start comes back, in order.  The
-    initial distances, then all starts' ratios, are each solved in one pair
-    map.
+    on the increment block ``dW`` of the cfg's whole run, the common noise,
+    on which every moved start of rho0 (a sequence of perturbed starts of
+    mu0's particle count) runs too; nothing is drawn again.  One report per
+    start comes back, in order.  The initial distances, then all starts'
+    ratios, are each solved in one pair map.
     """
     def dist(a, b):
         return wasserstein_p(a, b, p)
@@ -284,9 +282,8 @@ def stability_check(
     _check_whole_run(curve, cfg)
     mu0 = curve.measures[0]
     d0s = _map_pairs(dist, [(mu0, r) for r in rho0])
-    starts = [r for r, d0 in zip(rho0, d0s) if d0 != 0.0]
-    dW = euler_increments(cfg, T, mu0.n, mu0.d) if starts else None
-    moved = [simulate_frozen_law(model, r, cfg, T, dW=dW) for r in starts]
+    moved = [simulate_frozen_law(model, r, cfg, T, dW=dW)
+             for r, d0 in zip(rho0, d0s) if d0 != 0.0]
     ds = iter(_map_pairs(
         dist, [ab for c2 in moved for ab in zip(curve.measures[1:], c2.measures[1:])]
     ))

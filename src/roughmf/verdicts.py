@@ -58,9 +58,10 @@ def _variance(mu) -> float:
     return moment(mu, 2.0) - float(mu.mean() @ mu.mean())
 
 
-def moments(model, curve, times) -> dict:
-    """z-scores of the curve's moments at ``times`` against the model's
-    oracle from its first state mu0, each the worst over the times.
+def moments(model, curve, ks) -> dict:
+    """z-scores of the curve's moments at its states ``ks`` against the
+    model's oracle from its first state mu0 at the states' times, each the
+    worst over the states.
 
     EKS: the closed-form solution of the moment ODE at each time; the
     standard errors are the Gaussian ones of an N-sample mean and
@@ -72,10 +73,10 @@ def moments(model, curve, times) -> dict:
     N = mu0.n
     if model.name == "eks-gaussian":
         ms, Cs = eks_gaussian_moment_ode(model.constants["Sigma"], mu0.mean(),
-                                         covariance(mu0), times)
+                                         covariance(mu0), curve.times[list(ks)])
         zs = []
-        for t, m, C in zip(times, ms, Cs):
-            mu_t, c = curve.at(t), np.diag(C)
+        for k, m, C in zip(ks, ms, Cs):
+            mu_t, c = curve.measures[k], np.diag(C)
             se_C = np.sqrt((np.outer(c, c) + C**2) / N)
             zs.append((np.max(np.abs(mu_t.mean() - m) / np.sqrt(c / N)),
                        np.max(np.abs(covariance(mu_t) - C) / se_C)))
@@ -83,8 +84,8 @@ def moments(model, curve, times) -> dict:
     elif model.name == "landau-maxwell":
         v0 = _variance(mu0)
         zs = []
-        for t in times:
-            mu_t = curve.at(t)
+        for k in ks:
+            t, mu_t = curve.times[k], curve.measures[k]
             m_pred, v_pred = landau_moment_oracle(mu0.mean(), v0, t)
             se_mean = np.sqrt(v0 * (1.0 - np.exp(-2.0 * t)) / (3.0 * N))
             se_var = np.sqrt(2.0 / (3.0 * N)) * v_pred

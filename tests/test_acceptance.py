@@ -20,6 +20,7 @@ from roughmf.controlled import ControlledPath, controlled_distance
 from roughmf.grids import TimeGrid
 from roughmf.meanfield import (
     FrozenLawConfig,
+    euler_increments,
     feynman_kac_duality,
     simulate_frozen_law,
     stability_check,
@@ -128,7 +129,7 @@ def test_03_rough_integral():
     noise, rp = scalar_brownian(3, 1 << 12, fine_per=8)
     X = rp.values[:, 0]
     cp = ControlledPath(rp, X, np.ones((len(X), 1)))
-    got = float(cp.rough_integral(0.0, 1.0)[0])
+    got = float(cp.rough_integral(0, len(X) - 1)[0])
     ref = 0.5 * (X[-1] ** 2 - X[0] ** 2)
     rel_strat = abs(got - ref) / max(abs(ref), 1e-12)
 
@@ -140,7 +141,7 @@ def test_03_rough_integral():
     smooth_cp = ControlledPath(sm, f, np.cos(t)[:, None])
     tt = np.linspace(0.0, 1.0, 200001)
     rs_ref = np.trapezoid(np.sin(tt), tt)
-    err_smooth = float(np.max(np.abs(smooth_cp.rough_integral(0.0, 1.0) - rs_ref)))
+    err_smooth = float(np.max(np.abs(smooth_cp.rough_integral(0, len(t) - 1) - rs_ref)))
 
     # local error certificate on 1000 random windows
     _, rp2 = scalar_brownian(4, 1 << 10, fine_per=8)
@@ -151,7 +152,7 @@ def test_03_rough_integral():
     for _ in range(1000):
         i = int(rngs.integers(0, rp2.grid.n_cells))
         j = int(rngs.integers(i + 1, rp2.grid.n_cells + 1))
-        _, _, good = cp2.local_error_certificate(rp2.times[i], rp2.times[j])
+        _, _, good = cp2.local_error_certificate(i, j)
         cert_fail += 0 if good else 1
     elapsed = time.time() - tic
     ok = rel_strat <= 1e-3 and err_smooth <= 1e-6 and cert_fail == 0 and elapsed < 60
@@ -301,10 +302,10 @@ def test_07_moment_oracles():
     rngs = np.random.default_rng(42)
     mu0 = EmpiricalMeasure(rngs.normal(size=(N, 2)) * 0.5 + np.array([1.0, -1.0]))
     T = 2.0
-    check_times = [0.5, 1.0, 1.5, 2.0]
+    check_states = [32, 64, 96, 128]  # t = 0.5, 1.0, 1.5, 2.0 on 128 windows
     curve = simulate_frozen_law(model, mu0, FrozenLawConfig(128, inner=1, seed=0), T)
-    eks = verdicts.moments(model, curve, check_times)
-    gaps = [float(np.linalg.norm(covariance(curve.at(t)) - Sigma)) for t in check_times]
+    eks = verdicts.moments(model, curve, check_states)
+    gaps = [float(np.linalg.norm(covariance(curve.measures[k]) - Sigma)) for k in check_states]
     eks_ok = eks["pass"] and bool(np.all(np.diff(gaps) < 0))
 
     # Landau, d = 3
@@ -314,7 +315,7 @@ def test_07_moment_oracles():
     )
     # inner substeps keep the Euler variance bias well below the MC band
     curve_l = simulate_frozen_law(lan, mu0l, FrozenLawConfig(128, inner=4, seed=1), T)
-    landau = verdicts.moments(lan, curve_l, check_times)
+    landau = verdicts.moments(lan, curve_l, check_states)
     elapsed = time.time() - tic
     ok = eks_ok and landau["pass"] and elapsed < 300
     record(7, "moment oracles", ok,
@@ -436,8 +437,9 @@ def test_10_stability():
     u = np.ones(2) / np.sqrt(2.0)
     starts = [EmpiricalMeasure(mu0.atoms + eps * u) for eps in (1e-1, 10 ** -1.5, 1e-2)]
     cfg = FrozenLawConfig(32, seed=0)
-    reps = stability_check(model, simulate_frozen_law(model, mu0, cfg, 1.0), starts, cfg,
-                           1.0, 2.0)
+    dW = euler_increments(cfg, 1.0, mu0.n, mu0.d)  # the common noise, drawn once
+    reps = stability_check(model, simulate_frozen_law(model, mu0, cfg, 1.0, dW=dW), starts,
+                           cfg, 1.0, 2.0, dW)
     ratio = verdicts.stability([rep["max_ratio"] for rep in reps])
 
     geom = linear_coefficients(np.ones((1, 1, 1)))

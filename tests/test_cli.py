@@ -298,7 +298,8 @@ def test_verify_passes_and_writes_verdict(tmp_path):
 def test_verify_runs_its_seed_once(tmp_path, monkeypatch):
     # one initial law and one one-shot flow serve all four checks: its curve,
     # the cocycle restarts at ks = 2 and 4 of 8 windows, two moved stability
-    # starts; nothing re-simulates the one-shot curve
+    # starts; nothing re-simulates the one-shot curve, and only the run's
+    # block and the duality check's independent one are drawn
     calls = Counter()
 
     def counted(name, real):
@@ -311,12 +312,15 @@ def test_verify_runs_its_seed_once(tmp_path, monkeypatch):
     for module in (meanfield, cocycle, cli):
         monkeypatch.setattr(module, "simulate_frozen_law", sim)
     monkeypatch.setattr(cli, "initial_measure", counted("initial_measure", cli.initial_measure))
+    monkeypatch.setattr(meanfield, "particle_noise",
+                        counted("particle_noise", meanfield.particle_noise))
     p = write_config(tmp_path, particles=60,
                      checks=["moments", "duality", "cocycle", "stability"])
     out = tmp_path / "out"
     main(["verify", "--config", str(p), "--output-dir", str(out)])
     assert len(json.loads((out / "verdict.json").read_text())) == 4
-    assert calls == {"simulate_frozen_law": 1 + 2 + 2, "initial_measure": 1}
+    assert calls == {"simulate_frozen_law": 1 + 2 + 2, "initial_measure": 1,
+                     "particle_noise": 2}
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):

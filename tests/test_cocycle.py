@@ -29,7 +29,7 @@ from conftest import rk4_oracle
 
 
 def make_run(seed=0, n=100, n_freeze=8, T=1.0, model_name="eks-gaussian", inner=2,
-             rde_per_freeze=None):
+             rde_per_freeze=1):
     params = {"Sigma": np.diag([1.0, 4.0])} if model_name == "eks-gaussian" else None
     model = build_model(model_name, params)
     cfg = FrozenLawConfig(n_freeze, inner=inner, seed=seed)
@@ -125,7 +125,7 @@ def test_flow_horizon_must_sit_on_freeze_grid():
 
 
 def test_flow_details_state_lookup():
-    run, e0 = make_run(n=60, n_freeze=4)
+    run, e0 = make_run(n=60, n_freeze=4, rde_per_freeze=2)
     det = flow_details(run, e0, 1.0)
     end = det.state_at(4)
     assert np.array_equal(end.point, det.solution.Y[-1])
@@ -140,13 +140,14 @@ def test_flow_details_state_lookup():
 @pytest.mark.parametrize("inner, fine_per, per_freeze", [(3, 2, 2), (1, None, None)])
 def test_one_shot_curve_is_the_frozen_law_run(model_name, inner, fine_per, per_freeze):
     # verify's moments, duality and stability checks read this curve in
-    # place of their own simulate_frozen_law run: same block, t0 and step
+    # place of their own simulate_frozen_law run: same block, times and step
     n_freeze, T = 6, 0.9
     fine = None if fine_per is None else fine_per * n_freeze * inner
     params = {"Sigma": np.array([[2.0, 0.5], [0.5, 1.0]])} if model_name == "eks-gaussian" else None
     model = build_model(model_name, params)
     cfg = FrozenLawConfig(n_freeze, inner=inner, seed=3, fine_cells=fine)
-    run = FlowRun(model, cfg, T, rde_per_freeze=per_freeze)
+    rde = {} if per_freeze is None else {"rde_per_freeze": per_freeze}  # None: the default
+    run = FlowRun(model, cfg, T, **rde)
     mu0 = EmpiricalMeasure(np.random.default_rng(3).normal(size=(40, model.d)))
     curve = flow_details(run, JointState(mu0.atoms[0], mu0), T).curve
     ref = simulate_frozen_law(model, mu0, cfg, T)
@@ -199,7 +200,8 @@ def test_restart_leg_reads_the_run_lift_by_index():
         assert np.array_equal(leg.rough.times, run.rough.times[i : j + 1])
         assert np.array_equal(leg.rough.values,
                               run.rough.values[i : j + 1] - run.rough.values[i])
-        assert leg.curve.times[0] == run.rough.times[i]
+        # the law curve carries the one-shot's times at the same edges
+        assert leg.curve.times.tobytes() == det.curve.times[ks : k1 + 1].tobytes()
         assert len(leg.curve.measures) == k1 - ks + 1
 
 
@@ -444,7 +446,7 @@ def test_wz_rejects_a_drift():
 
 def test_continuity_probe_slopes():
     run, e0 = make_run(seed=4, n=60, n_freeze=4)
-    out = continuity_probe(run, e0, 1.0, epsilons=(1e-1, 1e-2, 1e-3))
+    out = continuity_probe(run, e0, 4, epsilons=(1e-1, 1e-2, 1e-3))
     for channel in ("point", "law", "noise"):
         rec = out[channel]
         assert np.all(np.diff(rec["dist"]) < 0)  # smaller input gap, smaller output

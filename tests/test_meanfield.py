@@ -77,10 +77,6 @@ def test_measure_curve_validation():
         MeasureCurve(
             np.array([0.0, 1.0]), [m, EmpiricalMeasure(np.zeros((4, 1)))]
         )
-    c = MeasureCurve(np.array([0.0, 1.0]), [m, m])
-    assert c.index_of(1.0) == 1
-    with pytest.raises(ValueError):
-        c.at(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +96,10 @@ def test_particle_noise_tail_replay_bitwise():
         assert np.array_equal(simulate_frozen_law(model, mu0, cfg, T).measures[-1].atoms,
                               full.measures[-1].atoms)
         for k1 in (k + 1, n_freeze):
-            leg = simulate_frozen_law(model, full.measures[k], cfg, T, t0=full.times[k],
+            leg = simulate_frozen_law(model, full.measures[k], cfg, T, k,
                                       dW=dW[:, k * inner : k1 * inner])
             assert len(leg.measures) == k1 - k + 1
+            assert leg.times.tobytes() == full.times[k : k1 + 1].tobytes()
             assert np.array_equal(leg.measures[-1].atoms, full.measures[k1].atoms)
 
 
@@ -123,6 +120,19 @@ def test_simulate_rejects_wrong_increment_shape():
     for bad in (dW[:, :-1], dW[:, :0], longer, dW[:-1], dW[..., :1]):
         with pytest.raises(ValueError, match="dW has shape"):
             simulate_frozen_law(model, mu0, cfg, 1.0, dW=bad)
+
+
+def test_simulate_rejects_a_leg_past_the_run_end():
+    model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
+    mu0 = gauss_init(14, 10, 2)
+    cfg = FrozenLawConfig(4, inner=2, seed=0)
+    dW = euler_increments(cfg, 1.0, 10, 2)
+    for k0, block in ((1, dW), (3, dW[:, 2:]), (2, dW[:, :6]), (-1, dW[:, :2])):
+        with pytest.raises(ValueError, match="do not fit in the run's 4 windows"):
+            simulate_frozen_law(model, mu0, cfg, 1.0, k0, dW=block)
+    # the last window's leg fits, and ends at T
+    leg = simulate_frozen_law(model, mu0, cfg, 1.0, 3, dW=dW[:, 6:])
+    assert leg.times.tolist() == [0.75, 1.0]
 
 
 def test_particle_noise_member_offset_independent():
@@ -367,7 +377,7 @@ def test_weak_solution_residual_small():
     mu0 = gauss_init(4, 500, 2)
     cfg = FrozenLawConfig(16, inner=4, seed=5)
     curve = simulate_frozen_law(model, mu0, cfg, T=0.5, record_inner=True)
-    res = weak_solution_residual(curve, model, phi_sq(2), 0.5)
+    res = weak_solution_residual(curve, model, phi_sq(2), cfg.steps)  # t = 0.5
     # scales like the Euler step + MC noise of the time integral
     assert res <= 0.2, res
 
@@ -411,12 +421,13 @@ def test_stability_check_common_noise():
     mu0 = gauss_init(7, 300, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + np.array([0.5, 0.0]))
     cfg = FrozenLawConfig(16, seed=2)
-    curve = simulate_frozen_law(model, mu0, cfg, 1.0)
-    out = stability_check(model, curve, [rho0], cfg, 1.0, 2.0)[0]
+    dW = euler_increments(cfg, 1.0, mu0.n, mu0.d)
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0, dW=dW)
+    out = stability_check(model, curve, [rho0], cfg, 1.0, 2.0, dW)[0]
     assert out["ratios"][0] == pytest.approx(1.0)
     assert out["max_ratio"] <= 10.0
     assert out["max_ratio"] == max(out["ratios"][1:])
-    same = stability_check(model, curve, [mu0], cfg, 1.0, 2.0)[0]
+    same = stability_check(model, curve, [mu0], cfg, 1.0, 2.0, dW)[0]
     assert same["max_ratio"] == 0.0
 
 
@@ -431,8 +442,10 @@ def test_stability_check_solves_each_pair_once(monkeypatch):
     model = build_model("eks-gaussian", {"Sigma": np.eye(2)})
     mu0 = gauss_init(7, 100, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + np.array([0.5, 0.0]))
-    c1 = simulate_frozen_law(model, mu0, FrozenLawConfig(16, seed=2), 1.0)
-    out = stability_check(model, c1, [rho0], FrozenLawConfig(16, seed=2), 1.0, 2.0)[0]
+    cfg = FrozenLawConfig(16, seed=2)
+    dW = euler_increments(cfg, 1.0, mu0.n, mu0.d)
+    c1 = simulate_frozen_law(model, mu0, cfg, 1.0, dW=dW)
+    out = stability_check(model, c1, [rho0], cfg, 1.0, 2.0, dW)[0]
     assert len(calls) == 1 + 16  # d0, then one solve per freeze boundary t > 0
     assert out["ratios"][0] == 1.0
     # the skipped t = 0 solve is the d0 problem: curves start on mu0 and rho0
@@ -450,12 +463,13 @@ def test_stability_check_draws_the_common_noise_once(monkeypatch):
     model = build_model("landau-maxwell")
     mu0 = gauss_init(19, 60, 3)
     cfg = FrozenLawConfig(8, inner=2, seed=4, fine_cells=32)
-    curve = simulate_frozen_law(model, mu0, cfg, 1.0)
+    dW = real(cfg, 1.0, mu0.n, mu0.d)  # the one draw: the curve's block
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0, dW=dW)
     monkeypatch.setattr(meanfield, "euler_increments",
                         lambda *a, **k: draws.append(1) or real(*a, **k))
     starts = [EmpiricalMeasure(mu0.atoms + eps) for eps in (0.1, 0.01)]
-    reps = stability_check(model, curve, starts, cfg, 1.0, 2.0)
-    assert len(draws) == 1  # one block for both moved starts
+    reps = stability_check(model, curve, starts, cfg, 1.0, 2.0, dW)
+    assert draws == []  # both moved starts run on the caller's block
     for r, rep in zip(starts, reps):
         c2 = simulate_frozen_law(model, r, cfg, 1.0)  # its own draw of the same block
         assert rep["ratios"][1:] == [wasserstein_p(a, b, 2.0) / rep["initial"]
@@ -468,7 +482,8 @@ def test_curve_inputs_must_span_the_cfg_run():
     cfg = FrozenLawConfig(8, inner=2, seed=1)
     short = simulate_frozen_law(model, mu0, FrozenLawConfig(4, inner=2, seed=1), 1.0)
     with pytest.raises(ValueError, match="window edges"):
-        stability_check(model, short, [EmpiricalMeasure(mu0.atoms + 0.1)], cfg, 1.0, 2.0)
+        stability_check(model, short, [EmpiricalMeasure(mu0.atoms + 0.1)], cfg, 1.0, 2.0,
+                        euler_increments(cfg, 1.0, mu0.n, mu0.d))
     with pytest.raises(ValueError, match="window edges"):
         feynman_kac_duality(model, short, [phi_sq(2)], cfg, T=1.0)
 
@@ -480,8 +495,9 @@ def test_stability_max_ratio_sees_contraction():
     mu0 = gauss_init(15, 300, 2)
     rho0 = EmpiricalMeasure(mu0.atoms + 0.1 * np.ones(2) / np.sqrt(2.0))
     cfg = FrozenLawConfig(16, seed=0)
-    out = stability_check(model, simulate_frozen_law(model, mu0, cfg, 1.0), [rho0], cfg,
-                          1.0, 2.0)[0]
+    dW = euler_increments(cfg, 1.0, mu0.n, mu0.d)
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0, dW=dW)
+    out = stability_check(model, curve, [rho0], cfg, 1.0, 2.0, dW)[0]
     assert out["max_ratio"] < 1.0, out["ratios"]
 
 
@@ -493,9 +509,10 @@ def test_stability_check_several_starts_equal_one_call_each(monkeypatch):
               for eps in (0.3, 0.02)]
     starts.insert(1, mu0)  # d0 = 0 between two moved starts
     cfg = FrozenLawConfig(8, seed=3)
-    curve = simulate_frozen_law(model, mu0, cfg, 1.0)
-    reps = stability_check(model, curve, starts, cfg, 1.0, 2.0)
-    assert reps == [stability_check(model, curve, [r], cfg, 1.0, 2.0)[0] for r in starts]
+    dW = euler_increments(cfg, 1.0, mu0.n, mu0.d)
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0, dW=dW)
+    reps = stability_check(model, curve, starts, cfg, 1.0, 2.0, dW)
+    assert reps == [stability_check(model, curve, [r], cfg, 1.0, 2.0, dW)[0] for r in starts]
     assert reps[1]["max_ratio"] == 0.0 and reps[0]["max_ratio"] > 0.0
 
 
