@@ -4,16 +4,21 @@ and flow map is read off, one numpy implementation each.
 
 A pair kernel takes index arrays ``ii`` and ``jj`` that broadcast against
 each other, and returns the largest Hölder ratio over the pairs ``(i, j)``
-of their broadcast.  ``roughpath._pair_sup`` hands it one dyadic lag as two
-flat arrays, or a batch of ``T`` tiles of the all-pairs search, row tiles
-against column tiles of ``S`` nodes each (shapes ``(T, S, 1)`` and
-``(T, 1, S)``); the blocks of ``roughpath._pair_blocks``, the reference
-pair set, are a row range against the columns to its right (``(R, 1)`` and
-``(1, C)``).  Flat arrays of any pairs ``i < j`` work too.  A point is
-gathered once per block, and every per-pair quantity is formed by
-broadcasting.  Entries with ``j <= i`` (the lower half of a diagonal tile,
-the corner of a row block) have an infinite gap, so their ratio is exactly
-0 and no real ratio, all of which are >= 0, is masked by them.
+of their broadcast: ``block_sup`` of its value function's values and the
+gaps ``_gap``.  ``roughpath._pair_sup`` hands it a batch of ``T`` tiles of
+the all-pairs search, row tiles against column tiles of ``S`` nodes each
+(shapes ``(T, S, 1)`` and ``(T, 1, S)``); the blocks of
+``roughpath._pair_blocks``, the reference pair set, are a row range
+against the columns to its right (``(R, 1)`` and ``(1, C)``), or one
+dyadic lag as two flat arrays.  Flat arrays of any pairs ``i < j`` work
+too.  A point is gathered once per block, and every per-pair quantity is
+formed by broadcasting.  The dyadic-lag seed of the search calls no
+kernel: it reads the value functions (``differences``, ``_second``,
+``_second_diff``), which take slices as well as index arrays, on slice
+views of each lag run, and takes ``block_sup`` of them, with no gather.
+Entries with ``j <= i`` (the lower half of a diagonal tile, the corner of a
+row block) have an infinite gap, so their ratio is exactly 0 and no real
+ratio, all of which are >= 0, is masked by them.
 ``pair_norms`` is the per-pair norm the kernels take; the search bounds its
 tiles with it.
 

@@ -75,9 +75,10 @@ class FlowRun:
         return brownian_lift(self.driver_noise(), grid, STRAT)
 
     def law_noise(self, n_particles: int) -> np.ndarray:
-        """The particle increments of the whole run, (N, cfg.steps, d); a
-        leg over windows [k0, k1) uses the steps [k0, k1) * cfg.inner."""
-        if self._law_noise is None or len(self._law_noise) != n_particles:
+        """The particle increments of the whole run, time-major
+        (cfg.steps, d, N); a leg over windows [k0, k1) takes the rows of
+        steps [k0, k1) * cfg.inner, a view."""
+        if self._law_noise is None or self._law_noise.shape[-1] != n_particles:
             self._law_noise = euler_increments(
                 self.cfg, self.T, n_particles, self.model.d
             )
@@ -93,7 +94,7 @@ class FlowRun:
                              f"{self.cfg.n_freeze} windows")
         inner, r = self.cfg.inner, self.rde_per_freeze
         rp = self.rough.restrict(k0 * r, k1 * r)
-        dW = self.law_noise(e.law.n)[:, k0 * inner : k1 * inner]
+        dW = self.law_noise(e.law.n)[k0 * inner : k1 * inner]
         curve = simulate_frozen_law(self.model, e.law, self.cfg, self.T, k0, dW=dW)
         coeff = frozen_coefficient_field(self.model, curve, (k1 - k0) * r)
         return FlowDetails(curve, doss_sussmann_solve(coeff, rp, e.point), rp)

@@ -76,6 +76,15 @@ class MeasureCurve:
             raise ValueError("particle count must be constant along the curve")
 
 
+#: member streams drawn into one buffer before it is copied, transposed,
+#: into the time-major noise block.  For the 5000-member, 512-cell, d = 3
+#: block of the `particles` benchmark, the copies took 30-35 ms of a
+#: 173-196 ms draw in batches of 64, 37-40 ms in batches of 32, and 29-34 ms
+#: in batches of 128 or 256, whose draws were no faster (medians of 7 draws,
+#: three runs, 2 vCPUs, numpy).
+NOISE_BATCH = 64
+
+
 def particle_noise(
     seed: int,
     n_particles: int,
@@ -83,44 +92,54 @@ def particle_noise(
     d: int,
     h_fine: float,
     member_offset: int = 0,
+    per: int = 1,
 ) -> np.ndarray:
-    """Per-particle Gaussian increments, shape (N, fine_total, d).
+    """Per-particle Gaussian increments, each particle's summed over runs of
+    ``per`` consecutive cells, time-major: shape (fine_total // per, d, N),
+    so that one run's increments of every particle are one contiguous
+    (d, N) block.
 
     Each particle owns one counter-based stream, so a given (seed, member)
-    row is the same whatever else is drawn.  One generator is re-keyed per
-    member (rng.streams) and draws straight into its row.
+    column is the same whatever else is drawn.  One generator is re-keyed
+    per member (rng.streams) and draws its (fine_total, d) normals into a
+    buffer of NOISE_BATCH members.  The buffer is scaled, summed there per
+    member, in the member-major layout whose sum sets the round-off (for
+    d = 1 numpy sums each run pairwise), and copied transposed into the
+    block.  A sum over a run of one cell maps a -0.0 draw to +0.0.
     """
-    out = np.empty((n_particles, fine_total, d))
-    members = range(member_offset, member_offset + n_particles)
-    for row, g in zip(out, rng.streams(seed, rng.PARTICLE_LANE, members)):
-        g.standard_normal(out=row)
-    return np.multiply(out, np.sqrt(h_fine), out=out)
+    out = np.empty((fine_total // per, d, n_particles))
+    buf = np.empty((min(NOISE_BATCH, n_particles), fine_total, d))
+    gens = rng.streams(seed, rng.PARTICLE_LANE,
+                       range(member_offset, member_offset + n_particles))
+    for m0 in range(0, n_particles, NOISE_BATCH):
+        rows = buf[: min(NOISE_BATCH, n_particles - m0)]
+        for row, g in zip(rows, gens):  # rows first: zip takes no extra stream
+            g.standard_normal(out=row)
+        np.multiply(rows, np.sqrt(h_fine), out=rows)
+        rows = rows.reshape(len(rows), -1, per, d).sum(axis=2)
+        out[:, :, m0 : m0 + len(rows)] = rows.transpose(1, 2, 0)
+    return out
 
 
 def euler_increments(
     cfg: FrozenLawConfig, T: float, n_particles: int, d: int, member_offset: int = 0
 ) -> np.ndarray:
-    """The run's Brownian increments per Euler step, shape (N, steps, d).
+    """The run's Brownian increments per Euler step, shape (steps, d, N).
 
     Drawn on the cfg's fine grid of [0, T] and summed per step; a leg that
-    restarts at window k takes the steps from k * cfg.inner on.
+    restarts at window k takes the rows from step k * cfg.inner on.
     """
-    per = cfg.fine_cells // cfg.steps
-    inc = particle_noise(
-        cfg.seed, n_particles, cfg.fine_cells, d, T / cfg.fine_cells, member_offset
-    )
-    if per == 1:  # in place, as a sum over one cell: a -0.0 draw becomes +0.0
-        return np.add(inc, 0.0, out=inc)
-    return inc.reshape(n_particles, cfg.steps, per, d).sum(axis=2)
+    return particle_noise(cfg.seed, n_particles, cfg.fine_cells, d, T / cfg.fine_cells,
+                          member_offset, per=cfg.fine_cells // cfg.steps)
 
 
-def _euler_step(model: MeanFieldModel, Y, mu: EmpiricalMeasure, h: float, dW):
-    """One Euler-Maruyama step of every particle under the frozen law mu:
-    Y + h b + (a1 dW^T + sum_k (a0[:, k, :] Y^T) dW_k)^T, the affine sigma term
-    by term, one noise coordinate k at a time (none if a0 = 0).  The noise
-    term is built on (d, N) arrays, whose loops run along the particles; no
-    (N, d, d) array is built."""
-    dWT = np.ascontiguousarray(dW.T)
+def _euler_step(model: MeanFieldModel, Y, mu: EmpiricalMeasure, h: float, dWT):
+    """One Euler-Maruyama step of every particle under the frozen law mu, on
+    the step's increments dWT, shape (d, N), a row of a time-major block:
+    Y + h b + (a1 dWT + sum_k (a0[:, k, :] Y^T) dWT_k)^T, the affine sigma
+    term by term, one noise coordinate k at a time (none if a0 = 0).  The
+    noise term is built on (d, N) arrays, whose loops run along the
+    particles; no (N, d, d) array is built."""
     noise = model.a1(mu) @ dWT
     if model.a0.any():
         for k in range(model.d):
@@ -141,22 +160,22 @@ def simulate_frozen_law(
 
     ``cfg`` and ``T`` fix the scheme: the step h = T / cfg.steps and the
     cfg.inner steps per window.  ``dW``, the Euler-step increments of shape
-    (N, k * cfg.inner, d) with k >= 1 and k0 + k <= cfg.n_freeze, fixes how
+    (k * cfg.inner, d, N) with k >= 1 and k0 + k <= cfg.n_freeze, fixes how
     many steps run; by default it is the cfg's whole block
     (euler_increments).  A leg restarted at window k0 passes the run's cfg,
-    T and block from step k0 * cfg.inner on, so it replays the run's noise
-    at the run's step, and its state after step j is labelled with the run's
-    own step time (k0 * cfg.inner + j + 1) h.
+    T and block rows from step k0 * cfg.inner on, so it replays the run's
+    noise at the run's step, and its state after step j is labelled with the
+    run's own step time (k0 * cfg.inner + j + 1) h.
     """
     if model.d != mu0.d:
         raise ValueError("model and initial measure dimension mismatch")
     N, d = mu0.n, mu0.d
     if dW is None:
         dW = euler_increments(cfg, T, N, d)
-    steps = dW.shape[1]
-    if dW.shape != (N, steps, d) or steps % cfg.inner or not 0 < steps <= cfg.steps:
-        raise ValueError(f"dW has shape {dW.shape}, expected (N, k * inner, d) = "
-                         f"({N}, k * {cfg.inner}, {d}) with 1 <= k <= {cfg.n_freeze}")
+    steps = len(dW)
+    if dW.shape != (steps, d, N) or steps % cfg.inner or not 0 < steps <= cfg.steps:
+        raise ValueError(f"dW has shape {dW.shape}, expected (k * inner, d, N) = "
+                         f"(k * {cfg.inner}, {d}, {N}) with 1 <= k <= {cfg.n_freeze}")
     j0 = k0 * cfg.inner
     if k0 < 0 or j0 + steps > cfg.steps:
         raise ValueError(f"{steps // cfg.inner} windows from window {k0} do not fit "
@@ -170,7 +189,7 @@ def simulate_frozen_law(
     for j in range(steps):
         if j % cfg.inner == 0:
             frozen = measures[-1]  # the law just recorded, at step j
-        Y = _euler_step(model, Y, frozen, h, dW[:, j, :])
+        Y = _euler_step(model, Y, frozen, h, dW[j])
         if not np.all(np.isfinite(Y)):
             raise RuntimeError(f"non-finite particle state at step {j}")
         if record_inner or (j + 1) % cfg.inner == 0:
@@ -320,7 +339,7 @@ def simulate_dual_sde(
     dW = euler_increments(cfg, T, N, d, member_offset)
     Y = np.array(atoms0, order="F")
     for j in range(cfg.steps):
-        Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[:, j, :])
+        Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[j])
     return Y
 
 

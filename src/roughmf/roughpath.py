@@ -50,14 +50,15 @@ def check_alpha(alpha: float) -> float:
 
 
 def _lag_blocks(n_cells: int):
-    """The pairs (i, i + 2^k), one lag at a time, cut into flat blocks of at
-    most PAIR_BLOCK pairs."""
+    """The pairs (i, i + 2^k), one lag at a time, cut into runs of at most
+    PAIR_BLOCK pairs, each run a pair (i, j) of slices i0:i1 and
+    i0 + 2^k:i1 + 2^k."""
     m = n_cells + 1
     k = 1
     while k <= n_cells:
         for i0 in range(0, m - k, PAIR_BLOCK):
-            i = np.arange(i0, min(i0 + PAIR_BLOCK, m - k), dtype=np.int64)
-            yield i, i + k
+            i1 = min(i0 + PAIR_BLOCK, m - k)
+            yield slice(i0, i1), slice(i0 + k, i1 + k)
         k *= 2
 
 
@@ -77,7 +78,9 @@ def _pair_blocks(n_cells: int):
     as the reference of that max.
     """
     if n_cells > PAIR_CAP:
-        yield from _lag_blocks(n_cells)
+        for i, j in _lag_blocks(n_cells):
+            yield (np.arange(i.start, i.stop, dtype=np.int64),
+                   np.arange(j.start, j.stop, dtype=np.int64))
         return
     m = n_cells + 1
     # R rows against at most n_cells columns
@@ -92,6 +95,16 @@ def _block_max(ratio, blocks) -> float:
     for ii, jj in blocks:
         best = np.maximum(best, ratio(ii, jj))  # a NaN stays NaN
     return float(best)
+
+
+def _lag_seed(f, times, exponent) -> float:
+    """Largest |f(i, j)| / (t_j - t_i)^exponent over the dyadic lags, f read
+    on the slice views of each run of ``_lag_blocks``: no index array is
+    built and no point is gathered."""
+    return _block_max(
+        lambda i, j: _accel.block_sup(f(i, j), times[j] - times[i], exponent),
+        _lag_blocks(len(times) - 1),
+    )
 
 
 def _row_maxima(f, tiles):
@@ -122,10 +135,12 @@ def _pair_sup(ratio, times, exponent, values, terms=()) -> float:
     """Discrete Hölder supremum over the pair set of ``_pair_blocks``, equal
     bitwise to the max of ``ratio`` over every block of that set.
 
-    ``ratio(ii, jj)`` is one pair kernel call, a block's largest
-    |Z_{i,j}| / (t_j - t_i)^exponent.  ``values`` is the pair (f, s) of the
-    kernel's value function, f(ii, jj) the block's computed values Z_{i,j}
-    (of the block's shape followed by the value axes), and its slack s (see
+    ``ratio(ii, jj)`` is one pair kernel call on index arrays, a block's
+    largest |Z_{i,j}| / (t_j - t_i)^exponent, bitwise
+    ``_accel.block_sup(f(ii, jj), _accel._gap(times, ii, jj), exponent)``.
+    ``values`` is the pair (f, s) of the kernel's value function, f(ii, jj)
+    the block's computed values Z_{i,j} (of the block's shape followed by
+    the value axes), for index arrays or for slices, and its slack s (see
     ``_accel``).  ``terms`` holds pairs (U, V) of such (f, s) pairs for
     which Chen's relation
 
@@ -133,11 +148,14 @@ def _pair_sup(ratio, times, exponent, values, terms=()) -> float:
 
     holds in exact arithmetic on the stored arrays for i <= p <= j.
 
-    The dyadic lags (i, i + 2^k) seed the running best; above PAIR_CAP they
-    are the pair set, so the seed is the value.  Up to PAIR_CAP the nodes
-    are cut into tiles of PAIR_TILE, the diagonal tiles are evaluated, and
-    each tile pair a < b is bounded from its anchor p, the first node of
-    tile b, and its smallest gap g = t_p - t_l, l the last node of tile a:
+    The dyadic lags (i, i + 2^k) seed the running best (``_lag_seed``): f
+    reads each lag run on slice views, which gather nothing, and
+    ``block_sup`` takes the ratios ``ratio`` gives on those pairs.  Above
+    PAIR_CAP the lags are the pair set, so the seed is the value.  Up to
+    PAIR_CAP the nodes are cut into tiles of PAIR_TILE, the diagonal tiles
+    are evaluated, and each tile pair a < b is bounded from its anchor p,
+    the first node of tile b, and its smallest gap g = t_p - t_l, l the
+    last node of tile a:
 
         B = (max_i |Z_{i,p}| + max_j |Z_{p,j}| + 3 s
              + sum (max_i |U_{i,p}| + s_U) (max_j |V_{p,j}| + s_V))
@@ -162,9 +180,8 @@ def _pair_sup(ratio, times, exponent, values, terms=()) -> float:
     or NaN, and ``np.maximum`` keeps a NaN.  A NaN bound, which finite
     inputs give only through overflow, counts as infinite.
     """
-    n = len(times) - 1
-    best = _block_max(ratio, _lag_blocks(n))
-    if n > PAIR_CAP:
+    best = _lag_seed(values[0], times, exponent)
+    if len(times) - 1 > PAIR_CAP:
         return best
     return _tile_search(ratio, times, exponent, values, terms, best)
 

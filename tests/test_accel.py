@@ -5,15 +5,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from roughmf import _accel, roughpath
+from roughmf import _accel, rde, roughpath
+from roughmf.controlled import ControlledPath, _remainders
 from roughmf.grids import TimeGrid
 from roughmf.rde import linear_coefficients, linear_flow
 from roughmf.roughpath import (
+    PAIR_CAP,
     STRAT,
     NoisePath,
     RoughPath,
     _block_max,
     _first_sup,
+    _lag_seed,
     _pair_blocks,
     _second_diff_sup,
     _second_sup,
@@ -113,6 +116,117 @@ def test_pair_suprema_match_brute_force_on_dyadic_lags(monkeypatch):
     rp, rq = rough_pair(7, 40, 2, uniform=False)
     got = kernel_suprema(rp, rq)
     assert np.allclose(got, brute_suprema(rp, rq), rtol=1e-13, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the dyadic-lag seed on slice views against the index-array kernels
+# ---------------------------------------------------------------------------
+
+def lag_value_cases(n_cells):
+    """(label, value function, kernel on index arrays, exponent) for the
+    first level, the second level, the two parts of a distance and a
+    controlled remainder, on random paths of a non-uniform grid."""
+    rp, rq = rough_pair(n_cells, n_cells, 2, uniform=False)
+    X, A, Y, B, t, a = rp.values, rp._cum, rq.values, rq._cum, rp.times, rp.alpha
+    cp = ControlledPath(rp, np.sin(X[:, 0]), np.stack([np.cos(X[:, 0]), X[:, 1]], axis=1))
+
+    def remainder_ratio(ii, jj):
+        return _accel.block_sup(_remainders(cp, ii, jj), _accel._gap(t, ii, jj), 2 * a)
+
+    return [
+        ("first", _accel.differences(X)[0],
+         lambda ii, jj: _accel.pair_sup_first(X, t, ii, jj, a), a),
+        ("second", lambda ii, jj: _accel._second(X, A, ii, jj),
+         lambda ii, jj: _accel.pair_sup_second(X, A, t, ii, jj, a), 2 * a),
+        ("first difference", _accel.differences(X - Y)[0],
+         lambda ii, jj: _accel.pair_sup_first(X - Y, t, ii, jj, a), a),
+        ("second difference", lambda ii, jj: _accel._second_diff(X, A, Y, B, ii, jj),
+         lambda ii, jj: _accel.pair_sup_second_diff(X, A, Y, B, t, ii, jj, a), 2 * a),
+        ("controlled remainder", lambda ii, jj: _remainders(cp, ii, jj), remainder_ratio, 2 * a),
+    ], t
+
+
+# 1000 cells in runs of 100 pairs: every lag run up to 2^9 is cut
+@pytest.mark.parametrize("n_cells,block", [(1000, None), (PAIR_CAP, None),
+                                           (PAIR_CAP + 1, None), (1000, 100)])
+def test_lag_seed_on_slices_equals_the_kernels_on_index_arrays(monkeypatch, n_cells, block):
+    # the seed reads each value function on slice views; the reference is
+    # the kernel's max over the lag blocks of _pair_blocks, int64 index
+    # arrays (PAIR_CAP 0 makes every grid a lag grid), and a one-call
+    # kernel per whole lag, uncut
+    if block is not None:
+        monkeypatch.setattr(roughpath, "PAIR_BLOCK", block)
+    cases, t = lag_value_cases(n_cells)
+    m = n_cells + 1
+    lags = [1 << k for k in range(n_cells.bit_length())]
+    with monkeypatch.context() as patch:
+        patch.setattr(roughpath, "PAIR_CAP", 0)
+        blocks = list(_pair_blocks(n_cells))
+    assert all(b.dtype == np.int64 for block_ in blocks for b in block_)
+    if block is not None:
+        assert len(blocks) > len(lags)
+    for label, f, ratio, e in cases:
+        got = _lag_seed(f, t, e)
+        assert got == _block_max(ratio, blocks), label
+        whole = max(ratio(np.arange(m - k), np.arange(k, m)) for k in lags)
+        assert got == whole, label
+
+
+def test_pair_kernels_only_see_index_arrays(monkeypatch):
+    # the benchmark's tracer counts each kernel call's pairs as len(ii), as
+    # here; a slice has no len, so every call must pass index arrays.  Up to
+    # the cap the tile batches call every kernel; above it nothing does
+    want = {}
+    for cells in (600, PAIR_CAP + 1):
+        rp, rq = rough_pair(cells, cells, 2, uniform=False)
+        want[cells] = (rough_distance(rp, rq), rp.holder_norms())
+    counts = {}
+
+    def counted(name, kernel):
+        def run(*args):
+            counts[name] = counts.get(name, 0) + len(args[-3])
+            return kernel(*args)
+        return run
+
+    names = ("pair_sup_first", "pair_sup_second", "pair_sup_second_diff")
+    for name in names:
+        monkeypatch.setattr(_accel, name, counted(name, getattr(_accel, name)))
+    for cells in (600, PAIR_CAP + 1):
+        counts.clear()
+        rp, rq = rough_pair(cells, cells, 2, uniform=False)
+        assert (rough_distance(rp, rq), rp.holder_norms()) == want[cells]
+        if cells <= PAIR_CAP:
+            assert set(counts) == set(names) and min(counts.values()) > 0
+        else:
+            assert counts == {}
+
+
+# ---------------------------------------------------------------------------
+# march
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_march_guard_names_the_cell_of_a_non_finite_input(bad):
+    # rde._march steps through the maps whatever they hold, then names the
+    # cell of the first state past the guard, forward and backward
+    rng = np.random.default_rng(8)
+    n = 20
+    P = np.eye(2) + 0.1 * rng.normal(size=(n, 2, 2))
+    q = 0.1 * rng.normal(size=(n, 2))
+    y0 = np.array([0.5, -0.25])
+    rde._march(P, q, y0, 0, False)  # finite maps pass
+    bad_P, bad_q = P.copy(), q.copy()
+    bad_P[5, 0, 1] = bad
+    bad_q[7, 1] = bad
+    with pytest.raises(RuntimeError, match="guard tripped at step 5:"):
+        rde._march(bad_P, q, y0, 0, False)
+    with pytest.raises(RuntimeError, match="guard tripped at step 7:"):
+        rde._march(P, bad_q, y0, 0, False)
+    # backward from cell 10 on: map 7 is that of cell 10 + n - 1 - 7
+    with pytest.raises(RuntimeError, match=f"guard tripped at step {10 + n - 1 - 7}:"):
+        rde._march(P, bad_q, y0, 10, True)
+    with pytest.raises(RuntimeError, match="guard tripped at step 3:"):
+        rde._march(P, q, np.array([bad, 0.0]), 3, False)
 
 
 # ---------------------------------------------------------------------------

@@ -167,11 +167,11 @@ def test_driver_noise_cached():
 def test_law_noise_cached_per_ensemble_size():
     run, _ = make_run()
     block = run.law_noise(30)
-    assert block.shape == (30, run.cfg.steps, 2)
+    assert block.shape == (run.cfg.steps, 2, 30)
     assert run.law_noise(30) is block
     other = run.law_noise(20)
-    assert other.shape == (20, run.cfg.steps, 2)
-    assert np.array_equal(other, block[:20])
+    assert other.shape == (run.cfg.steps, 2, 20)
+    assert np.array_equal(other, block[..., :20])
 
 
 def test_driver_lifted_once_per_run(monkeypatch):

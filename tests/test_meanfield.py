@@ -97,7 +97,7 @@ def test_particle_noise_tail_replay_bitwise():
                               full.measures[-1].atoms)
         for k1 in (k + 1, n_freeze):
             leg = simulate_frozen_law(model, full.measures[k], cfg, T, k,
-                                      dW=dW[:, k * inner : k1 * inner])
+                                      dW=dW[k * inner : k1 * inner])
             assert len(leg.measures) == k1 - k + 1
             assert leg.times.tobytes() == full.times[k : k1 + 1].tobytes()
             assert np.array_equal(leg.measures[-1].atoms, full.measures[k1].atoms)
@@ -107,8 +107,8 @@ def test_euler_increments_sum_the_fine_grid():
     cfg = FrozenLawConfig(4, inner=2, seed=1, fine_cells=24)
     dW = euler_increments(cfg, 2.0, 5, 2)
     fine = particle_noise(1, 5, 24, 2, h_fine=2.0 / 24)
-    assert dW.shape == (5, 8, 2)
-    assert np.array_equal(dW, fine.reshape(5, 8, 3, 2).sum(axis=2))
+    assert dW.shape == (8, 2, 5) and fine.shape == (24, 2, 5)
+    assert np.array_equal(dW, fine.reshape(8, 3, 2, 5).sum(axis=1))
 
 
 def test_simulate_rejects_wrong_increment_shape():
@@ -116,8 +116,8 @@ def test_simulate_rejects_wrong_increment_shape():
     mu0 = gauss_init(14, 10, 2)
     cfg = FrozenLawConfig(4, inner=2, seed=0)
     dW = euler_increments(cfg, 1.0, 10, 2)
-    longer = np.concatenate([dW, dW[:, :2]], axis=1)
-    for bad in (dW[:, :-1], dW[:, :0], longer, dW[:-1], dW[..., :1]):
+    longer = np.concatenate([dW, dW[:2]])
+    for bad in (dW[:-1], dW[:0], longer, dW[..., :-1], dW[:, :1], dW.transpose(2, 0, 1)):
         with pytest.raises(ValueError, match="dW has shape"):
             simulate_frozen_law(model, mu0, cfg, 1.0, dW=bad)
 
@@ -127,11 +127,11 @@ def test_simulate_rejects_a_leg_past_the_run_end():
     mu0 = gauss_init(14, 10, 2)
     cfg = FrozenLawConfig(4, inner=2, seed=0)
     dW = euler_increments(cfg, 1.0, 10, 2)
-    for k0, block in ((1, dW), (3, dW[:, 2:]), (2, dW[:, :6]), (-1, dW[:, :2])):
+    for k0, block in ((1, dW), (3, dW[2:]), (2, dW[:6]), (-1, dW[:2])):
         with pytest.raises(ValueError, match="do not fit in the run's 4 windows"):
             simulate_frozen_law(model, mu0, cfg, 1.0, k0, dW=block)
     # the last window's leg fits, and ends at T
-    leg = simulate_frozen_law(model, mu0, cfg, 1.0, 3, dW=dW[:, 6:])
+    leg = simulate_frozen_law(model, mu0, cfg, 1.0, 3, dW=dW[6:])
     assert leg.times.tolist() == [0.75, 1.0]
 
 
@@ -142,19 +142,22 @@ def test_particle_noise_member_offset_independent():
     # offsetting by k shifts which stream each slot reads
     c = particle_noise(0, 4, 8, 1, h_fine=0.1)
     d = particle_noise(0, 3, 8, 1, h_fine=0.1, member_offset=1)
-    assert np.array_equal(c[1:], d)
+    assert np.array_equal(c[..., 1:], d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("member_offset", [0, 5, 4097])
 def test_particle_noise_equals_per_member_streams(d, member_offset):
-    # one re-keyed generator draws what a fresh stream per member draws
-    got = particle_noise(9, 6, 40, d, h_fine=0.03, member_offset=member_offset)
-    want = np.stack([
-        rng.stream(9, rng.PARTICLE_LANE, member_offset + i).standard_normal((40, d))
-        for i in range(6)
-    ]) * np.sqrt(0.03)
-    assert got.tobytes() == want.tobytes()
+    # one re-keyed generator draws what a fresh stream per member draws;
+    # member i is column i of the time-major block, across draw batches too
+    for n in (6, 2 * meanfield.NOISE_BATCH + 3):
+        got = particle_noise(9, n, 40, d, h_fine=0.03, member_offset=member_offset)
+        want = np.stack([
+            rng.stream(9, rng.PARTICLE_LANE, member_offset + i).standard_normal((40, d))
+            for i in range(n)
+        ]) * np.sqrt(0.03)
+        assert got.shape == (40, d, n)
+        assert got.tobytes() == np.ascontiguousarray(want.transpose(1, 2, 0)).tobytes()
 
 
 def test_streams_rekey_to_the_stream_address():
@@ -172,23 +175,27 @@ def test_streams_rekey_to_the_stream_address():
 
 
 def _scaled_then_summed(draw, n, cfg, T, d):
-    """The reference increment block: scale every draw, then sum each step's
-    fine cells."""
+    """The reference increment block: scale every member-major draw (N,
+    fine_cells, d), sum each step's fine cells, and lay the block out
+    time-major, (steps, d, N)."""
     per = cfg.fine_cells // cfg.steps
-    return (draw * np.sqrt(T / cfg.fine_cells)).reshape(n, cfg.steps, per, d).sum(axis=2)
+    summed = (draw * np.sqrt(T / cfg.fine_cells)).reshape(n, cfg.steps, per, d).sum(axis=2)
+    return np.ascontiguousarray(summed.transpose(1, 2, 0))
 
 
-@pytest.mark.parametrize("fine_cells", [8, 16])
+@pytest.mark.parametrize("fine_cells", [8, 16, 128])
 def test_euler_increments_equal_the_scaled_sum_bitwise(fine_cells):
-    # per == 1 returns the drawn block itself, per == 2 sums it; both equal
-    # the scale-then-sum formula to the bit
+    # per == 1, 2 and 16 each equal the member-major scale-then-sum formula
+    # to the bit, also at d = 1 and per = 16, where numpy sums each member's
+    # run of cells pairwise
     cfg = FrozenLawConfig(4, inner=2, seed=2, fine_cells=fine_cells)
-    draw = np.stack([
-        rng.stream(2, rng.PARTICLE_LANE, 3 + i).standard_normal((fine_cells, 3))
-        for i in range(5)
-    ])
-    got = euler_increments(cfg, 1.5, 5, 3, member_offset=3)
-    assert got.tobytes() == _scaled_then_summed(draw, 5, cfg, 1.5, 3).tobytes()
+    for d in (1, 3):
+        draw = np.stack([
+            rng.stream(2, rng.PARTICLE_LANE, 3 + i).standard_normal((fine_cells, d))
+            for i in range(5)
+        ])
+        got = euler_increments(cfg, 1.5, 5, d, member_offset=3)
+        assert got.tobytes() == _scaled_then_summed(draw, 5, cfg, 1.5, d).tobytes()
 
 
 @pytest.mark.parametrize("fine_cells", [8, 16])
@@ -241,14 +248,15 @@ STEP_MODELS = [("eks-gaussian", {"Sigma": np.array([[1.0, 0.3], [0.3, 2.0]])}),
 @pytest.mark.parametrize("n", [1, 7, 5000])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_euler_step_equals_the_tensor_reference(name, params, n, order):
-    # Y + h b + dW a1^T + the a0 term equals Y + h b + sigma(Y, mu) dW, with
-    # dW one step's slice of a block as in a run, for states in either layout
+    # Y + h b + a1 dWT + the a0 term equals Y + h b + sigma(Y, mu) dW, with
+    # dWT one step's row of a time-major block as in a run, for states in
+    # either layout
     model = build_model(name, params)
     mu = gauss_init(21, 300, model.d)
     Y = np.array(gauss_init(22, n, model.d).atoms * 3.0, order=order)
-    dW = np.random.default_rng(23).normal(size=(n, 5, model.d))[:, 2, :] * 0.1
-    got = meanfield._euler_step(model, Y, mu, 0.01, dW)
-    want = Y + 0.01 * model.b(Y, mu) + np.einsum("nik,nk->ni", model.sigma(Y, mu), dW)
+    dWT = (np.random.default_rng(23).normal(size=(5, model.d, n)) * 0.1)[2]
+    got = meanfield._euler_step(model, Y, mu, 0.01, dWT)
+    want = Y + 0.01 * model.b(Y, mu) + np.einsum("nik,kn->ni", model.sigma(Y, mu), dWT)
     assert got.shape == (n, model.d)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
