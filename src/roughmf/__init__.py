@@ -37,6 +37,7 @@ from .cocycle import (
     FlowRun,
     JointState,
     cocycle_defect,
+    cocycle_defect_at,
     continuity_probe,
     wong_zakai_run,
 )

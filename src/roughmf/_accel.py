@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# no compiled backend; kept as a constant for run records that name the backend
+# no compiled backend; perfbench/run.py reads this to name the backend in its run records
 HAVE_NUMBA = False
 
 EPS = float(np.finfo(float).eps)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import rng, verdicts
-from .cocycle import FlowDetails, FlowRun, JointState, cocycle_defect, flow_details
+from .cocycle import FlowDetails, FlowRun, JointState, cocycle_defect_at, flow_details
 from .meanfield import (
     FrozenLawConfig,
     feynman_kac_duality,
@@ -44,16 +44,24 @@ DEFAULTS = {
 }
 
 
-def load_config(path: str) -> dict:
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path, or a one-line error naming it."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
-        raise SystemExit(f"{path}: cannot read config: {exc.strerror}")
+        raise SystemExit(f"{path}: cannot read {what}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise SystemExit(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}")
-    if not isinstance(cfg, dict):
-        raise SystemExit(f"{path}: config must be a JSON object, got {type(cfg).__name__}")
+    except UnicodeDecodeError:
+        raise SystemExit(f"{path}: invalid JSON: not UTF-8 text")
+    if not isinstance(obj, dict):
+        raise SystemExit(f"{path}: {what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def load_config(path: str) -> dict:
+    cfg = _load_json_object(path, "config")
     merged = json.loads(json.dumps(DEFAULTS))
     for k, v in cfg.items():
         if isinstance(v, dict) and isinstance(merged.get(k), dict):
@@ -232,9 +240,29 @@ def _frozen_cfg(cfg: dict, seed: int) -> FrozenLawConfig:
 # verbs
 # ---------------------------------------------------------------------------
 
+def _make_outdir(outdir: str) -> None:
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"{outdir}: cannot create output directory: {exc.strerror}")
+
+
+def _read_table(path: str) -> np.ndarray:
+    """The rows of numbers of a ``simulate`` artifact, or a one-line error
+    naming the file."""
+    if not os.path.exists(path):
+        raise SystemExit(f"missing artifact {path}; run simulate first")
+    try:
+        return np.atleast_2d(np.loadtxt(path))
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read artifact: {exc.strerror}")
+    except ValueError as exc:
+        raise SystemExit(f"{path}: corrupt artifact: {exc}")
+
+
 def cmd_simulate(cfg: dict, outdir: str) -> int:
     model = build_model(cfg["model"]["name"], _model_params(cfg["model"]))
-    os.makedirs(outdir, exist_ok=True)
+    _make_outdir(outdir)
     for seed in cfg["seeds"]:
         mu0 = initial_measure(cfg, seed, model)
         curve = simulate_frozen_law(model, mu0, _frozen_cfg(cfg, seed), cfg["T"])
@@ -277,10 +305,10 @@ def check_duality(run: FlowRun, details: FlowDetails) -> dict:
 
 def check_cocycle(run: FlowRun, details: FlowDetails) -> dict:
     n = run.cfg.n_freeze
-    delta, q = run.T / n, max(1, n // 4)
+    q = max(1, n // 4)
     e0 = details.state_at(0)
     return verdicts.cocycle(
-        cocycle_defect(run, e0, i * q * delta, j * q * delta, details=details)
+        cocycle_defect_at(run, e0, i * q, j * q, details=details)
         for i in (1, 2) for j in (1, 2) if (i + j) * q <= n
     )
 
@@ -306,8 +334,8 @@ CHECKS = {
 def cmd_verify(cfg: dict, outdir: str) -> int:
     if not cfg["checks"]:
         raise SystemExit(f"verify: the config lists no checks (known: {sorted(CHECKS)})")
+    _make_outdir(outdir)
     run, details = verify_run(cfg)
-    os.makedirs(outdir, exist_ok=True)
     verdict = {name: CHECKS[name](run, details) for name in cfg["checks"]}
     with open(os.path.join(outdir, "verdict.json"), "w") as fh:
         json.dump(verdict, fh, sort_keys=True, indent=2, default=float)
@@ -323,10 +351,12 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
         rows = []
         for seed in cfg["seeds"]:
             path = os.path.join(outdir, f"summary-seed{seed}.txt")
-            if not os.path.exists(path):
-                raise SystemExit(f"missing artifact {path}; run simulate first")
-            table = np.atleast_2d(np.loadtxt(path))
-            d = int(np.sqrt(table.shape[1] - 3 + 0.25) - 0.5)  # 3 + d + d^2 cols
+            table = _read_table(path)
+            k = table.shape[1]
+            d = int(np.sqrt(max(k - 3, 0) + 0.25) - 0.5)
+            if d < 1 or k != 3 + d + d * d:
+                raise SystemExit(f"{path}: corrupt artifact: {k} columns, "
+                                 f"not 3 + d + d^2 for a dimension d >= 1")
             names = (
                 ["M2", "M4"]
                 + [f"mean{i}" for i in range(d)]
@@ -346,8 +376,7 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
         src = os.path.join(outdir, "verdict.json")
         if not os.path.exists(src):
             raise SystemExit(f"missing artifact {src}; run verify first")
-        with open(src) as fh:
-            verdict = json.load(fh)
+        verdict = _load_json_object(src, "verdict")
         out = os.path.join(outdir, "defects-long.txt")
         with open(out, "w") as fh:
             fh.write("# s t point_defect law_defect tolerance\n")
@@ -364,11 +393,10 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
         points = []
         for seed in cfg["seeds"]:
             path = os.path.join(outdir, f"curve-seed{seed}.txt")
-            if not os.path.exists(path):
-                raise SystemExit(f"missing artifact {path}; run simulate first")
-            with open(path) as fh:
-                fh.readline()
-                table = np.atleast_2d(np.loadtxt(fh))
+            table = _read_table(path)  # its "#" header line is a comment
+            if table.shape[1] < 3:
+                raise SystemExit(f"{path}: corrupt artifact: {table.shape[1]} columns, "
+                                 f"not time, particle id and coordinates")
             times = np.unique(table[:, 0])
             clouds = [
                 EmpiricalMeasure(table[table[:, 0] == t][:, 2:]) for t in times

@@ -169,10 +169,24 @@ def cocycle_defect(
     p: float = 2.0,
     details: Optional[FlowDetails] = None,
 ) -> dict:
-    """Compare phi(s+t, omega, e0) with phi(t, theta_s omega, phi(s, omega, e0)).
+    """``cocycle_defect_at`` of the freeze-window edges s and t, parsed once
+    to window indices ks, kt; the report carries s and t as given."""
+    ks, kt = run.cfg.window_index(s, run.T), run.cfg.window_index(t, run.T)
+    return cocycle_defect_at(run, e0, ks, kt, p, details) | {"s": s, "t": t}
 
-    s and t are freeze-window edges, parsed once to window indices ks, kt;
-    without ``details`` the one-shot is the leg over [0, ks + kt).  The
+
+def cocycle_defect_at(
+    run: FlowRun,
+    e0: JointState,
+    ks: int,
+    kt: int,
+    p: float = 2.0,
+    details: Optional[FlowDetails] = None,
+) -> dict:
+    """Compare phi(s+t, omega, e0) with phi(t, theta_s omega, phi(s, omega, e0))
+    at s = ks delta and t = kt delta, delta = T / n_freeze.
+
+    Without ``details`` the one-shot is the leg over [0, ks + kt).  The
     second stage is the leg over windows [ks, ks + kt) from the
     one-shot state at s: the law particles restart on the run's increments
     of those windows, the point on the driver's window from s.  It is read
@@ -180,12 +194,15 @@ def cocycle_defect(
     of the one-shot.  Reports point and law defects plus the single-run
     self-consistency defect used as the tolerance scale.
     """
-    ks, kt = run.cfg.window_index(s, run.T), run.cfg.window_index(t, run.T)
     if details is None:
         details = run.leg(e0, 0, ks + kt)
+    K = len(details.curve.measures) - 1
+    if min(ks, kt) < 0 or ks + kt > K:
+        raise ValueError(f"windows ks = {ks}, kt = {kt} do not fit the one-shot's {K} windows")
     end = details.state_at(ks + kt)
+    delta = run.T / run.cfg.n_freeze
     rep = {"point_defect": 0.0, "law_defect": 0.0, "law_upper": 0.0,
-           "self_defect": details.self_defect, "s": s, "t": t}
+           "self_defect": details.self_defect, "s": ks * delta, "t": kt * delta}
     if ks == 0 or kt == 0:
         return rep
     endB = run.restart(details, ks).state_at(kt)

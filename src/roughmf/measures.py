@@ -6,6 +6,11 @@ The dual metric sup_phi int phi d(mu - nu) over the class {phi : |grad phi|,
 |D^2 phi| <= 1 + |y|^{p-1}} is not computable; the module ships a bracket:
 a lower bound from a finite certified test family and an upper bound from a
 mean-value estimate along a transport coupling.
+
+scipy is imported by the three kernels that call it (``_cost_matrix``,
+``_coupling_assignment``, ``_coupling_lp``), so importing the module loads
+numpy only; the first exact coupling loads scipy, on whichever thread
+reaches it first, under Python's import lock.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial.distance import cdist
 
 ASSIGNMENT_CAP = 512  # exact bipartite matching up to this many atoms
 LP_CELL_CAP = 40000  # exact transport LP up to this many coupling cells
@@ -108,12 +110,16 @@ def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float) -> np.nda
     """Transport cost |x_i - y_j|^p, shape (mu.n, nu.n), Euclidean: the one
     dense cost kernel of every exact coupling.  The power is taken in place:
     the same ufunc as cdist(...) ** p, without a second (N, M) array."""
+    from scipy.spatial.distance import cdist
+
     cost = cdist(mu.atoms, nu.atoms)
     cost **= p
     return cost
 
 
 def _coupling_assignment(mu, nu, p):
+    from scipy.optimize import linear_sum_assignment
+
     cost = _cost_matrix(mu, nu, p)
     rows, cols = linear_sum_assignment(cost)
     mass = np.full(len(rows), 1.0 / len(rows))
@@ -121,6 +127,9 @@ def _coupling_assignment(mu, nu, p):
 
 
 def _coupling_lp(mu, nu, p):
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     N, M = mu.n, nu.n
     cost = _cost_matrix(mu, nu, p).ravel()
     # marginal constraints on the row-major plan pi (N, M): row sums, then

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import roughmf
 from roughmf.grids import TimeGrid
 from roughmf.roughpath import STRAT, NoisePath, brownian_lift
 
@@ -69,14 +75,23 @@ def rk4_oracle(a0, table, noise, level, corrected, y0):
     return Y
 
 
+def fresh_python(script, *args):
+    """Run script in a new interpreter that imports this roughmf; return the
+    last line it printed."""
+    src = str(Path(roughmf.__file__).parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def assert_close(a, b, tol, msg=""):
     err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
     assert err <= tol, f"{msg} max err {err:g} > {tol:g}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    import sys
-
     mod = sys.modules.get("test_acceptance")
     results = getattr(mod, "RESULTS", None) if mod else None
     if not results:

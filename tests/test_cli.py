@@ -10,6 +10,8 @@ import roughmf.cli as cli
 from roughmf import cocycle, meanfield, verdicts
 from roughmf.cli import canonical_config, load_config, main, validate_config
 
+from conftest import fresh_python
+
 
 def write_config(tmp_path, **overrides):
     cfg = {
@@ -417,6 +419,121 @@ def test_emit_metric_curves_names_the_missing_curve(tmp_path):
     msg = str(exc.value)
     assert str(out / "curve-seed1.txt") in msg and "\n" not in msg
     assert not (out / "metric-curves.txt").exists()
+
+
+def test_output_dir_under_a_missing_parent_is_one_line_error(tmp_path):
+    # os.makedirs creates missing parents, but not through a dangling link
+    (tmp_path / "gone").symlink_to(tmp_path / "nowhere")
+    p = write_config(tmp_path, seeds=[0], particles=20, checks=["moments"])
+    out = tmp_path / "gone" / "out"
+    for verb in ("simulate", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", str(p), "--output-dir", str(out)])
+        assert str(exc.value) == (f"{out}: cannot create output directory: "
+                                  f"No such file or directory")
+
+
+def test_output_dir_that_is_a_file_is_one_line_error(tmp_path, monkeypatch):
+    p = write_config(tmp_path, seeds=[0], particles=20, checks=["moments"])
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    # verify stops before it runs anything
+    monkeypatch.setattr(cli, "verify_run", lambda cfg: pytest.fail("verify ran"))
+    for verb in ("simulate", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", str(p), "--output-dir", str(out)])
+        assert str(exc.value) == f"{out}: cannot create output directory: File exists"
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+def test_corrupt_summary_is_one_line_error(tmp_path):
+    p = write_config(tmp_path, seeds=[0, 1], particles=20)
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(p), "--output-dir", str(out)])
+    summary = out / "summary-seed1.txt"
+    good = summary.read_text()
+    garbled = good.replace("\n", "\n0.5 garbage ", 1)
+    for corrupt in (garbled, good[: len(good) // 2], "# header\n1 2 3\n", ""):
+        summary.write_text(corrupt)
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "moments"])
+        msg = str(exc.value)
+        assert msg.startswith(f"{summary}: corrupt artifact: ") and "\n" not in msg, msg
+    assert not (out / "moments-long.txt").exists()
+
+
+def test_corrupt_verdict_is_one_line_error(tmp_path):
+    p = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    verdict = out / "verdict.json"
+    cases = [
+        ('{"cocycle": {"defects": [', f"{verdict}:1: invalid JSON: Expecting value"),
+        ("[1, 2]", f"{verdict}: verdict must be a JSON object, got list"),
+        (b"\xff\xfe{}", f"{verdict}: invalid JSON: not UTF-8 text"),
+    ]
+    for corrupt, message in cases:
+        if isinstance(corrupt, bytes):
+            verdict.write_bytes(corrupt)
+        else:
+            verdict.write_text(corrupt)
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "defects"])
+        assert str(exc.value) == message
+    assert not (out / "defects-long.txt").exists()
+
+
+def test_check_cocycle_passes_window_indices(tmp_path, monkeypatch):
+    # every verdict field, the s and t floats too, is bitwise the float
+    # entry point's at the times i q T / n, and no time is parsed back; at
+    # T 0.9 and n 12, (i q) T / n differs from (i q) (T / n) in the last bit
+    p = write_config(tmp_path, model={"name": "landau-maxwell"}, particles=40, T=0.9,
+                     frozen_law={"n_freeze": 12, "inner": 1}, checks=["cocycle"])
+    run, details = cli.verify_run(load_config(str(p)))
+    n, T = run.cfg.n_freeze, run.T
+    delta, q = T / n, max(1, n // 4)
+    e0 = details.state_at(0)
+    want = verdicts.cocycle(
+        cocycle.cocycle_defect(run, e0, i * q * delta, j * q * delta, details=details)
+        for i in (1, 2) for j in (1, 2) if (i + j) * q <= n
+    )
+    monkeypatch.setattr(meanfield.FrozenLawConfig, "window_index",
+                        lambda *a: pytest.fail("check_cocycle parsed a float time"))
+    got = cli.check_cocycle(run, details)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert [(r["s"], r["t"]) for r in got["defects"]] == [
+        (i * q * delta, j * q * delta) for i in (1, 2) for j in (1, 2)]
+
+
+COLD_START = """
+import json, sys
+import roughmf, roughmf.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_loaded()}
+config, out = sys.argv[1], sys.argv[2]
+for argv in (["simulate"], ["verify"], ["emit", "--kind", "moments"],
+             ["emit", "--kind", "defects"]):
+    roughmf.cli.main(argv + ["--config", config, "--output-dir", out])
+    seen[" ".join(argv)] = scipy_loaded()
+mu = roughmf.EmpiricalMeasure([[0.0, 0.0], [1.0, 0.5]])
+nu = roughmf.EmpiricalMeasure([[0.2, 0.1], [0.9, 0.7]])
+seen["wasserstein_p"] = roughmf.wasserstein_p(mu, nu, 2.0, return_info=True)[1]["mode"]
+seen["after"] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_import_and_transport_free_verbs_load_no_scipy(tmp_path):
+    p = write_config(tmp_path, seeds=[0], particles=60,
+                     checks=["moments", "duality", "cocycle"])
+    seen = json.loads(fresh_python(COLD_START, str(p), str(tmp_path / "out")))
+    assert seen.pop("wasserstein_p") == "assignment"
+    assert seen.pop("after") is True
+    assert seen == {k: [] for k in ("import", "simulate", "verify", "emit --kind moments",
+                                    "emit --kind defects")}
 
 
 def test_console_script_entrypoint(tmp_path):

@@ -351,6 +351,10 @@ def test_cocycle_off_grid_rejected():
     run, e0 = make_run(n=20, n_freeze=4)
     with pytest.raises(ValueError):
         cocycle_defect(run, e0, 0.3, 0.7)
+    det = flow_details(run, e0, 0.75)
+    for ks, kt in [(2, 2), (-1, 2), (1, -1)]:
+        with pytest.raises(ValueError, match="do not fit the one-shot's 3 windows"):
+            cocycle.cocycle_defect_at(run, e0, ks, kt, details=det)
 
 
 # ---------------------------------------------------------------------------

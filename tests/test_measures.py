@@ -1,4 +1,5 @@
 import io
+import json
 import sys
 import threading
 import tracemalloc
@@ -21,6 +22,8 @@ from roughmf.measures import (
     wasserstein_p,
     write_rows,
 )
+
+from conftest import fresh_python
 
 
 def cloud(seed, n, d, shift=0.0):
@@ -485,6 +488,48 @@ def test_map_pairs_hands_out_each_pair_once_under_contention(monkeypatch):
         sys.setswitchinterval(interval)
     assert sorted(ran) == list(range(400))
     assert got == [float(np.sum(np.arange(i % 7 * 100))) for i in range(400)]
+
+
+FIRST_LOAD_IN_THE_POOL = """
+import json, sys, threading
+import numpy as np
+from roughmf import measures
+from roughmf.measures import EmpiricalMeasure, _map_pairs, wasserstein_p
+
+def cloud(seed, n, d, shift=0.0):
+    return EmpiricalMeasure(np.random.default_rng(seed).normal(size=(n, d)) + shift)
+
+weights = np.random.default_rng(3).uniform(1.0, 2.0, 40)
+lp = (EmpiricalMeasure(cloud(4, 40, 2).atoms, weights / weights.sum()), cloud(5, 30, 2))
+pairs = [(cloud(1, 200, 2), cloud(2, 200, 2, shift=0.3)), lp] * 2
+measures._cpus = lambda: 2
+before = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+both = threading.Barrier(2, timeout=30)  # the first two solves start together
+threads = []
+
+def solve(mu, nu):
+    if len(threads) < 2:
+        threads.append(threading.get_ident())
+        both.wait()
+    return wasserstein_p(mu, nu, 2.0, return_info=True)
+
+got = _map_pairs(solve, pairs)
+want = [wasserstein_p(mu, nu, 2.0, return_info=True) for mu, nu in pairs]
+same = all(gv == wv and gi["mode"] == wi["mode"] and all(
+    np.array_equal(x, y) for x, y in zip(gi["coupling"], wi["coupling"]))
+    for (gv, gi), (wv, wi) in zip(got, want))
+print(json.dumps({"before": before, "threads": len(set(threads)), "same": same,
+                  "modes": [info["mode"] for _, info in got]}))
+"""
+
+
+def test_first_scipy_load_inside_the_pool():
+    # a fresh interpreter's first assignment and LP solves start together on
+    # the caller and a pool thread: both load scipy at once, raise nothing,
+    # and give the serial loop's values and modes bitwise
+    seen = json.loads(fresh_python(FIRST_LOAD_IN_THE_POOL))
+    assert seen == {"before": [], "threads": 2, "same": True,
+                    "modes": ["assignment", "transport-lp"] * 2}
 
 
 def test_topology_probe_equals_serial_brackets(two_cpus):
