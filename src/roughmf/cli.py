@@ -346,6 +346,24 @@ def cmd_verify(cfg: dict, outdir: str) -> int:
     return 0 if all_pass else 1
 
 
+DEFECT_KEYS = ("s", "t", "point_defect", "law_defect", "tolerance")
+
+
+def _defect_rows(verdict: dict, path: str) -> list:
+    """The ``DEFECT_KEYS`` numbers of each cocycle row of a verdict, or a
+    one-line error naming its file; a verdict without a cocycle check has
+    no rows."""
+    rows = verdict.get("cocycle", {})
+    rows = rows.get("defects", []) if isinstance(rows, dict) else None
+    if not isinstance(rows, list):
+        raise SystemExit(f"{path}: corrupt verdict: cocycle defects must be a list of rows")
+    for i, rep in enumerate(rows):
+        if not isinstance(rep, dict) or not all(_is_number(rep.get(k)) for k in DEFECT_KEYS):
+            raise SystemExit(f"{path}: corrupt verdict: cocycle defect row {i} needs "
+                             f"numbers {', '.join(DEFECT_KEYS)}")
+    return [[rep[k] for k in DEFECT_KEYS] for rep in rows]
+
+
 def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
     if kind == "moments":
         rows = []
@@ -376,15 +394,12 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
         src = os.path.join(outdir, "verdict.json")
         if not os.path.exists(src):
             raise SystemExit(f"missing artifact {src}; run verify first")
-        verdict = _load_json_object(src, "verdict")
+        rows = _defect_rows(_load_json_object(src, "verdict"), src)
         out = os.path.join(outdir, "defects-long.txt")
         with open(out, "w") as fh:
-            fh.write("# s t point_defect law_defect tolerance\n")
-            for rep in verdict.get("cocycle", {}).get("defects", []):
-                fh.write(
-                    f"{rep['s']:.17g} {rep['t']:.17g} {rep['point_defect']:.17g} "
-                    f"{rep['law_defect']:.17g} {rep['tolerance']:.17g}\n"
-                )
+            fh.write("# " + " ".join(DEFECT_KEYS) + "\n")
+            for row in rows:
+                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
         print(out)
         return 0
     if kind == "metric-curves":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -88,16 +88,22 @@ class FlowRun:
         """The joint flow over the freeze windows [k0, k1) from e: the law
         by the run's scheme on its increments of steps [k0, k1) * inner,
         labelled with the run's step times, the point on
-        ``rough.restrict(k0 r, k1 r)``, r rough cells per window."""
+        ``rough.restrict(k0 r, k1 r)``, r rough cells per window.  The law
+        runs now; the point is lifted and solved at the first read of the
+        details' ``rough`` or ``solution``."""
         if not 0 <= k0 < k1 <= self.cfg.n_freeze:
             raise ValueError(f"windows [{k0}, {k1}) are not a leg of the run's "
                              f"{self.cfg.n_freeze} windows")
         inner, r = self.cfg.inner, self.rde_per_freeze
-        rp = self.rough.restrict(k0 * r, k1 * r)
         dW = self.law_noise(e.law.n)[k0 * inner : k1 * inner]
         curve = simulate_frozen_law(self.model, e.law, self.cfg, self.T, k0, dW=dW)
-        coeff = frozen_coefficient_field(self.model, curve, (k1 - k0) * r)
-        return FlowDetails(curve, doss_sussmann_solve(coeff, rp, e.point), rp)
+
+        def point():
+            rp = self.rough.restrict(k0 * r, k1 * r)
+            coeff = frozen_coefficient_field(self.model, curve, (k1 - k0) * r)
+            return rp, doss_sussmann_solve(coeff, rp, e.point)
+
+        return FlowDetails(curve, point)
 
     def restart(self, details: FlowDetails, ks: int) -> FlowDetails:
         """The leg from the state of the one-shot ``details`` at window edge
@@ -139,9 +145,27 @@ def frozen_coefficient_field(
 
 @dataclass
 class FlowDetails:
+    """A leg's law curve, and its point leg: ``point_leg()`` returns the
+    leg's driver window and the point's solution on it, called once, at the
+    first read of ``rough`` or ``solution``."""
+
     curve: MeasureCurve
-    solution: RdeSolution
-    rough: RoughPath
+    point_leg: Optional[Callable[[], tuple[RoughPath, RdeSolution]]] = field(repr=False)
+
+    @cached_property
+    def _point(self) -> tuple[RoughPath, RdeSolution]:
+        # drop the closure once called: it holds the run, which may hold
+        # these details as its kept restart
+        point, self.point_leg = self.point_leg(), None
+        return point
+
+    @property
+    def rough(self) -> RoughPath:
+        return self._point[0]
+
+    @property
+    def solution(self) -> RdeSolution:
+        return self._point[1]
 
     def state_at(self, k: int) -> JointState:
         """The joint state at freeze-window edge k: solution node k r for r

@@ -7,10 +7,14 @@ Milstein-type scheme using both levels of the driver per cell:
     Y+ = Y + sigma X + (a0 sigma) : XX  =  P Y + q.
 
 One affine cell map serves every solve: ``_cell_maps`` builds every cell's
-(P, q) in one vectorised pass, and ``_accel.march`` steps them: ``_march``
-marches a point under the blow-up guard (the Wong-Zakai RK4 maps of
-``cocycle.wong_zakai_run`` too), flow Jacobians march the identity frame,
-and the affine flow maps march both.  Backward
+(P, q) in one vectorised pass, and ``_accel.march`` composes them by a
+blocked scan with no Python step per cell: ``_march`` marches a point under
+the blow-up guard (the Wong-Zakai RK4 maps of ``cocycle.wong_zakai_run``
+too), flow Jacobians march the identity frame, and the affine flow maps
+march the homogeneous identity frame.  The scan's blocks are anchored at
+the march's first cell, so a solve on a prefix of the cells is bitwise the
+prefix of the longer solve; against a cell-by-cell loop the states differ
+by round-off only (the bound is in ``_accel``'s docstring).  Backward
 solves and backward Jacobians enter each cell at its right edge and use the
 inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
 coefficients are addressed by cell index, not time: the frozen-law

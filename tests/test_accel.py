@@ -227,6 +227,102 @@ def test_march_guard_names_the_cell_of_a_non_finite_input(bad):
         rde._march(P, bad_q, y0, 10, True)
     with pytest.raises(RuntimeError, match="guard tripped at step 3:"):
         rde._march(P, q, np.array([bad, 0.0]), 3, False)
+    # a march of five blocks whose bad map lies in block 3 (cells 192-255):
+    # the blocks before it and its cells before the bad one stay finite, so
+    # the guard still names the bad cell, forward and backward
+    assert _accel.MARCH_BLOCK == 64
+    n, first = 300, 40
+    P = np.eye(2) + 0.05 * rng.normal(size=(n, 2, 2))
+    q = 0.05 * rng.normal(size=(n, 2))
+    rde._march(P, q, y0, first, False)
+    rde._march(P, q, y0, first, True)
+    for c in (192, 200, 255):
+        bad_P, bad_q = P.copy(), q.copy()
+        bad_P[c, 1, 0] = bad
+        bad_q[c, 0] = bad
+        for maps in ((bad_P, q), (P, bad_q)):
+            with pytest.raises(RuntimeError, match=f"guard tripped at step {first + c}:"):
+                rde._march(*maps, y0, first, False)
+            with pytest.raises(RuntimeError,
+                               match=f"guard tripped at step {first + n - 1 - c}:"):
+                rde._march(*maps, y0, first, True)
+    # a bad start trips at the first cell the march takes
+    with pytest.raises(RuntimeError, match=f"guard tripped at step {first}:"):
+        rde._march(P, q, np.array([0.0, bad]), first, False)
+    with pytest.raises(RuntimeError, match=f"guard tripped at step {first + n - 1}:"):
+        rde._march(P, q, np.array([0.0, bad]), first, True)
+
+
+def random_maps(seed, n, d):
+    """Near-orthogonal P and small q: the exact states stay of order 1 over
+    2^15 cells, so the product-norm round-off bound is not vacuous."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, d, d)))[0]
+    P = Q * (1.0 + rng.normal(size=(n, 1, 1)) / n)
+    return P, rng.normal(size=(n, d)) / n, rng.normal(size=d)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_march_of_a_prefix_is_bitwise_the_prefix_of_the_march(d):
+    # blocks are anchored at the march's first cell, so cutting the maps
+    # anywhere, inside a block or at its edge, changes none of the states
+    # before the cut
+    P, q, y0 = random_maps(10 + d, 260, d)
+    frame0 = np.arange(d * 2.0).reshape(d, 2) - 1.0
+    point, frame = _accel.march(P, q, y0), _accel.march(P, None, frame0)
+    M, v = _accel.linear_flow_maps(P, q)
+    for m in (0, 1, 63, 64, 65, 127, 128, 129, 197):
+        assert np.array_equal(_accel.march(P[:m], q[:m], y0), point[: m + 1]), m
+        assert np.array_equal(_accel.march(P[:m], None, frame0), frame[: m + 1]), m
+        Mm, vm = _accel.linear_flow_maps(P[:m], q[:m])
+        assert np.array_equal(Mm, M[: m + 1]) and np.array_equal(vm, v[: m + 1]), m
+
+
+def loop_march(P, q, y0):
+    """The plain cell-by-cell march Y <- P_k Y (+ q_k)."""
+    Y = np.empty((len(P) + 1,) + np.shape(y0))
+    Y[0] = y0
+    for k in range(len(P)):
+        Y[k + 1] = P[k] @ Y[k] if q is None else P[k] @ Y[k] + q[k]
+    return Y
+
+
+def product_bound(H, Y0):
+    """((1 + e gamma_e)^k - 1) prod_{i<k} |H_i|_2 |Y0|_2 for each state k of
+    the maps H (n, e, e): the 2-norm error bound of any order of the k
+    rounded products that form state k (|fl(AB) - AB| <= gamma_e |A| |B|
+    entrywise, and |(|A|)|_2 <= sqrt(e) |A|_2)."""
+    e = H.shape[1]
+    u = _accel.EPS / 2
+    step = e * e * u / (1 - e * u)
+    k = np.arange(len(H) + 1)
+    norms = np.concatenate([[1.0], np.cumprod(np.linalg.norm(H, 2, axis=(1, 2)))])
+    return np.expm1(k * np.log1p(step)) * norms * np.linalg.norm(Y0, 2)
+
+
+def state_norms(Y):
+    return np.linalg.norm(Y, 2, axis=(1, 2)) if Y.ndim == 3 else np.linalg.norm(Y, axis=1)
+
+
+@pytest.mark.parametrize("n", [4096, 1 << 15])
+def test_march_and_flow_maps_match_a_cell_by_cell_loop(n):
+    # the scan and the loop associate the same products differently; each is
+    # within product_bound of the exact states, so they differ by at most
+    # twice that
+    d = 3
+    P, q, y0 = random_maps(n, n, d)
+    H = _accel._homogeneous(P, q)
+    y0h = np.append(y0, 1.0)
+    bound = 2 * product_bound(H, y0h)
+    assert bound[-1] < 1e-9
+    assert np.all(state_norms(_accel.march(P, q, y0) - loop_march(P, q, y0)) <= bound)
+    frame0 = np.eye(d)
+    assert np.all(state_norms(_accel.march(P, None, frame0) - loop_march(P, None, frame0))
+                  <= 2 * product_bound(P, frame0))
+    M, v = _accel.linear_flow_maps(P, q)
+    bound = 2 * product_bound(H, np.eye(d + 1))
+    assert np.all(state_norms(M - loop_march(P, None, np.eye(d))) <= bound)
+    assert np.all(state_norms(v - loop_march(P, q, np.zeros(d))) <= bound)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,25 @@ def test_verify_runs_its_seed_once(tmp_path, monkeypatch):
                      "particle_noise": 2}
 
 
+def test_verify_solves_the_point_leg_only_for_cocycle(tmp_path, monkeypatch):
+    # only the cocycle check reads the one-shot point: without it verify
+    # neither lifts the driver nor solves the point, with it once each
+    calls = Counter()
+    for module, name in ((cocycle, "doss_sussmann_solve"), (cocycle, "brownian_lift")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _n=name, _f=real, **k: calls.update([_n]) or _f(*a, **k))
+    out = tmp_path / "out"
+    p = write_config(tmp_path, particles=40, checks=["moments", "duality", "stability"])
+    main(["verify", "--config", str(p), "--output-dir", str(out)])
+    assert calls == {}
+    p = write_config(tmp_path, particles=40, frozen_law={"n_freeze": 8, "inner": 1},
+                     checks=["moments", "cocycle"])
+    main(["verify", "--config", str(p), "--output-dir", str(out)])
+    # the one-shot and the restarts at ks = 2 and 4 of 8 windows
+    assert calls == {"brownian_lift": 1, "doss_sussmann_solve": 1 + 2}
+
+
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     p = write_config(tmp_path, checks=["moments"])
     out = tmp_path / "out"
@@ -481,6 +500,36 @@ def test_corrupt_verdict_is_one_line_error(tmp_path):
             main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "defects"])
         assert str(exc.value) == message
     assert not (out / "defects-long.txt").exists()
+
+
+def test_emit_defects_checks_every_row_before_writing(tmp_path):
+    # a verdict.json that is a JSON object but whose cocycle rows are not
+    # five numbers each ends in a one-line error naming it, and no table
+    p = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    verdict = out / "verdict.json"
+    row = {"s": 0.25, "t": 0.25, "point_defect": 0.0, "law_defect": 0.0, "tolerance": 1e-3}
+    cases = [
+        ({"cocycle": {"defects": [{"s": 0.25}]}}, "cocycle defect row 0 needs"),
+        ({"cocycle": {"defects": [row, row | {"t": "0.5"}]}}, "cocycle defect row 1 needs"),
+        ({"cocycle": {"defects": [row | {"tolerance": True}]}}, "cocycle defect row 0 needs"),
+        ({"cocycle": {"defects": [row | {"law_defect": None}]}}, "cocycle defect row 0 needs"),
+        ({"cocycle": {"defects": [[0.25, 0.25, 0.0, 0.0, 1e-3]]}}, "cocycle defect row 0 needs"),
+        ({"cocycle": {"defects": row}}, "cocycle defects must be a list"),
+        ({"cocycle": [row]}, "cocycle defects must be a list"),
+    ]
+    for corrupt, message in cases:
+        verdict.write_text(json.dumps(corrupt))
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "defects"])
+        msg = str(exc.value)
+        assert msg.startswith(f"{verdict}: corrupt verdict: {message}") and "\n" not in msg, msg
+        assert not (out / "defects-long.txt").exists()
+    # a verdict without a cocycle check gives the header only
+    verdict.write_text(json.dumps({"moments": {"pass": True}}))
+    assert main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "defects"]) == 0
+    assert (out / "defects-long.txt").read_text() == "# s t point_defect law_defect tolerance\n"
 
 
 def test_check_cocycle_passes_window_indices(tmp_path, monkeypatch):

@@ -238,7 +238,10 @@ def test_self_defect_computed_once(monkeypatch):
     assert {r["self_defect"] for r in reps} == {defect(det.solution)}
 
 
-PREFIX_RUNS = [dict(n_freeze=8, T=1.0, inner=2), dict(n_freeze=5, T=0.9, inner=3, rde_per_freeze=2)]
+# the last layout's legs run 20 to 140 rough cells, across the point
+# march's 64-cell blocks, which must be anchored at each leg's start
+PREFIX_RUNS = [dict(n_freeze=8, T=1.0, inner=2), dict(n_freeze=5, T=0.9, inner=3, rde_per_freeze=2),
+               dict(n_freeze=8, T=1.0, inner=1, rde_per_freeze=20)]
 
 
 @pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
