@@ -30,7 +30,7 @@ from .meanfield import (
     simulate_frozen_law,
     stability_check,
 )
-from .measures import EmpiricalMeasure, ScalarFunc, _map_pairs, dp_bracket, linear_func
+from .measures import EmpiricalMeasure, ScalarFunc, _map_pairs, dp_bracket, linear_func, write_rows
 from .models import build_model, psd_sqrt
 
 DEFAULTS = {
@@ -398,8 +398,7 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
         out = os.path.join(outdir, "defects-long.txt")
         with open(out, "w") as fh:
             fh.write("# " + " ".join(DEFECT_KEYS) + "\n")
-            for row in rows:
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            write_rows(fh, np.array(rows, dtype=float).reshape(-1, len(DEFECT_KEYS)))
         print(out)
         return 0
     if kind == "metric-curves":
@@ -424,8 +423,7 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
         out = os.path.join(outdir, "metric-curves.txt")
         with open(out, "w") as fh:
             fh.write("# t d_p dp_lower dp_upper\n")
-            for r in rows:
-                fh.write(" ".join(f"{x:.17g}" for x in r) + "\n")
+            write_rows(fh, np.array(rows, dtype=float))
         print(out)
         return 0
     raise SystemExit(f"unknown emit kind {kind!r}")

@@ -11,7 +11,7 @@ same driver window, so the law defect is zero by construction on every
 window grid and the point defect measures only the scheme's
 self-consistency.  Every leg marches forward in order, so its state at a
 window edge does not depend on where the leg ends: one restart per restart
-window, run to the one-shot's end (``FlowRun.restart``), serves every
+window, run to the one-shot's end (``FlowDetails.restart``), serves every
 horizon read from it.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,8 +52,6 @@ class FlowRun:
     driver_fine_per: int = 8  # fine noise cells per rough cell
     _noise: Optional[NoisePath] = field(default=None, repr=False)
     _law_noise: Optional[np.ndarray] = field(default=None, repr=False)
-    # the last restart asked for: (details, ks, leg)
-    _restart: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def rde_cells(self) -> int:
@@ -94,29 +92,10 @@ class FlowRun:
         if not 0 <= k0 < k1 <= self.cfg.n_freeze:
             raise ValueError(f"windows [{k0}, {k1}) are not a leg of the run's "
                              f"{self.cfg.n_freeze} windows")
-        inner, r = self.cfg.inner, self.rde_per_freeze
+        inner = self.cfg.inner
         dW = self.law_noise(e.law.n)[k0 * inner : k1 * inner]
         curve = simulate_frozen_law(self.model, e.law, self.cfg, self.T, k0, dW=dW)
-
-        def point():
-            rp = self.rough.restrict(k0 * r, k1 * r)
-            coeff = frozen_coefficient_field(self.model, curve, (k1 - k0) * r)
-            return rp, doss_sussmann_solve(coeff, rp, e.point)
-
-        return FlowDetails(curve, point)
-
-    def restart(self, details: FlowDetails, ks: int) -> FlowDetails:
-        """The leg from the state of the one-shot ``details`` at window edge
-        ks to its end K; its state at edge kt is that of the leg over
-        [ks, ks + kt), which marches the same steps in the same order.  Only
-        the last restart is kept, for callers that read every horizon of one
-        ks before moving on, so at most one restart is held at a time."""
-        kept = self._restart
-        if kept is None or kept[0] is not details or kept[1] != ks:
-            kept = self._restart = None  # drop the old leg before the new one runs
-            K = len(details.curve.measures) - 1
-            self._restart = (details, ks, self.leg(details.state_at(ks), ks, K))
-        return self._restart[2]
+        return FlowDetails(self, e.point, k0, curve)
 
 
 def frozen_coefficient_field(
@@ -145,33 +124,48 @@ def frozen_coefficient_field(
 
 @dataclass
 class FlowDetails:
-    """A leg's law curve, and its point leg: ``point_leg()`` returns the
-    leg's driver window and the point's solution on it, called once, at the
-    first read of ``rough`` or ``solution``."""
+    """A leg of ``run`` over the freeze windows [k0, k0 + len(curve) - 1):
+    the law curve, run when the leg is made, and the point from ``start``,
+    lifted and solved at the first read of ``rough`` or ``solution``."""
 
+    run: FlowRun = field(repr=False)
+    start: np.ndarray  # the point at window edge k0
+    k0: int
     curve: MeasureCurve
-    point_leg: Optional[Callable[[], tuple[RoughPath, RdeSolution]]] = field(repr=False)
+    # the last restart asked for: (ks, leg)
+    _restart: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    @property
+    def k1(self) -> int:
+        return self.k0 + len(self.curve.measures) - 1
 
     @cached_property
-    def _point(self) -> tuple[RoughPath, RdeSolution]:
-        # drop the closure once called: it holds the run, which may hold
-        # these details as its kept restart
-        point, self.point_leg = self.point_leg(), None
-        return point
-
-    @property
     def rough(self) -> RoughPath:
-        return self._point[0]
+        r = self.run.rde_per_freeze
+        return self.run.rough.restrict(self.k0 * r, self.k1 * r)
 
-    @property
+    @cached_property
     def solution(self) -> RdeSolution:
-        return self._point[1]
+        rp = self.rough
+        coeff = frozen_coefficient_field(self.run.model, self.curve, rp.grid.n_cells)
+        return doss_sussmann_solve(coeff, rp, self.start)
 
     def state_at(self, k: int) -> JointState:
-        """The joint state at freeze-window edge k: solution node k r for r
+        """The joint state at the leg's window edge k: solution node k r for r
         rough cells per window, and the curve's k-th measure."""
-        r = self.rough.grid.n_cells // (len(self.curve.measures) - 1)
+        r = self.run.rde_per_freeze
         return JointState(self.solution.Y[k * r], self.curve.measures[k])
+
+    def restart(self, ks: int) -> FlowDetails:
+        """The leg from this one's state at its window edge ks to its end;
+        its state at edge kt is that of the leg over [ks, ks + kt), which
+        marches the same steps in the same order.  Only the last restart is
+        kept, for callers that read every horizon of one ks before moving
+        on, so at most one restart is held at a time."""
+        if self._restart is None or self._restart[0] != ks:
+            self._restart = None  # drop the old leg before the new one runs
+            self._restart = (ks, self.run.leg(self.state_at(ks), self.k0 + ks, self.k1))
+        return self._restart[1]
 
     @cached_property
     def self_defect(self) -> float:
@@ -214,7 +208,7 @@ def cocycle_defect_at(
     second stage is the leg over windows [ks, ks + kt) from the
     one-shot state at s: the law particles restart on the run's increments
     of those windows, the point on the driver's window from s.  It is read
-    at edge kt of ``run.restart(details, ks)``, which covers every horizon
+    at edge kt of ``details.restart(ks)``, which covers every horizon
     of the one-shot.  Reports point and law defects plus the single-run
     self-consistency defect used as the tolerance scale.
     """
@@ -229,7 +223,7 @@ def cocycle_defect_at(
            "self_defect": details.self_defect, "s": ks * delta, "t": kt * delta}
     if ks == 0 or kt == 0:
         return rep
-    endB = run.restart(details, ks).state_at(kt)
+    endB = details.restart(ks).state_at(kt)
     _, law_upper, info = dp_bracket(endB.law, end.law, p)
     return rep | {
         "point_defect": float(np.linalg.norm(endB.point - end.point)),

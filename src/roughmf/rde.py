@@ -19,10 +19,10 @@ solves and backward Jacobians enter each cell at its right edge and use the
 inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
 coefficients are addressed by cell index, not time: the frozen-law
 coefficients are constant on each cell, so a cell reads its own a1 in both
-directions, and grid node m reads cell min(m, M - 1).  Drifts enter through the
-Doss-Sussmann conjugation: the driftless flow is tabulated exactly as an
-affine map, and the drift becomes a classical ODE in transformed
-coordinates.
+directions, and grid node m reads cell min(m, M - 1).  A drift enters by
+Heun's method on the same cell maps (``doss_sussmann_solve``): the
+Doss-Sussmann conjugation through the driftless flow, carried back to Y one
+step at a time, so no flow map is formed or inverted.
 """
 
 from __future__ import annotations
@@ -263,56 +263,28 @@ def linear_flow(coeff: CoefficientField, rp: RoughPath):
 
 
 def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
-    """Solve dY = b dt + sigma dX by conjugating out the diffusion.
+    """Solve dY = b dt + sigma dX by Heun's method on the Milstein cell maps.
 
-    Without drift this is the driftless solve.  With drift, the state is
-    conjugated through the affine driftless flow Y_t = M_t z_t + v_t: z
-    solves
-        dz/dt = M_t^{-1} b(c, M_t z + v_t),   z_0 = xi,
-    by Heun's method on the grid, with every M_t inverted once up front;
-    both stages on cell c read the drift of cell c at a one-row block of
-    states, and the guard checks each step before the drift sees it.
+    Without drift this is the driftless solve.  With drift, cell k with
+    map y -> P_k y + q_k, width h_k and b_k = b(k, Y_k) takes the step
+        Y+ = P_k Y_k + q_k + (h_k / 2) [P_k b_k + b(k, P_k Y_k + q_k + h_k P_k b_k)],
+    which is Heun's method on the Doss-Sussmann conjugate z of the
+    driftless flow Y = M z + v (M_{k+1} = P_k M_k, v_{k+1} = P_k v_k + q_k)
+    carried back to Y, with no flow map formed or inverted.  Both drift
+    reads on cell k take b(k, .) at a one-row block of states (1, d), and
+    the guard checks each step before the drift sees it.
     """
     if coeff.b is None:
         return solve_driftless(coeff, rp, xi)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    Mf, vf = linear_flow(coeff, rp)
-    Minv = np.linalg.inv(Mf)
     M = rp.grid.n_cells
+    P, q = _cell_maps(coeff, rp, 0, M, False)
     b = coeff.b
-    z = np.empty((M + 1, len(xi)))
-    z[0] = xi
-
-    def rhs(m, zm, c):
-        return Minv[m] @ b(c, (Mf[m] @ zm + vf[m])[None])[0]
-
-    hs = rp.grid.widths
-    for k in range(M):
-        f0 = rhs(k, z[k], k)
-        pred = z[k] + hs[k] * f0
-        f1 = rhs(k + 1, pred, k)
-        z[k + 1] = z[k] + 0.5 * hs[k] * (f0 + f1)
-        _guard(z[k + 1], k)
-    Y = np.einsum("kij,kj->ki", Mf, z) + vf
-    return _solution(coeff, rp, Y, {"steps": M, "mode": "affine-flow"})
-
-
-# ---------------------------------------------------------------------------
-# Picard validation mode
-# ---------------------------------------------------------------------------
-
-def picard_validate(
-    coeff: CoefficientField, rp: RoughPath, xi, iters: int = 8
-) -> ControlledPath:
-    """Coarse fixed-point iteration (Y, Y') -> xi + int sigma(c, Y) dX.
-
-    A validation device only: iterates the defining integral map on the full
-    window and returns the final controlled path for comparison against the
-    stepper.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    M = rp.grid.n_cells
-    cp = _solution(coeff, rp, np.tile(xi, (M + 1, 1)), {}).path
-    for _ in range(iters):
-        cp = _solution(coeff, rp, xi + _compose_sigma(coeff, cp)._cumulative_integral(), {}).path
-    return cp
+    Y = np.empty((M + 1, len(xi)))
+    Y[0] = xi
+    for k, h in enumerate(rp.grid.widths.tolist()):
+        Pb = P[k] @ b(k, Y[k : k + 1])[0]
+        flow = P[k] @ Y[k] + q[k]
+        Y[k + 1] = flow + 0.5 * h * (Pb + b(k, (flow + h * Pb)[None])[0])
+        _guard(Y[k + 1], k)
+    return _solution(coeff, rp, Y, {"steps": M})

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import roughmf
+from roughmf import rde
 from roughmf.grids import TimeGrid
 from roughmf.roughpath import STRAT, NoisePath, brownian_lift
 
@@ -42,6 +43,51 @@ def milstein_oracle(a0, table, rp, y0, i, j, backward=False):
         sig = np.einsum("ikj,j->ik", a0, y) + table[k]
         Y[end] = y + sig @ x + np.einsum("ikj,jl,lk->i", a0, sig, xx)
     return np.array([Y[k] for k in range(i, j + 1)])
+
+
+def doss_sussmann_oracle(coeff, rp, y0):
+    """Heun's method on the Doss-Sussmann conjugate of dY = b dt + sigma dX:
+    with (M_k, v_k) the driftless Milstein flow to node k, composed one cell
+    at a time from the cell maps of ``milstein_oracle``, z solves
+        dz/dt = M_k^-1 b(k, M_k z + v_k),   z_0 = y0,
+    both Heun stages on cell k reading b(k, .), and Y_k = M_k z_k + v_k.
+    Returns the trajectory."""
+    a0, M, d = coeff.a0, rp.grid.n_cells, len(y0)
+    table = np.broadcast_to(coeff.a1(np.arange(M)), (M, d, d))
+    flows = [(np.eye(d), np.zeros(d))]
+    for k in range(M):
+        step = [milstein_oracle(a0, table, rp, y, k, k + 1)[1] for y in np.eye(d)]
+        q = milstein_oracle(a0, table, rp, np.zeros(d), k, k + 1)[1]
+        P = np.stack(step, axis=1) - q[:, None]
+        Mk, vk = flows[-1]
+        flows.append((P @ Mk, P @ vk + q))
+    inverses = [np.linalg.inv(Mk) for Mk, _ in flows]
+
+    def rhs(m, z, c):
+        Mm, vm = flows[m]
+        return inverses[m] @ coeff.b(c, (Mm @ z + vm)[None])[0]
+
+    z = np.asarray(y0, dtype=float)
+    Y = [z]
+    for k, h in enumerate(rp.grid.widths):
+        f0 = rhs(k, z, k)
+        z = z + 0.5 * h * (f0 + rhs(k + 1, z + h * f0, k))
+        Mk, vk = flows[k + 1]
+        Y.append(Mk @ z + vk)
+    return np.array(Y)
+
+
+def picard_validate(coeff, rp, xi, iters=8):
+    """Coarse fixed-point iteration (Y, Y') -> xi + int sigma(c, Y) dX on the
+    full window of the driftless field, from the constant path xi; returns
+    the final controlled path, to compare against the stepper."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    M = rp.grid.n_cells
+    cp = rde._solution(coeff, rp, np.tile(xi, (M + 1, 1)), {}).path
+    for _ in range(iters):
+        cum = rde._compose_sigma(coeff, cp)._cumulative_integral()
+        cp = rde._solution(coeff, rp, xi + cum, {}).path
+    return cp
 
 
 def rk4_oracle(a0, table, noise, level, corrected, y0):

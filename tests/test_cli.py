@@ -367,8 +367,11 @@ def test_emit_moments_and_metric_curves(tmp_path):
     rc = main(["emit", "--config", str(p), "--output-dir", str(out),
                "--kind", "metric-curves"])
     assert rc == 0
+    text = (out / "metric-curves.txt").read_text()
     data = np.loadtxt(out / "metric-curves.txt")
     assert data.shape[1] == 4
+    assert text == "# t d_p dp_lower dp_upper\n" + "".join(
+        " ".join(f"{x:.17g}" for x in row) + "\n" for row in data)
     # lower bound below upper bound everywhere
     assert np.all(data[:, 2] <= data[:, 3] + 1e-12)
 
@@ -500,6 +503,22 @@ def test_corrupt_verdict_is_one_line_error(tmp_path):
             main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "defects"])
         assert str(exc.value) == message
     assert not (out / "defects-long.txt").exists()
+
+
+def test_emit_defects_writes_each_number_as_17_significant_digits(tmp_path):
+    # the bytes of one "%.17g" per JSON number, as the per-row loop wrote
+    # them: signed zero, subnormal range and JSON integers included
+    p = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = [[0.25, 1, -0.0, 1e-300, 3], [0.1, 2.0 / 3.0, 5e-324, -0.0, 10**17 + 1]]
+    reps = [dict(zip(cli.DEFECT_KEYS, row)) for row in rows]
+    (out / "verdict.json").write_text(json.dumps({"cocycle": {"defects": reps}}))
+    assert main(["emit", "--config", str(p), "--output-dir", str(out), "--kind", "defects"]) == 0
+    want = "# s t point_defect law_defect tolerance\n" + "".join(
+        " ".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert (out / "defects-long.txt").read_text() == want
+    assert "0.25 1 -0 1e-300 3\n" in want
 
 
 def test_emit_defects_checks_every_row_before_writing(tmp_path):

@@ -19,13 +19,14 @@ from roughmf.measures import EmpiricalMeasure
 from roughmf.models import build_model
 from roughmf.rde import (
     RdeSolution,
+    doss_sussmann_solve,
     linear_coefficients,
     solve_backward,
     solve_driftless,
 )
 from roughmf.roughpath import STRAT, NoisePath, brownian_lift
 
-from conftest import rk4_oracle
+from conftest import doss_sussmann_oracle, random_rough_path, rk4_oracle
 
 
 def make_run(seed=0, n=100, n_freeze=8, T=1.0, model_name="eks-gaussian", inner=2,
@@ -71,6 +72,21 @@ def test_frozen_field_piecewise_constant():
     Y = np.stack([y, 2.0 * y, -y])
     assert np.array_equal(coeff.b(39, Y), model.b(Y, curve.measures[3]))
     assert not np.array_equal(coeff.b(39, Y), coeff.b(29, Y))
+
+
+@pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
+def test_drifted_solve_matches_conjugate_heun_on_frozen_fields(model_name):
+    # the point solve of every leg against Heun on the conjugate z,
+    # Y = M z + v, with every flow map composed and inverted
+    model = build_model(model_name)
+    g = np.random.default_rng(40)
+    mu0 = EmpiricalMeasure(g.normal(size=(50, model.d)))
+    curve = simulate_frozen_law(model, mu0, FrozenLawConfig(8, seed=40), T=1.0)
+    coeff = frozen_coefficient_field(model, curve, 64)
+    rp = random_rough_path(40, cells=64, d=model.d)
+    y0 = g.normal(size=model.d)
+    got, want = doss_sussmann_solve(coeff, rp, y0).Y, doss_sussmann_oracle(coeff, rp, y0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_frozen_field_rejects_cells_that_do_not_nest():
@@ -297,20 +313,20 @@ def test_one_restart_per_restart_window(monkeypatch):
 def test_restart_keeps_only_the_last_one_asked_for(monkeypatch):
     run, e0 = make_run(seed=9, n=30, n_freeze=4)
     det = flow_details(run, e0, 1.0)
-    first = run.restart(det, 1)
-    assert run.restart(det, 1) is first
+    first = det.restart(1)
+    assert det.restart(1) is first
     assert len(first.curve.measures) == 4  # windows [1, 4)
-    second = run.restart(det, 2)
-    assert second is not first and run.restart(det, 2) is second
-    assert run.restart(det, 1) is not first  # the slot held only ks = 2
+    second = det.restart(2)
+    assert second is not first and det.restart(2) is second
+    assert det.restart(1) is not first  # the slot held only ks = 2
     other = flow_details(run, e0, 1.0)  # equal values, another one-shot
-    assert run.restart(other, 1) is not run.restart(det, 1)
+    assert other.restart(1) is not det.restart(1)
     # the kept leg is let go before the next one runs: one at a time
-    held = weakref.ref(run.restart(det, 3))
+    held = weakref.ref(det.restart(3))
     leg, alive = FlowRun.leg, []
     monkeypatch.setattr(FlowRun, "leg",
                         lambda self, *a: alive.append(held() is not None) or leg(self, *a))
-    run.restart(det, 2)
+    det.restart(2)
     assert alive == [False]
 
 
