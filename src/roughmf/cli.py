@@ -30,7 +30,15 @@ from .meanfield import (
     simulate_frozen_law,
     stability_check,
 )
-from .measures import EmpiricalMeasure, ScalarFunc, _map_pairs, dp_bracket, linear_func, write_rows
+from .measures import (
+    EmpiricalMeasure,
+    ScalarFunc,
+    _load_scipy,
+    _map_pairs,
+    dp_bracket,
+    linear_func,
+    write_rows,
+)
 from .models import build_model, psd_sqrt
 
 DEFAULTS = {
@@ -416,6 +424,7 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
                 EmpiricalMeasure(table[table[:, 0] == t][:, 2:]) for t in times
             ]
             points += [(t, m, clouds[0]) for t, m in zip(times, clouds)]
+        _load_scipy()
         brackets = _map_pairs(lambda m, m0: dp_bracket(m, m0, 2.0),
                               [(m, m0) for _, m, m0 in points])
         rows = [(t, info["w_p"], lo, up)

@@ -11,8 +11,9 @@ same driver window, so the law defect is zero by construction on every
 window grid and the point defect measures only the scheme's
 self-consistency.  Every leg marches forward in order, so its state at a
 window edge does not depend on where the leg ends: one restart per restart
-window, run to the one-shot's end (``FlowDetails.restart``), serves every
-horizon read from it.
+window (``FlowDetails.restart``) serves every horizon read from it, and
+runs only as far as it is read, extended when a later horizon reaches
+further.
 """
 
 from __future__ import annotations
@@ -89,13 +90,17 @@ class FlowRun:
         ``rough.restrict(k0 r, k1 r)``, r rough cells per window.  The law
         runs now; the point is lifted and solved at the first read of the
         details' ``rough`` or ``solution``."""
+        return FlowDetails(self, e.point, k0, self.law(e.law, k0, k1))
+
+    def law(self, mu: EmpiricalMeasure, k0: int, k1: int) -> MeasureCurve:
+        """The law over the freeze windows [k0, k1) from mu, at window edge
+        k0, by the run's scheme on its increments of those windows."""
         if not 0 <= k0 < k1 <= self.cfg.n_freeze:
             raise ValueError(f"windows [{k0}, {k1}) are not a leg of the run's "
                              f"{self.cfg.n_freeze} windows")
         inner = self.cfg.inner
-        dW = self.law_noise(e.law.n)[k0 * inner : k1 * inner]
-        curve = simulate_frozen_law(self.model, e.law, self.cfg, self.T, k0, dW=dW)
-        return FlowDetails(self, e.point, k0, curve)
+        dW = self.law_noise(mu.n)[k0 * inner : k1 * inner]
+        return simulate_frozen_law(self.model, mu, self.cfg, self.T, k0, dW=dW)
 
 
 def frozen_coefficient_field(
@@ -125,15 +130,17 @@ def frozen_coefficient_field(
 @dataclass
 class FlowDetails:
     """A leg of ``run`` over the freeze windows [k0, k0 + len(curve) - 1):
-    the law curve, run when the leg is made, and the point from ``start``,
+    the law curve, run when the leg is made, and the point from ``head``,
     lifted and solved at the first read of ``rough`` or ``solution``."""
 
     run: FlowRun = field(repr=False)
-    start: np.ndarray  # the point at window edge k0
+    # the point's states solved so far at the leg's rough nodes: its start
+    # (d,) at window edge k0, or (m + 1, d) when the leg extends a shorter one
+    head: np.ndarray
     k0: int
     curve: MeasureCurve
-    # the last restart asked for: (ks, leg)
-    _restart: Optional[tuple] = field(default=None, init=False, repr=False)
+    # the last restart asked for, run as far as it has been read
+    _restart: Optional[FlowDetails] = field(default=None, init=False, repr=False)
 
     @property
     def k1(self) -> int:
@@ -148,7 +155,7 @@ class FlowDetails:
     def solution(self) -> RdeSolution:
         rp = self.rough
         coeff = frozen_coefficient_field(self.run.model, self.curve, rp.grid.n_cells)
-        return doss_sussmann_solve(coeff, rp, self.start)
+        return doss_sussmann_solve(coeff, rp, self.head)
 
     def state_at(self, k: int) -> JointState:
         """The joint state at the leg's window edge k: solution node k r for r
@@ -156,16 +163,40 @@ class FlowDetails:
         r = self.run.rde_per_freeze
         return JointState(self.solution.Y[k * r], self.curve.measures[k])
 
-    def restart(self, ks: int) -> FlowDetails:
-        """The leg from this one's state at its window edge ks to its end;
-        its state at edge kt is that of the leg over [ks, ks + kt), which
-        marches the same steps in the same order.  Only the last restart is
-        kept, for callers that read every horizon of one ks before moving
-        on, so at most one restart is held at a time."""
-        if self._restart is None or self._restart[0] != ks:
-            self._restart = None  # drop the old leg before the new one runs
-            self._restart = (ks, self.run.leg(self.state_at(ks), self.k0 + ks, self.k1))
-        return self._restart[1]
+    def extended(self, k1: int) -> FlowDetails:
+        """This leg run on to the run's window edge k1 > self.k1: the law
+        marches on from its end state, the point from its solved states on
+        the run's rough path restricted from the same origin k0 r.  No
+        window is stepped twice.  A leg marches forward and the step from an
+        edge reads only the state there, so every state is bitwise that of
+        the leg run in one go to k1 (the point's wherever its cell maps do
+        not depend on their batch, as the tests find on both models' fields;
+        see ``doss_sussmann_solve``)."""
+        law = self.run.law(self.curve.measures[-1], self.k1, k1)
+        c = self.curve
+        curve = MeasureCurve(np.concatenate([c.times[:-1], law.times]),
+                             c.measures[:-1] + law.measures, c.meta)
+        return FlowDetails(self.run, self.solution.Y, self.k0, curve)
+
+    def restart(self, ks: int, kt: int) -> FlowDetails:
+        """The leg from this one's state at its window edge ks, run at least
+        to edge ks + kt of this one; its state at its edge kt is that of the
+        leg over [ks, ks + kt).  Only the last restart is kept, for callers
+        that read every horizon of one ks before moving on, so at most one
+        restart is held at a time; a later kt that reaches past its end
+        extends it, so a restart runs only as far as it is read."""
+        K = len(self.curve.measures) - 1
+        if not 0 <= ks < ks + kt <= K:
+            raise ValueError(f"a restart at {ks} read at {kt} does not fit the leg's {K} windows")
+        k0, k1 = self.k0 + ks, self.k0 + ks + kt
+        held = self._restart
+        if held is None or held.k0 != k0:
+            self._restart = held = None  # drop the old leg before the new one runs
+            held = self.run.leg(self.state_at(ks), k0, k1)
+        elif held.k1 < k1:
+            held = held.extended(k1)
+        self._restart = held
+        return held
 
     @cached_property
     def self_defect(self) -> float:
@@ -208,9 +239,9 @@ def cocycle_defect_at(
     second stage is the leg over windows [ks, ks + kt) from the
     one-shot state at s: the law particles restart on the run's increments
     of those windows, the point on the driver's window from s.  It is read
-    at edge kt of ``details.restart(ks)``, which covers every horizon
-    of the one-shot.  Reports point and law defects plus the single-run
-    self-consistency defect used as the tolerance scale.
+    at edge kt of ``details.restart(ks, kt)``, which runs only as far as
+    the furthest horizon read from ks.  Reports point and law defects plus
+    the single-run self-consistency defect used as the tolerance scale.
     """
     if details is None:
         details = run.leg(e0, 0, ks + kt)
@@ -223,7 +254,7 @@ def cocycle_defect_at(
            "self_defect": details.self_defect, "s": ks * delta, "t": kt * delta}
     if ks == 0 or kt == 0:
         return rep
-    endB = details.restart(ks).state_at(kt)
+    endB = details.restart(ks, kt).state_at(kt)
     _, law_upper, info = dp_bracket(endB.law, end.law, p)
     return rep | {
         "point_defect": float(np.linalg.norm(endB.point - end.point)),

@@ -165,7 +165,9 @@ def simulate_frozen_law(
     (euler_increments).  A leg restarted at window k0 passes the run's cfg,
     T and block rows from step k0 * cfg.inner on, so it replays the run's
     noise at the run's step, and its state after step j is labelled with the
-    run's own step time (k0 * cfg.inner + j + 1) h.
+    run's own step time (k0 * cfg.inner + j + 1) h.  Each state is
+    ``mu0.with_atoms`` of a copy of the particles: mu0's validated weights,
+    and a ``derived`` of its own.
     """
     if model.d != mu0.d:
         raise ValueError("model and initial measure dimension mismatch")
@@ -182,19 +184,18 @@ def simulate_frozen_law(
                          f"in the run's {cfg.n_freeze} windows")
     h = T / cfg.steps
     Y = np.array(mu0.atoms, order="F")  # column-major: the step's loops run along particles
-    w = mu0.weights
     times = [j0 * h]
-    measures = [EmpiricalMeasure(Y.copy(), w)]
+    measures = [mu0.with_atoms(Y.copy())]
     frozen = None
     for j in range(steps):
         if j % cfg.inner == 0:
             frozen = measures[-1]  # the law just recorded, at step j
         Y = _euler_step(model, Y, frozen, h, dW[j])
-        if not np.all(np.isfinite(Y)):
+        if not np.isfinite(Y).all():
             raise RuntimeError(f"non-finite particle state at step {j}")
         if record_inner or (j + 1) % cfg.inner == 0:
             times.append((j0 + j + 1) * h)
-            measures.append(EmpiricalMeasure(Y.copy(), w))
+            measures.append(mu0.with_atoms(Y.copy()))
     return MeasureCurve(
         np.array(times),
         measures,

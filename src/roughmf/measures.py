@@ -56,6 +56,17 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "uniform", uniform)
 
+    def with_atoms(self, atoms: np.ndarray) -> EmpiricalMeasure:
+        """The measure on the float atoms (N, d), of this one's shape, with
+        this one's validated weights and uniform flag and an empty derived
+        of its own; the atoms are kept as given, not copied."""
+        if atoms.shape != self.atoms.shape:
+            raise ValueError(f"atoms of shape {atoms.shape}, not {self.atoms.shape}")
+        mu = object.__new__(EmpiricalMeasure)
+        # the frozen fields, set as __init__ would set them after validation
+        vars(mu).update(atoms=atoms, weights=self.weights, uniform=self.uniform, derived={})
+        return mu
+
     @property
     def n(self) -> int:
         return self.atoms.shape[0]
@@ -148,6 +159,15 @@ def _coupling_lp(mu, nu, p):
     pi = res.x.reshape(N, M)
     ii, jj = np.nonzero(pi > 1e-14)
     return mu.atoms[ii], nu.atoms[jj], pi[ii, jj]
+
+
+def _load_scipy() -> None:
+    """Import the scipy modules of the exact couplings now, on this thread:
+    a caller about to solve transport problems on a pool (``_map_pairs``)
+    pays the load before the pool starts, not beside another thread's
+    work."""
+    import scipy.optimize  # noqa: F401
+    import scipy.spatial.distance  # noqa: F401
 
 
 def _subsample(mu: EmpiricalMeasure, k: int) -> EmpiricalMeasure:

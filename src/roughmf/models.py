@@ -15,10 +15,13 @@ from .measures import EmpiricalMeasure, dp_bracket, moment
 
 
 def covariance(mu: EmpiricalMeasure) -> np.ndarray:
-    """Weighted covariance sum w_i (y_i - m)(y_i - m)^T; exactly symmetric."""
-    m = mu.mean()
-    z = mu.atoms - m
-    C = np.einsum("n,ni,nj->ij", mu.weights, z, z)
+    """Weighted covariance sum w_i (y_i - m)(y_i - m)^T, the one BLAS
+    product (z^T * w) @ z of the centred atoms z = y - m; exactly symmetric.
+    Each entry is a dot product of N terms, so it is within gamma_{N+1}
+    (|z|^T W |z|)_ij of the exact sum whatever order BLAS sums in
+    (gamma_k = k u / (1 - k u), u = 2^-53, W = diag(w))."""
+    z = mu.atoms - mu.mean()
+    C = (z.T * mu.weights) @ z
     return 0.5 * (C + C.T)
 
 
@@ -29,14 +32,21 @@ def psd_sqrt(A: np.ndarray) -> np.ndarray:
     -1e-12 * trace mean the input is genuinely indefinite and are an error.
     """
     A = np.asarray(A, dtype=float)
-    if not np.allclose(A, A.T, atol=1e-10):
-        raise ValueError("psd_sqrt expects a symmetric matrix")
+    T = A.T
+    # np.allclose(A, A.T, atol=1e-10) written out, without its wrapper: an
+    # entry passes if it equals its mirror or lies within
+    # 1e-10 + 1e-5 |mirror| of a finite mirror, so NaN never passes; an
+    # exactly symmetric matrix, such as every Cov(mu), passes at the first test
+    if not (A == T).all():
+        with np.errstate(invalid="ignore"):
+            close = (np.abs(A - T) <= 1e-10 + 1e-5 * np.abs(T)) & np.isfinite(T) | (A == T)
+        if not close.all():
+            raise ValueError("psd_sqrt expects a symmetric matrix")
     w, V = np.linalg.eigh(A)
-    floor = -1e-12 * max(np.trace(A), 1.0)
-    if np.any(w < floor):
+    floor = -1e-12 * max(A.trace(), 1.0)
+    if (w < floor).any():
         raise ValueError(f"matrix is indefinite: min eigenvalue {w.min():g}")
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
+    return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
 @dataclass
@@ -148,14 +158,15 @@ def sigma0(y: np.ndarray) -> np.ndarray:
 def landau_model() -> MeanFieldModel:
     """b = -2y + 2 m(mu); sigma = sigma0(y - m(mu)): a0 = LANDAU_S0 and
     a1 = -sigma0(m(mu)) = sigma0(-m(mu)).  sigma0 is linear, so its measure
-    average equals its value at the mean, computed once per measure.
+    average equals its value at the mean; the mean and a1 are computed once
+    per measure.
     """
 
     def b(Y, mu):
         return -2.0 * Y + 2.0 * _once(mu, "mean", EmpiricalMeasure.mean)
 
     def a1(mu):
-        return sigma0(-_once(mu, "mean", EmpiricalMeasure.mean))
+        return _once(mu, "a1", lambda m: sigma0(-_once(m, "mean", EmpiricalMeasure.mean)))
 
     return MeanFieldModel(
         name="landau-maxwell",

@@ -13,7 +13,9 @@ the blow-up guard (the Wong-Zakai RK4 maps of ``cocycle.wong_zakai_run``
 too), flow Jacobians march the identity frame, and the affine flow maps
 march the homogeneous identity frame.  The scan's blocks are anchored at
 the march's first cell, so a solve on a prefix of the cells is bitwise the
-prefix of the longer solve; against a cell-by-cell loop the states differ
+prefix of the longer solve on the same cell maps (a general a0's maps can
+round differently in batches of other sizes; see ``doss_sussmann_solve``);
+against a cell-by-cell loop the states differ
 by round-off only (the bound is in ``_accel``'s docstring).  Backward
 solves and backward Jacobians enter each cell at its right edge and use the
 inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
@@ -162,12 +164,18 @@ def _cell_maps(coeff: CoefficientField, rp: RoughPath, i: int, j: int, backward:
         xx = (np.einsum("cl,ck->clk", x, x) - xx)[::-1]
         x, A1 = -x[::-1], A1[::-1]
     a0 = coeff.a0
-    P = np.eye(len(a0)) + np.einsum("ikj,ck->cij", a0, x) + np.einsum(
-        "ikj,jlm,clk->cim", a0, a0, xx, optimize=True
-    )
-    q = np.einsum("cik,ck->ci", A1, x) + np.einsum(
-        "ikj,cjl,clk->ci", a0, A1, xx, optimize=True
-    )
+    d, n = len(a0), len(x)
+    # The second-level terms (a0 a0) : xx and a0 : (A1 xx) as the matrix
+    # products that np.einsum(..., optimize=True) forms for them on grids of
+    # 32 cells or more: the same values bitwise, one order at every grid
+    # size, and no contraction-path search on every call.
+    a0a0 = a0.transpose(1, 2, 0).reshape(d * d, d) @ a0.transpose(2, 0, 1).reshape(d, d * d)
+    W = a0a0.reshape(d, d, d, d).transpose(2, 1, 3, 0).reshape(d * d, d * d)  # [im, kl]
+    P = np.eye(d) + np.einsum("ikj,ck->cij", a0, x) + (
+        W @ xx.transpose(2, 1, 0).reshape(d * d, n)).reshape(d, d, n).transpose(2, 0, 1)
+    A1xx = np.matmul(xx.transpose(0, 2, 1), A1.transpose(0, 2, 1)).transpose(0, 2, 1)  # [c, j, k]
+    q = np.einsum("cik,ck->ci", A1, x) + (
+        A1xx.reshape(n, d * d) @ a0.transpose(2, 1, 0).reshape(d * d, d))
     return P, q
 
 
@@ -273,18 +281,32 @@ def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSoluti
     carried back to Y, with no flow map formed or inverted.  Both drift
     reads on cell k take b(k, .) at a one-row block of states (1, d), and
     the guard checks each step before the drift sees it.
+
+    With drift, ``xi`` may also be the states (m + 1, d) of this solve on
+    the first m cells, from a solve on a prefix of rp from the same origin
+    with the same field: they are kept and the loop steps on from cell m,
+    building only the later cells' maps.  Each cell is one step on its own
+    map, so the states are those of the solve from xi[0] in one go, bitwise
+    wherever a cell's map does not depend on how many maps are built with
+    it: the matrix products may round a cell's map differently in batches
+    of other sizes, which the tests find on neither model's frozen-law
+    field (a0 = 0, or entries in {0, 1, -1}).
     """
+    head = np.atleast_2d(np.asarray(xi, dtype=float))  # a start (d,) is (1, d)
+    m, M = len(head) - 1, rp.grid.n_cells
     if coeff.b is None:
-        return solve_driftless(coeff, rp, xi)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    M = rp.grid.n_cells
-    P, q = _cell_maps(coeff, rp, 0, M, False)
+        if m:
+            raise ValueError("a driftless solve starts from one state, not from solved cells")
+        return solve_driftless(coeff, rp, head[0])
+    if m > M:
+        raise ValueError(f"{m} solved cells, but the path has {M}")
+    P, q = _cell_maps(coeff, rp, m, M, False)
     b = coeff.b
-    Y = np.empty((M + 1, len(xi)))
-    Y[0] = xi
-    for k, h in enumerate(rp.grid.widths.tolist()):
-        Pb = P[k] @ b(k, Y[k : k + 1])[0]
-        flow = P[k] @ Y[k] + q[k]
+    Y = np.empty((M + 1, head.shape[1]))
+    Y[: m + 1] = head
+    for k, (Pk, qk, h) in enumerate(zip(P, q, rp.grid.widths[m:].tolist()), m):
+        Pb = Pk @ b(k, Y[k : k + 1])[0]
+        flow = Pk @ Y[k] + qk
         Y[k + 1] = flow + 0.5 * h * (Pb + b(k, (flow + h * Pb)[None])[0])
         _guard(Y[k + 1], k)
-    return _solution(coeff, rp, Y, {"steps": M})
+    return _solution(coeff, rp, Y, {"steps": M - m})

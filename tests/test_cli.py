@@ -299,10 +299,14 @@ def test_verify_passes_and_writes_verdict(tmp_path):
 
 def test_verify_runs_its_seed_once(tmp_path, monkeypatch):
     # one initial law and one one-shot flow serve all four checks: its curve,
-    # the cocycle restarts at ks = 2 and 4 of 8 windows, two moved stability
-    # starts; nothing re-simulates the one-shot curve, and only the run's
-    # block and the duality check's independent one are drawn
+    # the cocycle restarts at ks = 2 and 4 of 8 windows, each run to kt = 2
+    # and then extended to kt = 4, two moved stability starts; nothing
+    # re-simulates the one-shot curve, no Euler step runs twice, and only the
+    # run's block and the duality check's independent one are drawn
     calls = Counter()
+    step = meanfield._euler_step
+    monkeypatch.setattr(meanfield, "_euler_step",
+                        lambda *a: calls.update(["euler_step"]) or step(*a))
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -321,18 +325,29 @@ def test_verify_runs_its_seed_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     main(["verify", "--config", str(p), "--output-dir", str(out)])
     assert len(json.loads((out / "verdict.json").read_text())) == 4
-    assert calls == {"simulate_frozen_law": 1 + 2 + 2, "initial_measure": 1,
-                     "particle_noise": 2}
+    # 8 windows of 2 steps: the one-shot, 4 windows per restart, the two
+    # stability runs and the dual SDE
+    assert calls == {"simulate_frozen_law": 1 + 2 * 2 + 2, "initial_measure": 1,
+                     "particle_noise": 2, "euler_step": 16 + 2 * 8 + 2 * 16 + 16}
 
 
 def test_verify_solves_the_point_leg_only_for_cocycle(tmp_path, monkeypatch):
     # only the cocycle check reads the one-shot point: without it verify
-    # neither lifts the driver nor solves the point, with it once each
-    calls = Counter()
+    # neither lifts the driver nor solves the point, with it lifts once and
+    # solves each cell of a leg once
+    calls, rde_cells = Counter(), []
     for module, name in ((cocycle, "doss_sussmann_solve"), (cocycle, "brownian_lift")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, _n=name, _f=real, **k: calls.update([_n]) or _f(*a, **k))
+    counted_solve = cocycle.doss_sussmann_solve
+
+    def solve(*a):
+        sol = counted_solve(*a)
+        rde_cells.append(sol.diagnostics["steps"])
+        return sol
+
+    monkeypatch.setattr(cocycle, "doss_sussmann_solve", solve)
     out = tmp_path / "out"
     p = write_config(tmp_path, particles=40, checks=["moments", "duality", "stability"])
     main(["verify", "--config", str(p), "--output-dir", str(out)])
@@ -340,8 +355,10 @@ def test_verify_solves_the_point_leg_only_for_cocycle(tmp_path, monkeypatch):
     p = write_config(tmp_path, particles=40, frozen_law={"n_freeze": 8, "inner": 1},
                      checks=["moments", "cocycle"])
     main(["verify", "--config", str(p), "--output-dir", str(out)])
-    # the one-shot and the restarts at ks = 2 and 4 of 8 windows
-    assert calls == {"brownian_lift": 1, "doss_sussmann_solve": 1 + 2}
+    # the one-shot, and the restarts at ks = 2 and 4 of 8 windows, each
+    # solved to kt = 2 and then on to kt = 4 from its end: no cell twice
+    assert calls == {"brownian_lift": 1, "doss_sussmann_solve": 1 + 2 * 2}
+    assert rde_cells == [8, 2, 2, 2, 2]
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
@@ -602,6 +619,32 @@ def test_import_and_transport_free_verbs_load_no_scipy(tmp_path):
     assert seen.pop("after") is True
     assert seen == {k: [] for k in ("import", "simulate", "verify", "emit --kind moments",
                                     "emit --kind defects")}
+
+
+METRIC_CURVES_LOAD = """
+import json, sys, threading
+import roughmf.cli as cli
+
+config, out = sys.argv[1], sys.argv[2]
+cli.main(["simulate", "--config", config, "--output-dir", out])
+seen, map_pairs = [], cli._map_pairs
+
+def watched(fn, pairs):
+    seen.append(sorted(m for m in ("scipy.optimize", "scipy.spatial.distance") if m in sys.modules))
+    return map_pairs(fn, pairs)
+
+cli._map_pairs = watched
+cli.main(["emit", "--kind", "metric-curves", "--config", config, "--output-dir", out])
+print(json.dumps(seen))
+"""
+
+
+def test_emit_metric_curves_loads_scipy_before_its_pair_map(tmp_path):
+    # the brackets' couplings need scipy: it is loaded on the calling thread
+    # before the pair map starts its pool, not inside it
+    p = write_config(tmp_path, seeds=[0], particles=60)
+    seen = json.loads(fresh_python(METRIC_CURVES_LOAD, str(p), str(tmp_path / "out")))
+    assert seen == [["scipy.optimize", "scipy.spatial.distance"]]
 
 
 def test_console_script_entrypoint(tmp_path):

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from roughmf import cocycle, rng
+from roughmf import cocycle, meanfield, rng
 from roughmf.cocycle import (
     FlowRun,
     JointState,
@@ -297,37 +297,67 @@ def test_cocycle_reports_do_not_depend_on_the_one_shot_horizon(model_name, layou
 
 def test_one_restart_per_restart_window(monkeypatch):
     # criterion 6's pattern: 16 pairs (s, t) over 4 restart times, read
-    # off one one-shot run and one restart per s
+    # off one one-shot run and one restart per s, which runs as far as
+    # it is read: each Euler step of a restart runs once
     run, e0 = make_run(seed=8, n=30, n_freeze=8, inner=1)
-    calls = []
-    simulate = cocycle.simulate_frozen_law
-    monkeypatch.setattr(cocycle, "simulate_frozen_law",
-                        lambda *a, **k: calls.append(1) or simulate(*a, **k))
+    steps = []
+    step = meanfield._euler_step
+    monkeypatch.setattr(meanfield, "_euler_step",
+                        lambda *a: steps.append(1) or step(*a))
     det = flow_details(run, e0, 1.0)
     for s8 in (1, 2, 3, 4):
         for t8 in (1, 2, 3, 4):
             cocycle_defect(run, e0, s8 / 8, t8 / 8, details=det)
-    assert len(calls) == 1 + 4
+    assert len(steps) == 8 + 4 * 4
 
 
 def test_restart_keeps_only_the_last_one_asked_for(monkeypatch):
     run, e0 = make_run(seed=9, n=30, n_freeze=4)
     det = flow_details(run, e0, 1.0)
-    first = det.restart(1)
-    assert det.restart(1) is first
-    assert len(first.curve.measures) == 4  # windows [1, 4)
-    second = det.restart(2)
-    assert second is not first and det.restart(2) is second
-    assert det.restart(1) is not first  # the slot held only ks = 2
+    first = det.restart(1, 1)
+    assert det.restart(1, 1) is first
+    assert (first.k0, first.k1) == (1, 2)  # run as far as it is read
+    longer = det.restart(1, 3)  # a later, further read extends it
+    assert (longer.k0, longer.k1) == (1, 4) and first.k1 == 2
+    assert det.restart(1, 2) is longer and det.restart(1, 1) is longer
+    second = det.restart(2, 1)
+    assert second is not longer and det.restart(2, 1) is second
+    assert det.restart(1, 1) is not first  # the slot held only ks = 2
     other = flow_details(run, e0, 1.0)  # equal values, another one-shot
-    assert other.restart(1) is not det.restart(1)
+    assert other.restart(1, 1) is not det.restart(1, 1)
+    for ks, kt in [(1, 0), (2, 3), (-1, 1)]:
+        with pytest.raises(ValueError, match="does not fit"):
+            det.restart(ks, kt)
     # the kept leg is let go before the next one runs: one at a time
-    held = weakref.ref(det.restart(3))
+    held = weakref.ref(det.restart(3, 1))
     leg, alive = FlowRun.leg, []
     monkeypatch.setattr(FlowRun, "leg",
                         lambda self, *a: alive.append(held() is not None) or leg(self, *a))
-    det.restart(2)
+    det.restart(2, 1)
     assert alive == [False]
+
+
+@pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
+@pytest.mark.parametrize("layout", PREFIX_RUNS)
+def test_restart_read_in_any_order_is_the_leg_run_in_one_go(model_name, layout):
+    # ascending reads extend the kept restart window by window, descending
+    # ones read prefixes of it, shuffled ones mix both: every state is
+    # bitwise that of the leg from the same state run in one go
+    run, e0 = make_run(seed=10, n=40, model_name=model_name, **layout)
+    K = run.cfg.n_freeze
+    det = flow_details(run, e0, run.T)
+    shuffle = np.random.default_rng(10).permutation
+    for order in (sorted, lambda kts: kts[::-1], lambda kts: list(shuffle(kts))):
+        for ks in range(1, K):
+            e = det.state_at(ks)
+            for kt in order(list(range(1, K - ks + 1))):
+                got = det.restart(ks, kt)
+                want = run.leg(e, ks, ks + kt)
+                assert np.array_equal(got.state_at(kt).point, want.state_at(kt).point), (ks, kt)
+                assert np.array_equal(got.curve.times[: kt + 1], want.curve.times), (ks, kt)
+                for a, b in zip(got.curve.measures, want.curve.measures):
+                    assert np.array_equal(a.atoms, b.atoms), (ks, kt)
+                    assert a.weights is det.curve.measures[0].weights
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,32 @@ def test_simulate_shapes_and_meta():
     assert len(inner.times) == 33
 
 
+@pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+def test_recorded_states_share_the_start_weights_and_nothing_derived(weights):
+    # every state is the measure EmpiricalMeasure(atoms, w) would build, on
+    # the start's validated weights, with a derived of its own: the
+    # covariance frozen at one window start is computed on that state's
+    # atoms and never read by the next
+    model = build_model("eks-gaussian", {"Sigma": np.diag([1.0, 4.0])})
+    rng_ = np.random.default_rng(5)
+    w = None if weights == "uniform" else rng_.dirichlet(np.ones(40))
+    mu0 = EmpiricalMeasure(np.asfortranarray(rng_.normal(size=(40, 2))), w)
+    cfg = FrozenLawConfig(4, inner=3, seed=2)
+    curve = simulate_frozen_law(model, mu0, cfg, 1.0, record_inner=True)
+    assert len({id(m.derived) for m in curve.measures + [mu0]}) == len(curve.measures) + 1
+    for j, m in enumerate(curve.measures):
+        ref = EmpiricalMeasure(m.atoms, mu0.weights)
+        assert m.weights is mu0.weights and m.uniform == ref.uniform == (w is None)
+        assert np.array_equal(m.atoms, ref.atoms) and m.atoms.flags.c_contiguous
+        frozen = j % cfg.inner == 0 and j < cfg.steps
+        assert sorted(m.derived) == (["cov", "sqrt_2cov"] if frozen else []), j
+        if frozen:
+            assert np.array_equal(m.derived["cov"], covariance(ref)), j
+    assert not mu0.derived
+    with pytest.raises(ValueError, match="shape"):
+        mu0.with_atoms(np.zeros((40, 3)))
+
+
 def test_simulate_dimension_mismatch():
     model = build_model("landau-maxwell")
     with pytest.raises(ValueError):

@@ -32,6 +32,68 @@ def test_covariance_symmetric_and_correct():
     assert np.max(np.abs(C - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("weights", ["uniform", "dirichlet"])
+def test_covariance_is_the_old_einsum_within_its_round_off(d, n, order, weights):
+    # both forms take the same centred atoms z and sum N products of two
+    # roundings each, so each entry lies within gamma_{N+1} S_ij of the
+    # exact sum, S = |z|^T W |z|, and the symmetrization adds one rounding
+    # of at most u S_ij: the two differ by at most 2 gamma_{N+2} S_ij
+    rng = np.random.default_rng(100 * d + n)
+    atoms = np.asarray(3.0 * rng.normal(size=(n, d)) + 1.5, order=order)
+    w = None if weights == "uniform" else rng.dirichlet(np.ones(n))
+    mu = EmpiricalMeasure(atoms, w)
+    z = mu.atoms - mu.mean()
+    old = np.einsum("n,ni,nj->ij", mu.weights, z, z)
+    old = 0.5 * (old + old.T)
+    C = covariance(mu)
+    u = 2.0**-53
+    gamma = (n + 2) * u / (1 - (n + 2) * u)
+    S = np.einsum("n,ni,nj->ij", mu.weights, np.abs(z), np.abs(z))
+    assert np.array_equal(C, C.T)
+    assert np.all(np.abs(C - old) <= 2 * gamma * S)
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 3.0, 1e-12, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+def _edge_values():
+    # each base, its tolerance step 1e-10 + 1e-5 |base| away, and the
+    # neighbouring floats just inside and just outside that step
+    out = list(SPECIAL)
+    for y in (1.0, 3.0, 1e-12, 0.0, -2.0):
+        x = y + (1e-10 + 1e-5 * abs(y))
+        out += [y, x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)]
+    return out
+
+
+def test_psd_sqrt_symmetry_test_is_allclose_written_out():
+    values = _edge_values()
+    for x in values:
+        for y in values:
+            A = np.array([[2.0, x], [y, 2.0]])
+            with np.errstate(all="ignore"):
+                symmetric = np.allclose(A, A.T, atol=1e-10)
+                try:
+                    psd_sqrt(A)
+                    rejected = False
+                except Exception as exc:  # e.g. an indefinite or non-finite matrix
+                    rejected = "symmetric" in str(exc)
+            assert rejected == (not symmetric), (x, y)
+    # a non-finite diagonal equals its mirror unless it is NaN
+    for v in (np.inf, -np.inf, np.nan):
+        A = np.diag([v, 1.0])
+        with np.errstate(all="ignore"):
+            try:
+                psd_sqrt(A)
+                rejected = False
+            except Exception as exc:
+                rejected = "symmetric" in str(exc)
+        assert rejected == (not np.allclose(A, A.T, atol=1e-10)), v
+
+
 def test_psd_sqrt():
     A = np.array([[4.0, 0.0], [0.0, 9.0]])
     assert np.allclose(psd_sqrt(A), np.diag([2.0, 3.0]))

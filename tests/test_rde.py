@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from roughmf.grids import TimeGrid
 from roughmf.rde import (
+    _cell_maps,
     doss_sussmann_solve,
     flow_jacobian,
     linear_coefficients,
@@ -333,6 +336,59 @@ def test_doss_sussmann_matches_conjugate_heun_on_a_nonlinear_drift():
     y0 = g.normal(size=d)
     got, want = doss_sussmann_solve(coeff, rp, y0).Y, doss_sussmann_oracle(coeff, rp, y0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("exact_a0", [False, True])
+def test_doss_sussmann_goes_on_from_solved_cells(exact_a0):
+    # a solve on a prefix of the path, continued from its states on the
+    # longer path from the same origin, is the solve in one go: bit for bit
+    # when a0 has entries in {0, 1, -1}, as Landau's, whose products round
+    # alike in any batch of cell maps; to round-off for a general a0
+    d, cells = 3, 150
+    g = np.random.default_rng(42)
+    rp = random_rough_path(42, cells=cells, d=d)
+    a0 = g.integers(-1, 2, size=(d, d, d)) if exact_a0 else 0.5 * g.normal(size=(d, d, d))
+    table = g.normal(size=(cells, d, d))
+    coeff = linear_coefficients(a0, lambda c: table[c], b=lambda c, y: -y**3 + np.sin(c))
+    y0 = 0.1 * g.normal(size=d)
+    whole = doss_sussmann_solve(coeff, rp, y0)
+    for m in (1, 63, 64, 65, 149, 150):
+        head = doss_sussmann_solve(coeff, rp.restrict(0, m), y0).Y
+        on = doss_sussmann_solve(coeff, rp, head)
+        if exact_a0:
+            assert np.array_equal(on.Y, whole.Y), m
+        else:
+            assert np.max(np.abs(on.Y - whole.Y)) <= 1e-13 * np.max(np.abs(whole.Y)), m
+        assert on.diagnostics["steps"] == cells - m
+    with pytest.raises(ValueError, match="151 solved cells"):
+        doss_sussmann_solve(coeff, rp, np.vstack([whole.Y, whole.Y[-1:]]))
+    with pytest.raises(ValueError, match="driftless"):
+        doss_sussmann_solve(replace(coeff, b=None), rp, whole.Y[:3])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("backward", [False, True])
+def test_cell_maps_are_the_einsum_of_the_fixed_path(d, backward):
+    # the written-out second-level products equal, bitwise, np.einsum on the
+    # contraction orders its greedy path picks for grids of 32 cells or
+    # more, at every cell count
+    g = np.random.default_rng(d)
+    for cells in (1, 8, 32, 100):
+        rp = random_rough_path(d + cells, cells=cells, d=d)
+        a0 = g.normal(size=(d, d, d))
+        for table in (g.normal(size=(cells, d, d)), g.normal(size=(d, d))):
+            coeff = linear_coefficients(a0, lambda c, t=table: t if t.ndim == 2 else t[c])
+            P, q = _cell_maps(coeff, rp, 0, cells, backward)
+            x, xx = np.diff(rp.values, axis=0), rp.cells
+            A1 = np.broadcast_to(coeff.a1(np.arange(cells)), (cells, d, d))
+            if backward:
+                xx = (np.einsum("cl,ck->clk", x, x) - xx)[::-1]
+                x, A1 = -x[::-1], A1[::-1]
+            want_P = np.eye(d) + np.einsum("ikj,ck->cij", a0, x) + np.einsum(
+                "ikj,jlm,clk->cim", a0, a0, xx, optimize=["einsum_path", (0, 1), (0, 1)])
+            want_q = np.einsum("cik,ck->ci", A1, x) + np.einsum(
+                "ikj,cjl,clk->ci", a0, A1, xx, optimize=["einsum_path", (1, 2), (0, 1)])
+            assert np.array_equal(P, want_P) and np.array_equal(q, want_q), cells
 
 
 # ---------------------------------------------------------------------------
