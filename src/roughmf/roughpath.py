@@ -14,7 +14,8 @@ correction (h/2) Id per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -268,7 +269,6 @@ class RoughPath:
     values: np.ndarray  # X at grid points, (M+1, d)
     cells: np.ndarray  # second level over consecutive cells, (M, d, d)
     alpha: float
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -279,13 +279,18 @@ class RoughPath:
             raise ValueError("inconsistent rough path array shapes")
         object.__setattr__(self, "values", X)
         object.__setattr__(self, "cells", C)
-        # running second level from the left endpoint:
-        #   cum[j] = XX_{t_0, t_j}
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """Running second level from the left endpoint, cum[j] = XX_{t_0, t_j},
+        (M+1, d, d): built at the first Hölder or Chen query, since RDE
+        solves read only the cells."""
+        X, C = self.values, self.cells
         dX = np.diff(X, axis=0)
-        cum = np.empty((M + 1, X.shape[1], X.shape[1]))
+        cum = np.empty((len(X), X.shape[1], X.shape[1]))
         cum[0] = 0.0
         np.cumsum(C + np.einsum("ml,mk->mlk", X[:-1] - X[0], dX), axis=0, out=cum[1:])
-        object.__setattr__(self, "_cum", cum)
+        return cum
 
     @property
     def d(self) -> int:

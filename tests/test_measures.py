@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 from roughmf import measures
 from roughmf.measures import (
@@ -14,6 +15,7 @@ from roughmf.measures import (
     EmpiricalMeasure,
     _cost_matrix,
     _map_pairs,
+    _reduce_w2_cost,
     default_test_family,
     dp_bracket,
     linear_func,
@@ -201,6 +203,91 @@ def test_assignment_bitwise_equals_reference_solve():
     assert np.array_equal(gx, xs) and np.array_equal(gy, ys) and np.array_equal(gm, mass)
 
 
+WARM_KINDS = ("shifted", "scaled", "bimodal", "far-1e3", "far-1e6", "line", "duplicates")
+
+
+def warm_start_pair(kind, seed, n, d):
+    """Rows x and columns y of one matching of the warm-start corpus."""
+    rng = np.random.default_rng([seed, n, d, WARM_KINDS.index(kind)])
+    x, y = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    if kind == "shifted":
+        y += 0.5
+    elif kind == "scaled":
+        y *= np.linspace(0.5, 2.5, d)
+    elif kind == "bimodal":
+        y[: n // 2] += 3.0
+        y[n // 2 :] -= 3.0
+    elif kind.startswith("far"):
+        # far from the origin, with different spreads
+        offset = float(kind[4:])
+        x, y = x + offset, 1.5 * y + offset + 0.3
+    elif kind == "line":
+        # the columns on a line: a singular covariance
+        y = np.outer(y[:, 0], np.arange(1.0, d + 1.0)) + 0.2
+    elif kind == "duplicates":
+        # every atom twice on each side: ties among the optimal matchings
+        x[n // 2 : 2 * (n // 2)] = x[: n // 2]
+        y[n // 2 : 2 * (n // 2)] = y[: n // 2]
+    return x, y
+
+
+def warm_start_corpus(n):
+    """(seed, kind, d) of the corpus at n atoms: every kind in d = 2 and 3
+    at every seed 0-19 up to 64 atoms; above, where one plain solve takes
+    20-90 ms, one kind and one d per seed, in turn, which meets every
+    (kind, d) within the 20 seeds."""
+    if n <= 64:
+        return [(seed, kind, d) for seed in range(20) for kind in WARM_KINDS for d in (2, 3)]
+    return [(seed, WARM_KINDS[seed % len(WARM_KINDS)], 2 + seed % 2) for seed in range(20)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 500, 512])
+def test_warm_start_keeps_the_plain_solves_matching(n):
+    """On every pair of the corpus, the warm-started matching is the one
+    scipy returns on the plain cdist ** 2 cost; under ties (duplicated
+    atoms) it is an optimal one, whose cost is the plain one's within the
+    stated bound 2 N e, e = 10 u max C.  The reduction runs wherever the
+    columns' covariance is positive definite: never on the line, nor below
+    d + 1 distinct atoms."""
+    for seed, kind, d in warm_start_corpus(n):
+        x, y = warm_start_pair(kind, seed, n, d)
+        plain = cdist(x, y) ** 2
+        _, want = linear_sum_assignment(plain)
+        distinct = n - n // 2 if kind == "duplicates" else n
+        ran = _reduce_w2_cost(plain.copy(), x, y)
+        assert ran == (kind != "line" and distinct > d), (seed, kind)
+        _, info = wasserstein_p(EmpiricalMeasure(x), EmpiricalMeasure(y), 2.0,
+                                return_info=True)
+        xs, ys, _ = info["coupling"]
+        assert np.array_equal(xs, x)
+        if kind == "duplicates":
+            bound = 2 * n * 10 * 2.0**-53 * plain.max()
+            gap = np.sum((xs - ys) ** 2) - np.sum((x - y[want]) ** 2)
+            assert abs(gap) <= bound, (seed, kind, gap, bound)
+        else:
+            assert np.array_equal(ys, y[want]), (seed, kind)
+
+
+def test_warm_start_skips_a_potential_above_the_cost():
+    """Columns: a tight cluster and one far outlier, so the Gaussian fit
+    stretches the outlier's potential above the largest cost; the cost is
+    left as it is and the solve is the plain one."""
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=(500, 2)) * 1e-3
+    y[0] = [1.0, 0.0]
+    x = rng.normal(size=(500, 2)) * [1.0 / 3.0, 1e-3]
+    plain = cdist(x, y) ** 2
+    cost = plain.copy()
+    assert not _reduce_w2_cost(cost, x, y)
+    assert np.array_equal(cost, plain)
+    _, info = wasserstein_p(EmpiricalMeasure(x), EmpiricalMeasure(y), 2.0, return_info=True)
+    assert np.array_equal(info["coupling"][1], y[linear_sum_assignment(plain)[1]])
+    # the line skips with the cost untouched too
+    x, y = warm_start_pair("line", 0, 64, 2)
+    cost = cdist(x, y) ** 2
+    assert not _reduce_w2_cost(cost, x, y) and np.array_equal(cost, cdist(x, y) ** 2)
+
+
 def test_w_metric_axioms():
     mus = [cloud(s, 64, 2, shift=0.3 * s) for s in range(3)]
     for p in (1.0, 2.0):
@@ -255,21 +342,39 @@ def test_w_input_validation():
 # test function family and bracket
 # ---------------------------------------------------------------------------
 
+def certify(fam, sampler, n=1000):
+    """Sample-check |grad phi| <= 1 + |y|^{p-1}, |D^2 phi| <= 1 + |y|^{p-1}
+    for every member of the family: dp_bracket's lower bound is valid only
+    if each one meets the envelope.
+
+    The Hessian is measured in operator norm, so e.g. the identity
+    Hessian of |y|^2/2 has size 1 in any dimension.
+    """
+    pts = sampler(n)
+    env = 1.0 + np.linalg.norm(pts, axis=1) ** (fam.p - 1.0) + 1e-12
+    for f in fam.funcs:
+        if np.any(np.linalg.norm(f.grad(pts), axis=1) > env):
+            return False
+        if np.any(np.linalg.norm(f.hess(pts), 2, axis=(1, 2)) > env):
+            return False
+    return True
+
+
 def test_family_certificate():
     fam = default_test_family(2.0, d=3)
     rng = np.random.default_rng(0)
-    assert fam.certify(lambda n: rng.normal(size=(n, 3)) * 3.0, n=500)
+    assert certify(fam, lambda n: rng.normal(size=(n, 3)) * 3.0, n=500)
 
 
 def test_family_certificate_catches_violation():
     rng = np.random.default_rng(1)
     fam = default_test_family(2.0, d=2)
     fam.funcs.append(linear_func(np.array([50.0, 0.0]), "steep"))
-    assert not fam.certify(lambda n: rng.normal(size=(n, 2)), n=100)
+    assert not certify(fam, lambda n: rng.normal(size=(n, 2)), n=100)
     # a Hessian violation alone is caught too
     fam = default_test_family(2.0, d=2)
     fam.funcs[0].hess = lambda Y: np.broadcast_to(50.0 * np.eye(2), (len(Y), 2, 2))
-    assert not fam.certify(lambda n: rng.normal(size=(n, 2)), n=100)
+    assert not certify(fam, lambda n: rng.normal(size=(n, 2)), n=100)
 
 
 def test_bump_derivatives_by_finite_difference():
