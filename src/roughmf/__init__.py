@@ -9,7 +9,6 @@ from .grids import TimeGrid
 from .measures import (
     EmpiricalMeasure,
     ScalarFunc,
-    TestFunctionFamily,
     default_test_family,
     dp_bracket,
     linear_func,

@@ -1,6 +1,6 @@
-"""Hot numeric kernels: the discrete Hölder pair suprema and ``march``,
-the one blocked scan through affine cell maps that every RDE solve, flow
-Jacobian and flow map is read off, one numpy implementation each.
+"""Hot numeric kernels: the discrete Hölder pair suprema and the one
+blocked scan through affine cell maps that every RDE solve, flow Jacobian
+and flow map is read off, one numpy implementation each.
 
 A pair kernel takes index arrays ``ii`` and ``jj`` that broadcast against
 each other, and returns the largest Hölder ratio over the pairs ``(i, j)``
@@ -29,20 +29,22 @@ The bounds count u = eps / 2 per rounded operation, relative to that
 operation's exact result, to first order in u, and each slack is at least
 1.2 times the bound it covers.
 
-``march`` composes the cell maps as a prefix scan (Blelloch, "Prefix sums
-and their applications", 1990): an affine map is the homogeneous matrix
-H_k = [[P_k, q_k], [0, 1]], and composition is its product.  The cells are
-cut into blocks of ``MARCH_BLOCK`` anchored at the march's first cell; the
-running products inside every block are formed at once, one batched
-product per position in the block, then one loop over the blocks carries
-each block's entry state to the next, and one batched product applies each
-block's running products to its entry state.  The anchoring is fixed, so
-the march of the first m maps is bitwise the first m + 1 states of the
-march of all of them, whatever follows.  State k is a product of at most
-k rounded factors, as in a cell-by-cell loop, but associated differently;
-each entry of either lies within gamma_{k (d + 1)} of the exact product of
-the maps' absolute values applied to |y0| (gamma_m = m u / (1 - m u)), and
-the two differ by round-off within twice that.
+``march`` (the states of a point) and ``linear_flow_maps`` (the flow
+maps, whose linear part is the flow Jacobian) compose the cell maps by one
+prefix scan (Blelloch, "Prefix sums and their applications", 1990): an
+affine map is the homogeneous matrix H_k = [[P_k, q_k], [0, 1]], and
+composition is its product.  The cells are cut into blocks of
+``MARCH_BLOCK`` anchored at the first cell; the running products inside
+every block are formed at once, one batched product per position in the
+block, then one loop over the blocks carries each block's entry state to
+the next, and one batched product applies each block's running products to
+its entry state.  The anchoring is fixed, so the scan of the first m maps
+is bitwise the first m + 1 states of the scan of all of them, whatever
+follows.  State k is a product of at most k rounded factors, as in a
+cell-by-cell loop, but associated differently; each entry of either lies
+within gamma_{k (d + 1)} of the exact product of the maps' absolute values
+applied to |y0| (gamma_m = m u / (1 - m u)), and the two differ by
+round-off within twice that.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ HAVE_NUMBA = False
 
 EPS = float(np.finfo(float).eps)
 
-# cells per block of ``march``'s scan, anchored at the march's first cell
+# cells per block of the scan, anchored at its first cell
 MARCH_BLOCK = 64
 
 
@@ -146,31 +148,30 @@ def pair_sup_second_diff(X1, A1, X2, A2, times, ii, jj, alpha):
     return block_sup(_second_diff(X1, A1, X2, A2, ii, jj), _gap(times, ii, jj), 2.0 * alpha)
 
 
-def _scan(H, Y0, R):
+def _scan(H, Y0):
     """The states Y0, H_0 Y0, H_1 H_0 Y0, ... of the maps H (n, e, e) from
-    Y0 (e, m), shape (n + 1, e, m).  R (n, e, e) receives the running
-    products inside each block, R_k = H_k ... H_{k0} from the block's first
-    cell k0; it may be H itself, which the scan then overwrites."""
+    Y0 (e, m), shape (n + 1, e, m).  H is overwritten with the running
+    products inside each block, H_k ... H_{k0} from the block's first cell
+    k0."""
     B, n = MARCH_BLOCK, len(H)
-    prev = R[0::B]
-    prev[...] = H[0::B]
+    prev = H[0::B]
     for j in range(1, min(B, n)):
-        cur = R[j::B]  # position j of every block that reaches it
+        cur = H[j::B]  # position j of every block that reaches it
         if len(cur) < len(prev):
             prev = prev[: len(cur)]
-        prev = np.matmul(H[j::B], prev, out=cur)
+        prev = np.matmul(cur, prev, out=cur)
     nb, full = n // B, n - n % B
     entries = np.empty((nb + 1,) + Y0.shape)
     entries[0] = Y0
     for b in range(nb):
-        np.matmul(R[b * B + B - 1], entries[b], out=entries[b + 1])
+        np.matmul(H[b * B + B - 1], entries[b], out=entries[b + 1])
     Y = np.empty((n + 1,) + Y0.shape)
     Y[0] = Y0
     if nb:
-        np.matmul(R[:full].reshape((nb, B) + R.shape[1:]), entries[:nb, None],
+        np.matmul(H[:full].reshape((nb, B) + H.shape[1:]), entries[:nb, None],
                   out=Y[1 : full + 1].reshape((nb, B) + Y0.shape))
     if full < n:
-        np.matmul(R[full:], entries[nb], out=Y[full + 1 :])
+        np.matmul(H[full:], entries[nb], out=Y[full + 1 :])
     return Y
 
 
@@ -186,25 +187,19 @@ def _homogeneous(P, q):
 
 
 def march(P, q, y0):
-    """Step Y <- P_k Y + q_k from y0, a point (d,), or Y <- P_k Y from a
-    frame (d, m) with ``q = None``.  Returns every node's state, shape
-    (len(P) + 1,) + y0's shape, by the blocked scan of the module
-    docstring: a point through the homogeneous maps from (y0, 1), a frame
-    through the P themselves."""
-    if q is None:
-        return _scan(P, np.asarray(y0, dtype=float), np.empty(np.shape(P)))
+    """Step Y <- P_k Y + q_k from the point y0 (d,).  Returns every node's
+    state, shape (len(P) + 1, d), by the blocked scan of the module
+    docstring from (y0, 1)."""
     d = q.shape[1]
     Y0 = np.ones((d + 1, 1))
     Y0[:d, 0] = y0
-    H = _homogeneous(P, q)
-    return _scan(H, Y0, H)[:, :d, 0].copy()
+    return _scan(_homogeneous(P, q), Y0)[:, :d, 0].copy()
 
 
 def linear_flow_maps(P, q):
-    """M_k = P_{k-1} ... P_0 and v_k, so that Y_k = M_k y0 + v_k: the
-    march of the homogeneous identity frame, whose state k is
-    [[M_k, v_k], [0, 1]]."""
+    """M_k = P_{k-1} ... P_0 and v_k, so that Y_k = M_k y0 + v_k: the scan
+    of the homogeneous identity frame, whose state k is
+    [[M_k, v_k], [0, 1]].  Both are views of that one array."""
     d = q.shape[1]
-    H = _homogeneous(P, q)
-    Y = _scan(H, np.eye(d + 1), H)
+    Y = _scan(_homogeneous(P, q), np.eye(d + 1))
     return Y[:, :d, :d], Y[:, :d, d]

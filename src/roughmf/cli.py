@@ -33,7 +33,6 @@ from .meanfield import (
 from .measures import (
     EmpiricalMeasure,
     ScalarFunc,
-    _load_scipy,
     _map_pairs,
     dp_bracket,
     linear_func,
@@ -147,19 +146,36 @@ def validate_config(cfg: dict) -> list:
     return errors
 
 
-def _check_initial(init: dict, d, errors: list):
-    """The initial law's kind, and its parameters' shapes against the
-    model's dimension d (skipped when the model itself is invalid).
-    Returns a Gaussian initial law's valid covariance, else None."""
+#: the initial laws a config may name, each with its parameters' defaults in
+#: the model's dimension d
+INITIAL_LAWS = {
+    "gaussian": {"mean": np.zeros, "cov": np.eye},
+    "uniform": {"low": lambda d: -np.ones(d), "high": np.ones},
+}
+
+
+def _initial_law(init: dict, d, errors: list):
+    """The initial law's kind (gaussian by default) and its parameters, each
+    the config's float array for the model's dimension d, its default, or
+    None after recording an error; no parameters for an unknown kind or an
+    invalid model (d None)."""
     kind = init.get("kind", "gaussian")
-    if kind not in ("gaussian", "uniform"):
+    if kind not in INITIAL_LAWS:
         errors.append(f"initial.kind must be 'gaussian' or 'uniform', got {kind!r}")
-        return
-    if d is None:
-        return
+    if kind not in INITIAL_LAWS or d is None:
+        return kind, None
+    return kind, {key: _initial_array(init, key, default(d), errors)
+                  for key, default in INITIAL_LAWS[kind].items()}
+
+
+def _check_initial(init: dict, d, errors: list):
+    """Check the initial law (``_initial_law``) and its parameters' values.
+    Returns a Gaussian initial law's valid covariance, else None."""
+    kind, par = _initial_law(init, d, errors)
+    if par is None:
+        return None
     if kind == "gaussian":
-        _initial_array(init, "mean", np.zeros(d), errors)
-        cov = _initial_array(init, "cov", np.eye(d), errors)
+        cov = par["cov"]
         if cov is not None:
             try:
                 psd_sqrt(cov)
@@ -167,8 +183,7 @@ def _check_initial(init: dict, d, errors: list):
                 errors.append(f"initial.cov must be symmetric positive semidefinite: {exc}")
                 return None
         return cov
-    lo = _initial_array(init, "low", -np.ones(d), errors)
-    hi = _initial_array(init, "high", np.ones(d), errors)
+    lo, hi = par["low"], par["high"]
     if lo is not None and hi is not None and not np.all(lo < hi):
         errors.append(f"initial.low must be below initial.high in every coordinate, "
                       f"got {lo.tolist()} and {hi.tolist()}")
@@ -218,20 +233,13 @@ def canonical_config(cfg: dict) -> str:
 
 
 def initial_measure(cfg: dict, seed: int, model) -> EmpiricalMeasure:
-    init = cfg.get("initial", {})
-    kind = init.get("kind", "gaussian")
+    """The seed's initial law of a validated config."""
+    kind, par = _initial_law(cfg.get("initial", {}), model.d, [])
     N = int(cfg["particles"])
-    d = model.d
     g = rng.stream(seed, rng.INIT_LANE)
     if kind == "gaussian":
-        mean = np.asarray(init.get("mean", np.zeros(d)), float)
-        cov = np.asarray(init.get("cov", np.eye(d)), float)
-        return EmpiricalMeasure(g.multivariate_normal(mean, cov, size=N))
-    if kind == "uniform":
-        lo = np.asarray(init.get("low", -np.ones(d)), float)
-        hi = np.asarray(init.get("high", np.ones(d)), float)
-        return EmpiricalMeasure(g.uniform(lo, hi, size=(N, d)))
-    raise SystemExit(f"unknown initial kind {init.get('kind')!r}")
+        return EmpiricalMeasure(g.multivariate_normal(par["mean"], par["cov"], size=N))
+    return EmpiricalMeasure(g.uniform(par["low"], par["high"], size=(N, model.d)))
 
 
 def _frozen_cfg(cfg: dict, seed: int) -> FrozenLawConfig:
@@ -424,7 +432,6 @@ def cmd_emit(cfg: dict, outdir: str, kind: str) -> int:
                 EmpiricalMeasure(table[table[:, 0] == t][:, 2:]) for t in times
             ]
             points += [(t, m, clouds[0]) for t, m in zip(times, clouds)]
-        _load_scipy()
         brackets = _map_pairs(lambda m, m0: dp_bracket(m, m0, 2.0),
                               [(m, m0) for _, m, m0 in points])
         rows = [(t, info["w_p"], lo, up)
@@ -451,11 +458,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     cfg = load_config(args.config)
     outdir = args.output_dir or os.environ.get("ROUGHMF_OUTPUT_DIR") or cfg["output_dir"]
-    if args.verb == "simulate":
-        return cmd_simulate(cfg, outdir)
-    if args.verb == "verify":
-        return cmd_verify(cfg, outdir)
-    return cmd_emit(cfg, outdir, args.kind)
+    try:
+        if args.verb == "simulate":
+            return cmd_simulate(cfg, outdir)
+        if args.verb == "verify":
+            return cmd_verify(cfg, outdir)
+        return cmd_emit(cfg, outdir, args.kind)
+    except RuntimeError as exc:
+        # a run that failed on a valid config: a non-finite particle state,
+        # the RDE blow-up guard, a transport LP that did not solve
+        raise SystemExit(f"{args.verb}: {exc}")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ class FlowRun:
     rde_per_freeze: int = 1  # rough cells per freeze interval
     driver_fine_per: int = 8  # fine noise cells per rough cell
     _noise: Optional[NoisePath] = field(default=None, repr=False)
-    _law_noise: Optional[np.ndarray] = field(default=None, repr=False)
+    _law_noise: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def rde_cells(self) -> int:
@@ -215,13 +215,12 @@ def cocycle_defect(
     e0: JointState,
     s: float,
     t: float,
-    p: float = 2.0,
     details: Optional[FlowDetails] = None,
 ) -> dict:
     """``cocycle_defect_at`` of the freeze-window edges s and t, parsed once
     to window indices ks, kt; the report carries s and t as given."""
     ks, kt = run.cfg.window_index(s, run.T), run.cfg.window_index(t, run.T)
-    return cocycle_defect_at(run, e0, ks, kt, p, details) | {"s": s, "t": t}
+    return cocycle_defect_at(run, e0, ks, kt, details) | {"s": s, "t": t}
 
 
 def cocycle_defect_at(
@@ -229,7 +228,6 @@ def cocycle_defect_at(
     e0: JointState,
     ks: int,
     kt: int,
-    p: float = 2.0,
     details: Optional[FlowDetails] = None,
 ) -> dict:
     """Compare phi(s+t, omega, e0) with phi(t, theta_s omega, phi(s, omega, e0))
@@ -240,8 +238,10 @@ def cocycle_defect_at(
     one-shot state at s: the law particles restart on the run's increments
     of those windows, the point on the driver's window from s.  It is read
     at edge kt of ``details.restart(ks, kt)``, which runs only as far as
-    the furthest horizon read from ks.  Reports point and law defects plus
-    the single-run self-consistency defect used as the tolerance scale.
+    the furthest horizon read from ks.  Reports the point defect, the law
+    defect W_2 and the ``dp_bracket`` upper bound at p = 2 between the two
+    clouds, and the single-run self-consistency defect used as the
+    tolerance scale.
     """
     if details is None:
         details = run.leg(e0, 0, ks + kt)
@@ -255,7 +255,7 @@ def cocycle_defect_at(
     if ks == 0 or kt == 0:
         return rep
     endB = details.restart(ks, kt).state_at(kt)
-    _, law_upper, info = dp_bracket(endB.law, end.law, p)
+    _, law_upper, info = dp_bracket(endB.law, end.law, 2.0)
     return rep | {
         "point_defect": float(np.linalg.norm(endB.point - end.point)),
         "law_defect": info["w_p"],
@@ -348,13 +348,8 @@ def continuity_probe(
             else:
                 noise = run.driver_noise()
                 widths = noise.fine_grid.widths[:, None]
-                bumped = NoisePath(
-                    noise.seed,
-                    noise.fine_grid,
-                    noise.increments + eps * widths / run.T * np.ones(d),
-                    noise.lane,
-                    noise.member,
-                )
+                bumped = replace(noise, increments=noise.increments
+                                 + eps * widths / run.T * np.ones(d))
                 pert = end_state(replace(run, _noise=bumped), e0)
             dists.append(max(_joint_distance(pert, base), 1e-300))
         le = np.log(np.asarray(epsilons))

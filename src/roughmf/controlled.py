@@ -11,6 +11,8 @@ valid since 3a > 1.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import _accel
@@ -39,9 +41,6 @@ class ControlledPath:
         self.base = base
         self.Y = Y
         self.Yprime = Yp
-        self._cumint = None
-        self._prime_norm = None
-        self._remainder_norm = None
 
     @property
     def val_shape(self) -> tuple:
@@ -49,24 +48,26 @@ class ControlledPath:
 
     # -- remainder and seminorms -------------------------------------------
 
+    @cached_property
+    def _prime_norm(self) -> float:
+        return _holder_sup(_accel.differences(self.Yprime), self.base, self.base.alpha)
+
+    @cached_property
+    def _remainder_norm(self) -> float:
+        # R_{i,j} = R_{i,p} + R_{p,j} + (Y'_p - Y'_i) X_{p,j}
+        return _holder_sup(
+            (lambda ii, jj: _remainders(self, ii, jj), _remainder_slack(self)),
+            self.base,
+            2.0 * self.base.alpha,
+            ((_accel.differences(self.Yprime), _accel.differences(self.base.values)),),
+        )
+
     def prime_norm(self) -> float:
         """Discrete alpha-Hölder norm of the Gubinelli derivative."""
-        if self._prime_norm is None:
-            self._prime_norm = _holder_sup(
-                _accel.differences(self.Yprime), self.base, self.base.alpha
-            )
         return self._prime_norm
 
     def remainder_norm(self) -> float:
         """Discrete 2*alpha-Hölder norm of the remainder."""
-        if self._remainder_norm is None:
-            # R_{i,j} = R_{i,p} + R_{p,j} + (Y'_p - Y'_i) X_{p,j}
-            self._remainder_norm = _holder_sup(
-                (lambda ii, jj: _remainders(self, ii, jj), _remainder_slack(self)),
-                self.base,
-                2.0 * self.base.alpha,
-                ((_accel.differences(self.Yprime), _accel.differences(self.base.values)),),
-            )
         return self._remainder_norm
 
     def seminorm(self) -> float:
@@ -75,30 +76,27 @@ class ControlledPath:
 
     # -- rough integral -----------------------------------------------------
 
-    def _cumulative_integral(self) -> np.ndarray:
-        if self._cumint is None:
-            Y, Yp = self.Y, self.Yprime
-            dX = np.diff(self.base.values, axis=0)
-            XX = self.base.cells
-            if self.val_shape == ():
-                # scalar integrand: the integral is driver-valued
-                cells = Y[:-1, None] * dX + np.einsum("ml,mlk->mk", Yp[:-1], XX)
-            elif self.val_shape[-1] == self.base.d:
-                # operator-valued integrand contracting the last axis with dX;
-                # the derivative axis pairs with the first slot of XX
-                cells = np.einsum("m...k,mk->m...", Y[:-1], dX) + np.einsum(
-                    "m...kl,mlk->m...", Yp[:-1], XX
-                )
-            else:
-                raise ValueError(
-                    "rough integral needs a scalar integrand or a trailing "
-                    "axis matching the driver dimension"
-                )
-            cum = np.concatenate(
-                [np.zeros((1,) + cells.shape[1:]), np.cumsum(cells, axis=0)]
+    @cached_property
+    def _cumint(self) -> np.ndarray:
+        """Running rough integral from the first node, (M+1, ...)."""
+        Y, Yp = self.Y, self.Yprime
+        dX = np.diff(self.base.values, axis=0)
+        XX = self.base.cells
+        if self.val_shape == ():
+            # scalar integrand: the integral is driver-valued
+            cells = Y[:-1, None] * dX + np.einsum("ml,mlk->mk", Yp[:-1], XX)
+        elif self.val_shape[-1] == self.base.d:
+            # operator-valued integrand contracting the last axis with dX;
+            # the derivative axis pairs with the first slot of XX
+            cells = np.einsum("m...k,mk->m...", Y[:-1], dX) + np.einsum(
+                "m...kl,mlk->m...", Yp[:-1], XX
             )
-            self._cumint = cum
-        return self._cumint
+        else:
+            raise ValueError(
+                "rough integral needs a scalar integrand or a trailing "
+                "axis matching the driver dimension"
+            )
+        return np.concatenate([np.zeros((1,) + cells.shape[1:]), np.cumsum(cells, axis=0)])
 
     def rough_integral(self, i: int, j: int):
         """Compensated Riemann sum of Y against the base rough path between
@@ -108,8 +106,7 @@ class ControlledPath:
         """
         if i > j:
             raise ValueError("rough_integral requires i <= j")
-        cum = self._cumulative_integral()
-        return cum[j] - cum[i]
+        return self._cumint[j] - self._cumint[i]
 
     def local_error_certificate(self, i: int, j: int):
         """One-window sewing check between grid nodes i < j, at times s < t.

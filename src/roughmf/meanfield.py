@@ -341,6 +341,8 @@ def simulate_dual_sde(
     Y = np.array(atoms0, order="F")
     for j in range(cfg.steps):
         Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[j])
+        if not np.isfinite(Y).all():
+            raise RuntimeError(f"non-finite dual particle state at step {j}")
     return Y
 
 

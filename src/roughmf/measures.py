@@ -223,15 +223,6 @@ def _coupling_lp(mu, nu, p):
     return mu.atoms[ii], nu.atoms[jj], pi[ii, jj]
 
 
-def _load_scipy() -> None:
-    """Import the scipy modules of the exact couplings now, on this thread:
-    a caller about to solve transport problems on a pool (``_map_pairs``)
-    pays the load before the pool starts, not beside another thread's
-    work."""
-    import scipy.optimize  # noqa: F401
-    import scipy.spatial.distance  # noqa: F401
-
-
 def _subsample(mu: EmpiricalMeasure, k: int) -> EmpiricalMeasure:
     # deterministic stride subsample after a lexicographic sort
     order = np.lexsort(mu.atoms.T[::-1])
@@ -365,16 +356,16 @@ def linear_func(u: np.ndarray, name: str) -> ScalarFunc:
     )
 
 
-@dataclass
-class TestFunctionFamily:
-    funcs: list
-    p: float
+BUMP_RADIUS = 1.0  # support radius of the data-centred bumps
+BUMP_SCALE = 0.25  # their height times e
 
 
-def _bump(center: np.ndarray, radius: float, scale: float) -> ScalarFunc:
-    """scale * exp(-1 / (1 - |y - c|^2 / radius^2)) inside the ball, 0 outside."""
+def _bump(center: np.ndarray) -> ScalarFunc:
+    """BUMP_SCALE * exp(-1 / (1 - |y - c|^2 / BUMP_RADIUS^2)) inside the
+    ball, 0 outside."""
     c = np.asarray(center, dtype=float)
     d = len(c)
+    radius, scale = BUMP_RADIUS, BUMP_SCALE
 
     def parts(Y):
         z = Y - c
@@ -409,9 +400,10 @@ def _bump(center: np.ndarray, radius: float, scale: float) -> ScalarFunc:
 
 def default_test_family(
     p: float, clouds: Sequence[EmpiricalMeasure] = (), d: Optional[int] = None
-) -> TestFunctionFamily:
-    """Coordinates, the power witness |y|^p / p, data-centred bumps, and
-    pairwise-difference direction witnesses."""
+) -> list:
+    """The ``ScalarFunc`` witnesses of dp_bracket's lower bound: coordinates,
+    the power witness |y|^p / p, data-centred bumps, and pairwise-difference
+    direction witnesses."""
     if d is None:
         if not clouds:
             raise ValueError("need a dimension or at least one cloud")
@@ -439,14 +431,14 @@ def default_test_family(
     funcs.append(ScalarFunc("power", pow_val, pow_grad, pow_hess))
     centers = [c.mean() for c in clouds]
     for c in centers:
-        funcs.append(_bump(c, radius=1.0, scale=0.25))
+        funcs.append(_bump(c))
     for a in range(len(centers)):
         for b in range(a + 1, len(centers)):
             v = centers[b] - centers[a]
             nv = np.linalg.norm(v)
             if nv > 1e-12:
                 funcs.append(linear_func(v / nv, f"dir{a}-{b}"))
-    return TestFunctionFamily(funcs, p)
+    return funcs
 
 
 def dp_bracket(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float):
@@ -467,9 +459,8 @@ def dp_bracket(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float):
         raise ValueError("p >= 1 required")
     if np.array_equal(mu.atoms, nu.atoms) and np.array_equal(mu.weights, nu.weights):
         return 0.0, 0.0, {"exact_upper": True, "mode": "identical", "w_p": 0.0}
-    fam = default_test_family(p, clouds=[mu, nu])
     lower = 0.0
-    for f in fam.funcs:
+    for f in default_test_family(p, clouds=[mu, nu]):
         gap = abs(mu.integrate(f.value) - nu.integrate(f.value))
         lower = max(lower, gap)
     w_p, info = wasserstein_p(mu, nu, p, return_info=True)

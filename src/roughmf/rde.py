@@ -7,16 +7,16 @@ Milstein-type scheme using both levels of the driver per cell:
     Y+ = Y + sigma X + (a0 sigma) : XX  =  P Y + q.
 
 One affine cell map serves every solve: ``_cell_maps`` builds every cell's
-(P, q) in one vectorised pass, and ``_accel.march`` composes them by a
-blocked scan with no Python step per cell: ``_march`` marches a point under
-the blow-up guard (the Wong-Zakai RK4 maps of ``cocycle.wong_zakai_run``
-too), flow Jacobians march the identity frame, and the affine flow maps
-march the homogeneous identity frame.  The scan's blocks are anchored at
-the march's first cell, so a solve on a prefix of the cells is bitwise the
-prefix of the longer solve on the same cell maps (a general a0's maps can
-round differently in batches of other sizes; see ``doss_sussmann_solve``);
-against a cell-by-cell loop the states differ
-by round-off only (the bound is in ``_accel``'s docstring).  Backward
+(P, q) in one vectorised pass, and ``_accel`` composes them by one blocked
+scan with no Python step per cell: ``_march`` marches a point under the
+blow-up guard (the Wong-Zakai RK4 maps of ``cocycle.wong_zakai_run`` too),
+and the affine flow maps, whose linear part is the flow Jacobian, are the
+scan of the homogeneous identity frame.  The scan's blocks are anchored at
+the first cell, so a solve on a prefix of the cells is bitwise the prefix
+of the longer solve on the same cell maps (a general a0's maps can round
+differently in batches of other sizes; see ``doss_sussmann_solve``);
+against a cell-by-cell loop the states differ by round-off only (the bound
+is in ``_accel``'s docstring).  Backward
 solves and backward Jacobians enter each cell at its right edge and use the
 inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
 coefficients are addressed by cell index, not time: the frozen-law
@@ -108,7 +108,7 @@ class RdeSolution:
         """
         sol = self.path
         integrand = _compose_sigma(self.coeff, sol)
-        cum = integrand._cumulative_integral()  # (M+1, d)
+        cum = integrand._cumint  # (M+1, d)
         rhs = sol.Y[0] + cum
         if self.coeff.b is not None:
             b = np.stack([self.coeff.b(c, sol.Y[m : m + 2]) for m, c in enumerate(self.cells[:-1])])
@@ -248,17 +248,16 @@ def flow_jacobian(
     (M+1, d, d).
 
     The cell maps are affine, so the Jacobian is the running product of
-    their P, the march of the identity frame, and does not depend on the
+    their P, the linear part M of the flow maps, and does not depend on the
     trajectory: xi is not read.  Forward: zeta_0 = Id and zeta+ = P zeta.
     Backward: the Jacobian of the inverse map with terminal identity, the
-    march through the inverted cells reversed in time.
+    flow through the inverted cells reversed in time.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
     backward = direction == "backward"
-    P, _ = _cell_maps(coeff, rp, 0, rp.grid.n_cells, backward)
-    zeta = _accel.march(P, None, np.eye(len(coeff.a0)))
-    return zeta[::-1].copy() if backward else zeta
+    zeta, _ = _accel.linear_flow_maps(*_cell_maps(coeff, rp, 0, rp.grid.n_cells, backward))
+    return (zeta[::-1] if backward else zeta).copy()
 
 
 def linear_flow(coeff: CoefficientField, rp: RoughPath):

@@ -232,11 +232,8 @@ def _tile_search(ratio, times, exponent, values, terms, best) -> float:
 class NoisePath:
     """Gaussian increments of a driving path on a fine grid."""
 
-    seed: int
     fine_grid: TimeGrid
     increments: np.ndarray  # (M, d)
-    lane: int = rng.DRIVER_LANE
-    member: int = 0
 
     @classmethod
     def generate(
@@ -249,7 +246,7 @@ class NoisePath:
     ) -> "NoisePath":
         inc = rng.stream(seed, lane, member).standard_normal((fine_grid.n_cells, d))
         inc *= np.sqrt(fine_grid.widths)[:, None]
-        return cls(seed, fine_grid, inc, lane, member)
+        return cls(fine_grid, inc)
 
     @property
     def d(self) -> int:
@@ -323,16 +320,16 @@ class RoughPath:
 
     # -- norms and distances ------------------------------------------------
 
+    @cached_property
+    def _norms(self) -> tuple[float, float]:
+        X, A, t, a = self.values, self._cum, self.times, self.alpha
+        return _first_sup(X, t, a), _second_sup(X, A, t, a)
+
     def holder_norms(self) -> tuple[float, float]:
         """Discrete sup of |X_{s,t}| / |t-s|^a and |XX_{s,t}| / |t-s|^{2a}
         over all pairs of grid points up to PAIR_CAP cells; above it over the
         dyadic lags (i, i + 2^k), a lower bound of the sup over all pairs."""
-        cached = getattr(self, "_norms", None)
-        if cached is None:
-            X, A, t, a = self.values, self._cum, self.times, self.alpha
-            cached = (_first_sup(X, t, a), _second_sup(X, A, t, a))
-            object.__setattr__(self, "_norms", cached)
-        return cached
+        return self._norms
 
     def restrict(self, i: int, j: int) -> "RoughPath":
         """Sub-path over grid points i..j (times kept, first level rebased):

@@ -85,7 +85,7 @@ def picard_validate(coeff, rp, xi, iters=8):
     M = rp.grid.n_cells
     cp = rde._solution(coeff, rp, np.tile(xi, (M + 1, 1)), {}).path
     for _ in range(iters):
-        cum = rde._compose_sigma(coeff, cp)._cumulative_integral()
+        cum = rde._compose_sigma(coeff, cp)._cumint
         cp = rde._solution(coeff, rp, xi + cum, {}).path
     return cp
 
@@ -121,13 +121,19 @@ def rk4_oracle(a0, table, noise, level, corrected, y0):
     return Y
 
 
+def python_process(*args):
+    """Run python with args in a new interpreter that imports this roughmf,
+    outside pytest's warning filters; return the finished process."""
+    src = str(Path(roughmf.__file__).parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+
+
 def fresh_python(script, *args):
     """Run script in a new interpreter that imports this roughmf; return the
     last line it printed."""
-    src = str(Path(roughmf.__file__).parents[1])
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    proc = python_process("-c", script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 

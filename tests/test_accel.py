@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from roughmf import _accel, rde, roughpath
+from roughmf.cocycle import frozen_coefficient_field
 from roughmf.controlled import ControlledPath, _remainders
 from roughmf.grids import TimeGrid
+from roughmf.meanfield import FrozenLawConfig, simulate_frozen_law
+from roughmf.measures import EmpiricalMeasure
+from roughmf.models import build_model
 from roughmf.rde import linear_coefficients, linear_flow
 from roughmf.roughpath import (
     PAIR_CAP,
@@ -268,12 +272,10 @@ def test_march_of_a_prefix_is_bitwise_the_prefix_of_the_march(d):
     # anywhere, inside a block or at its edge, changes none of the states
     # before the cut
     P, q, y0 = random_maps(10 + d, 260, d)
-    frame0 = np.arange(d * 2.0).reshape(d, 2) - 1.0
-    point, frame = _accel.march(P, q, y0), _accel.march(P, None, frame0)
+    point = _accel.march(P, q, y0)
     M, v = _accel.linear_flow_maps(P, q)
     for m in (0, 1, 63, 64, 65, 127, 128, 129, 197):
         assert np.array_equal(_accel.march(P[:m], q[:m], y0), point[: m + 1]), m
-        assert np.array_equal(_accel.march(P[:m], None, frame0), frame[: m + 1]), m
         Mm, vm = _accel.linear_flow_maps(P[:m], q[:m])
         assert np.array_equal(Mm, M[: m + 1]) and np.array_equal(vm, v[: m + 1]), m
 
@@ -316,13 +318,49 @@ def test_march_and_flow_maps_match_a_cell_by_cell_loop(n):
     bound = 2 * product_bound(H, y0h)
     assert bound[-1] < 1e-9
     assert np.all(state_norms(_accel.march(P, q, y0) - loop_march(P, q, y0)) <= bound)
-    frame0 = np.eye(d)
-    assert np.all(state_norms(_accel.march(P, None, frame0) - loop_march(P, None, frame0))
-                  <= 2 * product_bound(P, frame0))
     M, v = _accel.linear_flow_maps(P, q)
     bound = 2 * product_bound(H, np.eye(d + 1))
     assert np.all(state_norms(M - loop_march(P, None, np.eye(d))) <= bound)
     assert np.all(state_norms(v - loop_march(P, q, np.zeros(d))) <= bound)
+
+
+def frame_scan(P, Z0):
+    """The states Z0, P_0 Z0, P_1 P_0 Z0, ... of the frame Z0 (d, m): the
+    blocked scan run on the (d, d) maps P themselves, not on their
+    homogeneous form."""
+    return _accel._scan(P.copy(), Z0)
+
+
+@pytest.mark.parametrize("cells", [64, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flow_jacobian_is_bitwise_the_frame_scan(d, cells):
+    # the Jacobian is the linear part M of the homogeneous scan; on both
+    # models' frozen-law fields and on a random a0 it is bit for bit the
+    # scan of the identity frame through the P alone, in both directions,
+    # and within the round-off bound of a cell-by-cell loop
+    g = np.random.default_rng(cells + d)
+    noise = NoisePath.generate(cells + d, TimeGrid.regular(0.0, 1.0, 2 * cells), d)
+    rp = brownian_lift(noise, TimeGrid.regular(0.0, 1.0, cells), STRAT)
+    mu0 = EmpiricalMeasure(g.normal(size=(40, d)))
+    fields = []
+    for name in ["eks-gaussian"] + (["landau-maxwell"] if d == 3 else []):
+        params = {"Sigma": np.diag(np.arange(1.0, d + 1))} if name == "eks-gaussian" else None
+        model = build_model(name, params)
+        curve = simulate_frozen_law(model, mu0, FrozenLawConfig(8, seed=d), 1.0)
+        fields.append(frozen_coefficient_field(model, curve, cells))
+    table = g.normal(size=(cells, d, d))
+    fields.append(linear_coefficients(0.3 * g.normal(size=(d, d, d)), lambda c: table[c]))
+    eye = np.eye(d)
+    for coeff in fields:
+        for direction in ("forward", "backward"):
+            backward = direction == "backward"
+            P, q = rde._cell_maps(coeff, rp, 0, cells, backward)
+            want = frame_scan(P, eye)
+            got = rde.flow_jacobian(coeff, rp, np.zeros(d), direction)
+            assert got.flags.c_contiguous and got.shape == (cells + 1, d, d)
+            assert (got[::-1] if backward else got).tobytes() == want.tobytes()
+            bound = 2 * product_bound(_accel._homogeneous(P, q), np.eye(d + 1))
+            assert np.all(state_norms(want - loop_march(P, None, eye)) <= bound)
 
 
 # ---------------------------------------------------------------------------

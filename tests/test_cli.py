@@ -10,7 +10,7 @@ import roughmf.cli as cli
 from roughmf import cocycle, meanfield, verdicts
 from roughmf.cli import canonical_config, load_config, main, validate_config
 
-from conftest import fresh_python
+from conftest import fresh_python, python_process
 
 
 def write_config(tmp_path, **overrides):
@@ -621,30 +621,51 @@ def test_import_and_transport_free_verbs_load_no_scipy(tmp_path):
                                     "emit --kind defects")}
 
 
-METRIC_CURVES_LOAD = """
-import json, sys, threading
-import roughmf.cli as cli
+def test_run_failures_on_a_valid_config_are_one_line_errors(tmp_path):
+    # the Euler step of an EKS with Sigma = 1e-4 I at h = 5/64 is unstable,
+    # and a point started at 2e8 is past the RDE blow-up guard: each run
+    # ends in one line naming the verb, exit 1, not a traceback.  A fresh
+    # process keeps numpy's overflow warnings outside pytest's filter.
+    unstable = {"model": {"name": "eks-gaussian",
+                          "params": {"Sigma": [[1e-4, 0.0], [0.0, 1e-4]]}},
+                "T": 5.0, "particles": 50, "frozen_law": {"n_freeze": 64, "inner": 1},
+                "seeds": [0]}
+    far = {"initial": {"mean": [2e8, 0.0]}, "particles": 20, "seeds": [0],
+           "checks": ["cocycle"]}
+    for name, verb, overrides, want in [
+        ("unstable", "simulate", unstable, "simulate: non-finite particle state at step 4"),
+        ("far", "verify", far, "verify: solution blow-up guard tripped at step 0: |Y| = "),
+    ]:
+        (tmp_path / name).mkdir()
+        p = write_config(tmp_path / name, **overrides)
+        proc = python_process("-m", "roughmf.cli", verb, "--config", str(p),
+                              "--output-dir", str(tmp_path / name / "out"))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith(want), proc.stderr
 
-config, out = sys.argv[1], sys.argv[2]
-cli.main(["simulate", "--config", config, "--output-dir", out])
-seen, map_pairs = [], cli._map_pairs
 
-def watched(fn, pairs):
-    seen.append(sorted(m for m in ("scipy.optimize", "scipy.spatial.distance") if m in sys.modules))
-    return map_pairs(fn, pairs)
+DUAL_BLOW_UP = """
+import numpy as np
+from roughmf.meanfield import FrozenLawConfig, MeasureCurve, simulate_dual_sde
+from roughmf.measures import EmpiricalMeasure
+from roughmf.models import eks_gaussian_model
 
-cli._map_pairs = watched
-cli.main(["emit", "--kind", "metric-curves", "--config", config, "--output-dir", out])
-print(json.dumps(seen))
+# a frozen law of spread 1e4: the dual's drift rate 1e8 at h = 1/64 overflows
+mu = EmpiricalMeasure(1e4 * np.random.default_rng(0).normal(size=(50, 2)))
+curve = MeasureCurve(np.linspace(0.0, 1.0, 65), [mu] * 65)
+try:
+    simulate_dual_sde(eks_gaussian_model(np.eye(2)), curve, mu.atoms,
+                      FrozenLawConfig(64), 1.0, member_offset=51)
+except RuntimeError as exc:
+    print(exc)
 """
 
 
-def test_emit_metric_curves_loads_scipy_before_its_pair_map(tmp_path):
-    # the brackets' couplings need scipy: it is loaded on the calling thread
-    # before the pair map starts its pool, not inside it
-    p = write_config(tmp_path, seeds=[0], particles=60)
-    seen = json.loads(fresh_python(METRIC_CURVES_LOAD, str(p), str(tmp_path / "out")))
-    assert seen == [["scipy.optimize", "scipy.spatial.distance"]]
+def test_dual_sde_names_a_non_finite_state():
+    # a blown-up dual state is named where it happens, not handed to the
+    # duality verdict as NaN
+    assert fresh_python(DUAL_BLOW_UP) == "non-finite dual particle state at step 48"
 
 
 def test_console_script_entrypoint(tmp_path):

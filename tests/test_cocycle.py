@@ -480,7 +480,7 @@ def test_wz_guard_names_the_step():
     # unit increments and sigma = 40 y: each cell multiplies y by
     # 1 + 40 + 40^2/2 + 40^3/6 + 40^4/24 ~ 1.2e5, past 1e8 on the second cell
     grid = TimeGrid.regular(0.0, 1.0, 8)
-    noise = NoisePath(0, grid, np.ones((8, 1)))
+    noise = NoisePath(grid, np.ones((8, 1)))
     coeff = linear_coefficients(40.0 * np.ones((1, 1, 1)))
     with pytest.raises(RuntimeError, match="guard tripped at step 1:"):
         wong_zakai_run(coeff, noise, 3, False, 1.0)

@@ -342,7 +342,7 @@ def test_w_input_validation():
 # test function family and bracket
 # ---------------------------------------------------------------------------
 
-def certify(fam, sampler, n=1000):
+def certify(fam, p, sampler, n=1000):
     """Sample-check |grad phi| <= 1 + |y|^{p-1}, |D^2 phi| <= 1 + |y|^{p-1}
     for every member of the family: dp_bracket's lower bound is valid only
     if each one meets the envelope.
@@ -351,8 +351,8 @@ def certify(fam, sampler, n=1000):
     Hessian of |y|^2/2 has size 1 in any dimension.
     """
     pts = sampler(n)
-    env = 1.0 + np.linalg.norm(pts, axis=1) ** (fam.p - 1.0) + 1e-12
-    for f in fam.funcs:
+    env = 1.0 + np.linalg.norm(pts, axis=1) ** (p - 1.0) + 1e-12
+    for f in fam:
         if np.any(np.linalg.norm(f.grad(pts), axis=1) > env):
             return False
         if np.any(np.linalg.norm(f.hess(pts), 2, axis=(1, 2)) > env):
@@ -363,24 +363,24 @@ def certify(fam, sampler, n=1000):
 def test_family_certificate():
     fam = default_test_family(2.0, d=3)
     rng = np.random.default_rng(0)
-    assert certify(fam, lambda n: rng.normal(size=(n, 3)) * 3.0, n=500)
+    assert certify(fam, 2.0, lambda n: rng.normal(size=(n, 3)) * 3.0, n=500)
 
 
 def test_family_certificate_catches_violation():
     rng = np.random.default_rng(1)
     fam = default_test_family(2.0, d=2)
-    fam.funcs.append(linear_func(np.array([50.0, 0.0]), "steep"))
-    assert not certify(fam, lambda n: rng.normal(size=(n, 2)), n=100)
+    fam.append(linear_func(np.array([50.0, 0.0]), "steep"))
+    assert not certify(fam, 2.0, lambda n: rng.normal(size=(n, 2)), n=100)
     # a Hessian violation alone is caught too
     fam = default_test_family(2.0, d=2)
-    fam.funcs[0].hess = lambda Y: np.broadcast_to(50.0 * np.eye(2), (len(Y), 2, 2))
-    assert not certify(fam, lambda n: rng.normal(size=(n, 2)), n=100)
+    fam[0].hess = lambda Y: np.broadcast_to(50.0 * np.eye(2), (len(Y), 2, 2))
+    assert not certify(fam, 2.0, lambda n: rng.normal(size=(n, 2)), n=100)
 
 
 def test_bump_derivatives_by_finite_difference():
     from roughmf.measures import _bump
 
-    f = _bump(np.array([0.3, -0.1]), radius=1.0, scale=0.25)
+    f = _bump(np.array([0.3, -0.1]))
     rng = np.random.default_rng(2)
     eps = 1e-6
     Y = rng.uniform(-0.5, 0.8, size=(20, 2))

@@ -111,7 +111,6 @@ def measure(pairs) -> dict:
 
 
 def main() -> None:
-    measures._load_scipy()
     curves, stability = reference_pairs()
     out = {
         "metric-curves": measure(curves),
