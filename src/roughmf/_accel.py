@@ -159,7 +159,7 @@ def _scan(H, Y0):
         cur = H[j::B]  # position j of every block that reaches it
         if len(cur) < len(prev):
             prev = prev[: len(cur)]
-        prev = np.matmul(cur, prev, out=cur)
+        cur[...] = prev = cur @ prev  # a fresh product: one written over cur copies cur first
     nb, full = n // B, n - n % B
     entries = np.empty((nb + 1,) + Y0.shape)
     entries[0] = Y0

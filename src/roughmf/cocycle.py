@@ -13,7 +13,8 @@ self-consistency.  Every leg marches forward in order, so its state at a
 window edge does not depend on where the leg ends: one restart per restart
 window (``FlowDetails.restart``) serves every horizon read from it, and
 runs only as far as it is read, extended when a later horizon reaches
-further.
+further: its law marches on from its end state, and its point is solved
+again from its start.
 """
 
 from __future__ import annotations
@@ -110,21 +111,18 @@ def frozen_coefficient_field(
     curve: cell c lies in freeze window k = c // (cells // n_windows), where
     the measure argument is held at the curve state mu_k.
 
-    a0 is the model's; a1 reads the table of the windows' a1(mu_k), and the
-    drift b(c, Y) the model's drift of states Y (n, d) under mu_k.  The
-    rough grid must nest in the windows: ``cells`` is a positive multiple of
-    their count.
+    a0 is the model's; a1 and the drift read the tables of the windows'
+    a1(mu_k) and drift(mu_k) = (B_k, c_k), built in one pass.  The rough
+    grid must nest in the windows: ``cells`` is a positive multiple of their
+    count.
     """
     windows = curve.measures[:-1]
     per, rest = divmod(cells, len(windows))
     if per < 1 or rest:
         raise ValueError(f"{cells} rough cells do not nest in {len(windows)} freeze windows")
-    table = np.stack([model.a1(mu) for mu in windows])
-
-    def b(c, Y):
-        return model.b(Y, windows[c // per])
-
-    return linear_coefficients(model.a0, lambda c: table[c // per], b=b, d=model.d)
+    A1, B, c = map(np.array, zip(*[(model.a1(mu), *model.drift(mu)) for mu in windows]))
+    return linear_coefficients(model.a0, lambda k: A1[k // per],
+                               lambda k: (B[k // per], c[k // per]), d=model.d)
 
 
 @dataclass
@@ -134,9 +132,7 @@ class FlowDetails:
     lifted and solved at the first read of ``rough`` or ``solution``."""
 
     run: FlowRun = field(repr=False)
-    # the point's states solved so far at the leg's rough nodes: its start
-    # (d,) at window edge k0, or (m + 1, d) when the leg extends a shorter one
-    head: np.ndarray
+    head: np.ndarray  # the point's start (d,) at window edge k0
     k0: int
     curve: MeasureCurve
     # the last restart asked for, run as far as it has been read
@@ -165,18 +161,16 @@ class FlowDetails:
 
     def extended(self, k1: int) -> FlowDetails:
         """This leg run on to the run's window edge k1 > self.k1: the law
-        marches on from its end state, the point from its solved states on
-        the run's rough path restricted from the same origin k0 r.  No
-        window is stepped twice.  A leg marches forward and the step from an
-        edge reads only the state there, so every state is bitwise that of
-        the leg run in one go to k1 (the point's wherever its cell maps do
-        not depend on their batch, as the tests find on both models' fields;
-        see ``doss_sussmann_solve``)."""
+        marches on from its end state, so no window is stepped twice, and
+        the point is solved again from the leg's start on the run's rough
+        path restricted from the same origin k0 r.  A leg marches forward
+        and the step from an edge reads only the state there, so every
+        state is bitwise that of the leg run in one go to k1."""
         law = self.run.law(self.curve.measures[-1], self.k1, k1)
         c = self.curve
         curve = MeasureCurve(np.concatenate([c.times[:-1], law.times]),
                              c.measures[:-1] + law.measures, c.meta)
-        return FlowDetails(self.run, self.solution.Y, self.k0, curve)
+        return FlowDetails(self.run, self.head, self.k0, curve)
 
     def restart(self, ks: int, kt: int) -> FlowDetails:
         """The leg from this one's state at its window edge ks, run at least
@@ -287,7 +281,7 @@ def wong_zakai_run(
     blow-up guard.  A field with a drift raises ValueError.  Returns
     (times, trajectory on the fine grid).
     """
-    if coeff.b is not None:
+    if coeff.drift is not None:
         raise ValueError("wong_zakai_run takes a driftless field")
     rp = dyadic_approximation(noise, level)
     x = np.diff(rp.values, axis=0)

@@ -136,15 +136,17 @@ def euler_increments(
 def _euler_step(model: MeanFieldModel, Y, mu: EmpiricalMeasure, h: float, dWT):
     """One Euler-Maruyama step of every particle under the frozen law mu, on
     the step's increments dWT, shape (d, N), a row of a time-major block:
-    Y + h b + (a1 dWT + sum_k (a0[:, k, :] Y^T) dWT_k)^T, the affine sigma
-    term by term, one noise coordinate k at a time (none if a0 = 0).  The
-    noise term is built on (d, N) arrays, whose loops run along the
-    particles; no (N, d, d) array is built."""
+    Y + (h (B Y^T + c))^T + (a1 dWT + sum_k (a0[:, k, :] Y^T) dWT_k)^T, with
+    (B, c) = drift(mu), the affine sigma term by term, one noise coordinate
+    k at a time (none if a0 = 0).  Drift and noise are built on (d, N)
+    arrays, whose loops run along the particles; no (N, d, d) array is
+    built."""
+    B, c = model.drift(mu)
     noise = model.a1(mu) @ dWT
     if model.a0.any():
         for k in range(model.d):
             noise += (model.a0[:, k, :] @ Y.T) * dWT[k]
-    return Y + h * model.b(Y, mu) + noise.T
+    return Y + (h * (B @ Y.T + c[:, None])).T + noise.T
 
 
 def simulate_frozen_law(
@@ -190,7 +192,8 @@ def simulate_frozen_law(
     for j in range(steps):
         if j % cfg.inner == 0:
             frozen = measures[-1]  # the law just recorded, at step j
-        Y = _euler_step(model, Y, frozen, h, dW[j])
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names it
+            Y = _euler_step(model, Y, frozen, h, dW[j])
         if not np.isfinite(Y).all():
             raise RuntimeError(f"non-finite particle state at step {j}")
         if record_inner or (j + 1) % cfg.inner == 0:
@@ -340,7 +343,8 @@ def simulate_dual_sde(
     dW = euler_increments(cfg, T, N, d, member_offset)
     Y = np.array(atoms0, order="F")
     for j in range(cfg.steps):
-        Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = _euler_step(model, Y, curve.measures[j // cfg.inner], h, dW[j])
         if not np.isfinite(Y).all():
             raise RuntimeError(f"non-finite dual particle state at step {j}")
     return Y

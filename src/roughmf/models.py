@@ -51,7 +51,8 @@ def psd_sqrt(A: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MeanFieldModel:
-    """Drifts b(Y, mu) (N, d) at the states Y (N, d) and the affine diffusion
+    """The affine drift b(y, mu) = B(mu) y + c(mu), declared as
+    drift(mu) -> (B (d, d), c (d,)), and the affine diffusion
     sigma(y, mu)_{ik} = sum_j a0[i, k, j] y_j + a1(mu)_{ik}, declared once
     for the particle step and the RDE layer: a0 (d, d, d), a1(mu) (d, d),
     under the frozen law mu.  constants carries the declared assumption
@@ -63,7 +64,7 @@ class MeanFieldModel:
     d: int
     a0: np.ndarray
     a1: Callable[[EmpiricalMeasure], np.ndarray]
-    b: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]
+    drift: Callable[[EmpiricalMeasure], tuple[np.ndarray, np.ndarray]]
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -79,6 +80,11 @@ class MeanFieldModel:
             return A
 
         self.a1 = a1
+
+    def b(self, Y: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
+        """The (N, d) drifts Y @ B.T + c at the states Y, for the audits."""
+        B, c = self.drift(mu)
+        return Y @ B.T + c
 
     def sigma(self, Y: np.ndarray, mu: EmpiricalMeasure) -> np.ndarray:
         """The (N, d, d) diffusion matrices at the states Y, for the audits."""
@@ -96,38 +102,33 @@ def _once(mu: EmpiricalMeasure, key: str, f):
 # ensemble Kalman sampler
 # ---------------------------------------------------------------------------
 
-def eks_model(grad: Callable[[np.ndarray], np.ndarray], d: int, name: str) -> MeanFieldModel:
-    """b = -Cov(mu) grad V(y), a0 = 0, a1 = sqrt(2 Cov(mu)), for the gradient
-    grad V that maps states (N, d) to (N, d).  Cov(mu), and its root once a1
-    asks for it, are computed once per measure.
+def eks_gaussian_model(Sigma: np.ndarray) -> MeanFieldModel:
+    """The EKS for the Gaussian target N(0, Sigma), V(y) = y^T Sigma^{-1} y / 2:
+    b = -Cov(mu) grad V(y) = -Cov(mu) Sigma^{-1} y, a0 = 0 and
+    a1 = sqrt(2 Cov(mu)).  Cov(mu), the drift, and the root once a1 asks
+    for it, are computed once per measure.
     """
+    Sigma = np.asarray(Sigma, dtype=float)
+    square = Sigma.ndim == 2 and Sigma.shape[0] == Sigma.shape[1] >= 1
+    if not (square and np.allclose(Sigma, Sigma.T) and np.linalg.eigvalsh(Sigma).min() > 0):
+        raise ValueError(f"Sigma must be symmetric positive definite, got {Sigma.tolist()}")
+    d = Sigma.shape[0]
+    P, zero = np.linalg.inv(Sigma), np.zeros(d)
 
-    def b(Y, mu):
-        return -grad(Y) @ _once(mu, "cov", covariance).T
+    def drift(mu):
+        return _once(mu, "drift", lambda m: (-_once(m, "cov", covariance) @ P, zero))
 
     def a1(mu):
         return _once(mu, "sqrt_2cov", lambda m: psd_sqrt(2.0 * _once(m, "cov", covariance)))
 
     return MeanFieldModel(
-        name=name,
+        name="eks-gaussian",
         d=d,
         a0=np.zeros((d, d, d)),
         a1=a1,
-        b=b,
-        constants={"F": 8.0 * d, "C": 8.0 * d, "kappa": 2.0},
+        drift=drift,
+        constants={"F": 8.0 * d, "C": 8.0 * d, "kappa": 2.0, "Sigma": Sigma},
     )
-
-
-def eks_gaussian_model(Sigma: np.ndarray) -> MeanFieldModel:
-    Sigma = np.asarray(Sigma, dtype=float)
-    square = Sigma.ndim == 2 and Sigma.shape[0] == Sigma.shape[1] >= 1
-    if not (square and np.allclose(Sigma, Sigma.T) and np.linalg.eigvalsh(Sigma).min() > 0):
-        raise ValueError(f"Sigma must be symmetric positive definite, got {Sigma.tolist()}")
-    # V(y) = 1/2 y^T Sigma^{-1} y, the Gaussian-target potential
-    P = np.linalg.inv(Sigma)
-    m = eks_model(lambda Y: Y @ P.T, Sigma.shape[0], name="eks-gaussian")
-    m.constants["Sigma"] = Sigma
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +156,34 @@ def sigma0(y: np.ndarray) -> np.ndarray:
     return np.einsum("ikj,...j->...ik", LANDAU_S0, y)
 
 
+#: the Landau drift's linear part, B = -2 I on every law
+LANDAU_B = -2.0 * np.eye(3)
+LANDAU_B.flags.writeable = False
+
+
 def landau_model() -> MeanFieldModel:
-    """b = -2y + 2 m(mu); sigma = sigma0(y - m(mu)): a0 = LANDAU_S0 and
-    a1 = -sigma0(m(mu)) = sigma0(-m(mu)).  sigma0 is linear, so its measure
-    average equals its value at the mean; the mean and a1 are computed once
-    per measure.
+    """b = -2y + 2 m(mu): B = LANDAU_B and c = 2 m(mu); sigma =
+    sigma0(y - m(mu)): a0 = LANDAU_S0 and a1 = -sigma0(m(mu)) =
+    sigma0(-m(mu)).  sigma0 is linear, so its measure average equals its
+    value at the mean; the mean, the drift and a1 are computed once per
+    measure.
     """
 
-    def b(Y, mu):
-        return -2.0 * Y + 2.0 * _once(mu, "mean", EmpiricalMeasure.mean)
+    def mean(mu):
+        return _once(mu, "mean", EmpiricalMeasure.mean)
+
+    def drift(mu):
+        return _once(mu, "drift", lambda m: (LANDAU_B, 2.0 * mean(m)))
 
     def a1(mu):
-        return _once(mu, "a1", lambda m: sigma0(-_once(m, "mean", EmpiricalMeasure.mean)))
+        return _once(mu, "a1", lambda m: sigma0(-mean(m)))
 
     return MeanFieldModel(
         name="landau-maxwell",
         d=3,
         a0=LANDAU_S0,
         a1=a1,
-        b=b,
+        drift=drift,
         constants={"F": 16.0, "C": 16.0, "kappa": 2.0},
     )
 

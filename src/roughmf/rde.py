@@ -1,8 +1,9 @@
 """Rough differential equation solvers.
 
-Solves dY = b dt + sigma dX for a rough driver (X, XX) and a diffusion
-affine in the state, sigma = a0 . y + a1(c) on grid cell c, by a one-step
-Milstein-type scheme using both levels of the driver per cell:
+Solves dY = b dt + sigma dX for a rough driver (X, XX), a drift affine in
+the state, b = B(c) y + beta(c), and a diffusion affine in the state,
+sigma = a0 . y + a1(c), on grid cell c, by a one-step Milstein-type scheme
+using both levels of the driver per cell:
 
     Y+ = Y + sigma X + (a0 sigma) : XX  =  P Y + q.
 
@@ -13,18 +14,17 @@ blow-up guard (the Wong-Zakai RK4 maps of ``cocycle.wong_zakai_run`` too),
 and the affine flow maps, whose linear part is the flow Jacobian, are the
 scan of the homogeneous identity frame.  The scan's blocks are anchored at
 the first cell, so a solve on a prefix of the cells is bitwise the prefix
-of the longer solve on the same cell maps (a general a0's maps can round
-differently in batches of other sizes; see ``doss_sussmann_solve``);
-against a cell-by-cell loop the states differ by round-off only (the bound
-is in ``_accel``'s docstring).  Backward
-solves and backward Jacobians enter each cell at its right edge and use the
-inverted cell, whose signature is (1, X, XX)^-1 = (1, -X, X (x) X - XX).  The
-coefficients are addressed by cell index, not time: the frozen-law
-coefficients are constant on each cell, so a cell reads its own a1 in both
-directions, and grid node m reads cell min(m, M - 1).  A drift enters by
-Heun's method on the same cell maps (``doss_sussmann_solve``): the
-Doss-Sussmann conjugation through the driftless flow, carried back to Y one
-step at a time, so no flow map is formed or inverted.
+of the longer solve on the same cell maps; against a cell-by-cell loop the
+states differ by round-off only (the bound is in ``_accel``'s docstring).
+Backward solves and backward Jacobians enter each cell at its right edge
+and use the inverted cell, whose signature is
+(1, X, XX)^-1 = (1, -X, X (x) X - XX).  The coefficients are addressed by
+cell index, not time: the frozen-law coefficients are constant on each
+cell, so a cell reads its own a1 in both directions, and grid node m reads
+cell min(m, M - 1).  A drift enters by Heun's method on the same cell maps
+(``doss_sussmann_solve``): the Doss-Sussmann conjugation through the
+driftless flow, carried back to Y, which for an affine drift is one more
+affine map per cell, marched like the others.
 """
 
 from __future__ import annotations
@@ -43,23 +43,24 @@ DEFAULT_GUARD = 1e8
 
 @dataclass
 class CoefficientField:
-    """Drift b(c, Y) and the affine diffusion
+    """The affine drift b(c, y) = B(c) y + beta(c) and the affine diffusion
     sigma(c, y)_{ik} = sum_j a0[i, k, j] y_j + a1(c)[i, k] on grid cell c.
 
     a1 maps an int array of cell indices to (len(c), d, d), or to one (d, d)
-    that holds on every cell; b takes one cell index and states (n, d) and
-    returns their drifts (n, d).
+    that holds on every cell; drift maps it to the pair (B, beta), of
+    shapes (len(c), d, d) and (len(c), d), or (d, d) and (d,) that hold on
+    every cell.
     """
 
     a0: np.ndarray  # (d, d, d)
     a1: Callable[[np.ndarray], np.ndarray]  # cells -> (len(cells), d, d) or (d, d)
-    b: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    drift: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
 
 def linear_coefficients(
     a0: np.ndarray,
     a1: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    b: Optional[Callable] = None,
+    drift: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
     d: Optional[int] = None,
 ) -> CoefficientField:
     """CoefficientField for sigma(c, y) = a0 . y + a1(c) on cell c, a1 = 0 by
@@ -77,7 +78,7 @@ def linear_coefficients(
         def a1(cells):
             return zero
 
-    return CoefficientField(a0, a1, b)
+    return CoefficientField(a0, a1, drift)
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +105,18 @@ class RdeSolution:
 
         The rough integral is recomputed from the returned controlled path;
         the drift integral uses the trapezoid rule on the solver grid, both
-        ends of cell c at the drift of cell c, as the solver steps it.
+        ends of cell c at the drift of cell c, as the solver steps it: for
+        an affine drift, the drift of cell c at the mean of its end states.
         """
         sol = self.path
         integrand = _compose_sigma(self.coeff, sol)
         cum = integrand._cumint  # (M+1, d)
         rhs = sol.Y[0] + cum
-        if self.coeff.b is not None:
-            b = np.stack([self.coeff.b(c, sol.Y[m : m + 2]) for m, c in enumerate(self.cells[:-1])])
-            mid = 0.5 * (b[:, 1] + b[:, 0]) * np.diff(self.times)[:, None]
-            drift = np.concatenate([np.zeros((1, sol.Y.shape[1])), np.cumsum(mid, axis=0)])
-            rhs = rhs + drift
+        if self.coeff.drift is not None:
+            B, beta = self.coeff.drift(self.cells[:-1])
+            mean = 0.5 * (sol.Y[1:] + sol.Y[:-1])
+            mid = ((B @ mean[..., None])[..., 0] + beta) * np.diff(self.times)[:, None]
+            rhs[1:] += np.cumsum(mid, axis=0)
         return float(np.max(np.linalg.norm(sol.Y - rhs, axis=1)))
 
 
@@ -136,12 +138,6 @@ def _compose_sigma(coeff: CoefficientField, sol: ControlledPath) -> ControlledPa
     derivative a0 . Y'."""
     primes = np.einsum("ikj,mjl->mikl", coeff.a0, sol.Yprime)
     return ControlledPath(sol.base, sol.Yprime, primes)
-
-
-def _guard(y: np.ndarray, k: int):
-    m = np.abs(y).max()
-    if not m <= DEFAULT_GUARD:  # also trips on NaN
-        raise RuntimeError(f"solution blow-up guard tripped at step {k}: |Y| = {m:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +187,12 @@ def _march(P, q, y0, first: int, backward: bool) -> np.ndarray:
     n = len(P)
     with np.errstate(over="ignore", invalid="ignore"):
         Y = _accel.march(P, q, y0)
-    bad = np.flatnonzero(~(np.abs(Y[1:]).max(axis=1) <= DEFAULT_GUARD))
+    size = np.abs(Y[1:]).max(axis=1)
+    bad = np.flatnonzero(~(size <= DEFAULT_GUARD))  # also trips on NaN
     if len(bad):
         c = bad[0]
-        _guard(Y[c + 1], first + n - 1 - c if backward else first + c)
+        raise RuntimeError(f"solution blow-up guard tripped at step "
+                           f"{first + n - 1 - c if backward else first + c}: |Y| = {size[c]:g}")
     return Y[::-1].copy() if backward else Y
 
 
@@ -209,7 +207,7 @@ def solve_driftless(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     M = rp.grid.n_cells
     Y = _march(*_cell_maps(coeff, rp, 0, M, False), xi, 0, backward=False)
-    return _solution(replace(coeff, b=None), rp, Y, {"steps": M})
+    return _solution(replace(coeff, drift=None), rp, Y, {"steps": M})
 
 
 def solve_backward(
@@ -234,7 +232,7 @@ def solve_backward(
         )
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     Y = _march(*_cell_maps(coeff, rp, i, j, True), delta, i, backward=True)
-    return _solution(replace(coeff, b=None), rp, Y, {"steps": j - i}, i)
+    return _solution(replace(coeff, drift=None), rp, Y, {"steps": j - i}, i)
 
 
 # ---------------------------------------------------------------------------
@@ -270,42 +268,28 @@ def linear_flow(coeff: CoefficientField, rp: RoughPath):
 
 
 def doss_sussmann_solve(coeff: CoefficientField, rp: RoughPath, xi) -> RdeSolution:
-    """Solve dY = b dt + sigma dX by Heun's method on the Milstein cell maps.
+    """Solve dY = b dt + sigma dX from xi (d,) by Heun's method on the
+    Milstein cell maps.
 
     Without drift this is the driftless solve.  With drift, cell k with
-    map y -> P_k y + q_k, width h_k and b_k = b(k, Y_k) takes the step
-        Y+ = P_k Y_k + q_k + (h_k / 2) [P_k b_k + b(k, P_k Y_k + q_k + h_k P_k b_k)],
+    map y -> P y + q, width h and drift b(y) = B y + beta takes the step
+        Y+ = P Y + q + (h / 2) [P b(Y) + b(P Y + q + h P b(Y))],
     which is Heun's method on the Doss-Sussmann conjugate z of the
     driftless flow Y = M z + v (M_{k+1} = P_k M_k, v_{k+1} = P_k v_k + q_k)
-    carried back to Y, with no flow map formed or inverted.  Both drift
-    reads on cell k take b(k, .) at a one-row block of states (1, d), and
-    the guard checks each step before the drift sees it.
-
-    With drift, ``xi`` may also be the states (m + 1, d) of this solve on
-    the first m cells, from a solve on a prefix of rp from the same origin
-    with the same field: they are kept and the loop steps on from cell m,
-    building only the later cells' maps.  Each cell is one step on its own
-    map, so the states are those of the solve from xi[0] in one go, bitwise
-    wherever a cell's map does not depend on how many maps are built with
-    it: the matrix products may round a cell's map differently in batches
-    of other sizes, which the tests find on neither model's frozen-law
-    field (a0 = 0, or entries in {0, 1, -1}).
+    carried back to Y, with no flow map formed or inverted.  The drift is
+    affine, so the step is the affine map y -> P~ y + q~ with
+        P~ = P + (h / 2) [P B + B (P + h P B)],
+        q~ = q + (h / 2) [P beta + B (q + h P beta) + beta],
+    built for every cell at once and marched as every solve is.
     """
-    head = np.atleast_2d(np.asarray(xi, dtype=float))  # a start (d,) is (1, d)
-    m, M = len(head) - 1, rp.grid.n_cells
-    if coeff.b is None:
-        if m:
-            raise ValueError("a driftless solve starts from one state, not from solved cells")
-        return solve_driftless(coeff, rp, head[0])
-    if m > M:
-        raise ValueError(f"{m} solved cells, but the path has {M}")
-    P, q = _cell_maps(coeff, rp, m, M, False)
-    b = coeff.b
-    Y = np.empty((M + 1, head.shape[1]))
-    Y[: m + 1] = head
-    for k, (Pk, qk, h) in enumerate(zip(P, q, rp.grid.widths[m:].tolist()), m):
-        Pb = Pk @ b(k, Y[k : k + 1])[0]
-        flow = Pk @ Y[k] + qk
-        Y[k + 1] = flow + 0.5 * h * (Pb + b(k, (flow + h * Pb)[None])[0])
-        _guard(Y[k + 1], k)
-    return _solution(coeff, rp, Y, {"steps": M - m})
+    if coeff.drift is None:
+        return solve_driftless(coeff, rp, xi)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    M = rp.grid.n_cells
+    P, q = _cell_maps(coeff, rp, 0, M, False)
+    B, beta = coeff.drift(np.arange(M))
+    h, b = rp.grid.widths[:, None, None], beta[..., None]
+    PB, Pb = P @ B, P @ b
+    Pt = P + 0.5 * h * (PB + B @ (P + h * PB))
+    qt = q + (0.5 * h * (Pb + B @ (q[..., None] + h * Pb) + b))[..., 0]
+    return _solution(coeff, rp, _march(Pt, qt, xi, 0, backward=False), {"steps": M})

@@ -50,10 +50,12 @@ def doss_sussmann_oracle(coeff, rp, y0):
     with (M_k, v_k) the driftless Milstein flow to node k, composed one cell
     at a time from the cell maps of ``milstein_oracle``, z solves
         dz/dt = M_k^-1 b(k, M_k z + v_k),   z_0 = y0,
-    both Heun stages on cell k reading b(k, .), and Y_k = M_k z_k + v_k.
-    Returns the trajectory."""
+    both Heun stages on cell k reading the drift b(k, y) = B_k y + beta_k of
+    the field's table, and Y_k = M_k z_k + v_k.  Returns the trajectory."""
     a0, M, d = coeff.a0, rp.grid.n_cells, len(y0)
     table = np.broadcast_to(coeff.a1(np.arange(M)), (M, d, d))
+    B, beta = coeff.drift(np.arange(M))
+    B, beta = np.broadcast_to(B, (M, d, d)), np.broadcast_to(beta, (M, d))
     flows = [(np.eye(d), np.zeros(d))]
     for k in range(M):
         step = [milstein_oracle(a0, table, rp, y, k, k + 1)[1] for y in np.eye(d)]
@@ -65,7 +67,7 @@ def doss_sussmann_oracle(coeff, rp, y0):
 
     def rhs(m, z, c):
         Mm, vm = flows[m]
-        return inverses[m] @ coeff.b(c, (Mm @ z + vm)[None])[0]
+        return inverses[m] @ (B[c] @ (Mm @ z + vm) + beta[c])
 
     z = np.asarray(y0, dtype=float)
     Y = [z]

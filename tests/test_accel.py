@@ -280,6 +280,30 @@ def test_march_of_a_prefix_is_bitwise_the_prefix_of_the_march(d):
         assert np.array_equal(Mm, M[: m + 1]) and np.array_equal(vm, v[: m + 1]), m
 
 
+def products_in_place(H):
+    """The running products of the scan's blocks, each written over its
+    left factor, as the scan once formed them: numpy then copies the
+    overlapping operand first.  Overwrites H and returns it."""
+    B = _accel.MARCH_BLOCK
+    prev = H[0::B]
+    for j in range(1, min(B, len(H))):
+        cur = H[j::B]
+        prev = np.matmul(cur, prev[: len(cur)], out=cur)
+    return H
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 8, 32, 64, 100, 4096])
+def test_scan_products_are_bitwise_those_formed_in_place(d, n):
+    # the scan forms each running product into a fresh array and stores it;
+    # that leaves every product, and so every state, as it was
+    P, q, y0 = random_maps(n, n, d)
+    H = _accel._homogeneous(P, q)
+    want = products_in_place(H.copy())
+    _accel._scan(H, np.append(y0, 1.0)[:, None])  # overwrites H with the products
+    assert H.tobytes() == want.tobytes()
+
+
 def loop_march(P, q, y0):
     """The plain cell-by-cell march Y <- P_k Y (+ q_k)."""
     Y = np.empty((len(P) + 1,) + np.shape(y0))

@@ -174,7 +174,7 @@ def test_04_rde_closed_forms():
     rel_geom = float(np.max(np.abs(sol.Y[:, 0] - ref) / ref))
 
     _, rp2 = scalar_brownian(6, 1 << 12, fine_per=8)
-    damped = linear_coefficients(np.ones((1, 1, 1)), b=lambda t, y: -y)
+    damped = linear_coefficients(np.ones((1, 1, 1)), drift=lambda c: (-np.eye(1), np.zeros(1)))
     ds = doss_sussmann_solve(damped, rp2, 1.0)
     ds_ref = np.exp(rp2.values[:, 0] - rp2.times)
     rel_ds = float(np.max(np.abs(ds.Y[:, 0] - ds_ref) / ds_ref))

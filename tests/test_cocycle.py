@@ -68,10 +68,10 @@ def test_frozen_field_piecewise_constant():
         np.einsum("ikj,j->ik", coeff.a0, y) + coeff.a1(4),
         model.sigma(y[None], curve.measures[0])[0],
     )
-    # the drift reads the same window as a1, on states (n, d)
-    Y = np.stack([y, 2.0 * y, -y])
-    assert np.array_equal(coeff.b(39, Y), model.b(Y, curve.measures[3]))
-    assert not np.array_equal(coeff.b(39, Y), coeff.b(29, Y))
+    # the drift table reads the same window as a1
+    (B, c), (B3, c3) = coeff.drift(np.array([39, 29])), model.drift(curve.measures[3])
+    assert np.array_equal(B[0], B3) and np.array_equal(c[0], c3)
+    assert not np.array_equal(c[0], c[1])
 
 
 @pytest.mark.parametrize("model_name", ["eks-gaussian", "landau-maxwell"])
@@ -488,7 +488,7 @@ def test_wz_guard_names_the_step():
 
 def test_wz_rejects_a_drift():
     noise, _ = wz_setup(0, fine=64)
-    drifted = linear_coefficients(np.ones((1, 1, 1)), b=lambda c, y: -y)
+    drifted = linear_coefficients(np.ones((1, 1, 1)), drift=lambda c: (-np.eye(1), np.zeros(1)))
     with pytest.raises(ValueError, match="driftless"):
         wong_zakai_run(drifted, noise, 3, False, 1.0)
 

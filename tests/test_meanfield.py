@@ -329,7 +329,7 @@ def test_recorded_states_share_the_start_weights_and_nothing_derived(weights):
         assert m.weights is mu0.weights and m.uniform == ref.uniform == (w is None)
         assert np.array_equal(m.atoms, ref.atoms) and m.atoms.flags.c_contiguous
         frozen = j % cfg.inner == 0 and j < cfg.steps
-        assert sorted(m.derived) == (["cov", "sqrt_2cov"] if frozen else []), j
+        assert sorted(m.derived) == (["cov", "drift", "sqrt_2cov"] if frozen else []), j
         if frozen:
             assert np.array_equal(m.derived["cov"], covariance(ref)), j
     assert not mu0.derived
@@ -348,12 +348,13 @@ def test_simulate_names_the_step_of_a_non_finite_state():
     model = build_model("landau-maxwell")
     calls = []
 
-    def b(Y, mu):
+    def drift(mu):
         calls.append(1)
-        return np.full_like(Y, np.inf) if len(calls) == 3 else -Y
+        return -np.eye(3), np.full(3, np.inf if len(calls) == 3 else 0.0)
 
     with pytest.raises(RuntimeError, match="non-finite particle state at step 2$"):
-        simulate_frozen_law(replace(model, b=b), gauss_init(0, 10, 3), FrozenLawConfig(4), 1.0)
+        simulate_frozen_law(replace(model, drift=drift), gauss_init(0, 10, 3), FrozenLawConfig(4),
+                            1.0)
     assert len(calls) == 3
 
 

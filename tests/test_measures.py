@@ -366,6 +366,31 @@ def test_family_certificate():
     assert certify(fam, 2.0, lambda n: rng.normal(size=(n, 3)) * 3.0, n=500)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_family_built_with_clouds_is_certified(p, d):
+    # the data-centred bumps meet the envelope wherever their centre lies;
+    # the points are drawn in their supports, the unit balls around the
+    # cloud means (at BUMP_SCALE 0.25 a bump's Hessian reached 1.94)
+    rng = np.random.default_rng(d)
+    shifts = [np.zeros(d), np.eye(d)[0], -0.5 * np.ones(d)]
+    clouds = [EmpiricalMeasure(s + 0.1 * rng.normal(size=(50, d))) for s in shifts]
+    centres = np.stack([c.mean() for c in clouds])
+
+    def in_supports(n):
+        dirs = rng.normal(size=(n, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        radii = rng.uniform(0.0, 1.0, size=(n, 1))
+        return centres[rng.integers(len(centres), size=n)] + dirs * radii
+
+    fam = default_test_family(p, clouds)
+    bumps = [f for f in fam if f.name.startswith("bump")]
+    assert len(bumps) == 3 and certify(fam, p, in_supports, n=4000)
+    pts = in_supports(4000)
+    peak = max(np.linalg.norm(f.hess(pts), 2, axis=(1, 2)).max() for f in bumps)
+    assert 0.9 < peak < 1.0  # under the envelope of every p >= 1
+
+
 def test_family_certificate_catches_violation():
     rng = np.random.default_rng(1)
     fam = default_test_family(2.0, d=2)

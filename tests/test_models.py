@@ -109,6 +109,25 @@ def test_psd_sqrt():
         psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))  # indefinite
 
 
+@pytest.mark.parametrize("scale,clamped", [(1e-13, True), (1e-8, False)])
+def test_psd_sqrt_indefiniteness_floor(scale, clamped):
+    # an eigenvalue of -1e-13 tr A is round-off and clamped to zero; one of
+    # -1e-8 tr A means the input is indefinite, on either side of the floor
+    # -1e-12 max(tr A, 1)
+    V = np.linalg.qr(np.random.default_rng(12).normal(size=(3, 3)))[0]
+    lam = np.array([3.0, 2.0, 0.0])
+    lam[2] = -scale * lam.sum() / (1.0 + scale)  # -scale tr A
+    A = (V * lam) @ V.T
+    A = 0.5 * (A + A.T)
+    assert np.isclose(np.linalg.eigvalsh(A)[0], -scale * A.trace(), rtol=1e-2)
+    if clamped:
+        R = psd_sqrt(A)
+        assert np.allclose(R @ R, (V * np.maximum(lam, 0.0)) @ V.T, atol=1e-12)
+    else:
+        with pytest.raises(ValueError, match="indefinite"):
+            psd_sqrt(A)
+
+
 # ---------------------------------------------------------------------------
 # EKS
 # ---------------------------------------------------------------------------
@@ -128,6 +147,34 @@ def test_eks_coefficients():
     assert np.array_equal(sig, np.broadcast_to(sig[0], sig.shape))  # state-free
     assert np.allclose(sig[0] @ sig[0], 2.0 * C, atol=1e-10)
     assert np.allclose(sig[0], sig[0].T)
+
+
+def random_law(g, n, d):
+    """A cloud of n atoms with a random mean, covariance and weights."""
+    atoms = g.normal(size=d) + g.normal(size=(n, d)) @ g.normal(size=(d, d))
+    return EmpiricalMeasure(atoms, g.dirichlet(np.ones(n)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_declared_drifts_are_the_closed_forms(seed):
+    # each model declares (B, c) with b(y, mu) = B y + c: EKS B = -C Sigma^-1
+    # and c = 0 for a random SPD Sigma, Landau B = -2 I and c = 2 m, on
+    # random states and laws; the pair is kept in mu.derived
+    g = np.random.default_rng(seed)
+    S = g.normal(size=(2, 2))
+    Sigma = S @ S.T + 0.5 * np.eye(2)
+    for model, d in ((eks_gaussian_model(Sigma), 2), (landau_model(), 3)):
+        mu, Y = random_law(g, 30, d), 3.0 * g.normal(size=(7, d))
+        B, c = model.drift(mu)
+        assert all(a is b for a, b in zip(mu.derived["drift"], (B, c)))
+        C, m = covariance(mu), mu.mean()
+        if model.name == "eks-gaussian":
+            want = -C @ np.linalg.inv(Sigma), np.zeros(2), -Y @ np.linalg.solve(Sigma, C)
+        else:
+            want = -2.0 * np.eye(3), 2.0 * m, -2.0 * Y + 2.0 * m
+        assert B.shape == (d, d) and c.shape == (d,)
+        for got, closed in zip((B, c, model.b(Y, mu)), want):
+            assert np.allclose(got, closed, rtol=1e-12, atol=1e-12)
 
 
 def test_eks_model_batch_matches_pointwise():
@@ -310,7 +357,7 @@ def test_assumption_audit_flags_a_coercivity_violation():
     samples = corpus(model, 12)
     samples[3] = (np.array([3.0, 0.0]), *samples[3][1:])
     assert assumption_audit(model, samples)["clean"]
-    bad = replace(model, b=lambda Y, mu: 100.0 * Y)
+    bad = replace(model, drift=lambda mu: (100.0 * np.eye(2), np.zeros(2)))
     out = assumption_audit(bad, samples)
     C = model.constants["C"]
     want = [i for i, (y, mu, _) in enumerate(samples)

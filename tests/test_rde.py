@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -219,7 +217,7 @@ def test_doss_sussmann_linear_closed_form():
     # dY = -lam Y dt + Y dX  =>  Y = xi exp(X_t - lam t)
     _, rp = scalar_lift(13, cells=1 << 11)
     lam = 0.8
-    coeff = linear_coefficients(np.ones((1, 1, 1)), b=lambda t, y: -lam * y)
+    coeff = linear_coefficients(np.ones((1, 1, 1)), drift=lambda c: (-lam * np.eye(1), np.zeros(1)))
     sol = doss_sussmann_solve(coeff, rp, 1.0)
     ref = np.exp(rp.values[:, 0] - lam * rp.times)
     assert np.max(np.abs(sol.Y[:, 0] - ref) / ref) <= 5e-3
@@ -230,12 +228,13 @@ def test_driftless_solves_record_no_drift():
     # drift, so their solutions must not carry it; recorded, integral_defect
     # added it (1.74 forward, 1.75 backward) to a solve that never took it
     _, rp = scalar_lift(0, cells=64)
-    drifted = linear_coefficients(np.ones((1, 1, 1)), b=lambda c, y: -5.0 * y)
+    drifted = linear_coefficients(np.ones((1, 1, 1)),
+                                  drift=lambda c: (-5.0 * np.eye(1), np.zeros(1)))
     defects = {}
     for name, coeff in (("drifted", drifted), ("plain", GEOM)):
         fwd = solve_driftless(coeff, rp, 1.0)
         back = solve_backward(coeff, rp, fwd.Y[-1], 0.0, 1.0)
-        assert fwd.coeff.b is None and back.coeff.b is None
+        assert fwd.coeff.drift is None and back.coeff.drift is None
         defects[name] = (fwd.integral_defect(), back.integral_defect())
     assert defects["drifted"] == defects["plain"]
     assert defects["plain"][0] <= 1e-15 and 1e-3 < defects["plain"][1] < 2e-3
@@ -244,7 +243,7 @@ def test_driftless_solves_record_no_drift():
     relabelled = type(fwd)(fwd.path, drifted, fwd.cells)
     assert 1.7 < relabelled.integral_defect() < 1.8
     # the drifted solve keeps its drift
-    assert doss_sussmann_solve(drifted, rp, 1.0).coeff.b is not None
+    assert doss_sussmann_solve(drifted, rp, 1.0).coeff.drift is not None
 
 
 def test_pure_drift_heun():
@@ -257,7 +256,7 @@ def test_pure_drift_heun():
     rp_zero = type(rp_zero)(
         grid, np.zeros_like(rp_zero.values), np.zeros_like(rp_zero.cells), 0.4
     )
-    coeff = linear_coefficients(np.zeros((1, 1, 1)), b=lambda t, y: -y)
+    coeff = linear_coefficients(np.zeros((1, 1, 1)), drift=lambda c: (-np.eye(1), np.zeros(1)))
     sol = doss_sussmann_solve(coeff, rp_zero, 2.0)
     assert abs(sol.Y[-1, 0] - 2.0 * np.exp(-1.0)) <= 1e-6
 
@@ -271,7 +270,7 @@ def test_time_dependent_drift_second_order():
         rp = RoughPath(grid, np.zeros((cells + 1, 1)), np.zeros((cells, 1, 1)), 0.4)
         table = np.cos(grid.points[:-1] + 0.5 * grid.widths)
         coeff = linear_coefficients(
-            np.zeros((1, 1, 1)), b=lambda c, y: table[c] * np.ones_like(y)
+            np.zeros((1, 1, 1)), drift=lambda c: (np.zeros((1, 1)), table[c][:, None])
         )
         sol = doss_sussmann_solve(coeff, rp, 1.0)
         errs.append(np.max(np.abs(sol.Y[:, 0] - (1.0 + np.sin(grid.points)))))
@@ -287,8 +286,7 @@ def test_integral_defect_reads_each_cells_drift_at_both_ends():
     grid = TimeGrid.regular(0.0, 1.0, cells)
     rp = RoughPath(grid, np.zeros((cells + 1, 2)), np.zeros((cells, 2, 2)), 0.4)
     table = np.random.default_rng(0).normal(size=(cells, 2))
-    coeff = linear_coefficients(np.zeros((2, 2, 2)), b=lambda c, Y: np.broadcast_to(
-        table[c], Y.shape))
+    coeff = linear_coefficients(np.zeros((2, 2, 2)), drift=lambda c: (np.zeros((2, 2)), table[c]))
     sol = doss_sussmann_solve(coeff, rp, [1.0, -1.0])
     assert np.allclose(sol.Y[1:] - sol.Y[:-1], table / cells, rtol=0, atol=1e-15)
     assert sol.integral_defect() <= 1e-12
@@ -318,52 +316,26 @@ def test_blowup_guard_trips():
         solve_backward(coeff, rp, 1.0, 0.0, 1.0)
     # the drift b = -y barely slows the growth: the drifted solve guards Y,
     # not a transformed state, and trips at the same step
-    drifted = linear_coefficients(np.full((1, 1, 1), 40.0), b=lambda c, y: -y)
+    drifted = linear_coefficients(np.full((1, 1, 1), 40.0),
+                                  drift=lambda c: (-np.eye(1), np.zeros(1)))
     with pytest.raises(RuntimeError, match="guard tripped at step 2:"):
         doss_sussmann_solve(drifted, rp, 1.0)
 
 
-def test_doss_sussmann_matches_conjugate_heun_on_a_nonlinear_drift():
-    # Heun on the cell maps against Heun on the conjugate z, Y = M z + v,
+def test_doss_sussmann_matches_conjugate_heun_on_a_random_affine_drift():
+    # Heun's affine cell maps against Heun on the conjugate z, Y = M z + v,
     # with every flow map composed and inverted: equal in exact arithmetic,
-    # for a drift nonlinear in the state and different on every cell (the
-    # frozen-law fields are in test_cocycle)
+    # for a drift different on every cell (the frozen-law fields are in
+    # test_cocycle)
     d, cells = 3, 64
     g = np.random.default_rng(41)
     rp = random_rough_path(41, cells=cells, d=d)
     a0, table = 0.5 * g.normal(size=(d, d, d)), g.normal(size=(cells, d, d))
-    coeff = linear_coefficients(a0, lambda c: table[c], b=lambda c, y: -y**3 + np.sin(c))
+    B, beta = g.normal(size=(cells, d, d)), g.normal(size=(cells, d))
+    coeff = linear_coefficients(a0, lambda c: table[c], lambda c: (B[c], beta[c]))
     y0 = g.normal(size=d)
     got, want = doss_sussmann_solve(coeff, rp, y0).Y, doss_sussmann_oracle(coeff, rp, y0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("exact_a0", [False, True])
-def test_doss_sussmann_goes_on_from_solved_cells(exact_a0):
-    # a solve on a prefix of the path, continued from its states on the
-    # longer path from the same origin, is the solve in one go: bit for bit
-    # when a0 has entries in {0, 1, -1}, as Landau's, whose products round
-    # alike in any batch of cell maps; to round-off for a general a0
-    d, cells = 3, 150
-    g = np.random.default_rng(42)
-    rp = random_rough_path(42, cells=cells, d=d)
-    a0 = g.integers(-1, 2, size=(d, d, d)) if exact_a0 else 0.5 * g.normal(size=(d, d, d))
-    table = g.normal(size=(cells, d, d))
-    coeff = linear_coefficients(a0, lambda c: table[c], b=lambda c, y: -y**3 + np.sin(c))
-    y0 = 0.1 * g.normal(size=d)
-    whole = doss_sussmann_solve(coeff, rp, y0)
-    for m in (1, 63, 64, 65, 149, 150):
-        head = doss_sussmann_solve(coeff, rp.restrict(0, m), y0).Y
-        on = doss_sussmann_solve(coeff, rp, head)
-        if exact_a0:
-            assert np.array_equal(on.Y, whole.Y), m
-        else:
-            assert np.max(np.abs(on.Y - whole.Y)) <= 1e-13 * np.max(np.abs(whole.Y)), m
-        assert on.diagnostics["steps"] == cells - m
-    with pytest.raises(ValueError, match="151 solved cells"):
-        doss_sussmann_solve(coeff, rp, np.vstack([whole.Y, whole.Y[-1:]]))
-    with pytest.raises(ValueError, match="driftless"):
-        doss_sussmann_solve(replace(coeff, b=None), rp, whole.Y[:3])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
