@@ -117,7 +117,7 @@ class RdeSolution:
             mean = 0.5 * (sol.Y[1:] + sol.Y[:-1])
             mid = ((B @ mean[..., None])[..., 0] + beta) * np.diff(self.times)[:, None]
             rhs[1:] += np.cumsum(mid, axis=0)
-        return float(np.max(np.linalg.norm(sol.Y - rhs, axis=1)))
+        return float(np.max(_accel._row_norms(sol.Y - rhs)))
 
 
 def _solution(

@@ -172,10 +172,11 @@ def _pair_sup(ratio, times, exponent, values, terms=()) -> float:
     - rounding is monotone, so each pair's computed gap is >= the computed
       g;
     - r = (4 K + 64) eps, with K values per pair, covers what is rounded
-      after the values: the norms (about (K + 2) u each, u = eps / 2), the
+      after the values: the norms (``_accel._row_norms``, K squares summed
+      left to right below 8 terms, pairwise from 8, and a root: at most
+      about (K + 1) u each, inside the (K + 2) u allowed, u = eps / 2), the
       sums and products of B, a power on each side (4 ulp allowed) and a
-      division on each side, about (2 K + 30) u in all, which r exceeds
-      fourfold.
+      division on each side, about (2 K + 30) u in all, r fourfold that.
     A non-finite input value at a node k makes the value NaN: the entry
     (k, k) of its diagonal tile, evaluated whatever the bounds, is inf - inf
     or NaN, and ``np.maximum`` keeps a NaN.  A NaN bound, which finite
@@ -444,12 +445,14 @@ def dyadic_approximation(noise: NoisePath, n: int, alpha: float = 0.4) -> RoughP
         raise ValueError("2^n dyadic cells must align with the fine grid")
     W = noise.values()
     t = noise.fine_grid.points
-    nodes = np.arange(0, M + 1, cells_per)
+    # a row per dyadic cell, of ends t[a] and t[b]: its fine nodes but the
+    # last, so a node shared by two cells takes the later cell's value
+    a, b = slice(0, M, cells_per), slice(cells_per, None, cells_per)
+    lam = ((t[:M].reshape(-1, cells_per) - t[a, None]) / (t[b] - t[a])[:, None])[..., None]
     X = np.empty_like(W)
-    for c in range(1 << n):
-        a, b = nodes[c], nodes[c + 1]
-        lam = (t[a : b + 1] - t[a]) / (t[b] - t[a])
-        X[a : b + 1] = (1 - lam)[:, None] * W[a] + lam[:, None] * W[b]
+    X[:M].reshape(-1, cells_per, W.shape[1])[...] = (1 - lam) * W[a, None] + lam * W[b, None]
+    lam = (t[M] - t[M - cells_per]) / (t[M] - t[M - cells_per])
+    X[M] = (1 - lam) * W[M - cells_per] + lam * W[M]
     dX = np.diff(X, axis=0)
     cells = 0.5 * np.einsum("ml,mk->mlk", dX, dX)
     return RoughPath(noise.fine_grid, X, cells, alpha)

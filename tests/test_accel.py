@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -608,3 +609,68 @@ def test_linear_flow_maps_match_cell_by_cell_march():
             affine = np.einsum("kij,j->ki", M, y0) + v
             want = milstein_oracle(a0, table, rp, y0, 0, n)
             assert np.allclose(affine, want, rtol=1e-12, atol=1e-12), d
+
+
+# ---------------------------------------------------------------------------
+# the row-norm kernel
+# ---------------------------------------------------------------------------
+
+def spread(rng, shape):
+    # entries of both signs over e^-8 .. e^8
+    return rng.normal(size=shape) * np.exp(rng.uniform(-8.0, 8.0, size=shape))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def left_to_right_norms(v):
+    s = v[..., 0] * v[..., 0]
+    for k in range(1, v.shape[-1]):
+        s += v[..., k] * v[..., k]
+    return np.sqrt(s)
+
+
+@pytest.mark.parametrize("K", range(1, 8))
+def test_row_norms_are_bitwise_linalg_norm(K):
+    # below 8 terms numpy's reduction sums the squares left to right, as
+    # _row_norms does; a numpy that sums them otherwise turns this red
+    rng = np.random.default_rng(K)
+    for shape in ((300, K), (7, 300, K)):
+        for _ in range(20):
+            v = spread(rng, shape)
+            for w in (v, np.asfortranarray(v)):
+                assert same_bits(_accel._row_norms(w), np.linalg.norm(w, axis=-1))
+
+
+@pytest.mark.parametrize("K", [0, 1, 7, 8, 9, 16])
+def test_row_norms_fall_back_to_linalg_norm_from_8_terms(K, monkeypatch):
+    calls = []
+    norm = np.linalg.norm
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    v = spread(np.random.default_rng(K), (300, K))
+    got = _accel._row_norms(v)
+    assert calls == ([] if 0 < K < 8 else [v.shape])
+    assert same_bits(got, norm(v, axis=-1))
+    if K >= 8:
+        # from 8 terms numpy sums pairwise: the left-to-right sum is not it
+        assert not same_bits(left_to_right_norms(v), got)
+
+
+def test_row_norms_of_non_finite_and_overflowing_entries():
+    v = np.array([[np.inf, 1.0], [-np.inf, np.nan], [np.nan, 0.0], [0.0, -0.0], [3.0, -4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(_accel._row_norms(v), np.linalg.norm(v, axis=-1))
+    # a square overflows, or the sum of two finite squares does
+    for big in (np.array([[1e200, 1.0], [1.0, 2.0]]), np.array([[1e154, 1e154], [1.0, 2.0]])):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = _accel._row_norms(big)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            want = np.linalg.norm(big, axis=-1)
+        assert same_bits(got, want) and np.isinf(got[0])

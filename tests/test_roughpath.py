@@ -353,6 +353,39 @@ def test_dyadic_cell_closed_form(noise_2d):
     assert np.max(np.abs(dy.chen_defect(t[0], t[100], t[-1]))) <= 1e-12
 
 
+def loop_dyadic_approximation(noise, n):
+    """The level-n values and cells one dyadic cell at a time, the reference
+    of the vectorised lift: each cell interpolates its fine nodes, both ends
+    included, so a node shared by two cells keeps the later cell's value."""
+    M = noise.fine_grid.n_cells
+    W, t = noise.values(), noise.fine_grid.points
+    nodes = np.arange(0, M + 1, M >> n)
+    X = np.empty_like(W)
+    for c in range(1 << n):
+        a, b = nodes[c], nodes[c + 1]
+        lam = (t[a : b + 1] - t[a]) / (t[b] - t[a])
+        X[a : b + 1] = (1 - lam)[:, None] * W[a] + lam[:, None] * W[b]
+    dX = np.diff(X, axis=0)
+    return X, 0.5 * np.einsum("ml,mk->mlk", dX, dX)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_dyadic_approximation_is_bitwise_the_cell_loop(d, uniform):
+    rng = np.random.default_rng(d)
+    M = 1 << 10
+    if uniform:
+        grid = TimeGrid.regular(0.0, 1.0, M)
+    else:
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, M))]))
+    noise = NoisePath.generate(d, grid, d)
+    for n in (0, 1, 4, 10):  # level 10: one fine cell per dyadic cell
+        X, cells = loop_dyadic_approximation(noise, n)
+        got = dyadic_approximation(noise, n)
+        assert got.values.tobytes() == X.tobytes(), n
+        assert got.cells.tobytes() == cells.tobytes(), n
+
+
 def test_dyadic_misalignment_rejected():
     noise = NoisePath.generate(0, TimeGrid.regular(0, 1, 48), 1)
     with pytest.raises(ValueError):
